@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rtt_core::{Aggregation, GnnSchedule, LevelFeats, ModelConfig, NetlistGnn};
 use rtt_features::NodeFeatures;
 use rtt_netlist::NodeKind;
-use rtt_nn::{mse, ops, Adam, Exec, InferCtx, Mlp, ParamStore, Tape, Tensor};
+use rtt_nn::{mse, ops, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor, Var};
 
 use crate::BaselineInputs;
 
@@ -31,17 +31,17 @@ impl Default for GuoConfig {
     }
 }
 
-/// Per-design prepared state for the Guo model.
+/// Per-design prepared state for the Guo model. The `*_rows` vectors
+/// index the GNN's flat embedding matrix.
 struct Prepared {
     schedule: GnnSchedule,
     feats: LevelFeats,
-    ep_locs: Vec<(u32, u32)>,
     ep_labels: Vec<f32>,
-    arr_locs: Vec<(u32, u32)>,
+    arr_rows: Vec<u32>,
     arr_labels: Vec<f32>,
-    net_locs: Vec<(u32, u32)>,
+    net_rows: Vec<u32>,
     net_labels: Vec<f32>,
-    cell_locs: Vec<(u32, u32)>,
+    cell_rows: Vec<u32>,
     cell_labels: Vec<f32>,
 }
 
@@ -51,19 +51,18 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
     let features = NodeFeatures::extract(inputs.netlist, inputs.library, graph, inputs.placement);
     let feats = LevelFeats::assemble(&schedule, &features);
 
-    let ep_locs = schedule.locs_of(graph.endpoints());
     let ep_labels = inputs.endpoint_targets.to_vec();
 
-    let mut arr_locs = Vec::new();
+    let mut arr_rows = Vec::new();
     let mut arr_labels = Vec::new();
-    let mut net_locs = Vec::new();
+    let mut net_rows = Vec::new();
     let mut net_labels = Vec::new();
-    let mut cell_locs = Vec::new();
+    let mut cell_rows = Vec::new();
     let mut cell_labels = Vec::new();
     for v in 0..graph.num_nodes() as u32 {
         let pin = graph.pin_of(v);
         if let Some(&a) = inputs.signoff_arrivals.get(&pin) {
-            arr_locs.push(schedule.loc_of(v));
+            arr_rows.push(schedule.row_of(v));
             arr_labels.push(a);
         }
         match graph.node_kind(v) {
@@ -72,7 +71,7 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
                 let Some(e) = graph.fanin(v).next() else { continue };
                 let key = (graph.pin_of(e.from), pin);
                 if let Some(&d) = inputs.signoff_net_delays.get(&key) {
-                    net_locs.push(schedule.loc_of(v));
+                    net_rows.push(schedule.row_of(v));
                     net_labels.push(d);
                 }
             }
@@ -80,7 +79,7 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
                 for e in graph.fanin(v) {
                     let key = (graph.pin_of(e.from), pin);
                     if let Some(&d) = inputs.signoff_cell_delays.get(&key) {
-                        cell_locs.push(schedule.loc_of(v));
+                        cell_rows.push(schedule.row_of(v));
                         cell_labels.push(d);
                         break; // one shared delay per cell in our model
                     }
@@ -92,13 +91,12 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
     Prepared {
         schedule,
         feats,
-        ep_locs,
         ep_labels,
-        arr_locs,
+        arr_rows,
         arr_labels,
-        net_locs,
+        net_rows,
         net_labels,
-        cell_locs,
+        cell_rows,
         cell_labels,
     }
 }
@@ -182,42 +180,33 @@ impl GuoModel {
         for _ in 0..epochs {
             for p in &prepared {
                 let tape = Tape::new();
-                let levels = self.gnn.forward_levels(
-                    &tape,
-                    &self.store,
-                    &p.schedule,
-                    &p.feats,
-                    Aggregation::Max,
-                );
+                let flat = self.node_embeddings(&tape, p);
                 let mut loss = {
-                    let emb = tape.gather_multi(&levels, &p.ep_locs).scale(rtt_core::READOUT_SCALE);
+                    let emb = tape
+                        .gather_rows(flat, p.schedule.flat_endpoint_rows())
+                        .scale(rtt_core::READOUT_SCALE);
                     let pred = self.arrival_head.forward(&tape, &self.store, emb);
                     let t = self.norm_arr(&tape, &p.ep_labels);
                     mse(&tape, pred, t)
                 };
-                if !p.arr_locs.is_empty() {
-                    let emb =
-                        tape.gather_multi(&levels, &p.arr_locs).scale(rtt_core::READOUT_SCALE);
+                if !p.arr_rows.is_empty() {
+                    let emb = tape.gather_rows(flat, &p.arr_rows).scale(rtt_core::READOUT_SCALE);
                     let pred = self.arrival_head.forward(&tape, &self.store, emb);
                     let t = self.norm_arr(&tape, &p.arr_labels);
                     loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
                 }
-                if !p.net_locs.is_empty() {
+                if !p.net_rows.is_empty() {
                     // Local delays are not cumulative: bound the readout so
                     // depth-accumulated embedding magnitude cannot leak in.
-                    let emb = tape
-                        .gather_multi(&levels, &p.net_locs)
-                        .scale(rtt_core::READOUT_SCALE)
-                        .tanh();
+                    let emb =
+                        tape.gather_rows(flat, &p.net_rows).scale(rtt_core::READOUT_SCALE).tanh();
                     let pred = self.net_head.forward(&tape, &self.store, emb);
                     let t = self.norm_delay(&tape, &p.net_labels);
                     loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
                 }
-                if !p.cell_locs.is_empty() {
-                    let emb = tape
-                        .gather_multi(&levels, &p.cell_locs)
-                        .scale(rtt_core::READOUT_SCALE)
-                        .tanh();
+                if !p.cell_rows.is_empty() {
+                    let emb =
+                        tape.gather_rows(flat, &p.cell_rows).scale(rtt_core::READOUT_SCALE).tanh();
                     let pred = self.cell_head.forward(&tape, &self.store, emb);
                     let t = self.norm_delay(&tape, &p.cell_labels);
                     loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
@@ -238,12 +227,9 @@ impl GuoModel {
         tape.constant(Tensor::from_vec(&[labels.len(), 1], data))
     }
 
-    /// Normalized endpoint predictions on any execution backend.
-    fn endpoint_pred<E: Exec>(&self, ex: E, p: &Prepared) -> Tensor {
-        let levels =
-            self.gnn.forward_levels(ex, &self.store, &p.schedule, &p.feats, Aggregation::Max);
-        let emb = ex.scale(ex.gather_multi(&levels, &p.ep_locs), rtt_core::READOUT_SCALE);
-        ex.value(self.arrival_head.forward(ex, &self.store, emb))
+    /// The GNN's flat node-embedding matrix for a design, on the tape.
+    fn node_embeddings<'t>(&self, tape: &'t Tape, p: &Prepared) -> Var<'t> {
+        self.gnn.forward_nodes(tape, &self.store, &p.schedule, &p.feats, Aggregation::Max)
     }
 
     /// Predicts endpoint arrivals for a design (tape-free backend).
@@ -274,11 +260,12 @@ impl GuoModel {
     /// backend; the equivalence suite asserts bit-identical outputs.
     pub fn predict_endpoints_taped(&self, inputs: &BaselineInputs<'_>) -> Vec<f32> {
         let p = prepare(inputs);
-        self.endpoint_pred(&Tape::new(), &p)
-            .data()
-            .iter()
-            .map(|v| v * self.arr_std + self.arr_mean)
-            .collect()
+        let tape = Tape::new();
+        let flat = self.node_embeddings(&tape, &p);
+        let emb =
+            tape.gather_rows(flat, p.schedule.flat_endpoint_rows()).scale(rtt_core::READOUT_SCALE);
+        let pred = tape.value(self.arrival_head.forward(&tape, &self.store, emb));
+        pred.data().iter().map(|v| v * self.arr_std + self.arr_mean).collect()
     }
 
     /// `(prediction, label)` pairs for the auxiliary local tasks on the
@@ -288,13 +275,12 @@ impl GuoModel {
     pub fn local_eval(&self, inputs: &BaselineInputs<'_>) -> (Vec<(f32, f32)>, Vec<(f32, f32)>) {
         let p = prepare(inputs);
         let tape = Tape::new();
-        let levels =
-            self.gnn.forward_levels(&tape, &self.store, &p.schedule, &p.feats, Aggregation::Max);
-        let eval = |locs: &[(u32, u32)], labels: &[f32], head: &Mlp| -> Vec<(f32, f32)> {
-            if locs.is_empty() {
+        let flat = self.node_embeddings(&tape, &p);
+        let eval = |rows: &[u32], labels: &[f32], head: &Mlp| -> Vec<(f32, f32)> {
+            if rows.is_empty() {
                 return Vec::new();
             }
-            let emb = tape.gather_multi(&levels, locs).scale(rtt_core::READOUT_SCALE).tanh();
+            let emb = tape.gather_rows(flat, rows).scale(rtt_core::READOUT_SCALE).tanh();
             let pred = tape.value(head.forward(&tape, &self.store, emb));
             pred.data()
                 .iter()
@@ -303,8 +289,8 @@ impl GuoModel {
                 .collect()
         };
         (
-            eval(&p.net_locs, &p.net_labels, &self.net_head),
-            eval(&p.cell_locs, &p.cell_labels, &self.cell_head),
+            eval(&p.net_rows, &p.net_labels, &self.net_head),
+            eval(&p.cell_rows, &p.cell_labels, &self.cell_head),
         )
     }
 }

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use rtt_features::{NodeFeatures, CELL_FEATURE_DIM, NET_FEATURE_DIM};
 use rtt_netlist::{EdgeKind, NodeKind, PinId, TimingGraph};
-use rtt_nn::{ops, Exec, Mlp, ParamStore, Tensor};
+use rtt_nn::{ops, Mlp, ParamStore, Tape, Tensor, Var};
 
 use crate::{Aggregation, ModelConfig};
 
@@ -14,17 +14,15 @@ use crate::{Aggregation, ModelConfig};
 /// into an O(1) regime.
 pub const READOUT_SCALE: f32 = 0.05;
 
-/// A static execution plan for one design: who sits at which topological
-/// level, where each node's messages come from, and how to reassemble the
-/// per-level matrices. Building it once per design and reusing it across
-/// epochs is what makes CPU training viable.
+/// A static execution plan for one design: which flat row each node
+/// owns, where each node's messages come from, and where each level's
+/// results land. Building it once per design and reusing it across epochs
+/// and requests is what makes CPU training and serving viable.
 #[derive(Clone, Debug)]
 pub struct GnnSchedule {
-    levels: Vec<LevelPlan>,
-    endpoint_locs: Vec<(u32, u32)>,
-    node_loc: Vec<(u32, u32)>,
-    /// Flat, SIMD-friendly twin of `levels`, derived once at build time
-    /// and consumed by [`NetlistGnn::forward_flat`].
+    /// Flat row of each graph node.
+    row_of: Vec<u32>,
+    /// The batched plan both GNN passes run.
     plan: GnnPlan,
     /// Pin behind each flat row — the stable key the incremental path
     /// uses to match rows across a netlist transform (pin ids survive
@@ -33,12 +31,12 @@ pub struct GnnSchedule {
 }
 
 /// The batched execution plan over one flat `[num_nodes, embed_dim]`
-/// embedding matrix: every per-level `(level, row)` pair of the
-/// [`LevelPlan`]s is pre-resolved to a single flat row index, segment ids
-/// become CSR run offsets, and the `[cells, nets, sources] → level order`
-/// permutation becomes per-group scatter destinations. All of it is
-/// index arithmetic done once per design, so the per-pass inner loops are
-/// straight-line gathers, contiguous reductions, and row memcpys.
+/// embedding matrix. Nodes own rows in level order; each level splits into
+/// cell, net and source groups, whose fanin messages are gathered by flat
+/// row, reduced over CSR runs, and scattered back to the group's rows.
+/// All of it is index arithmetic done once per design, so the per-pass
+/// inner loops are straight-line gathers, contiguous reductions, and row
+/// memcpys.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct GnnPlan {
     pub(crate) levels: Vec<FlatLevel>,
@@ -65,8 +63,7 @@ pub(crate) struct FlatLevel {
     /// CSR offsets into `cell_gather`: cell `i` reduces messages
     /// `cell_seg_off[i]..cell_seg_off[i + 1]` (`len = n_cells + 1`).
     pub(crate) cell_seg_off: Vec<u32>,
-    /// `1 / max(fanin, 1)` per cell (mean aggregation), precomputed with
-    /// the exact arithmetic of the per-pass Exec path.
+    /// `1 / max(fanin, 1)` per cell (mean aggregation).
     pub(crate) cell_inv_fanin: Vec<f32>,
     /// Flat source row of each net node's driver message.
     pub(crate) net_gather: Vec<u32>,
@@ -81,64 +78,85 @@ pub(crate) struct FlatLevel {
     pub(crate) src_feat_off: usize,
 }
 
-impl GnnPlan {
-    fn build(levels: &[LevelPlan], endpoint_locs: &[(u32, u32)]) -> Self {
-        let mut level_off = Vec::with_capacity(levels.len() + 1);
-        let mut off = 0u32;
-        for p in levels {
-            level_off.push(off);
-            off += (p.cell_nodes.len() + p.net_nodes.len() + p.source_nodes.len()) as u32;
+impl GnnSchedule {
+    /// Plans the levelized propagation for `graph`.
+    pub fn build(graph: &TimingGraph) -> Self {
+        let num_levels = graph.max_level() as usize + 1;
+        // Rows follow level order, and inside a level the graph's own
+        // node order; cell groups' static features come first in the
+        // concatenated `f_c2` input, source groups after them.
+        let mut row_of = vec![0u32; graph.num_nodes()];
+        let mut level_off = Vec::with_capacity(num_levels + 1);
+        let mut total_rows = 0u32;
+        let mut total_cell_rows = 0usize;
+        for l in 0..num_levels as u32 {
+            level_off.push(total_rows);
+            for &v in graph.nodes_at_level(l) {
+                row_of[v as usize] = total_rows;
+                total_rows += 1;
+                total_cell_rows += usize::from(graph.node_kind(v) == NodeKind::CellOut);
+            }
         }
-        level_off.push(off);
-        let flat = |&(l, r): &(u32, u32)| level_off[l as usize] + r;
-        let total_cell_rows: usize = levels.iter().map(|p| p.cell_nodes.len()).sum();
-        let (mut cell_off, mut net_off) = (0usize, 0usize);
-        let mut src_off = total_cell_rows;
-        let mut flat_levels = Vec::with_capacity(levels.len());
-        for (l, p) in levels.iter().enumerate() {
-            let (nc, nn, ns) = (p.cell_nodes.len(), p.net_nodes.len(), p.source_nodes.len());
-            // `cell_seg` ascends by construction, so per-segment counts +
-            // prefix sum reproduce its runs exactly.
-            let mut cell_seg_off = vec![0u32; nc + 1];
-            for &s in &p.cell_seg {
-                cell_seg_off[s as usize + 1] += 1;
-            }
-            for i in 1..cell_seg_off.len() {
-                cell_seg_off[i] += cell_seg_off[i - 1];
-            }
-            // Scatter destinations: invert the concat permutation, so
-            // writing group rows straight to their level-order positions
-            // replaces the per-level concat + gather of the Exec path.
-            let base = level_off[l];
-            let mut inv = vec![0u32; p.perm.len()];
-            for (i, &c) in p.perm.iter().enumerate() {
-                inv[c as usize] = i as u32;
-            }
-            flat_levels.push(FlatLevel {
-                n_cells: nc,
-                n_nets: nn,
-                n_srcs: ns,
-                cell_gather: p.cell_gather.iter().map(flat).collect(),
-                cell_seg_off,
-                cell_inv_fanin: p.cell_fanin.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                net_gather: p.net_gather.iter().map(flat).collect(),
-                cell_dst: (0..nc).map(|c| base + inv[c]).collect(),
-                net_dst: (nc..nc + nn).map(|c| base + inv[c]).collect(),
-                src_dst: (nc + nn..nc + nn + ns).map(|c| base + inv[c]).collect(),
+        level_off.push(total_rows);
+
+        let (mut cell_off, mut net_off, mut src_off) = (0usize, 0usize, total_cell_rows);
+        let mut levels = Vec::with_capacity(num_levels);
+        for l in 0..num_levels as u32 {
+            let mut fl = FlatLevel {
                 cell_feat_off: cell_off,
                 net_feat_off: net_off,
                 src_feat_off: src_off,
-            });
-            cell_off += nc;
-            net_off += nn;
-            src_off += ns;
+                cell_seg_off: vec![0],
+                ..FlatLevel::default()
+            };
+            // Message gathers reference earlier levels only.
+            for &v in graph.nodes_at_level(l) {
+                let row = row_of[v as usize];
+                match graph.node_kind(v) {
+                    NodeKind::CellOut => {
+                        let before = fl.cell_gather.len();
+                        for e in graph.fanin(v) {
+                            debug_assert_eq!(e.kind, EdgeKind::Cell);
+                            fl.cell_gather.push(row_of[e.from as usize]);
+                        }
+                        // Fanin counts are tiny (gate arity ≤ 4 plus
+                        // buffers); `as f32` is exact far beyond any real
+                        // value.
+                        let fanin = fl.cell_gather.len() - before;
+                        debug_assert!(fanin < (1 << 24), "fanin {fanin} exceeds f32 exact range");
+                        fl.cell_seg_off.push(fl.cell_gather.len() as u32);
+                        fl.cell_inv_fanin.push(1.0 / (fanin as f32).max(1.0));
+                        fl.cell_dst.push(row);
+                    }
+                    NodeKind::NetSink => {
+                        // `TimingGraph::try_build` rejects driverless net
+                        // sinks, so a missing driver is a debug invariant;
+                        // release builds gather row 0 instead of panicking.
+                        let driver = graph.fanin(v).next().map(|e| {
+                            debug_assert_eq!(e.kind, EdgeKind::Net);
+                            row_of[e.from as usize]
+                        });
+                        debug_assert!(driver.is_some(), "net node {v} has a driver");
+                        fl.net_gather.push(driver.unwrap_or(0));
+                        fl.net_dst.push(row);
+                    }
+                    NodeKind::Source => fl.src_dst.push(row),
+                }
+            }
+            fl.n_cells = fl.cell_dst.len();
+            fl.n_nets = fl.net_dst.len();
+            fl.n_srcs = fl.src_dst.len();
+            cell_off += fl.n_cells;
+            net_off += fl.n_nets;
+            src_off += fl.n_srcs;
+            levels.push(fl);
         }
         // Debug/env-gated plan validation (RTT_SANITIZE=1): every gather
         // and scatter index must address a real flat row, and segment
         // offsets must tile the gathered messages exactly.
         if rtt_nn::sanitize::enabled() {
-            let rows = off as usize;
-            for fl in &flat_levels {
+            let rows = total_rows as usize;
+            for fl in &levels {
                 rtt_nn::sanitize::check_csr(
                     "gnn_plan.cell_seg",
                     &fl.cell_seg_off,
@@ -151,135 +169,46 @@ impl GnnPlan {
                 rtt_nn::sanitize::check_rows("gnn_plan.src_dst", &fl.src_dst, rows);
             }
         }
-        Self {
-            endpoint_rows: endpoint_locs.iter().map(flat).collect(),
-            total_rows: off as usize,
+
+        let mut pin_of_row = vec![PinId::from_index(0); total_rows as usize];
+        for (v, &r) in row_of.iter().enumerate() {
+            pin_of_row[r as usize] = graph.pin_of(v as u32);
+        }
+        let plan = GnnPlan {
+            levels,
+            endpoint_rows: graph.endpoints().iter().map(|&v| row_of[v as usize]).collect(),
+            total_rows: total_rows as usize,
             total_cell_rows,
-            levels: flat_levels,
             level_off,
-        }
-    }
-}
-
-#[derive(Clone, Debug, Default, PartialEq)]
-struct LevelPlan {
-    cell_nodes: Vec<u32>,
-    net_nodes: Vec<u32>,
-    source_nodes: Vec<u32>,
-    /// `(level, row)` of each fanin message of the cell group, flattened.
-    cell_gather: Vec<(u32, u32)>,
-    /// Segment id (index into `cell_nodes`) of each gathered message.
-    cell_seg: Vec<u32>,
-    /// Fanin count per cell node (for mean aggregation).
-    cell_fanin: Vec<f32>,
-    /// `(level, row)` of the single driver message of each net node.
-    net_gather: Vec<(u32, u32)>,
-    /// Restores level order from the `[cells, nets, sources]` concat.
-    perm: Vec<u32>,
-}
-
-impl GnnSchedule {
-    /// Plans the levelized propagation for `graph`.
-    pub fn build(graph: &TimingGraph) -> Self {
-        let mut node_loc = vec![(0u32, 0u32); graph.num_nodes()];
-        let mut levels = Vec::with_capacity(graph.max_level() as usize + 1);
-
-        for l in 0..=graph.max_level() {
-            let nodes = graph.nodes_at_level(l);
-            let mut plan = LevelPlan::default();
-            // Partition the level into groups.
-            for &v in nodes {
-                match graph.node_kind(v) {
-                    NodeKind::CellOut => plan.cell_nodes.push(v),
-                    NodeKind::NetSink => plan.net_nodes.push(v),
-                    NodeKind::Source => plan.source_nodes.push(v),
-                }
-            }
-            // Record each node's (level, row-in-level-order) location.
-            for (row, &v) in nodes.iter().enumerate() {
-                node_loc[v as usize] = (l, row as u32);
-            }
-            // Message gathers reference already-computed levels.
-            for (seg, &v) in plan.cell_nodes.iter().enumerate() {
-                let mut fanin = 0u32;
-                for e in graph.fanin(v) {
-                    debug_assert_eq!(e.kind, EdgeKind::Cell);
-                    plan.cell_gather.push(node_loc[e.from as usize]);
-                    plan.cell_seg.push(seg as u32);
-                    fanin += 1;
-                }
-                // Fanin counts are tiny (gate arity ≤ 4 plus buffers);
-                // `as f32` is exact far beyond any real value, so the
-                // range check is a debug invariant, not a release panic.
-                debug_assert!(fanin < (1 << 24), "fanin {fanin} exceeds f32 exact range");
-                plan.cell_fanin.push(fanin as f32);
-            }
-            for &v in &plan.net_nodes {
-                // `TimingGraph::try_build` rejects driverless net sinks, so
-                // a missing driver is a debug invariant; release builds
-                // gather from the origin slot instead of panicking.
-                let loc = match graph.fanin(v).next() {
-                    Some(e) => {
-                        debug_assert_eq!(e.kind, EdgeKind::Net);
-                        node_loc[e.from as usize]
-                    }
-                    None => {
-                        debug_assert!(false, "net node {v} has a driver (try_build invariant)");
-                        (0, 0)
-                    }
-                };
-                plan.net_gather.push(loc);
-            }
-            // Permutation: concat order position of each level-order node.
-            let mut concat_pos = vec![0u32; nodes.len()];
-            let mut cursor = 0u32;
-            for group in [&plan.cell_nodes, &plan.net_nodes, &plan.source_nodes] {
-                for &v in group {
-                    let (_, row) = node_loc[v as usize];
-                    concat_pos[row as usize] = cursor;
-                    cursor += 1;
-                }
-            }
-            plan.perm = concat_pos;
-            levels.push(plan);
-        }
-
-        let endpoint_locs: Vec<(u32, u32)> =
-            graph.endpoints().iter().map(|&v| node_loc[v as usize]).collect();
-        let plan = GnnPlan::build(&levels, &endpoint_locs);
-        let mut pin_of_row = vec![PinId::from_index(0); plan.total_rows];
-        for (v, &(l, r)) in node_loc.iter().enumerate() {
-            pin_of_row[(plan.level_off[l as usize] + r) as usize] = graph.pin_of(v as u32);
-        }
-        Self { levels, endpoint_locs, node_loc, plan, pin_of_row }
+        };
+        Self { row_of, plan, pin_of_row }
     }
 
     /// Number of topological levels.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.plan.levels.len()
     }
 
     /// Number of endpoints the schedule will embed.
     pub fn num_endpoints(&self) -> usize {
-        self.endpoint_locs.len()
+        self.plan.endpoint_rows.len()
     }
 
-    /// `(level, row)` location of a graph node in the level matrices —
-    /// usable as an [`Exec::gather_multi`] index over the output of
-    /// [`NetlistGnn::forward_levels`].
-    pub fn loc_of(&self, node: u32) -> (u32, u32) {
-        self.node_loc[node as usize]
-    }
-
-    /// Locations of several nodes (convenience for batched gathers).
-    pub fn locs_of(&self, nodes: &[u32]) -> Vec<(u32, u32)> {
-        nodes.iter().map(|&v| self.loc_of(v)).collect()
+    /// Row of graph node `node` in the flat embedding matrix that
+    /// [`NetlistGnn::forward_nodes`] and [`NetlistGnn::forward_flat`]
+    /// fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the scheduled graph.
+    pub fn row_of(&self, node: u32) -> u32 {
+        self.row_of[node as usize]
     }
 
     /// Total graph nodes — the row count of the flat embedding matrix
     /// that [`NetlistGnn::forward_flat`] fills (one row per pin).
     pub fn num_nodes(&self) -> usize {
-        self.node_loc.len()
+        self.row_of.len()
     }
 
     /// Row of each endpoint in the flat embedding matrix, aligned with
@@ -302,9 +231,7 @@ impl GnnSchedule {
     /// whose schedules must be indistinguishable from a cold
     /// [`GnnSchedule::build`].
     pub fn bit_eq(&self, other: &Self) -> bool {
-        self.levels == other.levels
-            && self.endpoint_locs == other.endpoint_locs
-            && self.node_loc == other.node_loc
+        self.row_of == other.row_of
             && self.plan == other.plan
             && self.pin_of_row == other.pin_of_row
     }
@@ -341,58 +268,43 @@ impl GnnSchedule {
     }
 }
 
-/// Per-level feature tensors consumed by the GNN forward pass, aligned
-/// with a [`GnnSchedule`]'s groups.
+/// Static node features consumed by the GNN passes, in the row order of
+/// a [`GnnSchedule`]'s groups.
 #[derive(Clone, Debug, Default)]
 pub struct LevelFeats {
-    /// Cell-group features, one `[n_cells, CELL_FEATURE_DIM]` per level.
-    pub cell: Vec<Option<Tensor>>,
-    /// Net-group features, `[n_nets, NET_FEATURE_DIM]` per level.
-    pub net: Vec<Option<Tensor>>,
-    /// Source-group features, `[n_src, CELL_FEATURE_DIM]` per level.
-    pub source: Vec<Option<Tensor>>,
     /// Every cell-group row (all levels, level order) followed by every
-    /// source-group row — both groups feed `f_c2`, so the flat inference
-    /// path runs them as a single matmul chain per pass instead of two
-    /// tiny ones per level. Row values duplicate `cell` / `source`.
+    /// source-group row, `[cells + sources, CELL_FEATURE_DIM]`: both
+    /// groups feed `f_c2`. Level `l`'s cells start at row
+    /// `cell_feat_off`, its sources at `src_feat_off` of its plan level.
+    /// `None` when the design has neither.
     pub cell_src_flat: Option<Tensor>,
-    /// Every net-group row (all levels, level order), the single `f_n`
-    /// input of the flat path.
+    /// Every net-group row (all levels, level order),
+    /// `[nets, NET_FEATURE_DIM]`, the `f_n` input. `None` without nets.
     pub net_flat: Option<Tensor>,
 }
 
 impl LevelFeats {
-    /// Assembles group feature matrices from extracted node features.
+    /// Assembles the group feature matrices from extracted node features.
     pub fn assemble(schedule: &GnnSchedule, features: &NodeFeatures) -> Self {
-        let mut out = Self::default();
-        for plan in &schedule.levels {
-            out.cell
-                .push(group_matrix(&plan.cell_nodes, CELL_FEATURE_DIM, |v| features.cell_row(v)));
-            out.net.push(group_matrix(&plan.net_nodes, NET_FEATURE_DIM, |v| features.net_row(v)));
-            out.source
-                .push(group_matrix(&plan.source_nodes, CELL_FEATURE_DIM, |v| features.cell_row(v)));
+        let mut node_of_row = vec![0u32; schedule.num_nodes()];
+        for (v, &r) in schedule.row_of.iter().enumerate() {
+            node_of_row[r as usize] = v as u32;
         }
-        let mut cs = Vec::new();
-        for t in out.cell.iter().flatten().chain(out.source.iter().flatten()) {
-            cs.extend_from_slice(t.data());
+        let levels = &schedule.plan.levels;
+        let cells = levels.iter().flat_map(|fl| &fl.cell_dst);
+        let sources = levels.iter().flat_map(|fl| &fl.src_dst);
+        let cell_src: Vec<u32> = cells.chain(sources).map(|&r| node_of_row[r as usize]).collect();
+        let nets: Vec<u32> =
+            levels.iter().flat_map(|fl| &fl.net_dst).map(|&r| node_of_row[r as usize]).collect();
+        Self {
+            cell_src_flat: stack_rows(&cell_src, CELL_FEATURE_DIM, |v| features.cell_row(v)),
+            net_flat: stack_rows(&nets, NET_FEATURE_DIM, |v| features.net_row(v)),
         }
-        if !cs.is_empty() {
-            let rows = cs.len() / CELL_FEATURE_DIM;
-            out.cell_src_flat = Some(Tensor::from_vec(&[rows, CELL_FEATURE_DIM], cs));
-        }
-        let mut nf = Vec::new();
-        for t in out.net.iter().flatten() {
-            nf.extend_from_slice(t.data());
-        }
-        if !nf.is_empty() {
-            let rows = nf.len() / NET_FEATURE_DIM;
-            out.net_flat = Some(Tensor::from_vec(&[rows, NET_FEATURE_DIM], nf));
-        }
-        out
     }
 }
 
-fn group_matrix<'f>(nodes: &[u32], dim: usize, row: impl Fn(u32) -> &'f [f32]) -> Option<Tensor> {
+/// Stacks one `dim`-wide feature row per node; `None` for no nodes.
+fn stack_rows<'f>(nodes: &[u32], dim: usize, row: impl Fn(u32) -> &'f [f32]) -> Option<Tensor> {
     if nodes.is_empty() {
         return None;
     }
@@ -401,6 +313,12 @@ fn group_matrix<'f>(nodes: &[u32], dim: usize, row: impl Fn(u32) -> &'f [f32]) -
         data.extend_from_slice(row(v));
     }
     Some(Tensor::from_vec(&[nodes.len(), dim], data))
+}
+
+/// Copies rows `row0..row0 + n` of `t` into a new `[n, cols]` tensor.
+fn row_block(t: &Tensor, row0: usize, n: usize) -> Tensor {
+    let d = t.cols();
+    Tensor::from_vec(&[n, d], t.data()[row0 * d..(row0 + n) * d].to_vec())
 }
 
 /// The three MLPs of Equation 3 and the levelized forward pass.
@@ -437,101 +355,111 @@ impl NetlistGnn {
         }
     }
 
-    /// Runs levelized propagation and returns the endpoint embedding
-    /// matrix `[num_endpoints, embed_dim]` on any execution backend
-    /// (`&Tape` for training, `&InferCtx` for tape-free serving).
+    /// Runs levelized propagation on the tape and returns the endpoint
+    /// embedding matrix `[num_endpoints, embed_dim]`, rows aligned with
+    /// `TimingGraph::endpoints()`.
     ///
     /// # Panics
     ///
-    /// Panics if `feats` does not match `schedule` (group shape mismatch).
-    pub fn forward<E: Exec>(
+    /// Panics if `feats` does not match `schedule`.
+    pub fn forward<'t>(
         &self,
-        ex: E,
+        tape: &'t Tape,
         store: &ParamStore,
         schedule: &GnnSchedule,
         feats: &LevelFeats,
         aggregation: Aggregation,
-    ) -> E::Value {
+    ) -> Var<'t> {
         rtt_obs::span!("core::gnn_forward");
-        let level_vars = self.forward_levels(ex, store, schedule, feats, aggregation);
-        ex.gather_multi(&level_vars, &schedule.endpoint_locs)
+        let flat = self.forward_nodes(tape, store, schedule, feats, aggregation);
+        tape.gather_rows(flat, &schedule.plan.endpoint_rows)
     }
 
-    /// Like [`Self::forward`], but returns every per-level embedding matrix
-    /// so callers can read out arbitrary node embeddings via
-    /// [`GnnSchedule::loc_of`] (the end-to-end baseline predicts at all
-    /// pins, not only endpoints).
-    pub fn forward_levels<E: Exec>(
+    /// Like [`Self::forward`], but returns the whole `[num_nodes,
+    /// embed_dim]` flat embedding matrix, so callers can read out any node
+    /// through [`GnnSchedule::row_of`] (the end-to-end baseline predicts at
+    /// all pins, not only endpoints).
+    ///
+    /// This is [`Self::forward_flat`] recorded on the tape: the same plan,
+    /// kernels and values. The level loop is written twice because the
+    /// two differ where it matters to each. `forward_flat` works in place
+    /// over eight recycled buffers, where the tape must record every
+    /// intermediate as its own node; run through one shared loop, the
+    /// serving arena would keep a slot per op per level. And
+    /// `forward_flat` hoists the static `f_c2` / `f_n` products over the
+    /// whole design, where this loop runs them per level group, injecting
+    /// their weights once per group as the per-level path did: hoisting
+    /// is row-wise exact in the forward pass but would change the
+    /// gradients those weights receive, which trained results are pinned
+    /// to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `feats` does not match `schedule`.
+    pub fn forward_nodes<'t>(
         &self,
-        ex: E,
+        tape: &'t Tape,
         store: &ParamStore,
         schedule: &GnnSchedule,
         feats: &LevelFeats,
         aggregation: Aggregation,
-    ) -> Vec<E::Value> {
-        let mut level_vars: Vec<E::Value> = Vec::with_capacity(schedule.levels.len());
-        for (l, plan) in schedule.levels.iter().enumerate() {
-            let mut groups: Vec<E::Value> = Vec::new();
-
-            if !plan.cell_nodes.is_empty() {
-                let msgs = ex.gather_multi(&level_vars, &plan.cell_gather);
+    ) -> Var<'t> {
+        let plan = &schedule.plan;
+        let flat = tape.constant(Tensor::zeros(&[plan.total_rows, self.f_c1.out_dim()]));
+        let block = |t: &Option<Tensor>, row0: usize, n: usize| match t {
+            Some(t) => tape.constant(row_block(t, row0, n)),
+            None => unreachable!("feats assembled for this schedule hold every group's rows"),
+        };
+        for fl in &plan.levels {
+            if fl.n_cells > 0 {
+                let msgs = tape.gather_rows(flat, &fl.cell_gather);
                 let agg = match aggregation {
-                    Aggregation::Max => ex.segment_max(msgs, &plan.cell_seg, plan.cell_nodes.len()),
+                    Aggregation::Max => tape.segment_max_csr(msgs, &fl.cell_seg_off),
                     Aggregation::Mean => {
-                        let sum = ex.segment_sum(msgs, &plan.cell_seg, plan.cell_nodes.len());
-                        let inv: Vec<f32> =
-                            plan.cell_fanin.iter().map(|&c| 1.0 / c.max(1.0)).collect();
-                        ex.scale_rows(sum, &inv)
+                        tape.segment_sum_csr(msgs, &fl.cell_seg_off, &fl.cell_inv_fanin)
                     }
                 };
-                let feat = ex.constant(feats.cell[l].clone().expect("cell feats present"));
-                let h =
-                    if self.residual {
-                        // Residual: accumulate a *bounded* non-negative
-                        // increment on top of the worst fanin message,
-                        // mirroring arrival-time propagation. The context into
-                        // f_c1 is tanh-bounded: an increment proportional to
-                        // the accumulated magnitude would grow exponentially
-                        // over hundred-level cones.
-                        let ctx = ex.tanh(agg);
-                        let inc = ex.relu(ex.add(
-                            self.f_c1.forward(ex, store, ctx),
-                            self.f_c2.forward(ex, store, feat),
-                        ));
-                        ex.add(agg, inc)
-                    } else {
-                        // Literal Equation 3.
-                        ex.relu(ex.add(
-                            self.f_c1.forward(ex, store, agg),
-                            self.f_c2.forward(ex, store, feat),
-                        ))
-                    };
-                groups.push(h);
-            }
-            if !plan.net_nodes.is_empty() {
-                let msg = ex.gather_multi(&level_vars, &plan.net_gather);
-                let feat = ex.constant(feats.net[l].clone().expect("net feats present"));
-                let inc = if self.residual {
-                    ex.relu(self.f_n.forward(ex, store, feat))
+                let feat = block(&feats.cell_src_flat, fl.cell_feat_off, fl.n_cells);
+                let h = if self.residual {
+                    // Residual: accumulate a *bounded* non-negative
+                    // increment on top of the worst fanin message,
+                    // mirroring arrival-time propagation. The context into
+                    // f_c1 is tanh-bounded: an increment proportional to
+                    // the accumulated magnitude would grow exponentially
+                    // over hundred-level cones.
+                    let ctx = agg.tanh();
+                    let inc = self
+                        .f_c1
+                        .forward(tape, store, ctx)
+                        .add(self.f_c2.forward(tape, store, feat))
+                        .relu();
+                    agg.add(inc)
                 } else {
-                    ex.relu(ex.add(msg, self.f_n.forward(ex, store, feat)))
+                    // Literal Equation 3.
+                    self.f_c1
+                        .forward(tape, store, agg)
+                        .add(self.f_c2.forward(tape, store, feat))
+                        .relu()
                 };
-                let h = if self.residual { ex.add(msg, inc) } else { inc };
-                groups.push(h);
+                tape.scatter_rows(h, 0, &fl.cell_dst, flat);
             }
-            if !plan.source_nodes.is_empty() {
-                let feat = ex.constant(feats.source[l].clone().expect("source feats present"));
-                let h = ex.relu(self.f_c2.forward(ex, store, feat));
-                groups.push(h);
+            if fl.n_nets > 0 {
+                let msg = tape.gather_rows(flat, &fl.net_gather);
+                let feat = block(&feats.net_flat, fl.net_feat_off, fl.n_nets);
+                let h = if self.residual {
+                    msg.add(self.f_n.forward(tape, store, feat).relu())
+                } else {
+                    msg.add(self.f_n.forward(tape, store, feat)).relu()
+                };
+                tape.scatter_rows(h, 0, &fl.net_dst, flat);
             }
-
-            let concat = groups
-                .into_iter()
-                .reduce(|a, b| ex.concat_rows(a, b))
-                .expect("every level has nodes");
-            level_vars.push(ex.gather_rows(concat, &plan.perm));
+            if fl.n_srcs > 0 {
+                let feat = block(&feats.cell_src_flat, fl.src_feat_off, fl.n_srcs);
+                let h = self.f_c2.forward(tape, store, feat).relu();
+                tape.scatter_rows(h, 0, &fl.src_dst, flat);
+            }
         }
-        level_vars
+        flat
     }
 
     /// Number of scratch tensors [`Self::forward_flat`] consumes.
@@ -542,17 +470,14 @@ impl NetlistGnn {
     /// `[num_nodes, embed_dim]` flat embedding matrix; read node
     /// embeddings out of it via [`GnnSchedule::flat_endpoint_rows`].
     ///
-    /// Bit-identical to [`Self::forward_levels`] by construction:
+    /// Bit-identical to [`Self::forward_nodes`] by construction:
     /// * the static `f_c2` / `f_n` products are hoisted out of the level
     ///   loop, which is row-wise exact (matmul rows are independent and
     ///   accumulate in ascending-`k` order; bias and ReLU are
     ///   elementwise);
-    /// * CSR segment reductions scan the same rows in the same ascending
-    ///   order as the legacy `seg[]` kernels;
+    /// * the gathers, CSR reductions and scatters are the same kernels;
     /// * in-place adds/activations produce the same values as the
-    ///   copy-then-transform Exec ops, in the same operation order;
-    /// * the per-level concat + permutation gather is replaced by direct
-    ///   scatters to the same destination rows.
+    ///   copying tape ops, in the same operation order.
     ///
     /// # Panics
     ///
@@ -912,22 +837,46 @@ mod tests {
     #[test]
     fn sources_only_at_level_zero() {
         let (schedule, _, _) = world(200);
-        for (l, plan) in schedule.levels.iter().enumerate() {
-            if l > 0 {
-                assert!(plan.source_nodes.is_empty(), "source above level 0");
-                assert_eq!(plan.cell_gather.is_empty(), plan.cell_nodes.is_empty());
-            }
+        let levels = &schedule.plan().levels;
+        for fl in &levels[1..] {
+            assert_eq!(fl.n_srcs, 0, "source above level 0");
+            assert_eq!(fl.cell_gather.is_empty(), fl.n_cells == 0);
         }
-        assert!(!schedule.levels[0].source_nodes.is_empty());
-        assert!(schedule.levels[0].cell_nodes.is_empty());
+        assert!(levels[0].n_srcs > 0);
+        assert_eq!(levels[0].n_cells, 0);
     }
 
     #[test]
     fn gathers_reference_earlier_levels_only() {
         let (schedule, _, _) = world(200);
-        for (l, plan) in schedule.levels.iter().enumerate() {
-            for &(src_level, _) in plan.cell_gather.iter().chain(&plan.net_gather) {
-                assert!((src_level as usize) < l, "forward reference at level {l}");
+        let plan = schedule.plan();
+        for (l, fl) in plan.levels.iter().enumerate() {
+            let level_start = plan.level_off[l];
+            for &row in fl.cell_gather.iter().chain(&fl.net_gather) {
+                assert!(row < level_start, "forward reference at level {l}");
+            }
+            for &row in fl.cell_dst.iter().chain(&fl.net_dst).chain(&fl.src_dst) {
+                assert!((level_start..plan.level_off[l + 1]).contains(&row), "level {l} row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn tape_forward_matches_flat_forward_bitwise() {
+        let (schedule, feats, _) = world(150);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for residual in [false, true] {
+            let cfg = ModelConfig { residual, ..ModelConfig::tiny() };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+            let mut store = ParamStore::new();
+            let gnn = NetlistGnn::new(&mut store, &mut rng, &cfg);
+            for aggregation in [Aggregation::Max, Aggregation::Mean] {
+                let tape = Tape::new();
+                let taped = gnn.forward_nodes(&tape, &store, &schedule, &feats, aggregation);
+                let mut bufs: Vec<Tensor> =
+                    (0..NetlistGnn::FLAT_SCRATCH).map(|_| Tensor::default()).collect();
+                gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
+                assert_eq!(bits(&tape.value(taped)), bits(&bufs[0]));
             }
         }
     }

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use rtt_netlist::PinId;
-use rtt_nn::{mse, ops, Adam, Exec, Grads, InferCtx, Linear, Mlp, ParamStore, Tape, Tensor};
+use rtt_nn::{mse, ops, Adam, Exec, Grads, InferCtx, Linear, Mlp, ParamStore, Tape, Tensor, Var};
 
 use crate::cnn::LayoutCnn;
 use crate::gnn::NetlistGnn;
@@ -70,15 +70,20 @@ impl TimingModel {
         self.store.num_scalars()
     }
 
-    /// One forward pass over a design for the endpoint rows in `batch`
-    /// (`None` = all endpoints); returns normalized predictions
+    /// One taped forward pass over a design for the endpoint rows in
+    /// `batch` (`None` = all endpoints); returns normalized predictions
     /// `[rows, 1]`.
     ///
     /// The GNN necessarily computes every node (messages flow through the
     /// whole DAG), but the layout branch and regressor run only on the
     /// requested rows — this is what keeps masked-layout training cheap and
     /// paper-scale masks out of memory (they are densified per batch).
-    fn forward<E: Exec>(&self, ex: E, design: &PreparedDesign, batch: Option<&[u32]>) -> E::Value {
+    fn forward<'t>(
+        &self,
+        tape: &'t Tape,
+        design: &PreparedDesign,
+        batch: Option<&[u32]>,
+    ) -> Var<'t> {
         rtt_obs::span!("core::forward");
         let all: Vec<u32>;
         let indices: &[u32] = match batch {
@@ -90,41 +95,41 @@ impl TimingModel {
         };
         let netlist_emb = self.gnn.as_ref().map(|gnn| {
             let emb = gnn.forward(
-                ex,
+                tape,
                 &self.store,
                 &design.schedule,
                 &design.feats,
                 self.config.aggregation,
             );
-            let rows = ex.gather_rows(emb, indices);
+            let rows = tape.gather_rows(emb, indices);
             if self.config.residual {
                 // Residual embeddings accumulate over up to hundreds of
                 // levels; rescale into an O(1) regime for the regressor.
-                ex.scale(rows, crate::READOUT_SCALE)
+                tape.scale(rows, crate::READOUT_SCALE)
             } else {
                 rows
             }
         });
         let layout_emb = self.cnn.as_ref().map(|(trunk, fc)| {
-            let maps = ex.constant(design.maps.clone());
-            let global_map = trunk.forward(ex, &self.store, maps);
+            let maps = tape.constant(design.maps.clone());
+            let global_map = trunk.forward(tape, &self.store, maps);
             let masks = if self.config.masking {
-                ex.constant(design.dense_mask_rows(indices))
+                tape.constant(design.dense_mask_rows(indices))
             } else {
                 // Ablation A2: every endpoint sees the full layout map.
                 let cols = design.mask_grid * design.mask_grid;
-                ex.constant(Tensor::full(&[indices.len().max(1), cols], 1.0))
+                tape.constant(Tensor::full(&[indices.len().max(1), cols], 1.0))
             };
-            let masked = ex.mul_row(masks, global_map);
-            fc.forward(ex, &self.store, masked)
+            let masked = tape.mul_row(masks, global_map);
+            fc.forward(tape, &self.store, masked)
         });
         let fused = match (netlist_emb, layout_emb) {
-            (Some(n), Some(l)) => ex.concat_cols(n, l),
+            (Some(n), Some(l)) => tape.concat_cols(n, l),
             (Some(n), None) => n,
             (None, Some(l)) => l,
             (None, None) => unreachable!("at least one branch is active"),
         };
-        self.regressor.forward(ex, &self.store, fused)
+        self.regressor.forward(tape, &self.store, fused)
     }
 
     /// Forward target transform: optional log space (see
@@ -274,8 +279,8 @@ impl TimingModel {
     /// Batched tape-free prediction for an arbitrary set of endpoint
     /// `indices` (output order follows `indices`): the GNN flat pass and
     /// the CNN global map run **once** and are shared by every endpoint
-    /// chunk, instead of being recomputed per chunk as the Exec backends
-    /// do. This is the serving-loop fast path — on the flat kernels of
+    /// chunk, instead of being recomputed per chunk as the taped
+    /// reference does. This is the serving-loop fast path — on the flat kernels of
     /// [`rtt_nn::ops`], driven by the plan precomputed in
     /// [`crate::gnn::GnnSchedule::build`].
     ///
@@ -458,7 +463,7 @@ impl TimingModel {
                 rows.extend(chunk.iter().map(|&i| ep_rows[i as usize]));
                 ops::gather_rows_flat(flat, &rows, ep);
                 if self.config.residual {
-                    // Same rescale as the Exec path (values identical:
+                    // Same rescale as the taped path (values identical:
                     // `scale` is a copy + in-place multiply).
                     ep.scale_assign(crate::READOUT_SCALE);
                 }

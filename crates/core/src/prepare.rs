@@ -4,7 +4,7 @@
 //! layout maps, and endpoint masks, recomputing only what the transform's
 //! dirty cone invalidates (see DESIGN.md "Preparation pipeline").
 
-use rtt_features::{endpoint_masks, endpoint_masks_sparse_for, LayoutMaps, NodeFeatures};
+use rtt_features::{endpoint_masks, endpoint_masks_for, LayoutMaps, NodeFeatures};
 use rtt_netlist::{CellId, CellLibrary, Netlist, NodeKind, PinId, TimingGraph};
 use rtt_nn::Tensor;
 use rtt_place::Placement;
@@ -99,7 +99,7 @@ pub struct PreparedDesign {
     pub name: String,
     /// Levelized propagation plan.
     pub schedule: GnnSchedule,
-    /// Per-level node feature matrices.
+    /// Static node feature matrices, in schedule row order.
     pub feats: LevelFeats,
     /// Stacked `[3, G, G]` layout maps (density, RUDY, macro).
     pub maps: Tensor,
@@ -153,13 +153,7 @@ impl PreparedDesign {
         let maps = Tensor::from_vec(&[3, config.grid, config.grid], layout.stacked());
 
         let mg = config.pooled_grid();
-        let mask_data = endpoint_masks(netlist, placement, graph, mg);
-        let masks = mask_data
-            .chunks_exact(mg * mg)
-            .map(|row| {
-                row.iter().enumerate().filter(|(_, &v)| v > 0.0).map(|(i, _)| i as u32).collect()
-            })
-            .collect();
+        let masks = endpoint_masks(netlist, placement, graph, mg);
 
         let ctx = PrepareCtx::capture(netlist, graph, features, layout);
         let prep = Self {
@@ -357,7 +351,7 @@ impl PreparedDesign {
             }
         }
         let nodes: Vec<u32> = recompute.iter().map(|&(_, ep)| ep).collect();
-        let rows = endpoint_masks_sparse_for(anl, apl, graph, mg, &nodes);
+        let rows = endpoint_masks_for(anl, apl, graph, mg, &nodes);
         for (&(i, _), row) in recompute.iter().zip(rows) {
             masks[i] = row;
         }
@@ -405,13 +399,7 @@ impl PreparedDesign {
             (None, None) => true,
             _ => false,
         };
-        let tensor_list = |a: &[Option<Tensor>], b: &[Option<Tensor>]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| opt_tensor(x.as_ref(), y.as_ref()))
-        };
-        if !tensor_list(&self.feats.cell, &other.feats.cell)
-            || !tensor_list(&self.feats.net, &other.feats.net)
-            || !tensor_list(&self.feats.source, &other.feats.source)
-            || !opt_tensor(self.feats.cell_src_flat.as_ref(), other.feats.cell_src_flat.as_ref())
+        if !opt_tensor(self.feats.cell_src_flat.as_ref(), other.feats.cell_src_flat.as_ref())
             || !opt_tensor(self.feats.net_flat.as_ref(), other.feats.net_flat.as_ref())
         {
             return Err("feats".into());

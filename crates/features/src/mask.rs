@@ -92,75 +92,80 @@ fn mark_bins(mask: &mut Grid, r: Rect) {
     }
 }
 
-/// Endpoints per parallel task in [`endpoint_masks`]: large enough to
-/// amortize task overhead and keep the reused path buffer warm, small
-/// enough that a task's output rows stay cache-resident while written.
+/// Endpoints per parallel task in [`endpoint_masks_for`]: large enough to
+/// amortize task overhead and keep the reused scratch warm.
 const MASK_CHUNK: usize = 64;
 
-/// Computes the masks of every endpoint as rows of a `[num_endpoints,
-/// grid²]` row-major buffer (the batched form the model consumes).
+/// Computes the critical-region mask of every endpoint, aligned with
+/// `graph.endpoints()`, in sparse form: per endpoint, the ascending
+/// row-major indices of the set bins of its `grid × grid` mask.
 ///
-/// Masks are independent per endpoint, exactly as the paper notes the
-/// path-finding can run in parallel — each endpoint's row is a disjoint
-/// chunk of the output buffer, so the fan-out is trivially deterministic.
-/// Endpoints are processed in cache-sized chunks of [`MASK_CHUNK`]; each
-/// task reuses one path buffer and writes bins straight into its
-/// (pre-zeroed) output rows instead of building a per-endpoint [`Grid`].
-/// Bit-identical to stacking [`endpoint_mask`] rows: the shared geometry
-/// grid carries the same die rectangle and bin pitch, so `bin_of` lands
-/// every rectangle corner in the same bins.
+/// Bit-identical to the set bins of [`endpoint_mask`] on the endpoint's
+/// [`longest_path`]: the shared geometry grid carries the same die
+/// rectangle and bin pitch, so `bin_of` lands every rectangle corner in
+/// the same bins. No dense `endpoints × grid²` buffer is ever built.
 pub fn endpoint_masks(
     netlist: &Netlist,
     placement: &Placement,
     graph: &TimingGraph,
     grid: usize,
-) -> Vec<f32> {
+) -> Vec<Vec<u32>> {
+    endpoint_masks_for(netlist, placement, graph, grid, graph.endpoints())
+}
+
+/// [`endpoint_masks`] for an arbitrary list of endpoint nodes `eps`, in
+/// that order. This is the cone-scoped recompute behind the delta-prepare
+/// path: only endpoints whose fan-in cone a transform invalidated are
+/// listed, and every other endpoint's row is carried over from the
+/// previous preparation.
+///
+/// Masks are independent per endpoint, exactly as the paper notes the
+/// path-finding can run in parallel. Endpoints are processed in chunks of
+/// [`MASK_CHUNK`], each task reusing one path buffer and one bin bitmap,
+/// so the fan-out is deterministic at any thread count.
+pub fn endpoint_masks_for(
+    netlist: &Netlist,
+    placement: &Placement,
+    graph: &TimingGraph,
+    grid: usize,
+    eps: &[u32],
+) -> Vec<Vec<u32>> {
     let obs = rtt_obs::span("features::endpoint_masks");
-    let eps = graph.endpoints();
     obs.add("endpoints", eps.len() as u64);
-    let gg = grid * grid;
-    let mut out = vec![0.0f32; eps.len() * gg];
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); eps.len()];
     // Geometry only: read by `bin_of`, never written.
     let geom = Grid::new(grid, grid, placement.floorplan().die);
-    out.par_chunks_mut(MASK_CHUNK * gg).enumerate().for_each(|(c, rows)| {
+    out.par_chunks_mut(MASK_CHUNK).enumerate().for_each(|(c, rows)| {
         let mut path = vec![0u32; graph.max_level() as usize + 1];
-        for (j, row) in rows.chunks_mut(gg).enumerate() {
-            fill_mask_row(
-                netlist,
-                placement,
-                graph,
-                &geom,
-                grid,
-                eps[c * MASK_CHUNK + j],
-                &mut path,
-                row,
-            );
+        let mut marked = vec![false; grid * grid];
+        for (j, bins) in rows.iter_mut().enumerate() {
+            let ep = eps[c * MASK_CHUNK + j];
+            mask_bins(netlist, placement, graph, &geom, ep, &mut path, &mut marked, bins);
         }
     });
     out
 }
 
-/// Fills one endpoint's (pre-zeroed) dense mask row — the shared inner
-/// kernel of [`endpoint_masks`] and [`endpoint_masks_sparse_for`], so a
-/// cone-scoped recompute is bit-identical to the batched cold pass.
-/// `path` is a caller-owned scratch of at least `max_level + 1` entries.
-// rtt-lint: hot
+/// Collects one endpoint's set mask bins into `bins`, ascending. `path`
+/// is a caller-owned scratch of at least `max_level + 1` entries;
+/// `marked` is an all-`false` `grid²` bitmap, returned all-`false`. Boxes
+/// are marked by row-range fills, then only their bounding box is scanned
+/// (row-major, so bins come out sorted) and cleared.
 #[allow(clippy::too_many_arguments)]
-fn fill_mask_row(
+fn mask_bins(
     netlist: &Netlist,
     placement: &Placement,
     graph: &TimingGraph,
     geom: &Grid,
-    grid: usize,
     ep: u32,
     path: &mut [u32],
-    row: &mut [f32],
+    marked: &mut [bool],
+    bins: &mut Vec<u32>,
 ) {
-    assert!(row.len() == grid * grid, "row is one grid² mask");
+    let grid = geom.width();
     let n = fill_path(graph, ep, path);
-    assert!(n <= path.len(), "fill_path stays within the path scratch");
-    let steps = &path[..n];
-    for pair in steps.windows(2) {
+    let (mut lo_x, mut lo_y, mut hi_x, mut hi_y) = (usize::MAX, usize::MAX, 0, 0);
+    for pair in path[..n].windows(2) {
         let (u, v) = (pair[0], pair[1]);
         let is_net = graph.fanin(v).any(|e| e.from == u && e.kind == EdgeKind::Net);
         if !is_net {
@@ -172,52 +177,20 @@ fn fill_mask_row(
         let (x0, y0) = geom.bin_of(r.x0, r.y0);
         let (x1, y1) = geom.bin_of(r.x1, r.y1);
         for y in y0..=y1 {
-            row[y * grid + x0..=y * grid + x1].fill(1.0);
+            marked[y * grid + x0..=y * grid + x1].fill(true);
+        }
+        (lo_x, lo_y, hi_x, hi_y) = (lo_x.min(x0), lo_y.min(y0), hi_x.max(x1), hi_y.max(y1));
+    }
+    // No net edge on the path leaves `lo_y > hi_y`: nothing to scan.
+    for y in lo_y..=hi_y {
+        let first = y * grid + lo_x;
+        for (bin, seen) in (first..).zip(&mut marked[first..=y * grid + hi_x]) {
+            if *seen {
+                *seen = false;
+                bins.push(bin as u32);
+            }
         }
     }
-}
-
-/// Computes the masks of an arbitrary subset of endpoint nodes in
-/// *sparse* form: per endpoint, the ascending indices of its set bins.
-///
-/// This is the cone-scoped recompute behind the delta-prepare path: only
-/// endpoints whose fan-in cone a transform invalidated are listed in
-/// `eps`; every other endpoint's sparse row is carried over from the
-/// previous preparation. Rows are independent, so the chunked fan-out is
-/// deterministic at any thread count, and each row is bit-identical to
-/// sparsifying the matching [`endpoint_masks`] row with `v > 0.0`.
-pub fn endpoint_masks_sparse_for(
-    netlist: &Netlist,
-    placement: &Placement,
-    graph: &TimingGraph,
-    grid: usize,
-    eps: &[u32],
-) -> Vec<Vec<u32>> {
-    let obs = rtt_obs::span("features::endpoint_masks_sparse_for");
-    obs.add("endpoints", eps.len() as u64);
-    let gg = grid * grid;
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); eps.len()];
-    let geom = Grid::new(grid, grid, placement.floorplan().die);
-    out.par_chunks_mut(MASK_CHUNK).enumerate().for_each(|(c, rows)| {
-        let mut path = vec![0u32; graph.max_level() as usize + 1];
-        let mut dense = vec![0.0f32; gg];
-        for (j, sparse) in rows.iter_mut().enumerate() {
-            dense.fill(0.0);
-            fill_mask_row(
-                netlist,
-                placement,
-                graph,
-                &geom,
-                grid,
-                eps[c * MASK_CHUNK + j],
-                &mut path,
-                &mut dense,
-            );
-            sparse
-                .extend(dense.iter().enumerate().filter(|(_, &v)| v > 0.0).map(|(i, _)| i as u32));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -293,16 +266,39 @@ mod tests {
         }
     }
 
+    /// The set bins of a single-endpoint reference mask.
+    fn reference_bins(
+        nl: &Netlist,
+        pl: &Placement,
+        g: &TimingGraph,
+        ep: u32,
+        grid: usize,
+    ) -> Vec<u32> {
+        let mask = endpoint_mask(nl, pl, g, &longest_path(g, ep), grid);
+        let set = mask.values().iter().enumerate().filter(|(_, &v)| v > 0.0);
+        set.map(|(i, _)| i as u32).collect()
+    }
+
     #[test]
     fn batched_masks_match_individual() {
         let (_, nl, pl, g) = world();
         let grid = 8;
         let all = endpoint_masks(&nl, &pl, &g, grid);
-        assert_eq!(all.len(), g.endpoints().len() * grid * grid);
-        for (i, &ep) in g.endpoints().iter().enumerate() {
-            let path = longest_path(&g, ep);
-            let single = endpoint_mask(&nl, &pl, &g, &path, grid);
-            assert_eq!(&all[i * grid * grid..(i + 1) * grid * grid], single.values());
+        assert_eq!(all.len(), g.endpoints().len());
+        for (row, &ep) in all.iter().zip(g.endpoints()) {
+            assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+        }
+        assert!(all.iter().any(|row| !row.is_empty()), "some endpoint has a critical region");
+    }
+
+    #[test]
+    fn subset_masks_follow_the_requested_order() {
+        let (_, nl, pl, g) = world();
+        let grid = 8;
+        let eps: Vec<u32> = g.endpoints().iter().rev().step_by(2).copied().collect();
+        let rows = endpoint_masks_for(&nl, &pl, &g, grid, &eps);
+        for (row, &ep) in rows.iter().zip(&eps) {
+            assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
         }
     }
 
@@ -312,14 +308,8 @@ mod tests {
         let d = GenParams::new("dm", 300, 11).generate(&lib);
         let pl = place(&d.netlist, &lib, 0, &PlaceConfig::default());
         let g = TimingGraph::build(&d.netlist, &lib);
-        let grid = 12;
-        let masks = endpoint_masks(&d.netlist, &pl, &g, grid);
-        let n = g.endpoints().len();
-        let mut distinct = std::collections::HashSet::new();
-        for i in 0..n {
-            let row = &masks[i * grid * grid..(i + 1) * grid * grid];
-            distinct.insert(row.iter().map(|&v| v as u8).collect::<Vec<_>>());
-        }
-        assert!(distinct.len() > n / 4, "masks are suspiciously uniform");
+        let masks = endpoint_masks(&d.netlist, &pl, &g, 12);
+        let distinct: std::collections::HashSet<&Vec<u32>> = masks.iter().collect();
+        assert!(distinct.len() > masks.len() / 4, "masks are suspiciously uniform");
     }
 }

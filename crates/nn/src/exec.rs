@@ -77,25 +77,6 @@ pub trait Exec: Copy {
     /// Mean of all elements (scalar `[1]` output).
     fn mean(self, x: Self::Value) -> Self::Value;
 
-    /// Selects rows `idx` from a matrix.
-    fn gather_rows(self, x: Self::Value, idx: &[u32]) -> Self::Value;
-
-    /// Selects rows from several source matrices: entry `(s, r)` takes
-    /// row `r` of `sources[s]`.
-    fn gather_multi(self, sources: &[Self::Value], index: &[(u32, u32)]) -> Self::Value;
-
-    /// Per-segment column-wise maximum (empty segments yield zero rows).
-    fn segment_max(self, x: Self::Value, seg: &[u32], num_segments: usize) -> Self::Value;
-
-    /// Per-segment column-wise sum.
-    fn segment_sum(self, x: Self::Value, seg: &[u32], num_segments: usize) -> Self::Value;
-
-    /// Multiplies each row by a constant factor.
-    fn scale_rows(self, x: Self::Value, factors: &[f32]) -> Self::Value;
-
-    /// Stacks `a` above `b`.
-    fn concat_rows(self, a: Self::Value, b: Self::Value) -> Self::Value;
-
     /// Concatenates `a` and `b` side by side.
     fn concat_cols(self, a: Self::Value, b: Self::Value) -> Self::Value;
 

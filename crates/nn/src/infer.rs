@@ -43,9 +43,8 @@ pub struct InferCtx {
     /// valid. Kept (with their capacity) across `reset` calls.
     slots: RefCell<Vec<Tensor>>,
     live: Cell<usize>,
-    /// Recycled scratch for `segment_max` / `maxpool2d` argmax bookkeeping
-    /// and the conv2d im2col matrix.
-    argmax_i64: RefCell<Vec<i64>>,
+    /// Recycled scratch for `maxpool2d` argmax bookkeeping and the conv2d
+    /// im2col matrix.
     argmax_u32: RefCell<Vec<u32>>,
     col: RefCell<Tensor>,
     /// Named-buffer pool for the batched flat inference path (see
@@ -81,7 +80,6 @@ impl InferCtx {
     pub fn arena_bytes(&self) -> u64 {
         let slots = self.slots.borrow();
         let bytes = slots.iter().map(Tensor::capacity).sum::<usize>() * 4
-            + self.argmax_i64.borrow().capacity() * 8
             + self.argmax_u32.borrow().capacity() * 4
             + self.col.borrow().capacity() * 4
             + self.scratch.borrow().iter().map(Tensor::capacity).sum::<usize>() * 4;
@@ -242,37 +240,6 @@ impl Exec for &InferCtx {
         self.emit(|s, out| ops::mean(&s[x.0], out))
     }
 
-    fn gather_rows(self, x: Val, idx: &[u32]) -> Val {
-        self.emit(|s, out| ops::gather_rows(&s[x.0], idx, out))
-    }
-
-    fn gather_multi(self, sources: &[Val], index: &[(u32, u32)]) -> Val {
-        self.emit(|s, out| {
-            let srcs: Vec<&Tensor> = sources.iter().map(|v| &s[v.0]).collect();
-            ops::gather_multi(&srcs, index, out);
-        })
-    }
-
-    fn segment_max(self, x: Val, seg: &[u32], num_segments: usize) -> Val {
-        let mut argmax = self.argmax_i64.borrow_mut();
-        let cap0 = argmax.capacity();
-        let v = self.emit(|s, out| ops::segment_max(&s[x.0], seg, num_segments, out, &mut argmax));
-        self.grew((argmax.capacity() - cap0) * 8);
-        v
-    }
-
-    fn segment_sum(self, x: Val, seg: &[u32], num_segments: usize) -> Val {
-        self.emit(|s, out| ops::segment_sum(&s[x.0], seg, num_segments, out))
-    }
-
-    fn scale_rows(self, x: Val, factors: &[f32]) -> Val {
-        self.emit(|s, out| ops::scale_rows(&s[x.0], factors, out))
-    }
-
-    fn concat_rows(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::concat_rows(&s[a.0], &s[b.0], out))
-    }
-
     fn concat_cols(self, a: Val, b: Val) -> Val {
         self.emit(|s, out| ops::concat_cols(&s[a.0], &s[b.0], out))
     }
@@ -308,9 +275,7 @@ mod tests {
         let a = ex.constant(t2(&[&[1.0, -2.0], &[3.0, 4.0]]));
         let b = ex.constant(t2(&[&[0.5, 1.0], &[-1.0, 2.0]]));
         let h = ex.relu(ex.add(ex.matmul(a, b), b));
-        let g = ex.gather_rows(h, &[1, 0, 1]);
-        let m = ex.segment_max(g, &[0, 0, 1], 2);
-        ex.value(ex.tanh(m))
+        ex.value(ex.tanh(ex.mul(h, h)))
     }
 
     #[test]

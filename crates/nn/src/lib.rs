@@ -3,11 +3,12 @@
 //! The paper builds on DGL + PyTorch; no comparable Rust stack exists, so
 //! this crate implements exactly the operator set the customized GNN
 //! (Equation 3), the layout CNN, the endpoint masking, and the MLP heads
-//! need: dense matmul/broadcast arithmetic, ReLU/tanh, gather/segment ops
-//! for levelized message passing, row/column concatenation, 2-D convolution
-//! and max-pooling, and scalar reductions — all with hand-written backward
-//! passes that are verified against central finite differences in the test
-//! suite.
+//! need: dense matmul/broadcast arithmetic, ReLU/tanh, row gathers, CSR
+//! segment reductions and in-place row scatters for levelized message
+//! passing over one flat embedding matrix, column concatenation, 2-D
+//! convolution and max-pooling, and scalar reductions — all with
+//! hand-written backward passes that are verified against central finite
+//! differences in the test suite.
 //!
 //! # Architecture
 //!

@@ -10,10 +10,12 @@
 //! kernel has one accumulation order, fixed regardless of thread count
 //! (see the determinism notes on the individual functions).
 //!
-//! Ops that record auxiliary state for the backward pass ([`segment_max`],
-//! [`maxpool2d`]) always compute it — the tape keeps the argmax on the
-//! node, the inference engine hands in a scratch buffer it recycles — so
-//! the reduction loop itself stays identical between backends.
+//! [`maxpool2d`] always records its argmax for the backward pass — the
+//! tape keeps it on the node, the inference engine hands in a scratch
+//! buffer it recycles — so the reduction loop itself stays identical
+//! between backends. [`segment_max_csr`] records nothing: the tape derives
+//! its argmax from the reduced output (see `Tape::segment_max_csr`), which
+//! keeps the serving kernel branch-free.
 
 use rayon::prelude::*;
 
@@ -152,216 +154,6 @@ pub fn mean(x: &Tensor, out: &mut Tensor) {
     out.reset(&[1], x.sum() / x.len() as f32);
 }
 
-/// Selects rows `idx` from matrix `src`.
-///
-/// # Panics
-///
-/// Panics if an index is out of range or `src` is not a matrix.
-pub fn gather_rows(src: &Tensor, idx: &[u32], out: &mut Tensor) {
-    let d = src.cols();
-    out.reset(&[idx.len().max(1), d], 0.0);
-    if parallel::should_parallelize(idx.len() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(i, row)| {
-            if i < idx.len() {
-                row.copy_from_slice(src.row(idx[i] as usize));
-            }
-        });
-    } else {
-        for (i, &r) in idx.iter().enumerate() {
-            out.data_mut()[i * d..(i + 1) * d].copy_from_slice(src.row(r as usize));
-        }
-    }
-}
-
-/// Selects rows from several source matrices: entry `(s, r)` takes row
-/// `r` of `sources[s]`. All sources must share a column count. This is
-/// the workhorse of levelized message passing — predecessors of a
-/// topological level live in many earlier level matrices.
-///
-/// # Panics
-///
-/// Panics on empty `sources`, mismatched columns, or bad indices.
-pub fn gather_multi(sources: &[&Tensor], index: &[(u32, u32)], out: &mut Tensor) {
-    assert!(!sources.is_empty(), "gather_multi needs sources");
-    let d = sources[0].cols();
-    for s in sources {
-        assert_eq!(s.cols(), d, "sources must share columns");
-    }
-    out.reset(&[index.len().max(1), d], 0.0);
-    if parallel::should_parallelize(index.len() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(i, row)| {
-            if i < index.len() {
-                let (s, r) = index[i];
-                row.copy_from_slice(sources[s as usize].row(r as usize));
-            }
-        });
-    } else {
-        for (i, &(s, r)) in index.iter().enumerate() {
-            out.data_mut()[i * d..(i + 1) * d].copy_from_slice(sources[s as usize].row(r as usize));
-        }
-    }
-}
-
-/// Per-segment column-wise maximum: rows of `src` with equal `seg` value
-/// reduce into one output row (the paper's `max` aggregation for cell
-/// nodes). Empty segments produce zero rows. `argmax` records the winning
-/// source row per output element (`-1` for empty segments) for the
-/// backward pass; it is always computed so the reduction loop is the same
-/// on every backend.
-///
-/// # Panics
-///
-/// Panics if `seg.len() != src.rows()` or a segment id `>= num_segments`.
-pub fn segment_max(
-    src: &Tensor,
-    seg: &[u32],
-    num_segments: usize,
-    out: &mut Tensor,
-    argmax: &mut Vec<i64>,
-) {
-    assert_eq!(seg.len(), src.rows(), "one segment id per row");
-    let d = src.cols();
-    out.reset(&[num_segments.max(1), d], f32::NEG_INFINITY);
-    argmax.clear();
-    argmax.resize(num_segments.max(1) * d, -1i64);
-    if let Some(runs) = sorted_segment_runs(seg, num_segments) {
-        if parallel::should_parallelize(seg.len() * d, GATHER_PAR_ELEMS) {
-            // Each segment owns one output row; rows within a run are
-            // scanned in ascending order, exactly as the serial loop
-            // visits them, so results (and argmax tie-breaks) match.
-            let reduced: Vec<(Vec<f32>, Vec<i64>)> = runs
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut best = vec![f32::NEG_INFINITY; d];
-                    let mut arg = vec![-1i64; d];
-                    for r in lo..hi {
-                        for (c, (bv, av)) in best.iter_mut().zip(&mut arg).enumerate() {
-                            let v = src.at(r, c);
-                            if v > *bv {
-                                *bv = v;
-                                *av = r as i64;
-                            }
-                        }
-                    }
-                    (best, arg)
-                })
-                .collect();
-            for (s, (best, arg)) in reduced.into_iter().enumerate() {
-                out.data_mut()[s * d..(s + 1) * d].copy_from_slice(&best);
-                argmax[s * d..(s + 1) * d].copy_from_slice(&arg);
-            }
-        } else {
-            for (s, &(lo, hi)) in runs.iter().enumerate() {
-                for r in lo..hi {
-                    for c in 0..d {
-                        let v = src.at(r, c);
-                        if v > out.at(s, c) {
-                            out.data_mut()[s * d + c] = v;
-                            argmax[s * d + c] = r as i64;
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        for (r, &s) in seg.iter().enumerate() {
-            let s = s as usize;
-            assert!(s < num_segments, "segment id out of range");
-            for c in 0..d {
-                let v = src.at(r, c);
-                if v > out.at(s, c) {
-                    out.data_mut()[s * d + c] = v;
-                    argmax[s * d + c] = r as i64;
-                }
-            }
-        }
-    }
-    for (o, a) in out.data_mut().iter_mut().zip(argmax.iter()) {
-        if *a < 0 {
-            *o = 0.0; // empty segment
-        }
-    }
-}
-
-/// Per-segment column-wise sum (used with `scale_rows` for the
-/// mean-aggregation ablation).
-///
-/// # Panics
-///
-/// Panics if `seg.len() != src.rows()` or a segment id `>= num_segments`.
-pub fn segment_sum(src: &Tensor, seg: &[u32], num_segments: usize, out: &mut Tensor) {
-    assert_eq!(seg.len(), src.rows(), "one segment id per row");
-    let d = src.cols();
-    out.reset(&[num_segments.max(1), d], 0.0);
-    if let Some(runs) = sorted_segment_runs(seg, num_segments) {
-        if parallel::should_parallelize(seg.len() * d, GATHER_PAR_ELEMS) {
-            // Rows within a run accumulate in ascending order — the
-            // same order the serial scan uses — so sums are
-            // bit-identical across thread counts.
-            let reduced: Vec<Vec<f32>> = runs
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut acc = vec![0.0f32; d];
-                    for r in lo..hi {
-                        for (a, v) in acc.iter_mut().zip(src.row(r)) {
-                            *a += v;
-                        }
-                    }
-                    acc
-                })
-                .collect();
-            for (s, acc) in reduced.into_iter().enumerate() {
-                out.data_mut()[s * d..(s + 1) * d].copy_from_slice(&acc);
-            }
-        } else {
-            for (s, &(lo, hi)) in runs.iter().enumerate() {
-                for r in lo..hi {
-                    for c in 0..d {
-                        out.data_mut()[s * d + c] += src.at(r, c);
-                    }
-                }
-            }
-        }
-    } else {
-        for (r, &s) in seg.iter().enumerate() {
-            let s = s as usize;
-            assert!(s < num_segments, "segment id out of range");
-            for c in 0..d {
-                out.data_mut()[s * d + c] += src.at(r, c);
-            }
-        }
-    }
-}
-
-/// Multiplies each row of `src` by a constant factor.
-///
-/// # Panics
-///
-/// Panics if `factors.len() != src.rows()`.
-pub fn scale_rows(src: &Tensor, factors: &[f32], out: &mut Tensor) {
-    assert_eq!(factors.len(), src.rows());
-    let d = src.cols();
-    out.copy_from(src);
-    for (r, &f) in factors.iter().enumerate() {
-        for v in &mut out.data_mut()[r * d..(r + 1) * d] {
-            *v *= f;
-        }
-    }
-}
-
-/// Stacks `a` above `b` (matrices with equal column counts).
-///
-/// # Panics
-///
-/// Panics on column mismatch.
-pub fn concat_rows(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.cols(), b.cols(), "concat_rows column mismatch");
-    let na = a.len();
-    out.reset(&[a.rows() + b.rows(), a.cols()], 0.0);
-    out.data_mut()[..na].copy_from_slice(a.data());
-    out.data_mut()[na..].copy_from_slice(b.data());
-}
-
 /// Concatenates `a` and `b` side by side (matrices with equal rows) —
 /// the paper's multimodal fusion `[v_n ; v_l]`.
 ///
@@ -453,11 +245,9 @@ pub fn maxpool2d(x: &Tensor, size: usize, out: &mut Tensor, argmax: &mut Vec<u32
     }
 }
 
-/// Selects rows `idx` from matrix `src` without pre-filling the output:
-/// the shape is exactly `[idx.len(), d]` and every row is overwritten, so
-/// the zero-fill of [`gather_rows`] is skipped. Empty `idx` produces the
-/// same `[1, d]` zero row as [`gather_rows`]. Values are bit-identical to
-/// [`gather_rows`].
+/// Selects rows `idx` from matrix `src` into `out`, shaped exactly
+/// `[idx.len(), d]`. Every row is overwritten, so the output is not
+/// pre-filled. Empty `idx` produces one `[1, d]` zero row.
 ///
 /// # Panics
 ///
@@ -534,13 +324,10 @@ pub fn scatter_rows(src: &Tensor, src_row0: usize, dst_rows: &[u32], dst: &mut T
 
 /// Per-segment column-wise maximum over pre-sorted rows, driven by CSR
 /// offsets: segment `s` reduces rows `seg_off[s]..seg_off[s + 1]` of
-/// `src`. Bit-identical to [`segment_max`] on an ascending `seg` array
-/// with the same runs: rows scan in ascending order with a
-/// strict-greater select, and empty segments produce zero rows (the
-/// `NEG_INFINITY` sentinel can never be produced by a real row winning,
-/// because `v > -inf` fires for every finite `v` and NaN rows never
-/// replace the sentinel — exactly the `argmax < 0` rule of the legacy
-/// kernel).
+/// `src`. Rows scan in ascending order with a strict-greater select
+/// (first-wins ties), and empty segments produce zero rows. A column no
+/// row beats (all NaN or all `-inf`) keeps the `NEG_INFINITY` sentinel
+/// and is zeroed like an empty segment.
 ///
 /// # Panics
 ///
@@ -572,9 +359,8 @@ pub fn segment_max_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
             }
         }
         // Columns never beaten (all-NaN or all--inf input) follow the
-        // legacy empty-segment rule and become zero. The sentinel is
-        // matched by bit pattern, so a real -inf produced here is also
-        // (correctly) zeroed, exactly as argmax == -1 would be.
+        // empty-segment rule and become zero. The sentinel is matched by
+        // bit pattern, so a real -inf produced here is also zeroed.
         for o in orow.iter_mut() {
             if o.to_bits() == f32::NEG_INFINITY.to_bits() {
                 *o = 0.0;
@@ -591,9 +377,8 @@ pub fn segment_max_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
 }
 
 /// Per-segment column-wise sum over pre-sorted rows, driven by CSR
-/// offsets. Bit-identical to [`segment_sum`] on the equivalent ascending
-/// `seg` array: each output row starts from `0.0` and accumulates its
-/// rows in ascending order.
+/// offsets: each output row starts from `0.0` and accumulates its rows
+/// in ascending order (empty segments stay zero).
 ///
 /// # Panics
 ///
@@ -715,8 +500,7 @@ pub fn add_rows_range(x: &mut Tensor, src: &Tensor, src_row0: usize) {
     }
 }
 
-/// In-place row scaling: row `r` of `x` is multiplied by `factors[r]`
-/// (same values as [`scale_rows`] minus the copy).
+/// In-place row scaling: row `r` of `x` is multiplied by `factors[r]`.
 ///
 /// # Panics
 ///
@@ -737,31 +521,6 @@ pub(crate) fn rank3(t: &Tensor) -> (usize, usize, usize) {
     let s = t.shape();
     assert_eq!(s.len(), 3, "expected [C,H,W], got {s:?}");
     (s[0], s[1], s[2])
-}
-
-/// If `seg` is non-decreasing, returns each segment's half-open row run
-/// `[lo, hi)` (empty segments yield `lo == hi`); `None` when unsorted.
-///
-/// # Panics
-///
-/// Panics if a segment id is `>= num_segments`.
-fn sorted_segment_runs(seg: &[u32], num_segments: usize) -> Option<Vec<(usize, usize)>> {
-    if seg.windows(2).any(|w| w[0] > w[1]) {
-        return None;
-    }
-    if let Some(&last) = seg.last() {
-        assert!((last as usize) < num_segments, "segment id out of range");
-    }
-    let mut runs = vec![(0usize, 0usize); num_segments.max(1)];
-    let mut r = 0;
-    for (s, run) in runs.iter_mut().enumerate() {
-        let lo = r;
-        while r < seg.len() && seg[r] as usize == s {
-            r += 1;
-        }
-        *run = (lo, r);
-    }
-    Some(runs)
 }
 
 /// Unfolds a padded `[C_in, H, W]` map into the im2col matrix
@@ -854,16 +613,6 @@ mod tests {
         matmul(&a, &b, &mut dirty);
         assert_eq!(dirty.data(), &[19.0, 22.0, 43.0, 50.0]);
         assert_eq!(dirty.shape(), &[2, 2]);
-    }
-
-    #[test]
-    fn segment_max_recomputes_scratch() {
-        let x = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 0.0]]);
-        let mut out = Tensor::default();
-        let mut arg = vec![42i64; 1]; // dirty scratch from a previous call
-        segment_max(&x, &[0, 1, 0], 2, &mut out, &mut arg);
-        assert_eq!(out.data(), &[5.0, 2.0, 3.0, 4.0]);
-        assert_eq!(arg, vec![2, 0, 1, 1]);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub struct Var<'t> {
 }
 
 enum Op {
-    Leaf { param: Option<ParamId> },
+    Leaf {
+        param: Option<ParamId>,
+    },
     MatMul(usize, usize),
     Add(usize, usize),
     AddRow(usize, usize),
@@ -30,14 +32,35 @@ enum Op {
     Relu(usize),
     Tanh(usize),
     GatherRows(usize, Vec<u32>),
-    GatherMulti { srcs: Vec<usize>, index: Vec<(u32, u32)> },
-    SegmentMax { x: usize, argmax: Vec<i64> },
-    SegmentSum { x: usize, seg: Vec<u32> },
-    ScaleRows(usize, Vec<f32>),
-    ConcatRows(usize, usize),
+    /// `argmax[s * d + c]` is the input row that won output element
+    /// `(s, c)`, or `u32::MAX` where no row did (the element is zero).
+    SegmentMaxCsr {
+        x: usize,
+        argmax: Vec<u32>,
+    },
+    SegmentSumCsr {
+        x: usize,
+        seg_off: Vec<u32>,
+        scale: Vec<f32>,
+    },
+    /// In-place write into node `dst`; the scatter node itself holds no
+    /// value (see [`Tape::scatter_rows`]).
+    ScatterRows {
+        src: usize,
+        src_row0: usize,
+        dst: usize,
+        rows: Vec<u32>,
+    },
     ConcatCols(usize, usize),
-    Conv2d { x: usize, w: usize, pad: usize },
-    MaxPool2d { x: usize, argmax: Vec<u32> },
+    Conv2d {
+        x: usize,
+        w: usize,
+        pad: usize,
+    },
+    MaxPool2d {
+        x: usize,
+        argmax: Vec<u32>,
+    },
     Reshape(usize),
     Mean(usize),
 }
@@ -111,94 +134,95 @@ impl Tape {
         self.nodes.borrow()[v.id].value.clone()
     }
 
-    /// Selects rows `idx` from matrix `x`.
+    /// Selects rows `idx` from matrix `x`; an empty `idx` yields one zero
+    /// row. Runs the serving kernel [`ops::gather_rows_flat`].
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range or `x` is not a matrix.
     pub fn gather_rows<'t>(&'t self, x: Var<'t>, idx: &[u32]) -> Var<'t> {
         let mut out = Tensor::default();
-        ops::gather_rows(&self.nodes.borrow()[x.id].value, idx, &mut out);
+        ops::gather_rows_flat(&self.nodes.borrow()[x.id].value, idx, &mut out);
         self.push(out, Op::GatherRows(x.id, idx.to_vec()))
     }
 
-    /// Selects rows from several source matrices: entry `(s, r)` takes row
-    /// `r` of `sources[s]`. All sources must share a column count. This is
-    /// the workhorse of levelized message passing — predecessors of a
-    /// topological level live in many earlier level matrices.
+    /// Per-segment column-wise maximum over CSR runs: segment `s` reduces
+    /// rows `seg_off[s]..seg_off[s + 1]` of `x` (the paper's `max`
+    /// aggregation for cell nodes). Empty segments produce zero rows.
+    ///
+    /// The value comes from the serving kernel [`ops::segment_max_csr`];
+    /// the node also keeps the winning row of every output element for
+    /// the backward pass. The kernel selects on strict `>` in ascending
+    /// row order, so the winner is the first row of the run equal to the
+    /// output; a zeroed element (empty segment, or no row beat `-inf`)
+    /// has no equal row and routes no gradient.
     ///
     /// # Panics
     ///
-    /// Panics on empty `sources`, mismatched columns, or bad indices.
-    pub fn gather_multi<'t>(&'t self, sources: &[Var<'t>], index: &[(u32, u32)]) -> Var<'t> {
+    /// Panics if `seg_off` is not a CSR offset array over `x`'s rows.
+    pub fn segment_max_csr<'t>(&'t self, x: Var<'t>, seg_off: &[u32]) -> Var<'t> {
         let mut out = Tensor::default();
-        {
+        let argmax = {
             let nodes = self.nodes.borrow();
-            let srcs: Vec<&Tensor> = sources.iter().map(|s| &nodes[s.id].value).collect();
-            ops::gather_multi(&srcs, index, &mut out);
-        }
-        self.push(
-            out,
-            Op::GatherMulti { srcs: sources.iter().map(|s| s.id).collect(), index: index.to_vec() },
-        )
+            let src = &nodes[x.id].value;
+            ops::segment_max_csr(src, seg_off, &mut out);
+            let d = src.cols();
+            let mut argmax = vec![u32::MAX; out.len()];
+            for (s, w) in seg_off.windows(2).enumerate() {
+                for c in 0..d {
+                    let best = out.at(s, c);
+                    argmax[s * d + c] =
+                        (w[0]..w[1]).find(|&r| src.at(r as usize, c) == best).unwrap_or(u32::MAX);
+                }
+            }
+            argmax
+        };
+        self.push(out, Op::SegmentMaxCsr { x: x.id, argmax })
     }
 
-    /// Per-segment column-wise maximum: rows of `x` with equal `seg` value
-    /// reduce into one output row (the paper's `max` aggregation for cell
-    /// nodes). Empty segments produce zero rows.
+    /// Per-segment column-wise sum over CSR runs, with segment `s`'s row
+    /// then multiplied by `scale[s]` (`1 / max(fanin, 1)` gives the mean
+    /// aggregation). Empty segments produce zero rows. The value comes
+    /// from [`ops::segment_sum_csr`] and [`ops::scale_rows_in_place`].
     ///
     /// # Panics
     ///
-    /// Panics if `seg.len() != x.rows()` or a segment id `>= num_segments`.
-    pub fn segment_max<'t>(&'t self, x: Var<'t>, seg: &[u32], num_segments: usize) -> Var<'t> {
+    /// Panics if `seg_off` is not a CSR offset array over `x`'s rows or
+    /// `scale` does not hold one factor per segment.
+    pub fn segment_sum_csr<'t>(&'t self, x: Var<'t>, seg_off: &[u32], scale: &[f32]) -> Var<'t> {
         let mut out = Tensor::default();
-        let mut argmax = Vec::new();
-        ops::segment_max(
-            &self.nodes.borrow()[x.id].value,
-            seg,
-            num_segments,
-            &mut out,
-            &mut argmax,
-        );
-        self.push(out, Op::SegmentMax { x: x.id, argmax })
+        ops::segment_sum_csr(&self.nodes.borrow()[x.id].value, seg_off, &mut out);
+        ops::scale_rows_in_place(&mut out, scale);
+        let op = Op::SegmentSumCsr { x: x.id, seg_off: seg_off.to_vec(), scale: scale.to_vec() };
+        self.push(out, op)
     }
 
-    /// Per-segment column-wise sum (used with [`Tape::scale_rows`] for the
-    /// mean-aggregation ablation).
+    /// Writes row `src_row0 + i` of `src` over row `rows[i]` of `dst`, in
+    /// place: the level scatter of the flat GNN plan, which fills one
+    /// `[total_rows, d]` matrix per pass instead of recording a copy per
+    /// level.
+    ///
+    /// Because later scatters change `dst`'s value, `dst` must only be
+    /// read through [`Tape::gather_rows`], whose backward never looks at
+    /// input values. The backward pass visits this node after every op
+    /// recorded later, so the written rows' gradients are complete when it
+    /// hands them to `src`; it then zeroes them on `dst`, so a read that
+    /// happened before the write routes its gradient to the value it saw.
     ///
     /// # Panics
     ///
-    /// Panics if `seg.len() != x.rows()` or a segment id `>= num_segments`.
-    pub fn segment_sum<'t>(&'t self, x: Var<'t>, seg: &[u32], num_segments: usize) -> Var<'t> {
-        let mut out = Tensor::default();
-        ops::segment_sum(&self.nodes.borrow()[x.id].value, seg, num_segments, &mut out);
-        self.push(out, Op::SegmentSum { x: x.id, seg: seg.to_vec() })
-    }
-
-    /// Multiplies each row of `x` by a constant factor (no gradient flows to
-    /// the factors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len() != x.rows()`.
-    pub fn scale_rows<'t>(&'t self, x: Var<'t>, factors: &[f32]) -> Var<'t> {
-        let mut out = Tensor::default();
-        ops::scale_rows(&self.nodes.borrow()[x.id].value, factors, &mut out);
-        self.push(out, Op::ScaleRows(x.id, factors.to_vec()))
-    }
-
-    /// Stacks `a` above `b` (matrices with equal column counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics on column mismatch.
-    pub fn concat_rows<'t>(&'t self, a: Var<'t>, b: Var<'t>) -> Var<'t> {
-        let mut out = Tensor::default();
+    /// Panics if `src` is `dst`, a row index is out of range, or the
+    /// column counts differ.
+    pub fn scatter_rows<'t>(&'t self, src: Var<'t>, src_row0: usize, rows: &[u32], dst: Var<'t>) {
+        assert_ne!(src.id, dst.id, "scatter_rows source and target must differ");
         {
-            let nodes = self.nodes.borrow();
-            ops::concat_rows(&nodes[a.id].value, &nodes[b.id].value, &mut out);
+            let mut nodes = self.nodes.borrow_mut();
+            let mut target = std::mem::take(&mut nodes[dst.id].value);
+            ops::scatter_rows(&nodes[src.id].value, src_row0, rows, &mut target);
+            nodes[dst.id].value = target;
         }
-        self.push(out, Op::ConcatRows(a.id, b.id))
+        let op = Op::ScatterRows { src: src.id, src_row0, dst: dst.id, rows: rows.to_vec() };
+        self.push(Tensor::default(), op);
     }
 
     /// Concatenates `a` and `b` side by side (matrices with equal rows) —
@@ -260,6 +284,10 @@ impl Tape {
         grads[loss.id] = Some(Tensor::full(nodes[loss.id].value.shape(), 1.0));
 
         for id in (0..nodes.len()).rev() {
+            if let Op::ScatterRows { src, src_row0, dst, rows } = &nodes[id].op {
+                scatter_backward(&nodes, (*src, *src_row0), (*dst, rows), &mut grads);
+                continue;
+            }
             let Some(g) = grads[id].take() else { continue };
             backward_node(&nodes, id, &g, &mut grads);
             grads[id] = Some(g);
@@ -289,6 +317,30 @@ impl Drop for Tape {
 fn accumulate(slot: &mut Option<Tensor>, shape: &[usize], add: impl FnOnce(&mut Tensor)) {
     let g = slot.get_or_insert_with(|| Tensor::zeros(shape));
     add(g);
+}
+
+/// Backward of [`Tape::scatter_rows`]: moves the gradient of each written
+/// `dst` row onto its `src` row and zeroes it on `dst` (the overwritten
+/// value it replaced received none of it).
+fn scatter_backward(
+    nodes: &[Node],
+    (src, src_row0): (usize, usize),
+    (dst, rows): (usize, &[u32]),
+    grads: &mut [Option<Tensor>],
+) {
+    let Some(mut gd) = grads[dst].take() else { return };
+    let d = gd.cols();
+    accumulate(&mut grads[src], nodes[src].value.shape(), |t| {
+        for (i, &r) in rows.iter().enumerate() {
+            let from = &mut gd.data_mut()[r as usize * d..(r as usize + 1) * d];
+            let to = &mut t.data_mut()[(src_row0 + i) * d..(src_row0 + i + 1) * d];
+            for (x, gv) in to.iter_mut().zip(from.iter()) {
+                *x += gv;
+            }
+            from.fill(0.0);
+        }
+    });
+    grads[dst] = Some(gd);
 }
 
 #[allow(clippy::too_many_lines)]
@@ -335,7 +387,7 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             });
         }
         Op::Mul(a, b) => {
-            let (ta, tb) = (nodes[*a].value.clone(), nodes[*b].value.clone());
+            let (ta, tb) = (&nodes[*a].value, &nodes[*b].value);
             accumulate(&mut grads[*a], ta.shape(), |t| {
                 for ((x, gv), bv) in t.data_mut().iter_mut().zip(g.data()).zip(tb.data()) {
                     *x += gv * bv;
@@ -348,8 +400,8 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             });
         }
         Op::MulRow(a, row) => {
-            let ta = nodes[*a].value.clone();
-            let tr = nodes[*row].value.clone();
+            let ta = &nodes[*a].value;
+            let tr = &nodes[*row].value;
             let n = tr.len();
             accumulate(&mut grads[*a], ta.shape(), |t| {
                 for (i, (x, gv)) in t.data_mut().iter_mut().zip(g.data()).enumerate() {
@@ -370,7 +422,7 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             });
         }
         Op::Relu(a) => {
-            let ta = nodes[*a].value.clone();
+            let ta = &nodes[*a].value;
             accumulate(&mut grads[*a], ta.shape(), |t| {
                 for ((x, gv), av) in t.data_mut().iter_mut().zip(g.data()).zip(ta.data()) {
                     if *av > 0.0 {
@@ -380,7 +432,7 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             });
         }
         Op::Tanh(a) => {
-            let ty = nodes[id].value.clone();
+            let ty = &nodes[id].value;
             accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
                 for ((x, gv), yv) in t.data_mut().iter_mut().zip(g.data()).zip(ty.data()) {
                     *x += gv * (1.0 - yv * yv);
@@ -398,67 +450,30 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
                 }
             });
         }
-        Op::GatherMulti { srcs, index } => {
-            let d = nodes[srcs[0]].value.cols();
-            for (i, &(s, r)) in index.iter().enumerate() {
-                let src = srcs[s as usize];
-                accumulate(&mut grads[src], nodes[src].value.shape(), |t| {
-                    let dst = &mut t.data_mut()[r as usize * d..(r as usize + 1) * d];
-                    for (x, gv) in dst.iter_mut().zip(&g.data()[i * d..(i + 1) * d]) {
-                        *x += gv;
-                    }
-                });
-            }
-        }
-        Op::SegmentMax { x, argmax } => {
+        Op::SegmentMaxCsr { x, argmax } => {
             let d = nodes[*x].value.cols();
             accumulate(&mut grads[*x], nodes[*x].value.shape(), |t| {
-                for (oi, &src_row) in argmax.iter().enumerate() {
-                    if src_row >= 0 {
-                        let col = oi % d;
-                        t.data_mut()[src_row as usize * d + col] += g.data()[oi];
+                for (oi, &r) in argmax.iter().enumerate() {
+                    if r != u32::MAX {
+                        t.data_mut()[r as usize * d + oi % d] += g.data()[oi];
                     }
                 }
             });
         }
-        Op::SegmentSum { x, seg } => {
+        Op::SegmentSumCsr { x, seg_off, scale } => {
             let d = nodes[*x].value.cols();
             accumulate(&mut grads[*x], nodes[*x].value.shape(), |t| {
-                for (r, &s) in seg.iter().enumerate() {
-                    let dst = &mut t.data_mut()[r * d..(r + 1) * d];
-                    let src = &g.data()[s as usize * d..(s as usize + 1) * d];
-                    for (x, gv) in dst.iter_mut().zip(src) {
-                        *x += gv;
+                for (s, (w, &f)) in seg_off.windows(2).zip(scale).enumerate() {
+                    let gs = &g.data()[s * d..(s + 1) * d];
+                    for r in w[0] as usize..w[1] as usize {
+                        for (x, gv) in t.data_mut()[r * d..(r + 1) * d].iter_mut().zip(gs) {
+                            *x += gv * f;
+                        }
                     }
                 }
             });
         }
-        Op::ScaleRows(x, factors) => {
-            let d = nodes[*x].value.cols();
-            accumulate(&mut grads[*x], nodes[*x].value.shape(), |t| {
-                for (r, &f) in factors.iter().enumerate() {
-                    for (x, gv) in t.data_mut()[r * d..(r + 1) * d]
-                        .iter_mut()
-                        .zip(&g.data()[r * d..(r + 1) * d])
-                    {
-                        *x += gv * f;
-                    }
-                }
-            });
-        }
-        Op::ConcatRows(a, b) => {
-            let na = nodes[*a].value.len();
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for (x, gv) in t.data_mut().iter_mut().zip(&g.data()[..na]) {
-                    *x += gv;
-                }
-            });
-            accumulate(&mut grads[*b], nodes[*b].value.shape(), |t| {
-                for (x, gv) in t.data_mut().iter_mut().zip(&g.data()[na..]) {
-                    *x += gv;
-                }
-            });
-        }
+        Op::ScatterRows { .. } => unreachable!("scatter nodes are handled by scatter_backward"),
         Op::ConcatCols(a, b) => {
             let (p, q) = (nodes[*a].value.cols(), nodes[*b].value.cols());
             let m = nodes[*a].value.rows();
@@ -478,9 +493,9 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             });
         }
         Op::Conv2d { x, w, pad } => {
-            let tx = nodes[*x].value.clone();
-            let tw = nodes[*w].value.clone();
-            let (cin, h, wd) = rank3(&tx);
+            let tx = &nodes[*x].value;
+            let tw = &nodes[*w].value;
+            let (cin, h, wd) = rank3(tx);
             let ws = tw.shape().to_vec();
             let (cout, kh, kw) = (ws[0], ws[2], ws[3]);
             let (oh, ow) = (h + 2 * pad + 1 - kh, wd + 2 * pad + 1 - kw);
@@ -493,7 +508,7 @@ fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tens
             // tape (memory over speed — one col per graph node would
             // dominate the tape's footprint).
             let mut col = Tensor::default();
-            im2col(&tx, kh, kw, pad, oh, ow, &mut col);
+            im2col(tx, kh, kw, pad, oh, ow, &mut col);
             let g2d = Tensor::from_vec(&[cout, oh * ow], g.data().to_vec());
             let w2d = Tensor::from_vec(&[cout, cin * kh * kw], tw.data().to_vec());
             let gw2d = g2d.matmul(&col.transposed());
@@ -728,30 +743,6 @@ impl<'t> Exec for &'t Tape {
         x.mean()
     }
 
-    fn gather_rows(self, x: Var<'t>, idx: &[u32]) -> Var<'t> {
-        Tape::gather_rows(self, x, idx)
-    }
-
-    fn gather_multi(self, sources: &[Var<'t>], index: &[(u32, u32)]) -> Var<'t> {
-        Tape::gather_multi(self, sources, index)
-    }
-
-    fn segment_max(self, x: Var<'t>, seg: &[u32], num_segments: usize) -> Var<'t> {
-        Tape::segment_max(self, x, seg, num_segments)
-    }
-
-    fn segment_sum(self, x: Var<'t>, seg: &[u32], num_segments: usize) -> Var<'t> {
-        Tape::segment_sum(self, x, seg, num_segments)
-    }
-
-    fn scale_rows(self, x: Var<'t>, factors: &[f32]) -> Var<'t> {
-        Tape::scale_rows(self, x, factors)
-    }
-
-    fn concat_rows(self, a: Var<'t>, b: Var<'t>) -> Var<'t> {
-        Tape::concat_rows(self, a, b)
-    }
-
     fn concat_cols(self, a: Var<'t>, b: Var<'t>) -> Var<'t> {
         Tape::concat_cols(self, a, b)
     }
@@ -797,32 +788,43 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_segment_ops() {
+    fn gather_and_csr_segment_ops() {
         let tape = Tape::new();
-        let x = tape.constant(t2(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 0.0]]));
-        let g = tape.gather_rows(x, &[2, 0]);
+        let x = tape.constant(t2(&[&[1.0, 2.0], &[5.0, 0.0], &[3.0, 4.0]]));
+        let g = tape.gather_rows(x, &[1, 0]);
         assert_eq!(tape.value(g).data(), &[5.0, 0.0, 1.0, 2.0]);
-        // segments: rows 0 and 2 -> seg 0, row 1 -> seg 1
-        let m = tape.segment_max(x, &[0, 1, 0], 2);
-        assert_eq!(tape.value(m).data(), &[5.0, 2.0, 3.0, 4.0]);
-        let s = tape.segment_sum(x, &[0, 1, 0], 2);
-        assert_eq!(tape.value(s).data(), &[6.0, 2.0, 3.0, 4.0]);
+        // Segments: rows 0..2, the empty run 2..2, then row 2.
+        let off = [0, 2, 2, 3];
+        let m = tape.segment_max_csr(x, &off);
+        assert_eq!(tape.value(m).data(), &[5.0, 2.0, 0.0, 0.0, 3.0, 4.0]);
+        let s = tape.segment_sum_csr(x, &off, &[0.5, 1.0, 2.0]);
+        assert_eq!(tape.value(s).data(), &[3.0, 1.0, 0.0, 0.0, 6.0, 8.0]);
     }
 
     #[test]
-    fn empty_segment_yields_zero() {
+    fn segment_max_csr_routes_ties_to_the_first_row() {
         let tape = Tape::new();
-        let x = tape.constant(t2(&[&[1.0, -1.0]]));
-        let m = tape.segment_max(x, &[1], 3);
-        assert_eq!(tape.value(m).data(), &[0.0, 0.0, 1.0, -1.0, 0.0, 0.0]);
+        let x = tape.constant(t2(&[&[1.0, 7.0], &[1.0, 7.0], &[0.0, 9.0]]));
+        let m = tape.segment_max_csr(x, &[0, 3]);
+        let grads = tape.backward(m.mean());
+        assert_eq!(grads.wrt(x.id()).unwrap().data(), &[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]);
     }
 
     #[test]
-    fn concat_ops() {
+    fn scatter_rows_writes_in_place() {
+        let tape = Tape::new();
+        let flat = tape.constant(Tensor::zeros(&[3, 2]));
+        let a = tape.constant(t2(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        tape.scatter_rows(a, 1, &[0], flat);
+        tape.scatter_rows(a, 0, &[2], flat);
+        assert_eq!(tape.value(flat).data(), &[3.0, 4.0, 0.0, 0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn concat_cols_interleaves_rows() {
         let tape = Tape::new();
         let a = tape.constant(t2(&[&[1.0], &[2.0]]));
         let b = tape.constant(t2(&[&[3.0], &[4.0]]));
-        assert_eq!(tape.value(tape.concat_rows(a, b)).shape(), &[4, 1]);
         let c = tape.concat_cols(a, b);
         assert_eq!(tape.value(c).data(), &[1.0, 3.0, 2.0, 4.0]);
     }
@@ -936,30 +938,105 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_gather_segment_max() {
+    fn grad_check_gather_segment_max_csr() {
+        // Row 2 is gathered twice into the first segment, so wherever it
+        // wins that segment the two copies tie; the second segment is
+        // empty.
         grad_check(&[4, 3], |tape, x| {
-            let g = tape.gather_rows(x, &[0, 2, 3, 1, 2]);
-            let m = tape.segment_max(g, &[0, 0, 1, 1, 1], 2);
+            let g = tape.gather_rows(x, &[2, 0, 2, 3, 1, 2]);
+            let m = tape.segment_max_csr(g, &[0, 3, 3, 6]);
             m.mul(m).mean()
         });
     }
 
     #[test]
-    fn grad_check_segment_sum_scale_rows() {
+    fn grad_check_segment_sum_csr() {
         grad_check(&[4, 3], |tape, x| {
-            let s = tape.segment_sum(x, &[0, 1, 0, 1], 2);
-            let m = tape.scale_rows(s, &[0.5, 2.0]);
-            m.mul(m).mean()
+            let s = tape.segment_sum_csr(x, &[0, 1, 1, 4], &[0.5, 1.0, 1.0 / 3.0]);
+            s.mul(s).mean()
         });
     }
 
     #[test]
-    fn grad_check_concat() {
+    fn grad_check_scatter_rows() {
         grad_check(&[2, 3], |tape, x| {
-            let rows = tape.concat_rows(x, x);
-            let cols = tape.concat_cols(x, x);
-            rows.mean().add(cols.mul(cols).mean())
+            let flat = tape.constant(Tensor::zeros(&[3, 3]));
+            tape.scatter_rows(x, 0, &[2, 0], flat);
+            let y = tape.gather_rows(flat, &[0, 2, 2]).tanh();
+            // Overwrite row 0: x's row written there keeps only the
+            // gradient of the read above.
+            tape.scatter_rows(y, 1, &[0, 1], flat);
+            let out = tape.gather_rows(flat, &[0, 1, 2]);
+            out.mul(out).mean()
         });
+    }
+
+    #[test]
+    fn grad_check_concat_cols() {
+        grad_check(&[2, 3], |tape, x| {
+            let cols = tape.concat_cols(x, x.scale(2.0));
+            cols.mul(cols).mean()
+        });
+    }
+
+    /// One flat GNN pass driven through the tape ops the way
+    /// `NetlistGnn::forward` drives them: every node owns one row of a
+    /// single flat matrix, and each level gathers from earlier rows,
+    /// reduces, and scatters into its own. Rows `0..3` are sources, `3..6`
+    /// cells (the third has no fanin) and `6..8` net sinks. `feat` holds
+    /// one feature row per node; `w` is the one weight every MLP shares.
+    fn flat_gnn<'t>(
+        tape: &'t Tape,
+        feat: Var<'t>,
+        w: Var<'t>,
+        mean: bool,
+        residual: bool,
+    ) -> Var<'t> {
+        let flat = tape.constant(Tensor::zeros(&[8, 3]));
+        let src = tape.gather_rows(feat, &[0, 1, 2]).matmul(w).relu();
+        tape.scatter_rows(src, 0, &[0, 1, 2], flat);
+
+        let msgs = tape.gather_rows(flat, &[0, 2, 1]);
+        let seg_off = [0, 2, 3, 3];
+        let agg = if mean {
+            tape.segment_sum_csr(msgs, &seg_off, &[0.5, 1.0, 1.0])
+        } else {
+            tape.segment_max_csr(msgs, &seg_off)
+        };
+        let cell_feat = tape.gather_rows(feat, &[3, 4, 5]).matmul(w);
+        let cells = if residual {
+            agg.add(agg.tanh().matmul(w).add(cell_feat).relu())
+        } else {
+            agg.matmul(w).add(cell_feat).relu()
+        };
+        tape.scatter_rows(cells, 0, &[4, 3, 5], flat);
+
+        let msg = tape.gather_rows(flat, &[4, 3]);
+        let net_feat = tape.gather_rows(feat, &[6, 7]).matmul(w);
+        let nets = if residual { msg.add(net_feat.relu()) } else { msg.add(net_feat).relu() };
+        tape.scatter_rows(nets, 0, &[7, 6], flat);
+
+        let out = tape.gather_rows(flat, &[6, 7, 3, 5]);
+        out.mul(out).mean()
+    }
+
+    #[test]
+    fn grad_check_flat_gnn_pass() {
+        let fixed = |shape: &[usize], seed: u64| {
+            Tensor::uniform(&mut rand::rngs::StdRng::seed_from_u64(seed), shape, 1.0)
+        };
+        for mean in [false, true] {
+            for residual in [false, true] {
+                grad_check(&[8, 3], |tape, feat| {
+                    let w = tape.constant(fixed(&[3, 3], 11));
+                    flat_gnn(tape, feat, w, mean, residual)
+                });
+                grad_check(&[3, 3], |tape, w| {
+                    let feat = tape.constant(fixed(&[8, 3], 12));
+                    flat_gnn(tape, feat, w, mean, residual)
+                });
+            }
+        }
     }
 
     #[test]
@@ -970,15 +1047,6 @@ mod tests {
             let y = tape.conv2d(x, w, 1).add_channel(b).relu();
             let p = tape.maxpool2d(y, 2);
             p.mul(p).mean()
-        });
-    }
-
-    #[test]
-    fn grad_check_gather_multi() {
-        grad_check(&[3, 2], |tape, x| {
-            let y = x.scale(2.0);
-            let g = tape.gather_multi(&[x, y], &[(0, 0), (1, 2), (0, 1), (1, 1)]);
-            g.mul(g).mean()
         });
     }
 

@@ -248,15 +248,16 @@ fn parallel_segment_reductions_are_bit_identical_to_serial() {
     // 256 rows × 64 cols crosses the gather/segment parallel threshold.
     let (rows, d, segs) = (256usize, 64usize, 10usize);
     let x = random_tensor(&[rows, d], 19, 1.0);
-    // Sorted segment ids (the run-parallel path), uneven run lengths.
-    let seg: Vec<u32> = (0..rows).map(|i| ((i * segs) / rows) as u32).collect();
+    // CSR runs of growing length.
+    let seg_off: Vec<u32> = (0..=segs).map(|s| ((s * s * rows) / (segs * segs)) as u32).collect();
+    let scale = vec![0.5f32; segs];
     let idx: Vec<u32> = (0..rows).map(|i| ((i * 7 + 3) % rows) as u32).collect();
 
     let run = || {
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
-        let sum = tape.segment_sum(xv, &seg, segs);
-        let max = tape.segment_max(xv, &seg, segs);
+        let sum = tape.segment_sum_csr(xv, &seg_off, &scale);
+        let max = tape.segment_max_csr(xv, &seg_off);
         let gath = tape.gather_rows(xv, &idx);
         (tape.value(sum), tape.value(max), tape.value(gath))
     };

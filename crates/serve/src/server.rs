@@ -21,7 +21,8 @@
 //! Per-request deadlines are enforced at the two places a slow peer or
 //! an overloaded queue can park work: queue-dequeue (expired requests
 //! get `503` without touching the model) and response-write (a stalled
-//! client can't pin a worker past the deadline).
+//! client can't pin a worker for more than one deadline budget, counted
+//! from the moment the response is ready).
 
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Write};
@@ -54,7 +55,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded request-queue capacity; beyond it, `503` + `Retry-After`.
     pub queue_capacity: usize,
-    /// Per-request deadline, enforced at dequeue and response-write.
+    /// Per-request deadline, enforced at dequeue and request read; the
+    /// response write gets its own budget of the same length.
     pub deadline_ms: u64,
     /// Socket read/write timeout (bounds each blocking IO call).
     pub io_timeout_ms: u64,
@@ -363,7 +365,12 @@ fn handle_connection(shared: &Shared, worker: usize, ctx: &InferCtx, conn: Conn)
             && served < shared.cfg.keep_alive_requests.max(1)
             && !shared.stop.load(Ordering::SeqCst);
         let status = response.status;
-        if write_response(shared, &mut stream, &response, keep_alive, deadline).is_err() {
+        // The write gets a fresh budget: the handler's effect (a /load, a
+        // /transform) is already committed, so a handler that outlived the
+        // request deadline must still deliver its reply. Slow peers stay
+        // bounded by this budget.
+        let write_deadline = now() + Duration::from_millis(shared.cfg.deadline_ms);
+        if write_response(shared, &mut stream, &response, keep_alive, write_deadline).is_err() {
             shared.stats.record_io_error();
             return;
         }

@@ -8,13 +8,11 @@
 //!
 //! The batched-vs-single-endpoint comparison is asserted: batching shares
 //! one GNN/CNN pass across endpoints, so batched endpoints/sec must be at
-//! least the single-endpoint rate. Kernel timings are reported but not
-//! asserted (CI machines are noisy); the CSR kernels' bit-equality against
-//! the legacy per-row segment ops is exact and asserted.
+//! least the single-endpoint rate. Timings are reported in the log.
 
 use std::time::Instant;
 
-use restructure_timing::nn::{ops, InferCtx, Tensor};
+use restructure_timing::nn::InferCtx;
 use restructure_timing::prelude::*;
 
 /// Median wall-clock seconds over `reps` runs of `f`.
@@ -28,18 +26,6 @@ fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-fn assert_tensor_bits_eq(what: &str, a: &Tensor, b: &Tensor) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shapes differ");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "{what}: element {i} differs: {x:?} (0x{:08x}) vs {y:?} (0x{:08x})",
-            x.to_bits(),
-            y.to_bits()
-        );
-    }
 }
 
 /// The perfsuite's 2000-cell design under the small (paper-ish) config.
@@ -86,72 +72,5 @@ fn batched_inference_beats_single_endpoint() {
         batched_eps >= single_eps,
         "batched serving ({batched_eps:.0} ep/s) slower than per-endpoint calls \
          ({single_eps:.0} ep/s)"
-    );
-}
-
-/// The branch-free CSR segment kernels and the flat gather must land on
-/// exactly the bits of the legacy per-row ops they replaced.
-#[test]
-#[ignore = "nightly micro-bench; run explicitly with -- --ignored"]
-fn csr_kernels_match_legacy_segment_ops() {
-    // Deterministic pseudo-random rows from a splitmix-style generator, so
-    // the comparison needs no RNG dependency and never flakes.
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-    };
-    let (rows, d, groups) = (20_000usize, 32usize, 3_000usize);
-    let src = Tensor::from_vec(&[rows, d], (0..rows * d).map(|_| next()).collect());
-
-    // Ascending segment ids with uneven runs; odd ids stay empty so both
-    // kernels exercise their empty-segment (zero-fill) rule.
-    let num_segments = groups * 2;
-    let seg: Vec<u32> = (0..rows).map(|i| (i * groups / rows) as u32 * 2).collect();
-    let mut seg_off = vec![0u32; num_segments + 1];
-    for &s in &seg {
-        seg_off[s as usize + 1] += 1;
-    }
-    for i in 0..num_segments {
-        seg_off[i + 1] += seg_off[i];
-    }
-
-    let reps = 9;
-    let mut legacy = Tensor::default();
-    let mut csr = Tensor::default();
-    let mut argmax: Vec<i64> = Vec::new();
-
-    let max_legacy_s =
-        time_median(reps, || ops::segment_max(&src, &seg, num_segments, &mut legacy, &mut argmax));
-    let max_csr_s = time_median(reps, || ops::segment_max_csr(&src, &seg_off, &mut csr));
-    assert_tensor_bits_eq("segment_max", &legacy, &csr);
-    eprintln!(
-        "segment_max [{rows}x{d}] -> {num_segments}: legacy {:.3}ms, csr {:.3}ms ({:.2}x)",
-        max_legacy_s * 1e3,
-        max_csr_s * 1e3,
-        max_legacy_s / max_csr_s.max(1e-12)
-    );
-
-    let sum_legacy_s =
-        time_median(reps, || ops::segment_sum(&src, &seg, num_segments, &mut legacy));
-    let sum_csr_s = time_median(reps, || ops::segment_sum_csr(&src, &seg_off, &mut csr));
-    assert_tensor_bits_eq("segment_sum", &legacy, &csr);
-    eprintln!(
-        "segment_sum [{rows}x{d}] -> {num_segments}: legacy {:.3}ms, csr {:.3}ms ({:.2}x)",
-        sum_legacy_s * 1e3,
-        sum_csr_s * 1e3,
-        sum_legacy_s / sum_csr_s.max(1e-12)
-    );
-
-    // Strided gather touching the whole matrix out of order.
-    let idx: Vec<u32> = (0..rows).map(|i| ((i * 7919) % rows) as u32).collect();
-    let gather_legacy_s = time_median(reps, || ops::gather_rows(&src, &idx, &mut legacy));
-    let gather_flat_s = time_median(reps, || ops::gather_rows_flat(&src, &idx, &mut csr));
-    assert_tensor_bits_eq("gather_rows", &legacy, &csr);
-    eprintln!(
-        "gather_rows [{rows}x{d}]: legacy {:.3}ms, flat {:.3}ms ({:.2}x)",
-        gather_legacy_s * 1e3,
-        gather_flat_s * 1e3,
-        gather_legacy_s / gather_flat_s.max(1e-12)
     );
 }

@@ -346,3 +346,59 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
     let text = String::from_utf8(body).expect("utf-8 stats");
     assert!(text.contains("\"transform_abort\":1"), "stats must count the injected abort: {text}");
 }
+
+/// A handler that outlives the request deadline has already committed its
+/// effect, so its reply must still go out: a `/load` whose prepare takes
+/// longer than `deadline_ms` answers 200, and the design then serves
+/// `/predict`.
+#[test]
+fn load_outlasting_the_deadline_still_answers() {
+    use restructure_timing::netlist::parse_verilog;
+    use restructure_timing::place::parse_placement;
+    use std::time::Instant;
+
+    let lib = CellLibrary::asap7_like();
+    let design = GenParams::new("slow", 1500, 17).generate(&lib);
+    let pl = place(&design.netlist, &lib, 0, &PlaceConfig::default());
+    let verilog = write_verilog(&design.netlist, &lib);
+    let placement = write_placement(&design.netlist, &pl);
+    let mut body = verilog.clone().into_bytes();
+    body.extend_from_slice(placement.as_bytes());
+    let cfg = ModelConfig::tiny();
+    let model = TimingModel::new(cfg.clone());
+
+    // Time the work `/load` does, in this build profile, and give the
+    // daemon a deadline a quarter of it: reading the request fits, the
+    // handler does not.
+    let t0 = Instant::now();
+    let nl = parse_verilog(&verilog, &lib).expect("round-trip");
+    let pl = parse_placement(&nl, &placement).expect("round-trip");
+    let graph = TimingGraph::build(&nl, &lib);
+    let prep = prepared(&lib, &nl, &pl, &graph, &cfg);
+    let deadline_ms = (t0.elapsed().as_millis() as u64 / 4).max(1);
+
+    let serve_cfg = ServeConfig { deadline_ms, ..ServeConfig::default() };
+    let server = Server::start(serve_cfg, model.clone(), vec![]).expect("daemon starts");
+    let load = post("/load?name=slow", &format!("X-Netlist-Bytes: {}\r\n", verilog.len()), &body);
+    // 503/408 mean the deadline ran out before the handler started (a
+    // stalled scheduler), which is not the case under test: try again.
+    let mut outcome = None;
+    for _ in 0..5 {
+        let t = Instant::now();
+        let (status, reply) = http(server.addr(), &load);
+        if status != 503 && status != 408 {
+            outcome = Some((status, reply, t.elapsed().as_millis() as u64));
+            break;
+        }
+    }
+    let (status, reply, took_ms) = outcome.expect("the request reached the handler");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    assert!(took_ms > deadline_ms, "the load ({took_ms} ms) must outlast the deadline");
+
+    let ctx = restructure_timing::nn::InferCtx::new();
+    let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
+    let expect = bits_of(&model.predict_batch(&ctx, &prep, &all));
+    let (status, reply) = http(server.addr(), &post("/predict", "", b"design=slow\n"));
+    assert_eq!(status, 200);
+    assert_eq!(predict_bits(&reply).1, expect, "the loaded design serves predictions");
+}
