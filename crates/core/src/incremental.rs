@@ -8,7 +8,10 @@
 //! copies every clean row straight out of the cache — bit-identical to a
 //! full pass, at cone-proportional cost. On success the cache *rebases*
 //! to the just-predicted design, so an optimizer inner loop only ever
-//! pays for the cone of its latest transform.
+//! pays for the cone of its latest transform. A caller that knows the
+//! design has not changed since the last refresh reads through
+//! [`crate::TimingModel::predict_cached`] instead, which skips the
+//! refresh and runs only the per-endpoint readout tail.
 //!
 //! Row matching across designs is keyed by [`PinId`] (stable under the
 //! tombstoning edits of `rtt_netlist`), never by flat row number. The
@@ -41,7 +44,8 @@ pub const ROWS_TOTAL_COUNTER: &str = "core::incremental_rows_total";
 /// per-endpoint tail cache instead of recomputed.
 pub const EPS_REUSED_COUNTER: &str = "core::incremental_eps_reused";
 /// Observability counter: endpoint predictions requested from
-/// [`crate::TimingModel::predict_incremental`].
+/// [`crate::TimingModel::predict_incremental`] and
+/// [`crate::TimingModel::predict_cached`].
 pub const EPS_TOTAL_COUNTER: &str = "core::incremental_eps_total";
 
 /// Node-kind tag per flat row (cell / net / source), used to detect kind
@@ -211,10 +215,11 @@ impl IncrementalCtx {
             None => {
                 self.ep.clear();
                 gnn.forward_flat(store, schedule, &design.feats, aggregation, bufs);
-                let mut flat = Tensor::default();
-                flat.copy_from(&bufs[0]);
+                // Move the output out of the scratch slot rather than copy
+                // it: the cache owns the one whole-design matrix, and the
+                // caller's arena does not stay sized to it.
                 self.cache = Some(BaseCache {
-                    flat,
+                    flat: std::mem::take(&mut bufs[0]),
                     spare: Tensor::default(),
                     row_of_pin: std::mem::take(&mut self.row_of_pin_new),
                     row_kind: new_kind,

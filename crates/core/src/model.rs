@@ -304,11 +304,9 @@ impl TimingModel {
             return Vec::new();
         }
         // Scratch layout: the GNN's buffers, then CNN ping-pong (2) +
-        // global map, endpoint rows, dense masks, layout embedding, fused
-        // features, regressor ping-pong (2), predictions.
-        const REST: usize = 10;
+        // global map, then the tail's.
         let mut out = Vec::with_capacity(indices.len());
-        ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + REST, |bufs, argmax, col| {
+        ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + 3 + Self::TAIL_SCRATCH, |bufs, argmax, col| {
             let (gbufs, rest) = bufs.split_at_mut(NetlistGnn::FLAT_SCRATCH);
             let (cnn_bufs, tail_bufs) = rest.split_at_mut(3);
             if let Some(gnn) = &self.gnn {
@@ -339,13 +337,9 @@ impl TimingModel {
     /// features, node kind, or existence changed — those are detected
     /// internally). A cold `inc` runs one full pass. On return the cache
     /// has rebased onto `design`, so a transform sequence only ever pays
-    /// for its latest step's cone. The per-endpoint readout tail runs
-    /// only for endpoints whose inputs changed — an endpoint whose flat
-    /// row survived the refresh untouched, whose mask bins are unchanged
-    /// and whose global map came from the cache is served its cached
-    /// prediction, which is the same bits recomputation would produce.
-    /// Outputs are therefore bit-identical to [`Self::predict_batch`]
-    /// on the same design and indices.
+    /// for its latest step's cone. The readout tail then runs as in
+    /// [`Self::predict_cached`], so outputs are bit-identical to
+    /// [`Self::predict_batch`] on the same design and indices.
     ///
     /// Caller contract:
     /// * `dirty_pins` must cover every pin whose *gather topology*
@@ -373,11 +367,8 @@ impl TimingModel {
         let Some(gnn) = &self.gnn else {
             return self.predict_batch(ctx, design, indices);
         };
-        const TAIL: usize = 7;
-        let mut out = Vec::with_capacity(indices.len());
-        ctx.with_scratch(NetlistGnn::INC_SCRATCH + 3 + TAIL, |bufs, argmax, col| {
-            let (gbufs, rest) = bufs.split_at_mut(NetlistGnn::INC_SCRATCH);
-            let (cnn_bufs, tail_bufs) = rest.split_at_mut(3);
+        ctx.with_scratch(NetlistGnn::INC_SCRATCH + 3, |bufs, argmax, col| {
+            let (gbufs, cnn_bufs) = bufs.split_at_mut(NetlistGnn::INC_SCRATCH);
             // The cache refreshes even for an empty index set, so a
             // caller draining queued transforms can always hand the
             // seeds over exactly once.
@@ -391,52 +382,113 @@ impl TimingModel {
                     inc.set_gmap(&design.maps, gmap);
                 }
             }
-            if indices.is_empty() {
-                return;
-            }
-            // Split the request into cache hits (tail inputs bit-equal
-            // to the run that produced the entry) and endpoints that
-            // must recompute; scatter both into the caller's order.
-            let pins = design.schedule.flat_row_pins();
-            let ep_rows = design.schedule.flat_endpoint_rows();
-            let masked = self.cnn.is_some() && self.config.masking;
-            out.resize(indices.len(), 0.0);
-            let mut todo: Vec<u32> = Vec::new();
-            let mut todo_pos: Vec<usize> = Vec::new();
-            for (k, &i) in indices.iter().enumerate() {
-                let pin = pins[ep_rows[i as usize] as usize];
-                let hit = inc.ep_get(pin).filter(|e| !masked || e.mask == design.masks[i as usize]);
-                match hit {
-                    Some(e) => out[k] = e.val,
-                    None => {
-                        todo.push(i);
-                        todo_pos.push(k);
-                    }
+        });
+        self.read_cache(ctx, inc, design, indices)
+    }
+
+    /// Tail-only read over the activations cached in `inc`: the GNN and
+    /// the CNN global map do not run, only the per-endpoint readout
+    /// (endpoint-row gather, masked layout embedding, fusion, regressor)
+    /// for endpoints the tail cache does not already hold. A cold `inc`
+    /// first runs one full pass, exactly as [`Self::predict_incremental`]
+    /// would. Outputs are bit-identical to [`Self::predict_batch`] on the
+    /// same design and indices.
+    ///
+    /// Caller contract: a warm `inc` must have been last refreshed (by
+    /// [`Self::predict_incremental`] or this method) on `design` itself,
+    /// under the current weights. Nothing here compares the design with
+    /// the cache — that comparison is the refresh this method skips — so
+    /// after any change to the design, refresh instead.
+    ///
+    /// CNN-only variants have no per-node state to cache and simply
+    /// forward to [`Self::predict_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    // rtt-lint: entry
+    pub fn predict_cached(
+        &self,
+        ctx: &InferCtx,
+        inc: &mut IncrementalCtx,
+        design: &PreparedDesign,
+        indices: &[u32],
+    ) -> Vec<f32> {
+        // Warm means both branches' activations are cached; CNN-only
+        // models never warm the context.
+        if !inc.is_warm() || (self.cnn.is_some() && inc.gmap().is_none()) {
+            return self.predict_incremental(ctx, inc, design, &[], indices);
+        }
+        let obs = rtt_obs::span("core::predict_cached");
+        obs.add("endpoints", indices.len() as u64);
+        self.read_cache(ctx, inc, design, indices)
+    }
+
+    /// The readout tail over a refreshed `inc`. An endpoint whose flat row
+    /// survived the last refresh untouched, whose mask bins are unchanged
+    /// and whose global map came from the cache is served its cached
+    /// prediction, which is the same bits recomputation would produce;
+    /// the rest run [`Self::predict_tail`] and are cached.
+    fn read_cache(
+        &self,
+        ctx: &InferCtx,
+        inc: &mut IncrementalCtx,
+        design: &PreparedDesign,
+        indices: &[u32],
+    ) -> Vec<f32> {
+        if indices.is_empty() {
+            return Vec::new();
+        }
+        // Split the request into cache hits (tail inputs bit-equal to the
+        // run that produced the entry) and endpoints that must recompute;
+        // scatter both into the caller's order.
+        let pins = design.schedule.flat_row_pins();
+        let ep_rows = design.schedule.flat_endpoint_rows();
+        let masked = self.cnn.is_some() && self.config.masking;
+        let mut out = vec![0.0; indices.len()];
+        let mut todo: Vec<u32> = Vec::new();
+        let mut todo_pos: Vec<usize> = Vec::new();
+        for (k, &i) in indices.iter().enumerate() {
+            let pin = pins[ep_rows[i as usize] as usize];
+            let hit = inc.ep_get(pin).filter(|e| !masked || e.mask == design.masks[i as usize]);
+            match hit {
+                Some(e) => out[k] = e.val,
+                None => {
+                    todo.push(i);
+                    todo_pos.push(k);
                 }
             }
-            rtt_obs::add_many(&[
-                (crate::EPS_REUSED_COUNTER, (indices.len() - todo.len()) as u64),
-                (crate::EPS_TOTAL_COUNTER, indices.len() as u64),
-            ]);
-            if todo.is_empty() {
-                return;
-            }
-            let mut fresh = Vec::with_capacity(todo.len());
-            self.predict_tail(design, &todo, inc.flat(), inc.gmap(), tail_bufs, &mut fresh);
-            for ((&v, &k), &i) in fresh.iter().zip(&todo_pos).zip(&todo) {
-                out[k] = v;
-                let pin = pins[ep_rows[i as usize] as usize];
-                let mask: &[u32] = if masked { &design.masks[i as usize] } else { &[] };
-                inc.ep_put(pin, v, mask);
-            }
+        }
+        rtt_obs::add_many(&[
+            (crate::EPS_REUSED_COUNTER, (indices.len() - todo.len()) as u64),
+            (crate::EPS_TOTAL_COUNTER, indices.len() as u64),
+        ]);
+        if todo.is_empty() {
+            return out;
+        }
+        let mut fresh = Vec::with_capacity(todo.len());
+        ctx.with_scratch(Self::TAIL_SCRATCH, |bufs, _, _| {
+            self.predict_tail(design, &todo, inc.flat(), inc.gmap(), bufs, &mut fresh);
         });
+        for ((&v, &k), &i) in fresh.iter().zip(&todo_pos).zip(&todo) {
+            out[k] = v;
+            let pin = pins[ep_rows[i as usize] as usize];
+            let mask: &[u32] = if masked { &design.masks[i as usize] } else { &[] };
+            inc.ep_put(pin, v, mask);
+        }
         out
     }
 
+    /// Scratch tensors [`Self::predict_tail`] consumes: endpoint rows,
+    /// dense masks, layout embedding, fused features, regressor
+    /// ping-pong (2), predictions.
+    const TAIL_SCRATCH: usize = 7;
+
     /// The shared per-endpoint readout tail of [`Self::predict_batch`]
-    /// and [`Self::predict_incremental`]: endpoint-row gather + readout
-    /// rescale, masked layout embedding, fusion, and the regressor, in
-    /// [`Self::PREDICT_CHUNK`]-row chunks. Both entry points run this
+    /// and the cached reads ([`Self::predict_incremental`],
+    /// [`Self::predict_cached`]): endpoint-row gather + readout rescale,
+    /// masked layout embedding, fusion, and the regressor, in
+    /// [`Self::PREDICT_CHUNK`]-row chunks. Every entry point runs this
     /// exact code, which is what makes their outputs bit-comparable.
     ///
     /// `flat` must be present iff the GNN branch is active, `gmap` iff
@@ -497,14 +549,6 @@ impl TimingModel {
                     .map(|p| self.decode_target(p * self.target_std + self.target_mean)),
             );
         }
-    }
-
-    /// Multi-design serving entry point: scores every design (all
-    /// endpoints) through one shared context, so the arena and scratch
-    /// buffers warm up on the first design and are reused for the rest.
-    // rtt-lint: entry
-    pub fn predict_many(&self, ctx: &InferCtx, designs: &[&PreparedDesign]) -> Vec<Vec<f32>> {
-        designs.iter().map(|d| self.predict_with(ctx, d)).collect()
     }
 
     /// Endpoints per forward pass in [`Self::predict`] /

@@ -4,7 +4,10 @@
 //! The library path ([`rtt_core::TimingModel::predict_batch`] on a
 //! recycled [`rtt_nn::InferCtx`] arena) answers ~100k endpoints/sec on
 //! one core; this crate puts a process boundary around it without giving
-//! up that arithmetic or its bit-identity contract. Everything is built
+//! up that arithmetic or its bit-identity contract. Each design keeps its
+//! activations cached between requests
+//! ([`rtt_core::TimingModel::predict_cached`]), so a read of an unchanged
+//! design runs only the per-endpoint readout tail. Everything is built
 //! on `std::net` — no async runtime, no HTTP dependency — in the same
 //! spirit as `crates/lint`'s hand-rolled lexer:
 //!

@@ -10,7 +10,10 @@
 //!   fixed-cost path that keeps memory bounded under any arrival rate.
 //! * Each **worker** owns one recycled [`InferCtx`] arena for its whole
 //!   lifetime, so steady-state `/predict` traffic allocates nothing in
-//!   the model. Worker bodies run under `catch_unwind`: a panic is
+//!   the model. A read of an unchanged design runs only the readout tail
+//!   over the design's activation cache, so that arena stays tail-sized;
+//!   a cold cache refresh (one whole-design pass) runs on a short-lived
+//!   arena instead. Worker bodies run under `catch_unwind`: a panic is
 //!   counted on `/stats` and the worker keeps serving (`/stats` reading
 //!   zero `worker_panics` after a chaos run is the real assertion).
 //! * **Shutdown** is: stop flag → self-connect to unblock `accept` →
@@ -42,7 +45,7 @@ use crate::fault::{FaultMode, FaultPlan};
 use crate::http::{parse_request, HttpError, Limits, ParseStatus, Request, Response};
 use crate::now;
 use crate::queue::Queue;
-use crate::reload::ModelSwap;
+use crate::reload::{ModelState, ModelSwap};
 use crate::stats::{Stats, StatsSnapshot};
 
 /// Daemon configuration. `Default` binds an ephemeral localhost port
@@ -111,8 +114,8 @@ struct Conn {
 /// `sources` (the live netlist + placement) are retained only for designs
 /// registered through `/load`; designs seeded at boot arrive already
 /// prepared and cannot be transformed. `pending` accumulates the dirty
-/// seed pins of every `/transform` since the last incremental `/predict`;
-/// the union-of-seeds rule makes handing them over in one batch sound.
+/// seed pins of every `/transform` since the last cache refresh; the
+/// union-of-seeds rule makes handing them over in one batch sound.
 /// `model_generation` records which model generation the activation cache
 /// was computed under — a `/reload` between predicts invalidates it.
 struct DesignEntry {
@@ -127,6 +130,11 @@ struct DesignEntry {
     pending: Vec<PinId>,
     design_generation: u64,
     model_generation: u64,
+    /// The design generation `inc` was last refreshed at; `None` while
+    /// cold. `prep` only ever changes in `/transform`'s publish block,
+    /// which bumps `design_generation`, so a matching stamp means the
+    /// cache was refreshed on exactly the `prep` being served.
+    cached_at: Option<u64>,
 }
 
 impl DesignEntry {
@@ -139,7 +147,49 @@ impl DesignEntry {
             pending: Vec::new(),
             design_generation: 1,
             model_generation: 0,
+            cached_at: None,
         }
+    }
+
+    /// Predicts `indices` of `prep`, this entry's current preparation,
+    /// through the activation cache: tail-only when the cache is current
+    /// (same model generation, stamped at the current design generation,
+    /// no pending seeds), otherwise after a refresh.
+    fn predict(
+        &mut self,
+        shared: &Shared,
+        state: &ModelState,
+        ctx: &InferCtx,
+        prep: &PreparedDesign,
+        indices: &[u32],
+    ) -> Vec<f32> {
+        if self.model_generation != state.generation {
+            self.inc.reset();
+            self.cached_at = None;
+            self.model_generation = state.generation;
+        }
+        if self.cached_at == Some(self.design_generation) && self.pending.is_empty() {
+            shared.stats.record_cache_hit();
+            return state.model.predict_cached(ctx, &mut self.inc, prep, indices);
+        }
+        // The cache is taken out for the refresh, as `/transform` takes
+        // `pctx`: a refresh that unwinds leaves the entry cold and
+        // unstamped, never stamped over a half-refreshed cache whose
+        // seeds were already drained.
+        self.cached_at = None;
+        let mut inc = std::mem::take(&mut self.inc);
+        let seeds = std::mem::take(&mut self.pending);
+        // A cold refresh is a whole-design pass; its scratch goes with a
+        // short-lived arena, so no worker arena stays sized to one.
+        let preds = if inc.is_warm() {
+            state.model.predict_incremental(ctx, &mut inc, prep, &seeds, indices)
+        } else {
+            state.model.predict_incremental(&InferCtx::new(), &mut inc, prep, &seeds, indices)
+        };
+        self.inc = inc;
+        self.cached_at = Some(self.design_generation);
+        shared.stats.record_cache_refresh();
+        preds
     }
 }
 
@@ -526,25 +576,31 @@ fn resolve_design(
 }
 
 /// `POST /predict` — body lines `design=NAME` (optional when exactly one
-/// design is registered), `indices=0,5,9` (optional; defaults to all
-/// endpoints), and `mode=full|incremental` (optional; default `full`).
-/// Answers `n=COUNT` then one arrival per line, printed with Rust's
-/// shortest-round-trip float formatting so clients recover the f32 bits
-/// exactly.
+/// design is registered) and `indices=0,5,9` (optional; defaults to all
+/// endpoints). Answers `n=COUNT`, `generation=G` (the model generation),
+/// then one arrival per line, printed with Rust's shortest-round-trip
+/// float formatting so clients recover the f32 bits exactly. A
+/// `mode=full` or `mode=incremental` line, which selected between two
+/// paths in earlier releases, is accepted and ignored; any other mode is
+/// a `400`.
 ///
-/// `mode=incremental` routes through the design's [`IncrementalCtx`]:
-/// pending `/transform` dirty seeds are handed to the model, which
-/// recomputes only the dirtied fan-out cones and reuses the cached
-/// activations elsewhere — bit-identical to `mode=full` by construction.
-/// The cache is keyed to the model generation; a `/reload` in between
-/// resets it rather than mixing activations from two models.
+/// Every read goes through the design's [`IncrementalCtx`] under the
+/// entry lock, which serializes the cache's users. The entry stamps the
+/// cache with the design generation it was last refreshed at. A read of
+/// a design unchanged since then runs only the readout tail
+/// ([`TimingModel::predict_cached`]); any other read refreshes first
+/// ([`TimingModel::predict_incremental`]), handing over the pending
+/// `/transform` dirty seeds — a cold full pass after `/load` or a
+/// `/reload` (the cache is keyed to the model generation), a dirty-cone
+/// pass after a `/transform`. Either way the answer is bit-identical to
+/// [`TimingModel::predict_batch`]. `/stats` counts both kinds of read
+/// (`predict_cache_hits`, `predict_cache_refreshes`).
 fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body must be utf-8\n");
     };
     let mut design_name: Option<&str> = None;
     let mut indices_spec: Option<&str> = None;
-    let mut incremental = false;
     for line in body.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -553,8 +609,7 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
         match line.split_once('=') {
             Some(("design", v)) => design_name = Some(v),
             Some(("indices", v)) => indices_spec = Some(v),
-            Some(("mode", "full")) => incremental = false,
-            Some(("mode", "incremental")) => incremental = true,
+            Some(("mode", "full" | "incremental")) => {}
             Some(("mode", v)) => return Response::text(400, format!("unknown mode: {v}\n")),
             _ => return Response::text(400, format!("unrecognized body line: {line}\n")),
         }
@@ -564,48 +619,33 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
         Ok(entry) => entry,
         Err(resp) => return resp,
     };
-    let design = entry.lock().unwrap_or_else(PoisonError::into_inner).prep.clone();
-
-    let n = design.num_endpoints() as u32;
-    let indices: Vec<u32> = match indices_spec {
-        None => (0..n).collect(),
+    let requested: Option<Vec<u32>> = match indices_spec {
+        None => None,
         Some(spec) => {
             let mut out = Vec::new();
             for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
                 let Ok(i) = tok.parse::<u32>() else {
                     return Response::text(400, format!("bad index: {tok}\n"));
                 };
-                if i >= n {
-                    return Response::text(422, format!("index {i} out of range (n={n})\n"));
-                }
                 out.push(i);
             }
-            out
+            Some(out)
         }
     };
 
     let state = shared.swap.current();
     let t0 = now();
-    let preds = if incremental {
-        // The entry stays locked for the whole incremental predict: the
-        // activation cache is per-design mutable state, and serializing
-        // its users is what keeps "cache + pending seeds" consistent.
+    let preds = {
         let mut entry = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        if entry.model_generation != state.generation {
-            entry.inc.reset();
-            entry.model_generation = state.generation;
-        }
+        // Indices are checked against the preparation this read serves,
+        // taken under the same lock as the cache stamp.
         let prep = Arc::clone(&entry.prep);
-        // A racing /transform may have republished since the indices were
-        // validated; re-check against the prep actually being served.
-        let n_now = prep.num_endpoints() as u32;
-        if let Some(&i) = indices.iter().find(|&&i| i >= n_now) {
-            return Response::text(422, format!("index {i} out of range (n={n_now})\n"));
+        let n = prep.num_endpoints() as u32;
+        let indices = requested.unwrap_or_else(|| (0..n).collect());
+        if let Some(&i) = indices.iter().find(|&&i| i >= n) {
+            return Response::text(422, format!("index {i} out of range (n={n})\n"));
         }
-        let seeds = std::mem::take(&mut entry.pending);
-        state.model.predict_incremental(ctx, &mut entry.inc, &prep, &seeds, &indices)
-    } else {
-        state.model.predict_batch(ctx, &design, &indices)
+        entry.predict(shared, &state, ctx, &prep, &indices)
     };
     let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
     shared.stats.record_predict(latency_ms, preds.len());
@@ -645,10 +685,11 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
 /// the timing-graph rebuild, and feature preparation — has succeeded.
 /// Any failure (including an injected [`FaultMode::TransformAbort`])
 /// leaves the design, its generation, its pending dirty seeds, and its
-/// activation cache exactly as they were: a client that retries or falls
-/// back to `mode=full` observes no torn state. On success the response is
-/// `generation=G` (the bumped design generation) and `dirty=N` (dirty
-/// seed pins queued for the next incremental `/predict`).
+/// activation cache and stamp exactly as they were: a client that
+/// retries observes no torn state, and a current cache stays current. On
+/// success the response is `generation=G` (the bumped design generation,
+/// which makes the next `/predict` refresh the cache even when no seeds
+/// are queued) and `dirty=N` (dirty seed pins queued for that refresh).
 fn transform(shared: &Shared, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body must be utf-8\n");
@@ -895,6 +936,7 @@ fn load_design(shared: &Shared, req: &Request) -> Response {
         pending: Vec::new(),
         design_generation: 1,
         model_generation: 0,
+        cached_at: None,
     };
     shared
         .designs

@@ -28,6 +28,8 @@ pub struct Stats {
     reloads_ok: AtomicU64,
     reloads_failed: AtomicU64,
     endpoints_predicted: AtomicU64,
+    predict_cache_hits: AtomicU64,
+    predict_cache_refreshes: AtomicU64,
     latencies_ms: Ring,
     arena_bytes: Vec<AtomicU64>,
     last_reload_error: Mutex<Option<String>>,
@@ -50,6 +52,8 @@ impl Stats {
             reloads_ok: AtomicU64::new(0),
             reloads_failed: AtomicU64::new(0),
             endpoints_predicted: AtomicU64::new(0),
+            predict_cache_hits: AtomicU64::new(0),
+            predict_cache_refreshes: AtomicU64::new(0),
             latencies_ms: Ring::new(latency_window.max(1)),
             arena_bytes: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             last_reload_error: Mutex::new(None),
@@ -119,6 +123,18 @@ impl Stats {
         self.endpoints_predicted.fetch_add(endpoints as u64, Ordering::Relaxed);
     }
 
+    /// A `/predict` served from a current activation cache: only the
+    /// readout tail ran.
+    pub fn record_cache_hit(&self) {
+        self.predict_cache_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A `/predict` that refreshed its design's activation cache first
+    /// (cold after a load or reload, dirty-cone after a transform).
+    pub fn record_cache_refresh(&self) {
+        self.predict_cache_refreshes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Publishes worker `w`'s current `InferCtx` arena footprint.
     pub fn set_arena_bytes(&self, worker: usize, bytes: u64) {
         if let Some(slot) = self.arena_bytes.get(worker) {
@@ -141,6 +157,8 @@ impl Stats {
             reloads_ok: self.reloads_ok.load(Ordering::Relaxed),
             reloads_failed: self.reloads_failed.load(Ordering::Relaxed),
             endpoints_predicted: self.endpoints_predicted.load(Ordering::Relaxed),
+            predict_cache_hits: self.predict_cache_hits.load(Ordering::Relaxed),
+            predict_cache_refreshes: self.predict_cache_refreshes.load(Ordering::Relaxed),
             latency_p50_ms: self.latencies_ms.quantile(0.5),
             latency_p99_ms: self.latencies_ms.quantile(0.99),
             latency_max_ms: self.latencies_ms.max(),
@@ -170,6 +188,8 @@ pub struct StatsSnapshot {
     pub reloads_ok: u64,
     pub reloads_failed: u64,
     pub endpoints_predicted: u64,
+    pub predict_cache_hits: u64,
+    pub predict_cache_refreshes: u64,
     pub latency_p50_ms: Option<f64>,
     pub latency_p99_ms: Option<f64>,
     pub latency_max_ms: Option<f64>,
@@ -182,7 +202,7 @@ impl StatsSnapshot {
     /// object under construction, so the server can splice in its own
     /// fields (generation, queue depth, fault counts) alongside.
     pub fn write_json_members(&self, out: &mut String) {
-        let uints: [(&str, u64); 12] = [
+        let uints: [(&str, u64); 14] = [
             ("accepted", self.accepted),
             ("requests", self.requests),
             ("responses_2xx", self.responses_2xx),
@@ -195,6 +215,8 @@ impl StatsSnapshot {
             ("reloads_ok", self.reloads_ok),
             ("reloads_failed", self.reloads_failed),
             ("endpoints_predicted", self.endpoints_predicted),
+            ("predict_cache_hits", self.predict_cache_hits),
+            ("predict_cache_refreshes", self.predict_cache_refreshes),
         ];
         for (key, value) in uints {
             out.push('"');
@@ -248,6 +270,9 @@ mod tests {
         stats.record_response(503);
         stats.record_predict(1.5, 32);
         stats.record_predict(2.5, 32);
+        stats.record_cache_refresh();
+        stats.record_cache_hit();
+        stats.record_cache_hit();
         stats.set_arena_bytes(1, 4096);
         stats.record_reload(Err("checksum \"mismatch\"".to_owned()));
 
@@ -261,6 +286,8 @@ mod tests {
         assert_eq!(doc.get("responses_5xx"), Some(&Value::Num("1".into())));
         assert_eq!(doc.get("endpoints_predicted"), Some(&Value::Num("64".into())));
         assert_eq!(doc.get("reloads_failed"), Some(&Value::Num("1".into())));
+        assert_eq!(doc.get("predict_cache_hits"), Some(&Value::Num("2".into())));
+        assert_eq!(doc.get("predict_cache_refreshes"), Some(&Value::Num("1".into())));
         assert_eq!(
             doc.get("last_reload_error"),
             Some(&Value::Str("checksum \"mismatch\"".into())),

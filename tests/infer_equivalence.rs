@@ -7,8 +7,9 @@
 //! agree to the bit — for every model variant, at tiny and small model
 //! scales, and for any thread count. The batched entry points
 //! (`predict_batch` at batch sizes 1, 7, and all endpoints, and
-//! `predict_many`) must land on the same bits as the single-design
-//! `predict` and taped references.
+//! `predict_with` over one shared context) and the cached reads
+//! (`predict_cached` over a primed or a cold `IncrementalCtx`) must land
+//! on the same bits as the single-design `predict` and taped references.
 //!
 //! Thread settings are process-global, so everything runs inside a single
 //! `#[test]` that switches `RTT_THREADS`-equivalent state serially.
@@ -19,6 +20,7 @@ use restructure_timing::baselines::{
     BaselineInputs, GuoConfig, GuoModel, TwoStageKind, TwoStageModel,
 };
 use restructure_timing::flow::{Dataset, DesignData, FlowConfig};
+use restructure_timing::model::IncrementalCtx;
 use restructure_timing::netlist::PinId;
 use restructure_timing::nn::{parallel, InferCtx};
 use restructure_timing::prelude::*;
@@ -78,12 +80,14 @@ fn tape_free_predict_is_bit_identical_to_taped() {
     let mut guo = GuoModel::new(GuoConfig::default());
     guo.train(&[&train_inputs], 2, 2e-3);
 
-    // Our model: every variant at the tiny scale, plus the full model at
-    // the small scale (different widths, grid, and pooling extents).
+    // Our model: every variant at the tiny scale, the unmasked ablation,
+    // plus the full model at the small scale (different widths, grid, and
+    // pooling extents).
     let variants = [
         ("tiny/full", ModelConfig::tiny()),
         ("tiny/gnn-only", ModelConfig::tiny().with_variant(ModelVariant::GnnOnly)),
         ("tiny/cnn-only", ModelConfig::tiny().with_variant(ModelVariant::CnnOnly)),
+        ("tiny/unmasked", ModelConfig { masking: false, ..ModelConfig::tiny() }),
         ("small/full", ModelConfig::small()),
     ];
     let models: Vec<(&str, TimingModel, PreparedDesign)> = variants
@@ -137,14 +141,50 @@ fn tape_free_predict_is_bit_identical_to_taped() {
                 &by_one,
                 &taped,
             );
-            let many = model.predict_many(&ctx, &[prep, prep]);
-            for (k, got) in many.iter().enumerate() {
+            for k in 0..2 {
                 assert_bits_eq(
-                    &format!("{name} predict_many[{k}] @ {threads} threads"),
-                    got,
+                    &format!("{name} predict_with[{k}] @ {threads} threads"),
+                    &model.predict_with(&ctx, prep),
                     &taped,
                 );
             }
+
+            // Cached reads. A cache primed by predict_incremental serves
+            // tail-only reads: the first sweep computes every tail over
+            // the cached activations, the second serves the tail cache.
+            for size in [1, 7, all.len()] {
+                let mut inc = IncrementalCtx::new();
+                model.predict_incremental(&ctx, &mut inc, prep, &[], &[]);
+                for pass in ["tail", "tail cache"] {
+                    let got: Vec<f32> = all
+                        .chunks(size)
+                        .flat_map(|c| model.predict_cached(&ctx, &mut inc, prep, c))
+                        .collect();
+                    assert_bits_eq(
+                        &format!("{name} predict_cached({size}, {pass}) @ {threads} threads"),
+                        &got,
+                        &taped,
+                    );
+                }
+            }
+            let last = all.len() as u32 - 1;
+            let repeated = [last, 0, last, last / 2];
+            let want = model.predict_batch(&ctx, prep, &repeated);
+            let mut inc = IncrementalCtx::new();
+            model.predict_incremental(&ctx, &mut inc, prep, &[], &[]);
+            for pass in ["tail", "tail cache"] {
+                assert_bits_eq(
+                    &format!("{name} predict_cached(repeated, {pass}) @ {threads} threads"),
+                    &model.predict_cached(&ctx, &mut inc, prep, &repeated),
+                    &want,
+                );
+            }
+            // A cold cache runs the full pass first.
+            assert_bits_eq(
+                &format!("{name} predict_cached(cold) @ {threads} threads"),
+                &model.predict_cached(&ctx, &mut IncrementalCtx::new(), prep, &all),
+                &taped,
+            );
 
             this_round.push(infer);
         }

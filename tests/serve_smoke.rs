@@ -347,6 +347,89 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
     assert!(text.contains("\"transform_abort\":1"), "stats must count the injected abort: {text}");
 }
 
+/// `(predict_cache_hits, predict_cache_refreshes)` from `/stats`.
+fn cache_counts(addr: SocketAddr) -> (u64, u64) {
+    use restructure_timing::obs::json::Value;
+    let (status, body) = http(addr, &get("/stats"));
+    assert_eq!(status, 200);
+    let doc = Value::parse(std::str::from_utf8(&body).expect("utf-8")).expect("stats parses");
+    let num = |key: &str| match doc.get(key) {
+        Some(Value::Num(n)) => n.parse::<u64>().expect("integer"),
+        other => panic!("stats[{key}] = {other:?}"),
+    };
+    (num("predict_cache_hits"), num("predict_cache_refreshes"))
+}
+
+/// Reads of a design that has not changed since the last read are served
+/// from its activation cache: the first read after `/load` refreshes it,
+/// later ones run only the readout tail. A rejected `/transform`
+/// publishes nothing, so the cache stays current; a published one makes
+/// the next read refresh even when it queued no dirty seeds. `mode=` no
+/// longer selects a path.
+#[test]
+fn daemon_serves_unchanged_designs_from_the_activation_cache() {
+    let (lib, nl, pl, _) = fixture(6);
+    let cfg = ModelConfig::tiny();
+    let model = TimingModel::new(cfg.clone());
+    let server = Server::start(ServeConfig::default(), model.clone(), vec![])
+        .expect("daemon starts on an ephemeral port");
+    let addr = server.addr();
+    let verilog = write_verilog(&nl, &lib);
+    let placement = write_placement(&nl, &pl);
+    let mut load_body = verilog.clone().into_bytes();
+    load_body.extend_from_slice(placement.as_bytes());
+    let (status, body) = http(
+        addr,
+        &post("/load?name=rca", &format!("X-Netlist-Bytes: {}\r\n", verilog.len()), &load_body),
+    );
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let nl = restructure_timing::netlist::parse_verilog(&verilog, &lib).expect("round-trip");
+    let pl = restructure_timing::place::parse_placement(&nl, &placement).expect("round-trip");
+    let graph = TimingGraph::build(&nl, &lib);
+    let prep = prepared(&lib, &nl, &pl, &graph, &cfg);
+    let ctx = restructure_timing::nn::InferCtx::new();
+    let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
+    let expect = bits_of(&model.predict_batch(&ctx, &prep, &all));
+    let read = || {
+        let (status, body) = http(addr, &post("/predict", "", b"design=rca\n"));
+        assert_eq!(status, 200);
+        predict_bits(&body).1
+    };
+
+    const READS: u64 = 4;
+    for k in 0..READS {
+        assert_eq!(read(), expect, "read {k} must equal predict_batch");
+    }
+    let expect_subset = bits_of(&model.predict_batch(&ctx, &prep, &[3, 1, 3]));
+    let (status, body) = http(addr, &post("/predict", "", b"design=rca\nindices=3,1,3\n"));
+    assert_eq!(status, 200);
+    assert_eq!(predict_bits(&body).1, expect_subset, "subsets read the same cache");
+    assert_eq!(cache_counts(addr), (READS, 1), "one refresh after /load, then hits");
+
+    let (status, body) =
+        http(addr, &post("/transform", "", b"design=rca\nop=resize\ncell=999999\ndrive=1\n"));
+    assert_eq!(status, 422, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(read(), expect);
+    assert_eq!(cache_counts(addr), (READS + 1, 1), "a rejected transform keeps the cache current");
+
+    let (status, body) = http(addr, &post("/transform", "", b"design=rca\nop=prune\n"));
+    assert_eq!(status, 200);
+    assert_eq!(body, b"generation=2\ndirty=0\n", "the fixture has nothing to prune");
+    assert_eq!(read(), expect, "pruning nothing leaves the predictions as they were");
+    assert_eq!(cache_counts(addr), (READS + 1, 2), "a published transform forces a refresh");
+
+    let mut replies = Vec::new();
+    for body in ["design=rca\n", "design=rca\nmode=full\n", "design=rca\nmode=incremental\n"] {
+        let (status, reply) = http(addr, &post("/predict", "", body.as_bytes()));
+        assert_eq!(status, 200);
+        replies.push(reply);
+    }
+    assert_eq!(replies[0], replies[1], "mode=full is ignored");
+    assert_eq!(replies[0], replies[2], "mode=incremental is ignored");
+    let (status, _) = http(addr, &post("/predict", "", b"design=rca\nmode=bogus\n"));
+    assert_eq!(status, 400, "an unknown mode is still refused");
+}
+
 /// A handler that outlives the request deadline has already committed its
 /// effect, so its reply must still go out: a `/load` whose prepare takes
 /// longer than `deadline_ms` answers 200, and the design then serves
