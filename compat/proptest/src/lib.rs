@@ -178,7 +178,6 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::{collection, TestRunner};
 
     proptest! {

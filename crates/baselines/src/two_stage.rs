@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rtt_netlist::{EdgeKind, GateFn, PinDir, PinId};
-use rtt_nn::{mse, Adam, Exec, InferCtx, Mlp, ParamStore, Tape, Tensor};
+use rtt_nn::{mse, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor};
 use rtt_route::{route, RouteConfig};
 use rtt_sta::propagate;
 
@@ -191,12 +191,6 @@ impl TwoStageModel {
         }
     }
 
-    /// Raw regressor outputs for a feature matrix, on any backend.
-    fn stage_values<E: Exec>(&self, ex: E, feats: Tensor) -> Tensor {
-        let x = ex.constant(feats);
-        ex.value(self.mlp.forward(ex, &self.store, x))
-    }
-
     fn decode_stages(
         &self,
         edges: Vec<(PinId, PinId)>,
@@ -237,7 +231,8 @@ impl TwoStageModel {
         inputs: &BaselineInputs<'_>,
     ) -> HashMap<(PinId, PinId), f32> {
         let sf = extract_features(inputs, self.kind);
-        let vals = self.stage_values(&Tape::new(), sf.feats);
+        let tape = Tape::new();
+        let vals = tape.value(self.mlp.forward(&tape, &self.store, tape.constant(sf.feats)));
         self.decode_stages(sf.edges, &vals)
     }
 

@@ -492,7 +492,7 @@ fn main() {
     // tail-cache hit), not the full pass the in-process figure times.
     let serve_clients = 4usize;
     let reqs_per_client = 24usize;
-    let daemon_workers = cores.min(4).max(1);
+    let daemon_workers = cores.clamp(1, 4);
     parallel::set_num_threads(1); // daemon parallelism comes from its worker pool
     let serve_cfg =
         rtt_serve::ServeConfig { workers: daemon_workers, ..rtt_serve::ServeConfig::default() };

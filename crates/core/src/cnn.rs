@@ -50,7 +50,7 @@ impl LayoutCnn {
     /// `out`. `col` is the shared im2col scratch, `argmax` the recycled
     /// maxpool bookkeeping. Bit-identical to [`Self::forward`] (same
     /// kernels in the same order; in-place bias/ReLU produce the same
-    /// values as the copying Exec ops).
+    /// values as the copying tape ops).
     ///
     /// # Panics
     ///
@@ -77,6 +77,7 @@ impl LayoutCnn {
         self.fuse.forward_into(store, b, col, out);
         let n = out.len();
         out.reshape_in_place(&[n]);
+        rtt_nn::sanitize::check_finite("cnn_global_map", out);
     }
 }
 

@@ -384,14 +384,12 @@ impl NetlistGnn {
     /// kernels and values. The level loop is written twice because the
     /// two differ where it matters to each. `forward_flat` works in place
     /// over eight recycled buffers, where the tape must record every
-    /// intermediate as its own node; run through one shared loop, the
-    /// serving arena would keep a slot per op per level. And
-    /// `forward_flat` hoists the static `f_c2` / `f_n` products over the
-    /// whole design, where this loop runs them per level group, injecting
-    /// their weights once per group as the per-level path did: hoisting
-    /// is row-wise exact in the forward pass but would change the
-    /// gradients those weights receive, which trained results are pinned
-    /// to.
+    /// intermediate as its own node. And `forward_flat` hoists the static
+    /// `f_c2` / `f_n` products over the whole design, where this loop
+    /// runs them per level group, injecting their weights once per group
+    /// as the per-level path did: hoisting is row-wise exact in the
+    /// forward pass but would change the gradients those weights receive,
+    /// which trained results are pinned to.
     ///
     /// # Panics
     ///
@@ -462,7 +460,9 @@ impl NetlistGnn {
         flat
     }
 
-    /// Number of scratch tensors [`Self::forward_flat`] consumes.
+    /// Number of scratch tensors [`Self::forward_flat`] consumes (the
+    /// dirty-cone pass shares its layout, so one arena region serves
+    /// both).
     pub const FLAT_SCRATCH: usize = 8;
 
     /// Batched, tape-free levelized forward over the flat plan built by
@@ -493,28 +493,153 @@ impl NetlistGnn {
         bufs: &mut [Tensor],
     ) {
         rtt_obs::span!("core::gnn_forward");
-        let [flat, sc, sn, msgs, agg, ctxv, t0, t1] = bufs else {
-            unreachable!("forward_flat needs exactly {} scratch buffers", Self::FLAT_SCRATCH)
+        let [flat, scratch @ ..] = bufs else {
+            unreachable!("forward_flat needs {} scratch buffers", Self::FLAT_SCRATCH)
         };
         let plan = &schedule.plan;
-        let d = self.f_c1.out_dim();
         if let Some(cs) = &feats.cell_src_flat {
-            self.f_c2.forward_into(store, cs, t0, t1, sc);
-            // Source rows always read out through ReLU; cell rows stay
-            // raw (they join the pre-activation sum with f_c1).
-            for v in &mut sc.data_mut()[plan.total_cell_rows * d..] {
-                *v = v.max(0.0);
-            }
+            self.embed_cell_src(store, cs, plan.total_cell_rows, scratch);
         }
         if let Some(nf) = &feats.net_flat {
-            self.f_n.forward_into(store, nf, t0, t1, sn);
-            if self.residual {
-                // Residual nets add `relu(f_n(feat))` as the increment.
-                ops::relu_in_place(sn);
-            }
+            self.embed_nets(store, nf, scratch);
         }
-        flat.reset_for_overwrite(&[plan.total_rows, d]);
-        for fl in &plan.levels {
+        flat.reset_for_overwrite(&[plan.total_rows, self.f_c1.out_dim()]);
+        self.run_levels(store, &plan.levels, aggregation, flat, scratch);
+        rtt_nn::sanitize::check_finite("gnn_forward_flat", flat);
+    }
+
+    /// Dirty-cone twin of [`Self::forward_flat`]: runs the same level
+    /// loop over the dirty-row sub-plan in `compact` (built by
+    /// [`IncCompact::build`] from the dirty set) and fills every clean row
+    /// by copying its mapped row of `base_flat` (a cached flat matrix for
+    /// a base design whose clean rows are, by the caller's invariants,
+    /// bit-identical to what a full pass over this design would produce).
+    /// `bufs` has the [`Self::FLAT_SCRATCH`] layout; the output goes to
+    /// `flat` instead of `bufs[0]`, which gathers the dirty feature rows.
+    ///
+    /// Caller contract — the dirty set behind `compact` / `map_rows`
+    /// (indexed by this schedule's flat rows) must satisfy:
+    /// * the dirty set is closed under fan-out:
+    ///   [`GnnSchedule::propagate_dirty`] has been run after seeding
+    ///   every row whose static features, node kind, or gather sources
+    ///   changed versus the base design;
+    /// * `compact` was built by [`IncCompact::build`] from that closed
+    ///   dirty set over this schedule's plan;
+    /// * rows without a base mapping are dirty, and `map_rows[r]` is
+    ///   `u32::MAX` exactly on dirty rows.
+    ///
+    /// Bit-identity argument (induction over levels): a clean row's
+    /// inputs are all clean (closure), its static features are
+    /// bit-identical to the base (seeding), so the byte copy of the base
+    /// row equals a recompute. A dirty row is recomputed by the same loop
+    /// as the full pass over the same rows in the same order: the
+    /// compacted `f_c2` / `f_n` products are row-wise exact, and the
+    /// sub-plan's CSR runs scan the same message rows ascending. Nothing
+    /// reads a dirty row before its level writes it, because gathers only
+    /// reference earlier levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bufs.len() != FLAT_SCRATCH` or the inputs disagree with
+    /// `schedule` (row-count mismatch).
+    // rtt-lint: hot
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forward_flat_incremental(
+        &self,
+        store: &ParamStore,
+        schedule: &GnnSchedule,
+        feats: &LevelFeats,
+        aggregation: Aggregation,
+        compact: &IncCompact,
+        map_rows: &[u32],
+        base_flat: &Tensor,
+        flat: &mut Tensor,
+        bufs: &mut [Tensor],
+    ) {
+        rtt_obs::span!("core::gnn_forward_incremental");
+        let [feat_in, scratch @ ..] = bufs else {
+            unreachable!("forward_flat_incremental needs {} scratch buffers", Self::FLAT_SCRATCH)
+        };
+        let plan = &schedule.plan;
+        assert_eq!(map_rows.len(), plan.total_rows, "row map must cover every flat row");
+        assert_eq!(compact.levels.len(), plan.levels.len(), "sub-plan must match schedule");
+        if !compact.cell_src_rows.is_empty() {
+            let Some(cs) = feats.cell_src_flat.as_ref() else {
+                unreachable!("cell/source feats present whenever cell or source rows exist")
+            };
+            ops::gather_rows_flat(cs, &compact.cell_src_rows, feat_in);
+            self.embed_cell_src(store, feat_in, compact.cell_rows, scratch);
+        }
+        if !compact.net_rows.is_empty() {
+            let Some(nf) = feats.net_flat.as_ref() else {
+                unreachable!("net feats present whenever net rows exist")
+            };
+            ops::gather_rows_flat(nf, &compact.net_rows, feat_in);
+            self.embed_nets(store, feat_in, scratch);
+        }
+        // Clean rows: one bulk copy from the base. Dirty rows come back
+        // zeroed and are overwritten by the level loop before anything
+        // gathers them.
+        ops::gather_rows_or_zero(base_flat, map_rows, flat);
+        self.run_levels(store, &compact.levels, aggregation, flat, scratch);
+        rtt_nn::sanitize::check_finite("gnn_forward_flat_incremental", flat);
+    }
+
+    /// The static-embedding prologue of both passes, cell side: `f_c2`
+    /// over cell/source feature rows into `scratch[0]`. Source rows (from
+    /// `cell_rows` on) read out through ReLU; cell rows stay raw, since
+    /// they join the pre-activation sum with `f_c1`.
+    fn embed_cell_src(
+        &self,
+        store: &ParamStore,
+        x: &Tensor,
+        cell_rows: usize,
+        scratch: &mut [Tensor],
+    ) {
+        let [sc, _, _, _, _, t0, t1] = scratch else {
+            unreachable!("level-loop scratch layout mismatch")
+        };
+        self.f_c2.forward_into(store, x, t0, t1, sc);
+        let d = sc.cols();
+        for v in &mut sc.data_mut()[cell_rows * d..] {
+            *v = v.max(0.0);
+        }
+    }
+
+    /// The static-embedding prologue of both passes, net side: `f_n` over
+    /// net feature rows into `scratch[1]`. Residual nets add
+    /// `relu(f_n(feat))` as their increment, so the ReLU is applied here.
+    fn embed_nets(&self, store: &ParamStore, x: &Tensor, scratch: &mut [Tensor]) {
+        let [_, sn, _, _, _, t0, t1] = scratch else {
+            unreachable!("level-loop scratch layout mismatch")
+        };
+        self.f_n.forward_into(store, x, t0, t1, sn);
+        if self.residual {
+            ops::relu_in_place(sn);
+        }
+    }
+
+    /// The one in-place level loop, over the whole plan
+    /// ([`Self::forward_flat`]) or a dirty-row sub-plan
+    /// ([`Self::forward_flat_incremental`]). Per level: cells gather their
+    /// fanin rows from `flat`, reduce each CSR run, add the `f_c2` rows at
+    /// the level's feature offset and scatter back; nets add their `f_n`
+    /// rows to the driver's row; sources copy their ReLU'd `f_c2` rows.
+    /// `scratch` holds the prologue's `f_c2` / `f_n` products in slots 0
+    /// and 1, which the level offsets index.
+    // rtt-lint: hot
+    fn run_levels(
+        &self,
+        store: &ParamStore,
+        levels: &[FlatLevel],
+        aggregation: Aggregation,
+        flat: &mut Tensor,
+        scratch: &mut [Tensor],
+    ) {
+        let [sc, sn, msgs, agg, ctxv, t0, t1] = scratch else {
+            unreachable!("level-loop scratch layout mismatch")
+        };
+        for fl in levels {
             if fl.n_cells > 0 {
                 ops::gather_rows_flat(flat, &fl.cell_gather, msgs);
                 match aggregation {
@@ -550,255 +675,83 @@ impl NetlistGnn {
                 ops::scatter_rows(sc, fl.src_feat_off, &fl.src_dst, flat);
             }
         }
-        rtt_nn::sanitize::check_finite("gnn_forward_flat", flat);
-    }
-
-    /// Number of scratch tensors [`Self::forward_flat_incremental`]
-    /// consumes (same count as [`Self::FLAT_SCRATCH`], so one arena
-    /// region serves both paths).
-    pub(crate) const INC_SCRATCH: usize = 8;
-
-    /// Dirty-cone twin of [`Self::forward_flat`]: recomputes only the
-    /// rows selected by `compact` (an [`IncCompact`] built from the dirty
-    /// set) and fills every clean row by copying its mapped row of
-    /// `base_flat` (a cached flat matrix for a base design whose clean
-    /// rows are, by the caller's invariants, bit-identical to what a full
-    /// pass over this design would produce).
-    ///
-    /// Caller contract — the dirty set behind `compact` / `map_rows`
-    /// (indexed by this schedule's flat rows) must satisfy:
-    /// * the dirty set is closed under fan-out:
-    ///   [`GnnSchedule::propagate_dirty`] has been run after seeding
-    ///   every row whose static features, node kind, or gather sources
-    ///   changed versus the base design;
-    /// * `compact` was built by [`IncCompact::build`] from that closed
-    ///   dirty set over this schedule's plan;
-    /// * rows without a base mapping are dirty, and `map_rows[r]` is
-    ///   `u32::MAX` exactly on dirty rows.
-    ///
-    /// Bit-identity argument (induction over levels): a clean row's
-    /// inputs are all clean (closure), its static features are
-    /// bit-identical to the base (seeding), so the byte copy of the base
-    /// row equals a recompute. A dirty row is recomputed with the same
-    /// kernels as the full pass over the same rows in the same order:
-    /// the compacted `f_c2` / `f_n` products are row-wise exact, the
-    /// compacted CSR segments scan the same message rows ascending, and
-    /// empty segments produce the same zero rows. Nothing reads a dirty
-    /// row before its level writes it, because gathers only reference
-    /// earlier levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bufs.len() != INC_SCRATCH` or the inputs disagree with
-    /// `schedule` (row-count mismatch).
-    // rtt-lint: hot
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_flat_incremental(
-        &self,
-        store: &ParamStore,
-        schedule: &GnnSchedule,
-        feats: &LevelFeats,
-        aggregation: Aggregation,
-        compact: &IncCompact,
-        map_rows: &[u32],
-        base_flat: &Tensor,
-        flat: &mut Tensor,
-        bufs: &mut [Tensor],
-    ) {
-        rtt_obs::span!("core::gnn_forward_incremental");
-        let [feat_in, sc_d, sn_d, msgs, agg, ctxv, t0, t1] = bufs else {
-            unreachable!("forward_flat_incremental needs exactly {} scratch buffers", {
-                Self::INC_SCRATCH
-            })
-        };
-        let plan = &schedule.plan;
-        assert_eq!(map_rows.len(), plan.total_rows, "row map must cover every flat row");
-        assert_eq!(compact.levels.len(), plan.levels.len(), "compacted plan must match schedule");
-        let d = self.f_c1.out_dim();
-        let dirty_cell_rows = compact.dirty_cell_rows;
-
-        // Compacted static embeddings, dirty rows only, in the exact row
-        // order of the full pass (cells level-major, then sources): each
-        // level's dirty rows stay contiguous, so the level loop reads
-        // them back with the same `add_rows_range` / `scatter_rows`
-        // calls as `forward_flat`, just at compacted offsets.
-        if !compact.cell_src_rows.is_empty() {
-            let Some(cs) = feats.cell_src_flat.as_ref() else {
-                unreachable!("cell/source feats present whenever cell or source rows exist")
-            };
-            ops::gather_rows_flat(cs, &compact.cell_src_rows, feat_in);
-            self.f_c2.forward_into(store, feat_in, t0, t1, sc_d);
-            for v in &mut sc_d.data_mut()[dirty_cell_rows * d..] {
-                *v = v.max(0.0);
-            }
-        }
-        if !compact.net_rows.is_empty() {
-            let Some(nf) = feats.net_flat.as_ref() else {
-                unreachable!("net feats present whenever net rows exist")
-            };
-            ops::gather_rows_flat(nf, &compact.net_rows, feat_in);
-            self.f_n.forward_into(store, feat_in, t0, t1, sn_d);
-            if self.residual {
-                ops::relu_in_place(sn_d);
-            }
-        }
-
-        // Clean rows: one bulk copy from the base. Dirty rows come back
-        // zeroed and are overwritten below before anything gathers them.
-        ops::gather_rows_or_zero(base_flat, map_rows, flat);
-
-        // Compacted level sweep: identical kernels over the dirty subset.
-        let (mut c_cur, mut s_cur, mut n_cur) = (0usize, dirty_cell_rows, 0usize);
-        for cl in &compact.levels {
-            if !cl.cdst.is_empty() {
-                if cl.cgat.is_empty() {
-                    // All-empty segments (fanin-less cells): the CSR
-                    // kernels' empty-segment rule produces zero rows.
-                    agg.reset(&[cl.cdst.len(), d], 0.0);
-                } else {
-                    ops::gather_rows_flat(flat, &cl.cgat, msgs);
-                    match aggregation {
-                        Aggregation::Max => ops::segment_max_csr(msgs, &cl.cseg, agg),
-                        Aggregation::Mean => {
-                            ops::segment_sum_csr(msgs, &cl.cseg, agg);
-                            ops::scale_rows_in_place(agg, &cl.cinv);
-                        }
-                    }
-                }
-                if self.residual {
-                    ops::tanh_to(agg, ctxv);
-                    self.f_c1.forward_into(store, ctxv, t0, t1, msgs);
-                    ops::add_rows_range(msgs, sc_d, c_cur);
-                    ops::relu_in_place(msgs);
-                    agg.add_assign(msgs);
-                    ops::scatter_rows(agg, 0, &cl.cdst, flat);
-                } else {
-                    self.f_c1.forward_into(store, agg, t0, t1, msgs);
-                    ops::add_rows_range(msgs, sc_d, c_cur);
-                    ops::relu_in_place(msgs);
-                    ops::scatter_rows(msgs, 0, &cl.cdst, flat);
-                }
-                c_cur += cl.cdst.len();
-            }
-            if !cl.ndst.is_empty() {
-                ops::gather_rows_flat(flat, &cl.ngat, msgs);
-                ops::add_rows_range(msgs, sn_d, n_cur);
-                if !self.residual {
-                    ops::relu_in_place(msgs);
-                }
-                ops::scatter_rows(msgs, 0, &cl.ndst, flat);
-                n_cur += cl.ndst.len();
-            }
-            if !cl.sdst.is_empty() {
-                ops::scatter_rows(sc_d, s_cur, &cl.sdst, flat);
-                s_cur += cl.sdst.len();
-            }
-        }
-        rtt_nn::sanitize::check_finite("gnn_forward_flat_incremental", flat);
     }
 }
 
-/// Compacted dirty-row schedule consumed by
-/// [`NetlistGnn::forward_flat_incremental`]: the plan's per-level gather
-/// lists, CSR offsets, and scatter destinations restricted to dirty rows,
-/// in the exact row order of the full pass. All per-element plan walking
-/// (and every allocation) lives in [`IncCompact::build`], outside the hot
-/// kernel; the kernel only consumes whole slices. Owned by
-/// `IncrementalCtx` and recycled across refreshes, so steady-state
-/// rebuilds allocate nothing once the vectors have grown to cone size.
+/// The dirty-row sub-plan [`NetlistGnn::forward_flat_incremental`] runs:
+/// the plan's levels restricted to dirty rows, in the exact row order of
+/// the full pass, with feature offsets into the compacted `f_c2` / `f_n`
+/// products instead of the whole-design ones. All per-element plan
+/// walking (and every allocation) lives in [`IncCompact::build`], outside
+/// the hot kernel. Owned by `IncrementalCtx` and recycled across
+/// refreshes, so steady-state rebuilds allocate nothing once the vectors
+/// have grown to cone size.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IncCompact {
-    /// Compacted static-feature rows for the `f_c2` product: dirty cell
-    /// rows (level-major) followed by dirty source rows.
+    /// Static-feature rows the compacted `f_c2` product embeds: dirty
+    /// cell rows (level-major) followed by dirty source rows.
     cell_src_rows: Vec<u32>,
     /// Number of cell rows at the head of `cell_src_rows` (source rows
     /// follow and read out through ReLU).
-    dirty_cell_rows: usize,
-    /// Compacted static-feature rows for the `f_n` product.
+    cell_rows: usize,
+    /// Static-feature rows the compacted `f_n` product embeds.
     net_rows: Vec<u32>,
-    /// Per-level compacted arrays, aligned with `GnnPlan::levels`.
-    levels: Vec<IncLevel>,
-}
-
-/// One level's dirty-row slice of the flat plan (names mirror the
-/// `FlatLevel` arrays they compact).
-#[derive(Clone, Debug, Default)]
-struct IncLevel {
-    /// Flat source rows of the dirty cells' fanin messages.
-    cgat: Vec<u32>,
-    /// CSR offsets into `cgat` (`len = dirty cells + 1`).
-    cseg: Vec<u32>,
-    /// `1 / max(fanin, 1)` per dirty cell (mean aggregation).
-    cinv: Vec<f32>,
-    /// Flat destination row per dirty cell.
-    cdst: Vec<u32>,
-    /// Driver row / destination row per dirty net.
-    ngat: Vec<u32>,
-    ndst: Vec<u32>,
-    /// Destination row per dirty source.
-    sdst: Vec<u32>,
+    /// The sub-plan, aligned with `GnnPlan::levels`.
+    levels: Vec<FlatLevel>,
 }
 
 impl IncCompact {
-    /// Rebuilds the compacted schedule for `dirty` (indexed by flat row,
-    /// closed under fan-out by the caller) over `plan`, reusing this
-    /// instance's allocations.
+    /// Rebuilds the sub-plan for `dirty` (indexed by flat row, closed
+    /// under fan-out by the caller) over `plan`, reusing this instance's
+    /// allocations. An all-dirty set rebuilds `plan.levels` exactly.
     pub(crate) fn build(&mut self, plan: &GnnPlan, dirty: &[bool]) {
         assert_eq!(dirty.len(), plan.total_rows, "dirty set must cover every flat row");
         self.cell_src_rows.clear();
-        for fl in &plan.levels {
-            for j in 0..fl.n_cells {
-                if dirty[fl.cell_dst[j] as usize] {
-                    self.cell_src_rows.push((fl.cell_feat_off + j) as u32);
-                }
-            }
-        }
-        self.dirty_cell_rows = self.cell_src_rows.len();
-        for fl in &plan.levels {
-            for j in 0..fl.n_srcs {
-                if dirty[fl.src_dst[j] as usize] {
-                    self.cell_src_rows.push((fl.src_feat_off + j) as u32);
-                }
-            }
-        }
         self.net_rows.clear();
-        for fl in &plan.levels {
-            for j in 0..fl.n_nets {
-                if dirty[fl.net_dst[j] as usize] {
-                    self.net_rows.push((fl.net_feat_off + j) as u32);
-                }
-            }
-        }
-        self.levels.resize_with(plan.levels.len(), IncLevel::default);
-        for (fl, cl) in plan.levels.iter().zip(&mut self.levels) {
-            cl.cgat.clear();
-            cl.cseg.clear();
-            cl.cseg.push(0);
-            cl.cinv.clear();
-            cl.cdst.clear();
+        self.levels.resize_with(plan.levels.len(), FlatLevel::default);
+        for (fl, sl) in plan.levels.iter().zip(&mut self.levels) {
+            sl.cell_feat_off = self.cell_src_rows.len();
+            sl.cell_gather.clear();
+            sl.cell_seg_off.clear();
+            sl.cell_seg_off.push(0);
+            sl.cell_inv_fanin.clear();
+            sl.cell_dst.clear();
             for j in 0..fl.n_cells {
                 if dirty[fl.cell_dst[j] as usize] {
                     let (lo, hi) = (fl.cell_seg_off[j] as usize, fl.cell_seg_off[j + 1] as usize);
-                    cl.cgat.extend_from_slice(&fl.cell_gather[lo..hi]);
-                    cl.cseg.push(cl.cgat.len() as u32);
-                    cl.cinv.push(fl.cell_inv_fanin[j]);
-                    cl.cdst.push(fl.cell_dst[j]);
+                    sl.cell_gather.extend_from_slice(&fl.cell_gather[lo..hi]);
+                    sl.cell_seg_off.push(sl.cell_gather.len() as u32);
+                    sl.cell_inv_fanin.push(fl.cell_inv_fanin[j]);
+                    sl.cell_dst.push(fl.cell_dst[j]);
+                    self.cell_src_rows.push((fl.cell_feat_off + j) as u32);
                 }
             }
-            cl.ngat.clear();
-            cl.ndst.clear();
+            sl.n_cells = sl.cell_dst.len();
+            sl.net_feat_off = self.net_rows.len();
+            sl.net_gather.clear();
+            sl.net_dst.clear();
             for j in 0..fl.n_nets {
                 if dirty[fl.net_dst[j] as usize] {
-                    cl.ngat.push(fl.net_gather[j]);
-                    cl.ndst.push(fl.net_dst[j]);
+                    sl.net_gather.push(fl.net_gather[j]);
+                    sl.net_dst.push(fl.net_dst[j]);
+                    self.net_rows.push((fl.net_feat_off + j) as u32);
                 }
             }
-            cl.sdst.clear();
+            sl.n_nets = sl.net_dst.len();
+        }
+        // Source rows follow every cell row in the `f_c2` input, as in
+        // the full plan.
+        self.cell_rows = self.cell_src_rows.len();
+        for (fl, sl) in plan.levels.iter().zip(&mut self.levels) {
+            sl.src_feat_off = self.cell_src_rows.len();
+            sl.src_dst.clear();
             for j in 0..fl.n_srcs {
                 if dirty[fl.src_dst[j] as usize] {
-                    cl.sdst.push(fl.src_dst[j]);
+                    sl.src_dst.push(fl.src_dst[j]);
+                    self.cell_src_rows.push((fl.src_feat_off + j) as u32);
                 }
             }
+            sl.n_srcs = sl.src_dst.len();
         }
     }
 }
@@ -841,6 +794,14 @@ mod tests {
         for fl in &levels[1..] {
             assert_eq!(fl.n_srcs, 0, "source above level 0");
             assert_eq!(fl.cell_gather.is_empty(), fl.n_cells == 0);
+        }
+        // A node is a cell output only through a cell fanin edge, so every
+        // cell's CSR run is non-empty: the level loop never reduces a
+        // level whose gather is empty.
+        for (l, fl) in levels.iter().enumerate() {
+            for (j, run) in fl.cell_seg_off.windows(2).enumerate() {
+                assert!(run[0] < run[1], "cell {j} of level {l} has an empty fanin run");
+            }
         }
         assert!(levels[0].n_srcs > 0);
         assert_eq!(levels[0].n_cells, 0);
@@ -912,55 +873,73 @@ mod tests {
     }
 
     #[test]
-    fn incremental_forward_matches_full_at_the_extremes() {
+    fn incremental_forward_matches_full_pass() {
         let (schedule, feats, _) = world(150);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let cfg = ModelConfig::tiny();
-        let gnn = NetlistGnn::new(&mut store, &mut rng, &cfg);
+        let plan = schedule.plan();
         let n = schedule.num_nodes();
-        for aggregation in [Aggregation::Max, Aggregation::Mean] {
-            let mut bufs: Vec<Tensor> =
-                (0..NetlistGnn::FLAT_SCRATCH).map(|_| Tensor::default()).collect();
-            gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
-            let full = bufs[0].clone();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
 
-            // Everything dirty: the base must not be consulted at all.
-            let mut ibufs: Vec<Tensor> =
-                (0..NetlistGnn::INC_SCRATCH).map(|_| Tensor::default()).collect();
-            let mut flat = Tensor::default();
-            let base = Tensor::full(&[n, cfg.embed_dim], f32::NAN);
-            let mut compact = IncCompact::default();
-            compact.build(schedule.plan(), &vec![true; n]);
-            gnn.forward_flat_incremental(
-                &store,
-                &schedule,
-                &feats,
-                aggregation,
-                &compact,
-                &vec![u32::MAX; n],
-                &base,
-                &mut flat,
-                &mut ibufs,
-            );
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-            assert_eq!(bits(&flat), bits(&full), "all-dirty pass must equal the full pass");
+        let mut compact = IncCompact::default();
+        compact.build(plan, &vec![true; n]);
+        assert_eq!(compact.levels, plan.levels, "an all-dirty sub-plan must be the plan");
+        assert_eq!(compact.cell_rows, plan.total_cell_rows);
 
-            // Nothing dirty: a pure row copy of the base.
-            let identity: Vec<u32> = (0..n as u32).collect();
-            compact.build(schedule.plan(), &vec![false; n]);
-            gnn.forward_flat_incremental(
-                &store,
-                &schedule,
-                &feats,
-                aggregation,
-                &compact,
-                &identity,
-                &full,
-                &mut flat,
-                &mut ibufs,
-            );
-            assert_eq!(bits(&flat), bits(&full), "zero-dirty pass must copy the base");
+        // A propagated partial cone: one level-0 source and its fan-out.
+        let mut cone = vec![false; n];
+        cone[plan.levels[0].src_dst[0] as usize] = true;
+        let cone_rows = schedule.propagate_dirty(&mut cone);
+        assert!(1 < cone_rows && cone_rows < n, "cone of {cone_rows}/{n} rows is not partial");
+        let cone_map: Vec<u32> =
+            (0..n as u32).map(|r| if cone[r as usize] { u32::MAX } else { r }).collect();
+
+        for residual in [false, true] {
+            let cfg = ModelConfig { residual, ..ModelConfig::tiny() };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            let mut store = ParamStore::new();
+            let gnn = NetlistGnn::new(&mut store, &mut rng, &cfg);
+            for aggregation in [Aggregation::Max, Aggregation::Mean] {
+                let mut bufs: Vec<Tensor> =
+                    (0..NetlistGnn::FLAT_SCRATCH).map(|_| Tensor::default()).collect();
+                gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
+                let full = bufs[0].clone();
+                let mut incremental = |dirty: &[bool], map_rows: &[u32], base: &Tensor| {
+                    compact.build(plan, dirty);
+                    let mut flat = Tensor::default();
+                    gnn.forward_flat_incremental(
+                        &store,
+                        &schedule,
+                        &feats,
+                        aggregation,
+                        &compact,
+                        map_rows,
+                        base,
+                        &mut flat,
+                        &mut bufs,
+                    );
+                    bits(&flat)
+                };
+                let tag = format!("residual={residual} {aggregation:?}");
+
+                // Everything dirty: the base must not be consulted at all.
+                let poison = Tensor::full(&[n, cfg.embed_dim], f32::NAN);
+                let all = incremental(&vec![true; n], &vec![u32::MAX; n], &poison);
+                assert_eq!(all, bits(&full), "{tag}: all-dirty pass must equal the full pass");
+
+                // A partial cone over the full pass as the base: clean rows
+                // are copied, the cone is recomputed. Its base rows are
+                // poisoned, so reading one instead of recomputing it shows.
+                let mut base = full.clone();
+                for r in (0..n).filter(|&r| cone[r]) {
+                    base.data_mut()[r * cfg.embed_dim..(r + 1) * cfg.embed_dim].fill(f32::NAN);
+                }
+                let part = incremental(&cone, &cone_map, &base);
+                assert_eq!(part, bits(&full), "{tag}: partial-cone pass must equal the full pass");
+
+                // Nothing dirty: a pure row copy of the base.
+                let identity: Vec<u32> = (0..n as u32).collect();
+                let none = incremental(&vec![false; n], &identity, &full);
+                assert_eq!(none, bits(&full), "{tag}: zero-dirty pass must copy the base");
+            }
         }
     }
 

@@ -104,8 +104,8 @@ pub struct IncrementalCtx {
     dirty: Vec<bool>,
     map_rows: Vec<u32>,
     row_of_pin_new: Vec<u32>,
-    /// Recycled compacted dirty-row schedule (built here, outside the
-    /// hot kernel, so the kernel itself never allocates).
+    /// Recycled dirty-row sub-plan (built here, outside the hot kernel,
+    /// so the kernel itself never allocates).
     compact: IncCompact,
 }
 

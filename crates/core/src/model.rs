@@ -367,8 +367,8 @@ impl TimingModel {
         let Some(gnn) = &self.gnn else {
             return self.predict_batch(ctx, design, indices);
         };
-        ctx.with_scratch(NetlistGnn::INC_SCRATCH + 3, |bufs, argmax, col| {
-            let (gbufs, cnn_bufs) = bufs.split_at_mut(NetlistGnn::INC_SCRATCH);
+        ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + 3, |bufs, argmax, col| {
+            let (gbufs, cnn_bufs) = bufs.split_at_mut(NetlistGnn::FLAT_SCRATCH);
             // The cache refreshes even for an empty index set, so a
             // caller draining queued transforms can always hand the
             // seeds over exactly once.
@@ -543,6 +543,7 @@ impl TimingModel {
                 (false, false) => unreachable!("at least one branch is active"),
             };
             self.regressor.forward_into(&self.store, fused_ref, r0, r1, pred);
+            rtt_nn::sanitize::check_finite("regressor_out", pred);
             out.extend(
                 pred.data()
                     .iter()
@@ -664,7 +665,7 @@ mod tests {
         let prep = prepared(150, 2, &cfg);
         let mut model = TimingModel::new(cfg);
         model.train(
-            &[prep.clone()],
+            std::slice::from_ref(&prep),
             &TrainConfig { epochs: 120, lr: 3e-3, ..TrainConfig::default() },
         );
         let pred = model.predict(&prep);
@@ -697,7 +698,10 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let prep = prepared(80, 4, &cfg);
         let mut model = TimingModel::new(cfg.clone());
-        model.train(&[prep.clone()], &TrainConfig { epochs: 3, ..TrainConfig::default() });
+        model.train(
+            std::slice::from_ref(&prep),
+            &TrainConfig { epochs: 3, ..TrainConfig::default() },
+        );
         let before = model.predict(&prep);
         let blob = model.save_weights();
         let mut fresh = TimingModel::new(cfg);

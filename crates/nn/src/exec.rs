@@ -1,29 +1,27 @@
-//! The execution-backend abstraction: forward computation written once,
-//! run by two engines.
+//! The op-by-op forward trait.
 //!
-//! Model code (layers, the GNN/CNN trunks, the fused regressor) is generic
-//! over [`Exec`] and therefore agnostic to *how* its ops execute:
+//! Model code (the layers, the CNN trunk, the model's taped forward, a
+//! baseline) writes its op-by-op `forward` methods over [`Exec`], one
+//! method per op. `&Tape` is the one implementor: every op records a
+//! node for the reverse sweep, and values are [`crate::Var`] handles.
 //!
-//! * `&Tape` — the training backend. Every op records a node for the
-//!   reverse sweep; values are [`crate::Var`] handles.
-//! * `&InferCtx` — the tape-free inference backend. Ops write into a
-//!   recycled buffer arena; no gradient bookkeeping, no per-node
-//!   allocation in the steady state.
+//! Serving does not go through this trait. The tape-free passes are the
+//! `forward_into` methods next to each `forward`, which run the same
+//! [`crate::ops`] kernels with the same fixed accumulation orders in
+//! place, over buffers from an [`crate::InferCtx`] pool, so for identical
+//! inputs and weights their outputs are bit-identical to the taped
+//! `forward` — the contract the tape-vs-tape-free equivalence suite pins
+//! down.
 //!
-//! Both backends call the same [`crate::ops`] kernels with the same fixed
-//! accumulation orders, so for identical inputs and weights their outputs
-//! are bit-identical — the contract the tape-vs-infer equivalence suite
-//! pins down.
-//!
-//! Methods take `self` by value: both backends implement the trait on a
-//! shared reference, so an `Exec` value is `Copy` and can be passed around
-//! freely, mirroring how `&Tape` flows through the model stack today.
+//! Methods take `self` by value: the tape implements the trait on a
+//! shared reference, so an `Exec` value is `Copy` and can be passed
+//! around freely, mirroring how `&Tape` flows through the model stack.
 
 use crate::store::{ParamId, ParamStore};
 use crate::Tensor;
 
-/// A forward-execution backend. See the [module docs](self) for the
-/// bit-identity contract between implementations.
+/// An op-by-op forward backend. See the [module docs](self) for how it
+/// relates to the tape-free passes.
 pub trait Exec: Copy {
     /// Backend-specific handle to a produced tensor value.
     type Value: Copy;
@@ -31,8 +29,8 @@ pub trait Exec: Copy {
     /// Introduces a non-trainable input value.
     fn constant(self, t: Tensor) -> Self::Value;
 
-    /// Introduces a parameter from `store` (trainable under `&Tape`, a
-    /// plain input under `&InferCtx`).
+    /// Introduces a parameter from `store` (a trainable leaf on the
+    /// tape).
     fn param(self, store: &ParamStore, id: ParamId) -> Self::Value;
 
     /// The current tensor behind `v` (cloned out of the backend).

@@ -1,55 +1,49 @@
-//! Tape-free forward execution over a reusable buffer arena.
+//! Tape-free forward execution over a reusable scratch pool.
 //!
-//! [`InferCtx`] is the serving-side counterpart of [`crate::Tape`]: it
-//! runs the same [`crate::ops`] kernels (so outputs are bit-identical to
-//! the tape path) but records nothing for a backward sweep. Each op's
-//! output lives in an arena slot; [`InferCtx::reset`] rewinds the arena
-//! cursor without freeing, so repeated forward passes — the endpoint
-//! chunks of `predict`, or many designs scored back to back — reuse the
-//! same allocations. In the steady state a pass allocates nothing, which
-//! is why the `nn::infer_arena_bytes` counter (bytes of fresh allocation
+//! [`InferCtx`] is the serving-side counterpart of [`crate::Tape`]. The
+//! tape-free passes (the layers' and the model trunks' `forward_into`
+//! methods, driven by `TimingModel::predict_batch` and its cached
+//! reads) run the same [`crate::ops`] kernels as the tape, so outputs are
+//! bit-identical, but write in place into scratch tensors and record
+//! nothing for a backward sweep. The context owns those tensors: each
+//! pass checks them out with [`InferCtx::with_scratch`] and hands them
+//! back with their capacity, so repeated passes — the endpoint chunks of
+//! a prediction, or many designs scored back to back — reuse the same
+//! allocations. In the steady state a pass allocates nothing, which is
+//! why the `nn::infer_arena_bytes` counter (bytes of fresh allocation
 //! growth, recorded as it happens) stays far below `nn::tape_bytes`
 //! (bytes appended to the tape, paid again on every pass).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::mem;
 
-use crate::exec::Exec;
-use crate::ops;
-use crate::store::{ParamId, ParamStore};
 use crate::Tensor;
 
-/// Handle to a value slot inside an [`InferCtx`] arena. Valid until the
-/// next [`InferCtx::reset`].
-#[derive(Clone, Copy, Debug)]
-pub struct Val(usize);
-
-/// A tape-free execution context for pure forward passes.
-///
-/// Use through the [`Exec`] trait:
+/// A scratch pool for tape-free forward passes.
 ///
 /// ```
-/// use rtt_nn::{Exec, InferCtx, Tensor};
+/// use rtt_nn::{ops, InferCtx, Tensor};
 ///
 /// let ctx = InferCtx::new();
-/// let x = ctx.constant(Tensor::from_rows(&[&[1.0, -2.0]]));
-/// let y = ctx.relu(x);
-/// assert_eq!(ctx.value(y).data(), &[1.0, 0.0]);
-/// ctx.reset(); // next pass reuses both buffers
+/// let x = Tensor::from_rows(&[&[1.0, -2.0]]);
+/// let y = ctx.with_scratch(1, |bufs, _, _| {
+///     ops::relu(&x, &mut bufs[0]);
+///     bufs[0].data().to_vec()
+/// });
+/// assert_eq!(y, [1.0, 0.0]);
+/// // The next pass reuses the buffer, so the pool does not grow.
+/// let bytes = ctx.arena_bytes();
+/// ctx.with_scratch(1, |bufs, _, _| ops::relu(&x, &mut bufs[0]));
+/// assert_eq!(ctx.arena_bytes(), bytes);
 /// ```
 #[derive(Default)]
 pub struct InferCtx {
-    /// Output buffers, one per op executed this pass; `live` of them are
-    /// valid. Kept (with their capacity) across `reset` calls.
-    slots: RefCell<Vec<Tensor>>,
-    live: Cell<usize>,
     /// Recycled scratch for `maxpool2d` argmax bookkeeping and the conv2d
     /// im2col matrix.
     argmax_u32: RefCell<Vec<u32>>,
     col: RefCell<Tensor>,
-    /// Named-buffer pool for the batched flat inference path (see
-    /// [`InferCtx::with_scratch`]); kept warm across passes like the
-    /// slots.
+    /// Named-buffer pool handed out by [`InferCtx::with_scratch`]; kept
+    /// warm across passes.
     scratch: RefCell<Vec<Tensor>>,
 }
 
@@ -59,28 +53,10 @@ impl InferCtx {
         Self::default()
     }
 
-    /// Starts a new forward pass: previously returned [`Val`]s become
-    /// invalid, but every buffer (and its capacity) is retained for reuse.
-    // rtt-lint: hot
-    pub fn reset(&self) {
-        self.live.set(0);
-    }
-
-    /// Number of values produced in the current pass.
-    pub fn len(&self) -> usize {
-        self.live.get()
-    }
-
-    /// `true` if no ops have run since the last [`InferCtx::reset`].
-    pub fn is_empty(&self) -> bool {
-        self.live.get() == 0
-    }
-
-    /// Current arena footprint in bytes (slot and scratch capacities).
+    /// Current pool footprint in bytes (scratch tensor, argmax and
+    /// im2col capacities).
     pub fn arena_bytes(&self) -> u64 {
-        let slots = self.slots.borrow();
-        let bytes = slots.iter().map(Tensor::capacity).sum::<usize>() * 4
-            + self.argmax_u32.borrow().capacity() * 4
+        let bytes = self.argmax_u32.borrow().capacity() * 4
             + self.col.borrow().capacity() * 4
             + self.scratch.borrow().iter().map(Tensor::capacity).sum::<usize>() * 4;
         bytes as u64
@@ -89,8 +65,8 @@ impl InferCtx {
     /// Runs a batched flat-kernel pass over `n` recycled scratch tensors
     /// plus the shared u32 index scratch (maxpool argmax) and the conv2d
     /// im2col matrix. Allocation growth of all handed-out buffers is
-    /// tallied on `nn::infer_arena_bytes`, so in the steady state a
-    /// batched pass allocates nothing, exactly like the [`Exec`] slots.
+    /// tallied on `nn::infer_arena_bytes`, so in the steady state a pass
+    /// allocates nothing.
     ///
     /// The buffers are taken out of the context for the duration of `f`;
     /// nesting `with_scratch` inside `f` hands out a fresh (empty) pool,
@@ -125,43 +101,9 @@ impl InferCtx {
         r
     }
 
-    /// The current value of `v` (cloned out of the arena).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is from before the last [`InferCtx::reset`] and its
-    /// slot has not been repopulated.
-    pub fn value(&self, v: Val) -> Tensor {
-        self.slots.borrow()[v.0].clone()
-    }
-
-    /// Runs one op: takes the next output slot out of the arena, hands the
-    /// (immutably borrowed) live slots plus the output buffer to `f`, puts
-    /// the result back, and tallies any allocation growth the op caused.
-    fn emit(&self, f: impl FnOnce(&[Tensor], &mut Tensor)) -> Val {
-        let idx = self.live.get();
-        let mut out = {
-            let mut slots = self.slots.borrow_mut();
-            if slots.len() <= idx {
-                slots.push(Tensor::default());
-            }
-            mem::take(&mut slots[idx])
-        };
-        let cap0 = out.capacity();
-        {
-            let slots = self.slots.borrow();
-            f(&slots, &mut out);
-        }
-        crate::sanitize::check_finite("infer_op", &out);
-        self.grew((out.capacity() - cap0) * 4);
-        self.slots.borrow_mut()[idx] = out;
-        self.live.set(idx + 1);
-        Val(idx)
-    }
-
     /// Records `bytes` of fresh allocation growth on the global
     /// `nn::infer_arena_bytes` counter. Zero in the steady state, so the
-    /// atomic is only touched while the arena is still warming up.
+    /// atomic is only touched while the pool is still warming up.
     // rtt-lint: hot
     fn grew(&self, bytes: usize) {
         static ARENA_BYTES: rtt_obs::Counter = rtt_obs::Counter::new("nn::infer_arena_bytes");
@@ -171,154 +113,38 @@ impl InferCtx {
     }
 }
 
-/// The inference backend of the [`Exec`] abstraction: same kernels as the
-/// tape, no gradient state, recycled buffers.
-impl Exec for &InferCtx {
-    type Value = Val;
-
-    fn constant(self, t: Tensor) -> Val {
-        self.emit(|_, out| out.copy_from(&t))
-    }
-
-    fn param(self, store: &ParamStore, id: ParamId) -> Val {
-        self.emit(|_, out| out.copy_from(store.value(id)))
-    }
-
-    fn value(self, v: Val) -> Tensor {
-        InferCtx::value(self, v)
-    }
-
-    fn len(self, v: Val) -> usize {
-        self.slots.borrow()[v.0].len()
-    }
-
-    fn matmul(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::matmul(&s[a.0], &s[b.0], out))
-    }
-
-    fn add(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::add(&s[a.0], &s[b.0], out))
-    }
-
-    fn add_row(self, a: Val, row: Val) -> Val {
-        self.emit(|s, out| ops::add_row(&s[a.0], &s[row.0], out))
-    }
-
-    fn add_channel(self, x: Val, bias: Val) -> Val {
-        self.emit(|s, out| ops::add_channel(&s[x.0], &s[bias.0], out))
-    }
-
-    fn sub(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::sub(&s[a.0], &s[b.0], out))
-    }
-
-    fn mul(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::mul(&s[a.0], &s[b.0], out))
-    }
-
-    fn mul_row(self, a: Val, row: Val) -> Val {
-        self.emit(|s, out| ops::mul_row(&s[a.0], &s[row.0], out))
-    }
-
-    fn scale(self, x: Val, sc: f32) -> Val {
-        self.emit(|s, out| ops::scale(&s[x.0], sc, out))
-    }
-
-    fn relu(self, x: Val) -> Val {
-        self.emit(|s, out| ops::relu(&s[x.0], out))
-    }
-
-    fn tanh(self, x: Val) -> Val {
-        self.emit(|s, out| ops::tanh(&s[x.0], out))
-    }
-
-    fn reshape(self, x: Val, shape: &[usize]) -> Val {
-        self.emit(|s, out| ops::reshape(&s[x.0], shape, out))
-    }
-
-    fn mean(self, x: Val) -> Val {
-        self.emit(|s, out| ops::mean(&s[x.0], out))
-    }
-
-    fn concat_cols(self, a: Val, b: Val) -> Val {
-        self.emit(|s, out| ops::concat_cols(&s[a.0], &s[b.0], out))
-    }
-
-    fn conv2d(self, x: Val, w: Val, pad: usize) -> Val {
-        let mut col = self.col.borrow_mut();
-        let cap0 = col.capacity();
-        let v = self.emit(|s, out| ops::conv2d(&s[x.0], &s[w.0], pad, &mut col, out));
-        self.grew((col.capacity() - cap0) * 4);
-        v
-    }
-
-    fn maxpool2d(self, x: Val, size: usize) -> Val {
-        let mut argmax = self.argmax_u32.borrow_mut();
-        let cap0 = argmax.capacity();
-        let v = self.emit(|s, out| ops::maxpool2d(&s[x.0], size, out, &mut argmax));
-        self.grew((argmax.capacity() - cap0) * 4);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tape;
+    use crate::ops;
 
-    fn t2(rows: &[&[f32]]) -> Tensor {
-        Tensor::from_rows(rows)
-    }
-
-    /// Runs the same small op graph on a backend and returns the result.
-    fn run_graph<E: Exec>(ex: E) -> Tensor {
-        let a = ex.constant(t2(&[&[1.0, -2.0], &[3.0, 4.0]]));
-        let b = ex.constant(t2(&[&[0.5, 1.0], &[-1.0, 2.0]]));
-        let h = ex.relu(ex.add(ex.matmul(a, b), b));
-        ex.value(ex.tanh(ex.mul(h, h)))
-    }
-
-    #[test]
-    fn matches_tape_backend_and_reuses_buffers() {
-        let tape = Tape::new();
-        let want = run_graph(&tape);
-
-        let ctx = InferCtx::new();
-        let got = run_graph(&ctx);
-        assert_eq!(got, want, "infer diverged from tape");
-
-        // Second pass on the same ctx: identical output, zero slot growth.
-        ctx.reset();
-        let slots_after_first = ctx.slots.borrow().len();
-        let got2 = run_graph(&ctx);
-        assert_eq!(got2, want, "infer not reproducible after reset");
-        assert_eq!(ctx.slots.borrow().len(), slots_after_first, "arena grew on replay");
-    }
-
-    #[test]
-    fn conv_and_pool_match_tape() {
+    /// One small pass through the pool that draws on every kind of
+    /// scratch: tensors (matmul, ReLU, tanh), the im2col matrix (conv2d)
+    /// and the argmax buffer (maxpool2d).
+    fn run_pass(ctx: &InferCtx) -> (Tensor, Tensor) {
+        let a = Tensor::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
+        let b = Tensor::from_rows(&[&[0.5, 1.0], &[-1.0, 2.0]]);
         let x = Tensor::from_vec(&[1, 4, 4], (0..16).map(|v| v as f32 * 0.25 - 1.0).collect());
         let w = Tensor::from_vec(&[2, 1, 3, 3], (0..18).map(|v| v as f32 * 0.1 - 0.9).collect());
-
-        let tape = Tape::new();
-        let ty =
-            tape.maxpool2d(tape.conv2d(tape.constant(x.clone()), tape.constant(w.clone()), 1), 2);
-        let want = tape.value(ty);
-
-        let ctx = InferCtx::new();
-        let cy = (&ctx).maxpool2d((&ctx).conv2d((&ctx).constant(x), (&ctx).constant(w), 1), 2);
-        assert_eq!(ctx.value(cy), want);
+        ctx.with_scratch(3, |bufs, argmax, col| {
+            let [h, y, c] = bufs else { unreachable!("pool sized to 3 above") };
+            ops::matmul(&a, &b, h);
+            ops::relu_in_place(h);
+            ops::tanh(h, y);
+            ops::conv2d(&x, &w, 1, col, c);
+            ops::maxpool2d(c, 2, h, argmax);
+            (y.clone(), h.clone())
+        })
     }
 
     #[test]
     fn arena_bytes_stop_growing_after_first_pass() {
         let ctx = InferCtx::new();
-        run_graph(&ctx);
+        let first = run_pass(&ctx);
         let after_first = ctx.arena_bytes();
         assert!(after_first > 0, "first pass must allocate");
         for _ in 0..3 {
-            ctx.reset();
-            run_graph(&ctx);
+            assert_eq!(run_pass(&ctx), first, "a pass over recycled buffers changed its output");
         }
         assert_eq!(ctx.arena_bytes(), after_first, "steady-state pass allocated");
     }

@@ -31,8 +31,8 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies the layer to a `[rows, in_dim]` matrix on any execution
-    /// backend (`&Tape` for training, `&InferCtx` for tape-free serving).
+    /// Applies the layer to a `[rows, in_dim]` matrix on an [`Exec`]
+    /// backend (the training tape).
     ///
     /// # Panics
     ///
@@ -45,8 +45,8 @@ impl Linear {
 
     /// Tape-free forward directly into a caller-provided buffer: one
     /// matmul plus an in-place bias add, bit-identical to
-    /// [`Linear::forward`] on any backend (the kernels and their order
-    /// are the same; only the intermediate copies disappear).
+    /// [`Linear::forward`] (the kernels and their order are the same;
+    /// only the intermediate copies disappear).
     ///
     /// # Panics
     ///

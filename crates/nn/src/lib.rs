@@ -13,13 +13,15 @@
 //! # Architecture
 //!
 //! * [`Tensor`] — a dense row-major float tensor.
-//! * [`ops`] — pure forward kernels, written once and shared by both
-//!   execution backends (the bit-identity contract lives here).
+//! * [`ops`] — pure forward kernels, written once and shared by the tape
+//!   and the tape-free passes (the bit-identity contract lives here).
 //! * [`Tape`] / [`Var`] — a define-by-run computation graph; every forward
 //!   op records what it needs for the backward sweep.
-//! * [`Exec`] — the execution-backend trait model code is generic over.
-//! * [`InferCtx`] — the tape-free inference backend: same kernels, no
-//!   gradient nodes, a buffer arena recycled across forward passes.
+//! * [`Exec`] — the op-by-op forward trait the layers' and models' taped
+//!   `forward` methods are written against; `&Tape` implements it.
+//! * [`InferCtx`] — the scratch pool of the tape-free passes: the
+//!   `forward_into` methods run the same kernels in place, with no
+//!   gradient nodes, over buffers recycled across passes.
 //! * [`ParamStore`] / [`ParamId`] — long-lived trainable tensors, injected
 //!   into each tape as leaves and updated from [`Grads`] by an optimizer.
 //! * [`Linear`], [`Mlp`], [`Conv2d`] — the layer zoo.
@@ -69,7 +71,7 @@ mod tape;
 mod tensor;
 
 pub use exec::Exec;
-pub use infer::{InferCtx, Val};
+pub use infer::InferCtx;
 pub use layers::{Conv2d, Linear, Mlp};
 pub use optim::{Adam, Sgd};
 pub use store::{Grads, ParamId, ParamStore, WeightsError};

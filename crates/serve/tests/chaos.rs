@@ -207,7 +207,7 @@ fn chaos_storm_never_panics_never_wedges_and_stays_bit_identical() {
                     for round in 0..12 {
                         let pick = (client * 31 + round * 7) % 10;
                         match pick {
-                            0 | 1 | 2 => {
+                            0..=2 => {
                                 // /predict under fire: any COMPLETE 200
                                 // must carry bit-exact predictions.
                                 let raw = post("/predict", "design=rca8\n");
