@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rtt_nn::{parallel, Tape, Tensor};
+use rtt_nn::{ops, parallel, Tape, Tensor};
 
 /// Serializes tests that toggle the global thread count. Kernels are
 /// bit-identical across thread counts, so tests that *don't* toggle are
@@ -250,16 +250,15 @@ fn parallel_segment_reductions_are_bit_identical_to_serial() {
     let x = random_tensor(&[rows, d], 19, 1.0);
     // CSR runs of growing length.
     let seg_off: Vec<u32> = (0..=segs).map(|s| ((s * s * rows) / (segs * segs)) as u32).collect();
-    let scale = vec![0.5f32; segs];
     let idx: Vec<u32> = (0..rows).map(|i| ((i * 7 + 3) % rows) as u32).collect();
 
     let run = || {
-        let tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let sum = tape.segment_sum_csr(xv, &seg_off, &scale);
-        let max = tape.segment_max_csr(xv, &seg_off);
-        let gath = tape.gather_rows(xv, &idx);
-        (tape.value(sum), tape.value(max), tape.value(gath))
+        let (mut sum, mut max, mut gath) =
+            (Tensor::default(), Tensor::default(), Tensor::default());
+        ops::segment_sum_csr(&x, &seg_off, &mut sum);
+        ops::segment_max_csr(&x, &seg_off, &mut max);
+        ops::gather_rows_flat(&x, &idx, &mut gath);
+        (sum, max, gath)
     };
     let (serial, par) = at_one_and_four_threads(run);
     assert_eq!(serial.0.data(), par.0.data());
