@@ -164,7 +164,8 @@ fn main() {
     let flow_cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
     rows.push(serial_vs_parallel("dataset_generate", cores, 3, || Dataset::generate(&flow_cfg)));
 
-    // 2. Endpoint-mask extraction at 2000 cells (per-endpoint fan-out).
+    // 2. Endpoint-mask extraction at 2000 cells. The forest pass is
+    //    serial, so both columns time the same code.
     let md = GenParams::new("perfmask".to_owned(), 2000, 17).generate(&lib);
     let mpl = place(&md.netlist, &lib, 0, &PlaceConfig::default());
     let mgraph = TimingGraph::build(&md.netlist, &lib);

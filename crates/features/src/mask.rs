@@ -1,8 +1,6 @@
 //! Longest-path search and endpoint-wise critical-region masks
 //! (paper Section V-B, Equations 4–6).
 
-use rayon::prelude::*;
-
 use rtt_netlist::{EdgeKind, Netlist, TimingGraph};
 use rtt_place::{Grid, Placement, Rect};
 
@@ -14,45 +12,32 @@ use rtt_place::{Grid, Placement, Rect};
 /// Returns node ids ordered source → endpoint. Deterministic: the first
 /// qualifying fanin is taken.
 pub fn longest_path(graph: &TimingGraph, ep: u32) -> Vec<u32> {
-    let mut path = Vec::new();
-    longest_path_into(graph, ep, &mut path);
+    let mut path = vec![ep];
+    while let Some(pred) = critical_pred(graph, path[path.len() - 1]) {
+        path.push(pred);
+    }
+    path.reverse();
     path
 }
 
-/// [`longest_path`] into a caller-provided buffer, so batched callers
-/// reuse one allocation across endpoints.
-pub fn longest_path_into(graph: &TimingGraph, ep: u32, path: &mut Vec<u32>) {
-    path.clear();
-    path.resize(graph.level(ep) as usize + 1, 0);
-    let n = fill_path(graph, ep, path);
-    path.truncate(n);
+/// The node the level-descent rule steps to from `v`: its first fanin one
+/// level down, or `None` at a source.
+fn critical_pred(graph: &TimingGraph, v: u32) -> Option<u32> {
+    let want = graph.level(v).checked_sub(1)?;
+    // Levels are longest distances, so a node at level l > 0 always has a
+    // fanin at level l - 1 on a validated graph. This runs on the serving
+    // path (R003), so a violated invariant ends the path instead of
+    // panicking.
+    let pred = graph.fanin(v).find(|e| graph.level(e.from) == want).map(|e| e.from);
+    debug_assert!(pred.is_some(), "a node at level l has a fanin at level l-1");
+    pred
 }
 
-/// Allocation-free core of [`longest_path_into`]: writes the path into
-/// `buf` — which must hold at least `level(ep) + 1` entries — and
-/// returns its length. The batched mask kernels call this with one
-/// scratch buffer sized to `max_level + 1` per task, keeping the hot
-/// loop free of `Vec` growth.
-fn fill_path(graph: &TimingGraph, ep: u32, buf: &mut [u32]) -> usize {
-    assert!(buf.len() > graph.level(ep) as usize, "buf holds level(ep) + 1 nodes");
-    buf[0] = ep;
-    let mut n = 1;
-    let mut v = ep;
-    while graph.level(v) > 0 {
-        let want = graph.level(v) - 1;
-        // Levels are longest distances, so a node at level l > 0 always
-        // has a fanin at level l - 1 on a validated graph. This runs on
-        // the serving path (R003), so a violated invariant truncates the
-        // path instead of panicking.
-        let pred = graph.fanin(v).find(|e| graph.level(e.from) == want).map(|e| e.from);
-        debug_assert!(pred.is_some(), "a node at level l has a fanin at level l-1");
-        let Some(pred) = pred else { break };
-        buf[n] = pred;
-        n += 1;
-        v = pred;
-    }
-    buf[..n].reverse();
-    n
+/// Whether `u → v` is a net edge. Only net edges count towards a mask:
+/// cell-internal regions are not usable by the optimizer (paper Section
+/// V-B).
+fn is_net_edge(graph: &TimingGraph, u: u32, v: u32) -> bool {
+    graph.fanin(v).any(|e| e.from == u && e.kind == EdgeKind::Net)
 }
 
 /// Builds the critical-region mask of one endpoint at `grid × grid`
@@ -68,10 +53,7 @@ pub fn endpoint_mask(
     let mut mask = Grid::new(grid, grid, placement.floorplan().die);
     for pair in path.windows(2) {
         let (u, v) = (pair[0], pair[1]);
-        // Only net edges count: cell-internal regions are not usable by the
-        // optimizer (paper Section V-B).
-        let is_net = graph.fanin(v).any(|e| e.from == u && e.kind == EdgeKind::Net);
-        if !is_net {
+        if !is_net_edge(graph, u, v) {
             continue;
         }
         let a = placement.pin_position(netlist, graph.pin_of(u));
@@ -92,10 +74,6 @@ fn mark_bins(mask: &mut Grid, r: Rect) {
     }
 }
 
-/// Endpoints per parallel task in [`endpoint_masks_for`]: large enough to
-/// amortize task overhead and keep the reused scratch warm.
-const MASK_CHUNK: usize = 64;
-
 /// Computes the critical-region mask of every endpoint, aligned with
 /// `graph.endpoints()`, in sparse form: per endpoint, the ascending
 /// row-major indices of the set bins of its `grid × grid` mask.
@@ -114,15 +92,16 @@ pub fn endpoint_masks(
 }
 
 /// [`endpoint_masks`] for an arbitrary list of endpoint nodes `eps`, in
-/// that order. This is the cone-scoped recompute behind the delta-prepare
-/// path: only endpoints whose fan-in cone a transform invalidated are
-/// listed, and every other endpoint's row is carried over from the
-/// previous preparation.
+/// that order; an endpoint listed twice gets two rows. This is the
+/// cone-scoped recompute behind the delta-prepare path: only endpoints
+/// whose fan-in cone a transform invalidated are listed, and every other
+/// endpoint's row is carried over from the previous preparation.
 ///
-/// Masks are independent per endpoint, exactly as the paper notes the
-/// path-finding can run in parallel. Endpoints are processed in chunks of
-/// [`MASK_CHUNK`], each task reusing one path buffer and one bin bitmap,
-/// so the fan-out is deterministic at any thread count.
+/// Every node has one critical predecessor, so the listed endpoints'
+/// longest paths merge into a forest no larger than the graph, and
+/// one depth-first walk over it yields every mask. The work is the forest
+/// size times the bins of one box plus the bins of each endpoint's
+/// bounding box, independent of path depth.
 pub fn endpoint_masks_for(
     netlist: &Netlist,
     placement: &Placement,
@@ -132,63 +111,171 @@ pub fn endpoint_masks_for(
 ) -> Vec<Vec<u32>> {
     let obs = rtt_obs::span("features::endpoint_masks");
     obs.add("endpoints", eps.len() as u64);
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); eps.len()];
     // Geometry only: read by `bin_of`, never written.
     let geom = Grid::new(grid, grid, placement.floorplan().die);
-    out.par_chunks_mut(MASK_CHUNK).enumerate().for_each(|(c, rows)| {
-        let mut path = vec![0u32; graph.max_level() as usize + 1];
-        let mut marked = vec![false; grid * grid];
-        for (j, bins) in rows.iter_mut().enumerate() {
-            let ep = eps[c * MASK_CHUNK + j];
-            mask_bins(netlist, placement, graph, &geom, ep, &mut path, &mut marked, bins);
-        }
-    });
-    out
+    Forest::resolve(netlist, placement, graph, &geom, eps).masks(grid)
 }
 
-/// Collects one endpoint's set mask bins into `bins`, ascending. `path`
-/// is a caller-owned scratch of at least `max_level + 1` entries;
-/// `marked` is an all-`false` `grid²` bitmap, returned all-`false`. Boxes
-/// are marked by row-range fills, then only their bounding box is scanned
-/// (row-major, so bins come out sorted) and cleared.
-#[allow(clippy::too_many_arguments)]
-fn mask_bins(
-    netlist: &Netlist,
-    placement: &Placement,
-    graph: &TimingGraph,
-    geom: &Grid,
-    ep: u32,
-    path: &mut [u32],
-    marked: &mut [bool],
-    bins: &mut Vec<u32>,
-) {
-    let grid = geom.width();
-    let n = fill_path(graph, ep, path);
-    let (mut lo_x, mut lo_y, mut hi_x, mut hi_y) = (usize::MAX, usize::MAX, 0, 0);
-    for pair in path[..n].windows(2) {
-        let (u, v) = (pair[0], pair[1]);
-        let is_net = graph.fanin(v).any(|e| e.from == u && e.kind == EdgeKind::Net);
-        if !is_net {
-            continue;
-        }
-        let a = placement.pin_position(netlist, graph.pin_of(u));
-        let b = placement.pin_position(netlist, graph.pin_of(v));
-        let r = Rect::bounding(a, b);
-        let (x0, y0) = geom.bin_of(r.x0, r.y0);
-        let (x1, y1) = geom.bin_of(r.x1, r.y1);
-        for y in y0..=y1 {
-            marked[y * grid + x0..=y * grid + x1].fill(true);
-        }
-        (lo_x, lo_y, hi_x, hi_y) = (lo_x.min(x0), lo_y.min(y0), hi_x.max(x1), hi_y.max(y1));
-    }
-    // No net edge on the path leaves `lo_y > hi_y`: nothing to scan.
-    for y in lo_y..=hi_y {
-        let first = y * grid + lo_x;
-        for (bin, seen) in (first..).zip(&mut marked[first..=y * grid + hi_x]) {
-            if *seen {
-                *seen = false;
-                bins.push(bin as u32);
+/// "No node" and "no row" in [`Forest`]'s index arrays.
+const NONE: u32 = u32::MAX;
+
+/// Inclusive bin range `[x0, y0, x1, y1]`. [`EMPTY_BOX`] has `x0 > x1`
+/// and `y0 > y1`, so it spans no bin and widening it yields the other box.
+type BinBox = [usize; 4];
+
+const EMPTY_BOX: BinBox = [usize::MAX, usize::MAX, 0, 0];
+
+/// The union of the listed endpoints' longest paths. A path meeting an
+/// earlier one shares every node from there back to the source, so each
+/// graph node appears at most once and the paths form a forest whose
+/// roots are sources (or, on a graph violating the level invariant,
+/// nodes with no fanin one level down).
+struct Forest {
+    /// Graph node of each forest node.
+    node: Vec<u32>,
+    /// Forest index of each node's critical predecessor; [`NONE`] at a
+    /// root.
+    parent: Vec<u32>,
+    /// Bins of the net edge from the predecessor; `None` for a cell edge
+    /// and at a root.
+    bins: Vec<Option<BinBox>>,
+    /// First output row listed at each graph node, or [`NONE`]; the rows
+    /// of an endpoint listed more than once chain through `next_row`.
+    first_row: Vec<u32>,
+    next_row: Vec<u32>,
+}
+
+/// One step of the depth-first walk in [`Forest::masks`].
+enum Step {
+    /// Enter a forest node whose root path's boxes span the given box.
+    Enter(usize, BinBox),
+    /// Leave a forest node, removing its box from the coverage count.
+    Leave(usize),
+}
+
+impl Forest {
+    /// Walks from each endpoint of `eps` down its longest path until a
+    /// node already resolved, recording each new node's predecessor and
+    /// net-edge box once.
+    fn resolve(
+        netlist: &Netlist,
+        placement: &Placement,
+        graph: &TimingGraph,
+        geom: &Grid,
+        eps: &[u32],
+    ) -> Self {
+        let n = graph.num_nodes();
+        let mut index = vec![NONE; n];
+        let mut f = Self {
+            node: Vec::new(),
+            parent: Vec::new(),
+            bins: Vec::new(),
+            first_row: vec![NONE; n],
+            next_row: vec![NONE; eps.len()],
+        };
+        for (row, &ep) in eps.iter().enumerate() {
+            let mut v = ep;
+            while index[v as usize] == NONE {
+                index[v as usize] = f.node.len() as u32;
+                let pred = critical_pred(graph, v);
+                f.node.push(v);
+                // A graph node for now; mapped to its forest index below.
+                f.parent.push(pred.unwrap_or(NONE));
+                f.bins.push(pred.filter(|&u| is_net_edge(graph, u, v)).map(|u| {
+                    let a = placement.pin_position(netlist, graph.pin_of(u));
+                    let b = placement.pin_position(netlist, graph.pin_of(v));
+                    let r = Rect::bounding(a, b);
+                    let (x0, y0) = geom.bin_of(r.x0, r.y0);
+                    let (x1, y1) = geom.bin_of(r.x1, r.y1);
+                    [x0, y0, x1, y1]
+                }));
+                let Some(pred) = pred else { break };
+                v = pred;
             }
+            f.next_row[row] = f.first_row[ep as usize];
+            f.first_row[ep as usize] = row as u32;
+        }
+        for p in &mut f.parent {
+            if *p != NONE {
+                *p = index[*p as usize];
+            }
+        }
+        f
+    }
+
+    /// One depth-first walk from every root, keeping a per-bin count of
+    /// the boxes on the current root path. At a listed endpoint the
+    /// counted bins are exactly its mask, and they all lie inside the
+    /// bounding box of its path's boxes, which is scanned row-major so
+    /// bins come out ascending.
+    fn masks(&self, grid: usize) -> Vec<Vec<u32>> {
+        let k = self.node.len();
+        // Children in CSR form: those of node `c` are
+        // `child[off[c]..off[c + 1]]`.
+        let mut off = vec![0usize; k + 1];
+        for &p in self.parent.iter().filter(|&&p| p != NONE) {
+            off[p as usize + 1] += 1;
+        }
+        for c in 0..k {
+            off[c + 1] += off[c];
+        }
+        let mut cursor = off.clone();
+        let mut child = vec![0usize; off[k]];
+        for (c, &p) in self.parent.iter().enumerate().filter(|&(_, &p)| p != NONE) {
+            child[cursor[p as usize]] = c;
+            cursor[p as usize] += 1;
+        }
+
+        let mut out = vec![Vec::new(); self.next_row.len()];
+        let mut cover = vec![0i32; grid * grid];
+        let roots = (0..k).filter(|&c| self.parent[c] == NONE);
+        let mut todo: Vec<Step> = roots.map(|c| Step::Enter(c, EMPTY_BOX)).collect();
+        while let Some(step) = todo.pop() {
+            match step {
+                Step::Enter(c, outer) => {
+                    let mut bbox = outer;
+                    if let Some(b) = self.bins[c] {
+                        add_box(&mut cover, grid, b, 1);
+                        let [x0, y0, x1, y1] = bbox;
+                        bbox = [x0.min(b[0]), y0.min(b[1]), x1.max(b[2]), y1.max(b[3])];
+                    }
+                    let row = self.first_row[self.node[c] as usize];
+                    if row != NONE {
+                        let [x0, y0, x1, y1] = bbox;
+                        let bins = &mut out[row as usize];
+                        for y in y0..=y1 {
+                            let first = y * grid + x0;
+                            for (bin, &n) in (first..).zip(&cover[first..=y * grid + x1]) {
+                                if n > 0 {
+                                    bins.push(bin as u32);
+                                }
+                            }
+                        }
+                        let mut dup = self.next_row[row as usize];
+                        while dup != NONE {
+                            out[dup as usize] = out[row as usize].clone();
+                            dup = self.next_row[dup as usize];
+                        }
+                    }
+                    todo.push(Step::Leave(c));
+                    todo.extend(child[off[c]..off[c + 1]].iter().map(|&ch| Step::Enter(ch, bbox)));
+                }
+                Step::Leave(c) => {
+                    if let Some(b) = self.bins[c] {
+                        add_box(&mut cover, grid, b, -1);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Adds `delta` to the coverage count of every bin in `b`.
+fn add_box(cover: &mut [i32], grid: usize, [x0, y0, x1, y1]: BinBox, delta: i32) {
+    for y in y0..=y1 {
+        for n in &mut cover[y * grid + x0..=y * grid + x1] {
+            *n += delta;
         }
     }
 }
@@ -197,15 +284,44 @@ fn mask_bins(
 mod tests {
     use super::*;
     use rtt_circgen::{ripple_carry_adder, GenParams};
-    use rtt_netlist::CellLibrary;
+    use rtt_netlist::{CellLibrary, GateFn};
     use rtt_place::{place, PlaceConfig};
+    use std::collections::BTreeSet;
 
     fn world() -> (CellLibrary, Netlist, Placement, TimingGraph) {
         let lib = CellLibrary::asap7_like();
         let nl = ripple_carry_adder(6, &lib);
+        placed(lib, nl)
+    }
+
+    fn placed(lib: CellLibrary, nl: Netlist) -> (CellLibrary, Netlist, Placement, TimingGraph) {
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let g = TimingGraph::build(&nl, &lib);
         (lib, nl, pl, g)
+    }
+
+    /// A chain of 200 buffers with an output port tapped on every
+    /// buffer's output net, plus one unconnected output port. The taps
+    /// branch off one spine, so the paths form a branching forest whose
+    /// summed length grows with the square of the chain; the unconnected
+    /// port's path has no net edge.
+    fn buffer_chain() -> (CellLibrary, Netlist, Placement, TimingGraph) {
+        let lib = CellLibrary::asap7_like();
+        let buf = lib.pick(GateFn::Buf, 1).expect("BUF_X1");
+        let mut nl = Netlist::new("chain");
+        let mut drive = nl.add_input_port("in");
+        let mut sinks = Vec::new();
+        for i in 0..200 {
+            let (cell, out) = nl.add_cell(format!("b{i}"), buf, &lib);
+            sinks.push(nl.cell(cell).inputs[0]);
+            nl.connect_net(format!("n{i}"), drive, &sinks).expect("fresh pins");
+            drive = out;
+            sinks = vec![nl.add_output_port(format!("tap{i}"))];
+        }
+        nl.connect_net("n200", drive, &sinks).expect("fresh pins");
+        nl.add_output_port("floating");
+        nl.validate().expect("chain is structurally valid");
+        placed(lib, nl)
     }
 
     #[test]
@@ -281,25 +397,61 @@ mod tests {
 
     #[test]
     fn batched_masks_match_individual() {
-        let (_, nl, pl, g) = world();
-        let grid = 8;
-        let all = endpoint_masks(&nl, &pl, &g, grid);
-        assert_eq!(all.len(), g.endpoints().len());
-        for (row, &ep) in all.iter().zip(g.endpoints()) {
-            assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+        for (_, nl, pl, g) in [world(), buffer_chain()] {
+            let grid = 8;
+            let all = endpoint_masks(&nl, &pl, &g, grid);
+            assert_eq!(all.len(), g.endpoints().len());
+            for (row, &ep) in all.iter().zip(g.endpoints()) {
+                assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+            }
+            assert!(all.iter().any(|row| !row.is_empty()), "some endpoint has a critical region");
         }
-        assert!(all.iter().any(|row| !row.is_empty()), "some endpoint has a critical region");
     }
 
     #[test]
     fn subset_masks_follow_the_requested_order() {
-        let (_, nl, pl, g) = world();
-        let grid = 8;
-        let eps: Vec<u32> = g.endpoints().iter().rev().step_by(2).copied().collect();
-        let rows = endpoint_masks_for(&nl, &pl, &g, grid, &eps);
-        for (row, &ep) in rows.iter().zip(&eps) {
-            assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+        for (_, nl, pl, g) in [world(), buffer_chain()] {
+            let grid = 8;
+            let mut eps: Vec<u32> = g.endpoints().iter().rev().step_by(2).copied().collect();
+            eps.push(eps[eps.len() / 2]);
+            let rows = endpoint_masks_for(&nl, &pl, &g, grid, &eps);
+            assert_eq!(rows.len(), eps.len(), "a repeated endpoint gets its own row");
+            for (row, &ep) in rows.iter().zip(&eps) {
+                assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+            }
         }
+    }
+
+    #[test]
+    fn forest_is_the_union_of_longest_paths() {
+        let (_, nl, pl, g) = buffer_chain();
+        let geom = Grid::new(8, 8, pl.floorplan().die);
+        let forest = Forest::resolve(&nl, &pl, &g, &geom, g.endpoints());
+        let paths: Vec<Vec<u32>> = g.endpoints().iter().map(|&ep| longest_path(&g, ep)).collect();
+        let steps: usize = paths.iter().map(Vec::len).sum();
+        assert!(steps > 10 * g.num_nodes(), "{steps} path steps over {} pins", g.num_nodes());
+
+        // Each node once, and exactly the nodes of some longest path.
+        let nodes: BTreeSet<u32> = forest.node.iter().copied().collect();
+        assert_eq!(nodes.len(), forest.node.len());
+        assert_eq!(nodes, paths.iter().flatten().copied().collect());
+        // Each path is a root-to-node chain of parent links.
+        let at = |v: u32| forest.node.iter().position(|&u| u == v).expect("forest node") as u32;
+        for path in &paths {
+            assert_eq!(forest.parent[at(path[0]) as usize], NONE, "paths start at a root");
+            for w in path.windows(2) {
+                assert_eq!(forest.parent[at(w[1]) as usize], at(w[0]));
+            }
+        }
+        let mut children = vec![0; forest.node.len()];
+        for &p in forest.parent.iter().filter(|&&p| p != NONE) {
+            children[p as usize] += 1;
+        }
+        assert!(children.iter().any(|&c| c > 1), "the forest branches");
+
+        let rows = endpoint_masks(&nl, &pl, &g, 8);
+        let floating = g.endpoints().iter().position(|&ep| nl.pin(g.pin_of(ep)).name == "floating");
+        assert!(rows[floating.expect("an endpoint")].is_empty(), "the floating port has no mask");
     }
 
     #[test]
