@@ -152,10 +152,10 @@ impl GuoModel {
     pub fn train(&mut self, designs: &[&BaselineInputs<'_>], epochs: usize, lr: f32) {
         rtt_obs::span!("baselines::guo_train");
         let prepared: Vec<Prepared> = designs.iter().map(|d| prepare(d)).collect();
-        // Arrivals are regressed linearly (log space makes upward
-        // extrapolation exponential); delays, which span several orders of
-        // magnitude locally, stay in log space. Matches the treatment of
-        // the main model (see DESIGN.md).
+        // Arrivals are regressed linearly, as the main model regresses
+        // them (log space makes upward extrapolation exponential); delays,
+        // which span several orders of magnitude locally, stay in log
+        // space.
         let arrivals: Vec<f32> = prepared
             .iter()
             .flat_map(|p| p.ep_labels.iter().chain(&p.arr_labels))

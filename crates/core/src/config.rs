@@ -55,16 +55,6 @@ pub struct ModelConfig {
     /// arrival-time accumulation — monotone non-decreasing along paths —
     /// and trains reliably. Disablable for the ablation study.
     pub residual: bool,
-    /// Regress `ln(1 + arrival)` instead of raw arrival.
-    ///
-    /// Our synthetic benchmark suite spans a ~400× range of endpoint
-    /// arrival magnitudes (the paper's pin counts span 65×, with tighter
-    /// arrival ranges). With linear targets the small designs contribute
-    /// almost nothing to a standardized MSE, so their per-design R²
-    /// collapses; log-space targets weight relative error uniformly. This
-    /// is a reproduction-scale adaptation of the paper's Equation 2, noted
-    /// in DESIGN.md.
-    pub log_space: bool,
     /// RNG seed for weight initialization and batching.
     pub seed: u64,
 }
@@ -83,7 +73,6 @@ impl ModelConfig {
             grid: 512,
             regressor_hidden: 512,
             residual: true,
-            log_space: false,
             seed: 0xDAC2023,
         }
     }

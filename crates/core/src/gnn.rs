@@ -375,7 +375,7 @@ impl NetlistGnn {
     /// The static `f_c2` / `f_n` products over the whole design are
     /// ordinary tape ops. The level loop is one fused tape node: its
     /// forward is the in-place loop [`Self::forward_flat`] runs, over the
-    /// full plan, and its backward ([`Self::level_loop_backward`]) walks
+    /// full plan, and its backward (`level_loop_backward`) walks
     /// the same levels in reverse.
     ///
     /// # Panics

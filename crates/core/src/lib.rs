@@ -64,7 +64,5 @@ pub use incremental::{
 };
 pub use model::{TimingModel, TrainLog};
 pub use prepare::{
-    PrepareCtx, PreparedDesign, PREP_FEAT_ROWS_RECOMPUTED_COUNTER, PREP_FEAT_ROWS_TOTAL_COUNTER,
-    PREP_MAP_BINS_RECOMPUTED_COUNTER, PREP_MAP_BINS_TOTAL_COUNTER, PREP_MASKS_RECOMPUTED_COUNTER,
-    PREP_MASKS_TOTAL_COUNTER,
+    PrepareCtx, PreparedDesign, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
 };

@@ -132,27 +132,8 @@ impl TimingModel {
         self.regressor.forward(tape, &self.store, fused)
     }
 
-    /// Forward target transform: optional log space (see
-    /// [`ModelConfig::log_space`]).
-    fn encode_target(&self, t: f32) -> f32 {
-        if self.config.log_space {
-            (1.0 + t.max(0.0)).ln()
-        } else {
-            t
-        }
-    }
-
-    /// Inverse of [`Self::encode_target`].
-    fn decode_target(&self, t: f32) -> f32 {
-        if self.config.log_space {
-            t.exp() - 1.0
-        } else {
-            t
-        }
-    }
-
-    /// Trains on the given designs with MSE on (encoded, standardized)
-    /// arrival times; the de-normalization is stored in the model.
+    /// Trains on the given designs with MSE on standardized arrival
+    /// times; the de-normalization is stored in the model.
     ///
     /// Each epoch runs every design's forward/backward pass in parallel
     /// against the epoch-start weights, sums the gradients in a fixed-order
@@ -163,8 +144,7 @@ impl TimingModel {
         assert!(!designs.is_empty(), "training needs at least one design");
         obs.add("designs", designs.len() as u64);
         obs.add("epochs", tc.epochs as u64);
-        let all: Vec<f32> =
-            designs.iter().flat_map(|d| d.targets.iter().map(|&t| self.encode_target(t))).collect();
+        let all: Vec<f32> = designs.iter().flat_map(|d| d.targets.iter().copied()).collect();
         let n = all.len() as f32;
         self.target_mean = all.iter().sum::<f32>() / n;
         let var = all.iter().map(|t| (t - self.target_mean).powi(2)).sum::<f32>() / n;
@@ -179,9 +159,9 @@ impl TimingModel {
         let weights: Vec<f32> = designs
             .iter()
             .map(|d| {
-                let enc: Vec<f32> = d.targets.iter().map(|&t| self.encode_target(t)).collect();
-                let m = enc.iter().sum::<f32>() / enc.len().max(1) as f32;
-                let v = enc.iter().map(|t| (t - m).powi(2)).sum::<f32>() / enc.len().max(1) as f32;
+                let ts = &d.targets;
+                let m = ts.iter().sum::<f32>() / ts.len().max(1) as f32;
+                let v = ts.iter().map(|t| (t - m).powi(2)).sum::<f32>() / ts.len().max(1) as f32;
                 (global_var / v.max(1e-9)).clamp(0.05, 50.0)
             })
             .collect();
@@ -224,10 +204,7 @@ impl TimingModel {
                     let pred_b = this.forward(&tape, design, Some(idx));
                     let data: Vec<f32> = idx
                         .iter()
-                        .map(|&i| {
-                            (this.encode_target(design.targets[i as usize]) - this.target_mean)
-                                / this.target_std
-                        })
+                        .map(|&i| (design.targets[i as usize] - this.target_mean) / this.target_std)
                         .collect();
                     let target_b = tape.constant(Tensor::from_vec(&[idx.len(), 1], data));
                     let loss = mse(&tape, pred_b, target_b).scale(weights[*di]);
@@ -544,11 +521,7 @@ impl TimingModel {
             };
             self.regressor.forward_into(&self.store, fused_ref, r0, r1, pred);
             rtt_nn::sanitize::check_finite("regressor_out", pred);
-            out.extend(
-                pred.data()
-                    .iter()
-                    .map(|p| self.decode_target(p * self.target_std + self.target_mean)),
-            );
+            out.extend(pred.data().iter().map(|p| p * self.target_std + self.target_mean));
         }
     }
 
@@ -574,10 +547,7 @@ impl TimingModel {
             let tape = Tape::new();
             let pred = self.forward(&tape, design, Some(&idx));
             out.extend(
-                tape.value(pred)
-                    .data()
-                    .iter()
-                    .map(|p| self.decode_target(p * self.target_std + self.target_mean)),
+                tape.value(pred).data().iter().map(|p| p * self.target_std + self.target_mean),
             );
             start = end;
         }

@@ -112,8 +112,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes a config as fixed-width fields (5 tag bytes, 5 u32 widths, the
-/// u64 seed).
+/// Encodes a config as fixed-width fields (4 tag bytes, a reserved zero
+/// byte, 5 u32 widths, the u64 seed).
 fn encode_config(out: &mut Vec<u8>, c: &ModelConfig) {
     out.push(match c.variant {
         ModelVariant::Full => 0,
@@ -126,7 +126,7 @@ fn encode_config(out: &mut Vec<u8>, c: &ModelConfig) {
     });
     out.push(u8::from(c.masking));
     out.push(u8::from(c.residual));
-    out.push(u8::from(c.log_space));
+    out.push(0); // reserved, always 0
     for v in [c.embed_dim, c.gnn_hidden, c.cnn_channels, c.grid, c.regressor_hidden] {
         out.extend_from_slice(&(v as u32).to_le_bytes());
     }
@@ -157,6 +157,9 @@ fn decode_config(b: &[u8]) -> Result<ModelConfig, ModelIoError> {
         1 => Ok(true),
         _ => Err(ModelIoError::BadConfig(what)),
     };
+    if b[4] != 0 {
+        return Err(ModelIoError::BadConfig("reserved config byte not 0"));
+    }
     let word = |i: usize| -> usize {
         u32::from_le_bytes([b[5 + 4 * i], b[6 + 4 * i], b[7 + 4 * i], b[8 + 4 * i]]) as usize
     };
@@ -182,7 +185,6 @@ fn decode_config(b: &[u8]) -> Result<ModelConfig, ModelIoError> {
         aggregation,
         masking: flag(2, "masking flag not 0/1")?,
         residual: flag(3, "residual flag not 0/1")?,
-        log_space: flag(4, "log_space flag not 0/1")?,
         embed_dim,
         gnn_hidden,
         cnn_channels,
@@ -305,17 +307,20 @@ mod tests {
 
     #[test]
     fn corrupt_config_fields_are_rejected_before_allocation() {
-        let bytes = save_model(&tiny_model());
-        // Blow up embed_dim (config word 0 starts at offset 8 + 5).
-        let mut bad = bytes;
-        bad[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
-        let n = bad.len();
-        let sum = fnv1a(&bad[..n - 8]);
-        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            load_model(&bad).unwrap_err(),
-            ModelIoError::BadConfig("embed_dim out of range")
-        );
+        // Blow up embed_dim (config word 0 starts at offset 8 + 5), or set
+        // the reserved byte at offset 8 + 4.
+        let cases: [(usize, &[u8], &str); 2] = [
+            (13, &u32::MAX.to_le_bytes(), "embed_dim out of range"),
+            (12, &[1], "reserved config byte not 0"),
+        ];
+        for (at, patch, what) in cases {
+            let mut bad = save_model(&tiny_model());
+            bad[at..at + patch.len()].copy_from_slice(patch);
+            let n = bad.len();
+            let sum = fnv1a(&bad[..n - 8]);
+            bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(load_model(&bad).unwrap_err(), ModelIoError::BadConfig(what));
+        }
     }
 
     #[test]

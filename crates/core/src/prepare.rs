@@ -1,11 +1,11 @@
 //! Per-design preprocessing: everything the model needs, computed once —
-//! and, after a restructuring transform, *updated* instead of recomputed:
-//! [`PreparedDesign::update`] reuses the prior schedule, node features,
-//! layout maps, and endpoint masks, recomputing only what the transform's
-//! dirty cone invalidates (see DESIGN.md "Preparation pipeline").
+//! and, after a restructuring transform, *updated*:
+//! [`PreparedDesign::update`] rebuilds the schedule, node features, and
+//! layout maps, and carries the endpoint masks outside the transform's
+//! dirty cone over (see DESIGN.md "Preparation pipeline").
 
 use rtt_features::{endpoint_masks, endpoint_masks_for, LayoutMaps, NodeFeatures};
-use rtt_netlist::{CellId, CellLibrary, Netlist, NodeKind, PinId, TimingGraph};
+use rtt_netlist::{CellId, CellLibrary, Netlist, PinId, TimingGraph};
 use rtt_nn::Tensor;
 use rtt_place::Placement;
 
@@ -16,69 +16,31 @@ use crate::ModelConfig;
 pub const PREP_MASKS_RECOMPUTED_COUNTER: &str = "core::prepare_masks_recomputed";
 /// Flat counter: total endpoints seen by the delta-prepare path.
 pub const PREP_MASKS_TOTAL_COUNTER: &str = "core::prepare_masks_total";
-/// Flat counter: node-feature rows recomputed by the delta-prepare path.
-pub const PREP_FEAT_ROWS_RECOMPUTED_COUNTER: &str = "core::prepare_feat_rows_recomputed";
-/// Flat counter: total node-feature rows seen by the delta-prepare path.
-pub const PREP_FEAT_ROWS_TOTAL_COUNTER: &str = "core::prepare_feat_rows_total";
-/// Flat counter: layout-map bins recomputed by the delta-prepare path.
-pub const PREP_MAP_BINS_RECOMPUTED_COUNTER: &str = "core::prepare_map_bins_recomputed";
-/// Flat counter: total layout-map bins seen by the delta-prepare path.
-pub const PREP_MAP_BINS_TOTAL_COUNTER: &str = "core::prepare_map_bins_total";
 
 /// Retained preparation state that lets [`PreparedDesign::update`] carry
-/// clean work forward across a transform: the per-node feature rows and
-/// raw layout maps of the *previous* preparation, plus the pin-keyed
-/// identity of its graph (pins and flat rows are not stable across a
+/// clean endpoint masks across a transform: the pin-keyed identity of the
+/// previous graph (nodes and endpoint ordinals are not stable across a
 /// tombstoning edit; [`PinId`]s are).
 #[derive(Clone, Debug)]
 pub struct PrepareCtx {
-    /// Per-node feature rows of the previous graph.
-    features: NodeFeatures,
-    /// Previous graph: node → pin.
-    pins: Vec<PinId>,
-    /// Previous graph: node kinds.
-    kinds: Vec<NodeKind>,
     /// Previous graph: pin index → node (`u32::MAX` = not a node).
     node_of_pin: Vec<u32>,
-    /// Previous graph: edge count (structure-identity check).
-    num_edges: usize,
-    /// Raw (un-stacked) layout maps, maintained by dirty-bin deltas.
-    layout: LayoutMaps,
     /// Pin index → endpoint ordinal of the previous prepared design
     /// (`u32::MAX` = not an endpoint).
     mask_of_pin: Vec<u32>,
 }
 
 impl PrepareCtx {
-    fn capture(
-        netlist: &Netlist,
-        graph: &TimingGraph,
-        features: NodeFeatures,
-        layout: LayoutMaps,
-    ) -> Self {
-        let n = graph.num_nodes();
-        let mut pins = Vec::with_capacity(n);
-        let mut kinds = Vec::with_capacity(n);
+    fn capture(netlist: &Netlist, graph: &TimingGraph) -> Self {
         let mut node_of_pin = vec![u32::MAX; netlist.pin_capacity()];
-        for v in 0..n as u32 {
-            let p = graph.pin_of(v);
-            pins.push(p);
-            kinds.push(graph.node_kind(v));
-            node_of_pin[p.index()] = v;
+        for v in 0..graph.num_nodes() as u32 {
+            node_of_pin[graph.pin_of(v).index()] = v;
         }
         let mut mask_of_pin = vec![u32::MAX; netlist.pin_capacity()];
         for (i, &ep) in graph.endpoints().iter().enumerate() {
             mask_of_pin[graph.pin_of(ep).index()] = i as u32;
         }
-        Self {
-            features,
-            pins,
-            kinds,
-            node_of_pin,
-            num_edges: graph.num_edges(),
-            layout,
-            mask_of_pin,
-        }
+        Self { node_of_pin, mask_of_pin }
     }
 }
 
@@ -134,7 +96,7 @@ impl PreparedDesign {
     }
 
     /// [`Self::prepare`], additionally returning the [`PrepareCtx`] that
-    /// [`Self::update`] needs to carry clean work across a transform.
+    /// [`Self::update`] needs to carry clean masks across a transform.
     pub fn prepare_full(
         netlist: &Netlist,
         library: &CellLibrary,
@@ -145,17 +107,9 @@ impl PreparedDesign {
     ) -> (Self, PrepareCtx) {
         rtt_obs::span!("core::prepare");
         assert_eq!(targets.len(), graph.endpoints().len(), "one target per endpoint");
-        let schedule = GnnSchedule::build(graph);
-        let features = NodeFeatures::extract(netlist, library, graph, placement);
-        let feats = LevelFeats::assemble(&schedule, &features);
-
-        let layout = LayoutMaps::extract(netlist, library, placement, config.grid);
-        let maps = Tensor::from_vec(&[3, config.grid, config.grid], layout.stacked());
-
+        let (schedule, feats, maps) = Self::build_dense(netlist, library, placement, graph, config);
         let mg = config.pooled_grid();
         let masks = endpoint_masks(netlist, placement, graph, mg);
-
-        let ctx = PrepareCtx::capture(netlist, graph, features, layout);
         let prep = Self {
             name: netlist.name.clone(),
             schedule,
@@ -165,38 +119,47 @@ impl PreparedDesign {
             mask_grid: mg,
             targets,
         };
-        (prep, ctx)
+        (prep, PrepareCtx::capture(netlist, graph))
+    }
+
+    /// The schedule, node features, and stacked layout maps: everything
+    /// but the masks, built cold by both prepare paths.
+    fn build_dense(
+        netlist: &Netlist,
+        library: &CellLibrary,
+        placement: &Placement,
+        graph: &TimingGraph,
+        config: &ModelConfig,
+    ) -> (GnnSchedule, LevelFeats, Tensor) {
+        let schedule = GnnSchedule::build(graph);
+        let features = NodeFeatures::extract(netlist, library, graph, placement);
+        let feats = LevelFeats::assemble(&schedule, &features);
+        let layout = LayoutMaps::extract(netlist, library, placement, config.grid);
+        let maps = Tensor::from_vec(&[3, config.grid, config.grid], layout.stacked());
+        (schedule, feats, maps)
     }
 
     /// Delta preparation: derives `after`'s [`PreparedDesign`] from
-    /// `self` (the preparation of `before`), recomputing only what the
-    /// transform's dirty cone invalidates and carrying everything else
-    /// over. Bit-identical to a cold [`Self::prepare`] of `after`.
+    /// `self` (the preparation of `before`), recomputing only the endpoint
+    /// masks the transform's dirty cone reaches. Bit-identical to a cold
+    /// [`Self::prepare`] of `after`.
     ///
     /// * `ctx` — the context returned by [`Self::prepare_full`] (or a
     ///   previous `update`) for `before`; replaced in place so updates
     ///   chain across a transform sequence.
     /// * `seeds` — `opt::dirty_seed_pins(before, after)`: every pin whose
-    ///   gather topology may have changed. `update` augments this with
-    ///   pins whose placement moved and with net sinks whose driver pin
-    ///   is dirty (their net-distance feature reads the driver position).
+    ///   gather topology may have changed. `update` adds the pins of
+    ///   moved cells and moved ports.
     /// * `graph` — `after`'s freshly built [`TimingGraph`].
     ///
-    /// Invalidation rules (soundness argument in DESIGN.md):
-    /// * **schedule** — rebuilt unless the node/edge structure is
-    ///   provably identical (same pins, same kinds, same edge count, an
-    ///   empty dirty set), in which case the previous plan is reused;
-    /// * **node features** — recomputed for dirty pins only, rows of
-    ///   clean pins copied across by pin id;
-    /// * **layout maps** — dirty-bin re-accumulation via
-    ///   [`LayoutMaps::update_delta`];
-    /// * **endpoint masks** — recomputed only for endpoints inside the
-    ///   fan-out cone of the dirty node set (an endpoint's mask depends
-    ///   only on its fan-in cone, so a clean cone means an identical
-    ///   longest path over identical pin positions).
-    ///
-    /// A floorplan or grid-configuration change invalidates everything
-    /// and falls back to a cold prepare internally.
+    /// The schedule, node features, and layout maps are rebuilt exactly
+    /// as a cold prepare builds them. Endpoint masks are recomputed only
+    /// for endpoints inside the fan-out cone of the dirty pins and copied
+    /// across by endpoint pin otherwise: an endpoint's mask depends only
+    /// on its fan-in cone, so a clean cone means an identical longest
+    /// path over identical pin positions (soundness argument in
+    /// DESIGN.md). A die, macro, or mask-grid change moves every mask and
+    /// falls back to a cold prepare internally.
     ///
     /// Both netlists must share an id space (`after` produced by mutating
     /// a clone of `before`), exactly as for `opt::dirty_seed_pins`.
@@ -221,33 +184,25 @@ impl PreparedDesign {
         let (anl, apl) = after;
         assert_eq!(targets.len(), graph.endpoints().len(), "one target per endpoint");
 
-        // Global invalidation: a floorplan or resolution change touches
-        // every feature at once — delta bookkeeping would all be dirty.
+        // Global invalidation: a floorplan or mask-resolution change moves
+        // every mask at once.
         if bpl.floorplan().die != apl.floorplan().die
             || bpl.floorplan().macros != apl.floorplan().macros
-            || ctx.layout.grid() != config.grid
             || self.mask_grid != config.pooled_grid()
         {
             let (prep, fresh) = Self::prepare_full(anl, library, apl, graph, config, targets);
             *ctx = fresh;
-            let n = prep.schedule.num_nodes() as u64;
             let eps = prep.masks.len() as u64;
-            let bins = 3 * (config.grid * config.grid) as u64;
             rtt_obs::add_many(&[
                 (PREP_MASKS_RECOMPUTED_COUNTER, eps),
                 (PREP_MASKS_TOTAL_COUNTER, eps),
-                (PREP_FEAT_ROWS_RECOMPUTED_COUNTER, n),
-                (PREP_FEAT_ROWS_TOTAL_COUNTER, n),
-                (PREP_MAP_BINS_RECOMPUTED_COUNTER, bins),
-                (PREP_MAP_BINS_TOTAL_COUNTER, bins),
             ]);
             return prep;
         }
+        let (schedule, feats, maps) = Self::build_dense(anl, library, apl, graph, config);
 
-        // Dirty pin mask over `after`'s id space: caller seeds, pins of
-        // moved cells and moved ports, then one net hop so sinks reading
-        // a dirty driver's position recompute their distance feature.
-        let n = graph.num_nodes();
+        // Dirty pin mask over `after`'s id space: caller seeds, then pins
+        // of moved cells and moved ports.
         let mut dirty_pin = vec![false; anl.pin_capacity()];
         for &p in seeds {
             if p.index() < dirty_pin.len() {
@@ -277,54 +232,11 @@ impl PreparedDesign {
                 }
             }
         }
-        for (_, net) in anl.nets() {
-            if dirty_pin[net.driver.index()] {
-                for &s in &net.sinks {
-                    dirty_pin[s.index()] = true;
-                }
-            }
-        }
-        let any_dirty = dirty_pin.iter().any(|&d| d);
 
-        // Schedule: reuse iff the graph is provably identical. With an
-        // empty dirty set, equal pin lists and kinds imply equal edges
-        // (any live edge change seeds its sink; any node change alters
-        // the pin list), so equal edge counts close the argument.
-        let structure_unchanged = !any_dirty
-            && n == ctx.pins.len()
-            && graph.num_edges() == ctx.num_edges
-            && (0..n as u32).all(|v| {
-                graph.pin_of(v) == ctx.pins[v as usize]
-                    && graph.node_kind(v) == ctx.kinds[v as usize]
-            });
-        let schedule =
-            if structure_unchanged { self.schedule.clone() } else { GnnSchedule::build(graph) };
-
-        // Node features: recompute dirty rows, copy the rest by pin.
-        let (features, feat_recomputed) = NodeFeatures::extract_delta(
-            anl,
-            library,
-            graph,
-            apl,
-            &ctx.features,
-            &ctx.node_of_pin,
-            &ctx.kinds,
-            &dirty_pin,
-        );
-        let feats = if structure_unchanged && feat_recomputed == 0 {
-            self.feats.clone()
-        } else {
-            LevelFeats::assemble(&schedule, &features)
-        };
-
-        // Layout maps: dirty-bin re-accumulation, then a full re-stack
-        // (max-normalization is global by definition).
-        let (map_bins_recomputed, map_bins_total) =
-            ctx.layout.update_delta((bnl, bpl), (anl, apl), library);
-        let maps = Tensor::from_vec(&[3, config.grid, config.grid], ctx.layout.stacked());
-
-        // Endpoint masks: recompute inside the dirty fan-out cone, carry
-        // clean rows over by endpoint pin.
+        // Endpoint masks: recompute inside the fan-out cone of the dirty
+        // pins and of nodes new to the graph, carry clean rows over by
+        // endpoint pin.
+        let n = graph.num_nodes();
         let mg = config.pooled_grid();
         let cone_seeds: Vec<u32> = (0..n as u32)
             .filter(|&v| {
@@ -355,21 +267,12 @@ impl PreparedDesign {
         for (&(i, _), row) in recompute.iter().zip(rows) {
             masks[i] = row;
         }
-
         rtt_obs::add_many(&[
             (PREP_MASKS_RECOMPUTED_COUNTER, recompute.len() as u64),
             (PREP_MASKS_TOTAL_COUNTER, eps.len() as u64),
-            (PREP_FEAT_ROWS_RECOMPUTED_COUNTER, feat_recomputed as u64),
-            (PREP_FEAT_ROWS_TOTAL_COUNTER, n as u64),
-            (PREP_MAP_BINS_RECOMPUTED_COUNTER, map_bins_recomputed),
-            (PREP_MAP_BINS_TOTAL_COUNTER, map_bins_total),
         ]);
 
-        // Refresh the context for the next chained update. The layout
-        // maps were already updated in place.
-        let layout = ctx.layout.clone();
-        *ctx = PrepareCtx::capture(anl, graph, features, layout);
-
+        *ctx = PrepareCtx::capture(anl, graph);
         Self { name: anl.name.clone(), schedule, feats, maps, masks, mask_grid: mg, targets }
     }
 
@@ -500,7 +403,7 @@ mod tests {
 
     /// Chained delta updates (buffer insertion, then a cell move, then a
     /// no-op) each yield a `PreparedDesign` bit-identical to a cold
-    /// prepare, and the no-op step recomputes nothing.
+    /// prepare, and the no-op step recomputes no mask.
     #[test]
     fn delta_update_matches_cold_prepare_bitwise() {
         let lib = CellLibrary::asap7_like();
@@ -544,21 +447,13 @@ mod tests {
         let cold2 = PreparedDesign::prepare(&nl1, &lib, &pl2, &g1, &cfg, zeros(&g1));
         prep2.bit_eq(&cold2).expect("delta after cell move matches cold prepare");
 
-        // Step 3: no-op update — nothing may be recomputed.
-        let before = [
-            counter(PREP_MASKS_RECOMPUTED_COUNTER),
-            counter(PREP_FEAT_ROWS_RECOMPUTED_COUNTER),
-            counter(PREP_MAP_BINS_RECOMPUTED_COUNTER),
-        ];
+        // Step 3: no-op update — no mask may be recomputed.
+        let before = counter(PREP_MASKS_RECOMPUTED_COUNTER);
         let prep3 =
             prep2.update(&mut ctx, (&nl1, &pl2), (&nl1, &pl2), &lib, &g1, &cfg, &[], zeros(&g1));
         prep3.bit_eq(&cold2).expect("no-op delta is stable");
-        let after = [
-            counter(PREP_MASKS_RECOMPUTED_COUNTER),
-            counter(PREP_FEAT_ROWS_RECOMPUTED_COUNTER),
-            counter(PREP_MAP_BINS_RECOMPUTED_COUNTER),
-        ];
-        assert_eq!(before, after, "a no-op update must recompute zero masks/rows/bins");
+        let after = counter(PREP_MASKS_RECOMPUTED_COUNTER);
+        assert_eq!(before, after, "a no-op update must recompute zero masks");
     }
 
     /// A floorplan change falls back to a cold prepare internally and

@@ -1,7 +1,7 @@
 //! The three layout feature maps of Fig. 5.
 
-use rtt_netlist::{CellId, CellLibrary, Net, NetId, Netlist};
-use rtt_place::{density_map, Grid, Placement, Rect};
+use rtt_netlist::{CellLibrary, Netlist};
+use rtt_place::{density_map, Grid, Placement};
 use rtt_route::rudy_map;
 
 /// The stacked layout input of the CNN: cell density, RUDY, macro region.
@@ -40,157 +40,8 @@ impl LayoutMaps {
         self.density.width()
     }
 
-    /// Updates the maps in place from `before` to `after`, recomputing
-    /// only the bins a cell or net change can have touched.
-    ///
-    /// Both map rasterizers are per-bin accumulations over a documented
-    /// deterministic scan order (cells, then nets, each in id order), so
-    /// a dirty bin can be re-summed from scratch over `after`'s
-    /// contributors and land bit-identical to a cold
-    /// [`LayoutMaps::extract`]; clean bins receive the exact same
-    /// contribution sequence in both worlds and are left untouched. A
-    /// changed contributor dirties every bin its old *or* new footprint
-    /// covers, which is what keeps clean bins clean. A floorplan change
-    /// falls back to a full re-extract.
-    ///
-    /// Both netlists must share an id space (`after` produced by mutating
-    /// a clone of `before`).
-    ///
-    /// Returns `(bins_recomputed, bins_total)` across the three channels.
-    pub fn update_delta(
-        &mut self,
-        before: (&Netlist, &Placement),
-        after: (&Netlist, &Placement),
-        library: &CellLibrary,
-    ) -> (u64, u64) {
-        rtt_obs::span!("features::layout_maps_delta");
-        let (bnl, bpl) = before;
-        let (anl, apl) = after;
-        let grid = self.grid();
-        let gg = grid * grid;
-        let total = (3 * gg) as u64;
-        if bpl.floorplan().die != apl.floorplan().die
-            || bpl.floorplan().macros != apl.floorplan().macros
-        {
-            *self = LayoutMaps::extract(anl, library, apl, grid);
-            return (total, total);
-        }
-
-        let geom = Grid::new(grid, grid, apl.floorplan().die);
-        let (bw, bh) = geom.bin_size();
-        let bin_area = bw * bh;
-
-        // Density: a cell's contribution is (bin, area); any change in
-        // either dirties both the old and the new bin.
-        let cell_sig = |nl: &Netlist, pl: &Placement, ci: usize| -> Option<(usize, u32)> {
-            if ci >= nl.cell_capacity() {
-                return None;
-            }
-            let cell = nl.cell(CellId::from_index(ci));
-            if !cell.is_alive() {
-                return None;
-            }
-            let p = pl.cell_pos(CellId::from_index(ci));
-            let (bx, by) = geom.bin_of(p.x, p.y);
-            Some((by * grid + bx, library.cell_type(cell.type_id).area_um2.to_bits()))
-        };
-        let mut dens_dirty = vec![false; gg];
-        let mut any_dens = false;
-        for ci in 0..bnl.cell_capacity().max(anl.cell_capacity()) {
-            let (b, a) = (cell_sig(bnl, bpl, ci), cell_sig(anl, apl, ci));
-            if b != a {
-                any_dens = true;
-                if let Some((bin, _)) = b {
-                    dens_dirty[bin] = true;
-                }
-                if let Some((bin, _)) = a {
-                    dens_dirty[bin] = true;
-                }
-            }
-        }
-        if any_dens {
-            for (bin, dirty) in dens_dirty.iter().enumerate() {
-                if *dirty {
-                    self.density.values_mut()[bin] = 0.0;
-                }
-            }
-            for (cid, cell) in anl.cells() {
-                let p = apl.cell_pos(cid);
-                let (bx, by) = geom.bin_of(p.x, p.y);
-                let bin = by * grid + bx;
-                if dens_dirty[bin] {
-                    self.density.values_mut()[bin] += library.cell_type(cell.type_id).area_um2;
-                }
-            }
-            for (bin, dirty) in dens_dirty.iter().enumerate() {
-                if *dirty {
-                    self.density.values_mut()[bin] /= bin_area;
-                }
-            }
-        }
-
-        // RUDY: a net's contribution is fully determined by its splat
-        // arguments (bbox, hpwl); any change dirties every bin the old
-        // and new splats touch.
-        let net_sig = |nl: &Netlist, pl: &Placement, ni: usize| -> Option<(Rect, f32)> {
-            if ni >= nl.net_capacity() {
-                return None;
-            }
-            let net = nl.net(NetId::from_index(ni));
-            if !net.is_alive() {
-                return None;
-            }
-            Some(net_splat_args(nl, pl, net))
-        };
-        let sig_bits = |s: &Option<(Rect, f32)>| {
-            s.as_ref().map(|(r, h)| {
-                (r.x0.to_bits(), r.y0.to_bits(), r.x1.to_bits(), r.y1.to_bits(), h.to_bits())
-            })
-        };
-        let mut rudy_dirty = vec![false; gg];
-        let mut any_rudy = false;
-        for ni in 0..bnl.net_capacity().max(anl.net_capacity()) {
-            let (b, a) = (net_sig(bnl, bpl, ni), net_sig(anl, apl, ni));
-            if sig_bits(&b) != sig_bits(&a) {
-                any_rudy = true;
-                for (r, hpwl) in [&b, &a].into_iter().flatten() {
-                    if *hpwl > 0.0 {
-                        mark_splat_bins(&geom, *r, grid, &mut rudy_dirty);
-                    }
-                }
-            }
-        }
-        if any_rudy {
-            for (bin, dirty) in rudy_dirty.iter().enumerate() {
-                if *dirty {
-                    self.rudy.values_mut()[bin] = 0.0;
-                }
-            }
-            for (_, net) in anl.nets() {
-                let (r, hpwl) = net_splat_args(anl, apl, net);
-                if hpwl > 0.0 {
-                    self.rudy.splat_masked(r, hpwl, &rudy_dirty);
-                }
-            }
-            for (bin, dirty) in rudy_dirty.iter().enumerate() {
-                if *dirty {
-                    self.rudy.values_mut()[bin] /= bin_area;
-                }
-            }
-        }
-
-        // Macro map: a pure function of the (unchanged) floorplan.
-        let recomputed =
-            dens_dirty.iter().filter(|&&d| d).count() + rudy_dirty.iter().filter(|&&d| d).count();
-        (recomputed as u64, total)
-    }
-
     /// Stacks the three maps into a max-normalized `[3, G, G]` row-major
     /// buffer, ready to become the CNN input tensor.
-    ///
-    /// Called after every [`Self::update_delta`] too: max-normalization
-    /// is global, so it is always recomputed from the (delta-maintained)
-    /// raw maps rather than patched.
     pub fn stacked(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(3 * self.density.values().len());
         for map in [&self.density, &self.rudy, &self.macros] {
@@ -199,38 +50,6 @@ impl LayoutMaps {
             out.extend_from_slice(normalized.values());
         }
         out
-    }
-}
-
-/// The exact splat arguments `rtt_route::rudy_map` derives for one net:
-/// the pin bounding box (accumulated in driver-then-sinks order, so the
-/// min/max rounding matches) and its half-perimeter wirelength.
-fn net_splat_args(netlist: &Netlist, placement: &Placement, net: &Net) -> (Rect, f32) {
-    let mut r = {
-        let d = placement.pin_position(netlist, net.driver);
-        Rect::new(d.x, d.y, d.x, d.y)
-    };
-    for &s in &net.sinks {
-        let p = placement.pin_position(netlist, s);
-        r = Rect::new(r.x0.min(p.x), r.y0.min(p.y), r.x1.max(p.x), r.y1.max(p.y));
-    }
-    (r, r.width() + r.height())
-}
-
-/// Marks every bin a `Grid::splat(r, _)` call would touch, including the
-/// degenerate single-bin branch for zero-area rectangles.
-fn mark_splat_bins(geom: &Grid, r: Rect, grid: usize, dirty: &mut [bool]) {
-    if r.area() <= 0.0 {
-        let (x, y) = geom.bin_of(r.x0, r.y0);
-        dirty[y * grid + x] = true;
-        return;
-    }
-    let (x0, y0) = geom.bin_of(r.x0, r.y0);
-    let (x1, y1) = geom.bin_of(r.x1, r.y1);
-    for y in y0..=y1 {
-        for x in x0..=x1 {
-            dirty[y * grid + x] = true;
-        }
     }
 }
 
@@ -280,39 +99,6 @@ mod tests {
             let max = chan.iter().copied().fold(0.0f32, f32::max);
             assert!(max <= 1.0 + 1e-6);
         }
-    }
-
-    #[test]
-    fn delta_update_matches_cold_extract_bitwise() {
-        let (lib, nl, pl) = world(1);
-        let mut nl2 = nl.clone();
-        let mut pl2 = pl.clone();
-        // Retype one combinational cell (area change) and move another.
-        let combs: Vec<CellId> = nl
-            .cells()
-            .filter(|(_, c)| !lib.cell_type(c.type_id).is_sequential())
-            .map(|(cid, _)| cid)
-            .collect();
-        let gate = lib.cell_type(nl.cell(combs[0]).type_id).gate;
-        nl2.resize_cell(combs[0], lib.pick(gate, 8).unwrap(), &lib).unwrap();
-        let die = pl.floorplan().die;
-        pl2.place_cell(combs[1], die.center());
-
-        let mut maps = LayoutMaps::extract(&nl, &lib, &pl, 16);
-        let (recomputed, total) = maps.update_delta((&nl, &pl), (&nl2, &pl2), &lib);
-        assert!(recomputed > 0, "a retype + move must dirty some bins");
-        assert!(recomputed < total, "a local edit must not dirty every bin");
-        let cold = LayoutMaps::extract(&nl2, &lib, &pl2, 16);
-        for (d, c) in
-            [(&maps.density, &cold.density), (&maps.rudy, &cold.rudy), (&maps.macros, &cold.macros)]
-        {
-            for (a, b) in d.values().iter().zip(c.values()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "delta map diverged from cold extract");
-            }
-        }
-        // A no-op delta recomputes nothing.
-        let (zero, _) = maps.update_delta((&nl2, &pl2), (&nl2, &pl2), &lib);
-        assert_eq!(zero, 0);
     }
 
     #[test]

@@ -52,56 +52,6 @@ impl NodeFeatures {
         Self { cell, net, num_nodes: n }
     }
 
-    /// Delta variant of [`Self::extract`]: recomputes only the rows of
-    /// dirty pins, copying every other row from `prev` keyed by pin id.
-    ///
-    /// `prev_node_of_pin[p]` is the node the pin occupied in the graph
-    /// `prev` was extracted from (`u32::MAX` if absent), `prev_kinds` the
-    /// node kinds of that graph, `dirty_pin` a per-pin-index dirty mask
-    /// over the *current* netlist's id space. Bit-identical to a fresh
-    /// `extract` as long as the dirty mask covers every pin whose owning
-    /// cell type, driving net, or relevant placement changed — the
-    /// contract `rtt_core`'s prepare-delta path establishes from
-    /// `opt::dirty_seed_pins` plus moved-cell detection.
-    ///
-    /// Returns the features and the number of recomputed nodes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn extract_delta(
-        netlist: &Netlist,
-        library: &CellLibrary,
-        graph: &TimingGraph,
-        placement: &Placement,
-        prev: &NodeFeatures,
-        prev_node_of_pin: &[u32],
-        prev_kinds: &[NodeKind],
-        dirty_pin: &[bool],
-    ) -> (Self, usize) {
-        rtt_obs::span!("features::node_features_delta");
-        let n = graph.num_nodes();
-        let mut cell = vec![0.0f32; n * CELL_FEATURE_DIM];
-        let mut net = vec![0.0f32; n * NET_FEATURE_DIM];
-        let mut recomputed = 0usize;
-
-        for v in 0..n as u32 {
-            let pin_id = graph.pin_of(v);
-            let prev_v = prev_node_of_pin.get(pin_id.index()).copied().unwrap_or(u32::MAX);
-            let clean = !dirty_pin.get(pin_id.index()).copied().unwrap_or(true)
-                && prev_v != u32::MAX
-                && prev_kinds[prev_v as usize] == graph.node_kind(v);
-            if clean {
-                let vc = v as usize;
-                cell[vc * CELL_FEATURE_DIM..(vc + 1) * CELL_FEATURE_DIM]
-                    .copy_from_slice(prev.cell_row(prev_v));
-                net[vc * NET_FEATURE_DIM..(vc + 1) * NET_FEATURE_DIM]
-                    .copy_from_slice(prev.net_row(prev_v));
-            } else {
-                fill_node_rows(netlist, library, graph, placement, v, &mut cell, &mut net);
-                recomputed += 1;
-            }
-        }
-        (Self { cell, net, num_nodes: n }, recomputed)
-    }
-
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.num_nodes
@@ -123,9 +73,7 @@ impl NodeFeatures {
     }
 }
 
-/// Computes both feature rows of node `v` into the flat buffers — the
-/// single source of truth shared by the cold and delta extract paths, so
-/// a recomputed row is bit-identical to a cold one by construction.
+/// Computes both feature rows of node `v` into the flat buffers.
 // rtt-lint: hot
 fn fill_node_rows(
     netlist: &Netlist,

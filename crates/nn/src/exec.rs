@@ -20,8 +20,9 @@
 use crate::store::{ParamId, ParamStore};
 use crate::Tensor;
 
-/// An op-by-op forward backend. See the [module docs](self) for how it
-/// relates to the tape-free passes.
+/// An op-by-op forward backend, implemented by `&Tape`. Serving does not
+/// use it: the tape-free `forward_into` passes run the same kernels in
+/// place, bit-identically.
 pub trait Exec: Copy {
     /// Backend-specific handle to a produced tensor value.
     type Value: Copy;

@@ -4,7 +4,7 @@
 //! core → flow) record *where time goes* and *how much work was done*
 //! through a process-global registry:
 //!
-//! - **Spans** ([`span`], [`root_span`], [`span!`]) form a tree of
+//! - **Spans** ([`span()`], [`root_span`], [`span!`]) form a tree of
 //!   `"/"`-joined paths (`"flow::design_flow/sta::run/sta::propagate"`).
 //!   Each path accumulates a call count, total wall time, and optional
 //!   per-span counters attached via [`SpanGuard::add`].
@@ -28,7 +28,7 @@
 //! 1. Any closure executed by a parallel fan-out (`par_iter` and
 //!    friends) must open a [`root_span`] before opening child spans.
 //!    Worker threads inherit an empty span stack while the calling
-//!    thread keeps its ambient stack, so a plain nested [`span`] would
+//!    thread keeps its ambient stack, so a plain nested [`span()`] would
 //!    parent differently depending on which thread ran the closure.
 //! 2. Hot-path metrics inside parallel regions use flat counters only:
 //!    `u64` addition commutes, so the final sums are independent of
@@ -221,7 +221,7 @@ pub fn root_span(name: &str) -> RootGuard {
     RootGuard { inner: Some(span(name)), saved: Some(saved), _not_send: PhantomData }
 }
 
-/// Opens a [`span`] bound to a hidden local that lives until the end of
+/// Opens a [`span()`] bound to a hidden local that lives until the end of
 /// the enclosing block: `rtt_obs::span!("sta::propagate");`.
 #[macro_export]
 macro_rules! span {
@@ -230,7 +230,7 @@ macro_rules! span {
     };
 }
 
-/// RAII guard for one open span; see [`span`].
+/// RAII guard for one open span; see [`span()`].
 pub struct SpanGuard {
     prev_len: usize,
     path_end: usize,

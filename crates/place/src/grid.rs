@@ -87,18 +87,31 @@ impl Grid {
 
     /// The die-space rectangle of bin `(x, y)`.
     pub fn bin_rect(&self, x: usize, y: usize) -> Rect {
-        let (bw, bh) = self.bin_size();
-        Rect::new(
-            self.die.x0 + bw * x as f32,
-            self.die.y0 + bh * y as f32,
-            self.die.x0 + bw * (x + 1) as f32,
-            self.die.y0 + bh * (y + 1) as f32,
-        )
+        let (x0, x1) = self.col_span(x);
+        let (y0, y1) = self.row_span(y);
+        Rect::new(x0, y0, x1, y1)
+    }
+
+    /// Die-space x-extent of column `x`: the x-range of [`Self::bin_rect`].
+    fn col_span(&self, x: usize) -> (f32, f32) {
+        let bw = self.bin_size().0;
+        (self.die.x0 + bw * x as f32, self.die.x0 + bw * (x + 1) as f32)
+    }
+
+    /// Die-space y-extent of row `y`: the y-range of [`Self::bin_rect`].
+    fn row_span(&self, y: usize) -> (f32, f32) {
+        let bh = self.bin_size().1;
+        (self.die.y0 + bh * y as f32, self.die.y0 + bh * (y + 1) as f32)
     }
 
     /// Adds `v` to every bin overlapping `r`, weighted by the overlap
     /// fraction of the bin (standard area-smearing used for density and
     /// RUDY maps).
+    ///
+    /// A bin's overlap is the product of its column's x-overlap and its
+    /// row's y-overlap, so each column's x-overlap is computed once per
+    /// rect and each row's y-overlap once per row, from the same edges
+    /// [`Self::bin_rect`] yields.
     pub fn splat(&mut self, r: Rect, v: f32) {
         if r.area() <= 0.0 {
             // Degenerate rect (e.g. a zero-length net): deposit into one bin.
@@ -108,48 +121,19 @@ impl Grid {
         }
         let (x0, y0) = self.bin_of(r.x0, r.y0);
         let (x1, y1) = self.bin_of(r.x1, r.y1);
+        let area = r.area();
+        let ox: Vec<f32> = (x0..=x1)
+            .map(|bx| {
+                let (b0, b1) = self.col_span(bx);
+                (r.x1.min(b1) - r.x0.max(b0)).max(0.0)
+            })
+            .collect();
         for by in y0..=y1 {
-            for bx in x0..=x1 {
-                let b = self.bin_rect(bx, by);
-                let ox = (r.x1.min(b.x1) - r.x0.max(b.x0)).max(0.0);
-                let oy = (r.y1.min(b.y1) - r.y0.max(b.y0)).max(0.0);
-                let frac = (ox * oy) / r.area();
-                self.data[by * self.w + bx] += v * frac;
-            }
-        }
-    }
-
-    /// [`Self::splat`], restricted to bins where `mask` is `true`.
-    ///
-    /// Mirrors `splat` exactly (including the degenerate-rect branch), so
-    /// that for any masked bin the accumulated value is bit-identical to
-    /// what an unrestricted splat would have deposited there — the
-    /// property the delta map update in `rtt_features` relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != width * height`.
-    pub fn splat_masked(&mut self, r: Rect, v: f32, mask: &[bool]) {
-        assert_eq!(mask.len(), self.w * self.h, "mask must cover every bin");
-        if r.area() <= 0.0 {
-            let (x, y) = self.bin_of(r.x0, r.y0);
-            if mask[y * self.w + x] {
-                self.data[y * self.w + x] += v;
-            }
-            return;
-        }
-        let (x0, y0) = self.bin_of(r.x0, r.y0);
-        let (x1, y1) = self.bin_of(r.x1, r.y1);
-        for by in y0..=y1 {
-            for bx in x0..=x1 {
-                if !mask[by * self.w + bx] {
-                    continue;
-                }
-                let b = self.bin_rect(bx, by);
-                let ox = (r.x1.min(b.x1) - r.x0.max(b.x0)).max(0.0);
-                let oy = (r.y1.min(b.y1) - r.y0.max(b.y0)).max(0.0);
-                let frac = (ox * oy) / r.area();
-                self.data[by * self.w + bx] += v * frac;
+            let (b0, b1) = self.row_span(by);
+            let oy = (r.y1.min(b1) - r.y0.max(b0)).max(0.0);
+            let row = &mut self.data[by * self.w + x0..=by * self.w + x1];
+            for (bin, &ox) in row.iter_mut().zip(&ox) {
+                *bin += v * ((ox * oy) / area);
             }
         }
     }
@@ -257,6 +241,56 @@ mod tests {
         g.splat(Rect::new(42.0, 57.0, 42.0, 57.0), 2.0);
         assert_eq!(g.at(4, 5), 2.0);
         assert!((g.total() - 2.0).abs() < 1e-6);
+    }
+
+    /// Reference splat: builds `bin_rect` and both overlaps for every bin
+    /// the rect touches.
+    fn splat_per_bin(g: &mut Grid, r: Rect, v: f32) {
+        if r.area() <= 0.0 {
+            let (x, y) = g.bin_of(r.x0, r.y0);
+            g.set(x, y, g.at(x, y) + v);
+            return;
+        }
+        let (x0, y0) = g.bin_of(r.x0, r.y0);
+        let (x1, y1) = g.bin_of(r.x1, r.y1);
+        for by in y0..=y1 {
+            for bx in x0..=x1 {
+                let b = g.bin_rect(bx, by);
+                let ox = (r.x1.min(b.x1) - r.x0.max(b.x0)).max(0.0);
+                let oy = (r.y1.min(b.y1) - r.y0.max(b.y0)).max(0.0);
+                let frac = (ox * oy) / r.area();
+                g.set(bx, by, g.at(bx, by) + v * frac);
+            }
+        }
+    }
+
+    #[test]
+    fn splat_matches_the_per_bin_reference_bitwise() {
+        // Non-square bins over an offset die, so swapping rows and
+        // columns changes both the bin edges and the bins touched.
+        let die = Rect::new(-13.5, 20.25, 86.0, 61.0);
+        let mut fast = Grid::new(7, 5, die);
+        let mut slow = fast.clone();
+        let (c2, c4) = (fast.bin_rect(2, 1), fast.bin_rect(4, 3));
+        let rects = [
+            ("zero area", Rect::new(10.0, 30.0, 10.0, 55.0)),
+            ("one column wide", Rect::new(c2.x0 + 1.0, 21.0, c2.x1 - 2.5, 58.5)),
+            ("edges on bin boundaries", Rect::new(c2.x0, c2.y0, c4.x1, c4.y1)),
+            ("partly outside the die", Rect::new(-40.0, 5.0, 20.0, 33.3)),
+            ("spanning the whole die", Rect::new(-20.0, 10.0, 95.0, 70.0)),
+        ];
+        for (what, r) in rects {
+            let (mut one_fast, mut one_slow) = (Grid::new(7, 5, die), Grid::new(7, 5, die));
+            one_fast.splat(r, 2.75);
+            splat_per_bin(&mut one_slow, r, 2.75);
+            fast.splat(r, 2.75);
+            splat_per_bin(&mut slow, r, 2.75);
+            for (a, b) in [(&one_fast, &one_slow), (&fast, &slow)] {
+                let bits = |g: &Grid| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{what}: splat diverged from the per-bin reference");
+            }
+            assert!(one_slow.total() > 0.0, "{what}: the reference deposited nothing");
+        }
     }
 
     #[test]

@@ -102,22 +102,23 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
         // path (R003).
         let Some(kind) = fields.next() else { continue };
         let rest: Vec<&str> = fields.collect();
+        let malformed = |message: String| PlacementIoError::Malformed { line: line_no, message };
         let num = |s: &str| -> Result<f32, PlacementIoError> {
-            s.parse().map_err(|_| PlacementIoError::Malformed {
-                line: line_no,
-                message: format!("expected a number, got `{s}`"),
-            })
+            match s.parse::<f32>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                _ => Err(malformed(format!("expected a finite number, got `{s}`"))),
+            }
         };
         match kind {
             "DIE" | "MACRO" => {
                 if rest.len() != 4 {
-                    return Err(PlacementIoError::Malformed {
-                        line: line_no,
-                        message: format!("{kind} needs 4 coordinates"),
-                    });
+                    return Err(malformed(format!("{kind} needs 4 coordinates")));
                 }
                 let r = Rect::new(num(rest[0])?, num(rest[1])?, num(rest[2])?, num(rest[3])?);
                 if kind == "DIE" {
+                    if !(r.width() > 0.0 && r.height() > 0.0) {
+                        return Err(malformed("DIE has zero width or height".into()));
+                    }
                     die = Some(r);
                 } else {
                     macros.push(r);
@@ -125,10 +126,7 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
             }
             "CELL" | "PORT" => {
                 if rest.len() != 3 {
-                    return Err(PlacementIoError::Malformed {
-                        line: line_no,
-                        message: format!("{kind} needs a name and 2 coordinates"),
-                    });
+                    return Err(malformed(format!("{kind} needs a name and 2 coordinates")));
                 }
                 let p = Point::new(num(rest[1])?, num(rest[2])?);
                 if kind == "CELL" {
@@ -137,12 +135,7 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
                     port_pos.insert(rest[0], p);
                 }
             }
-            other => {
-                return Err(PlacementIoError::Malformed {
-                    line: line_no,
-                    message: format!("unknown record `{other}`"),
-                })
-            }
+            other => return Err(malformed(format!("unknown record `{other}`"))),
         }
     }
 
@@ -255,6 +248,20 @@ mod tests {
         match parse_placement(&nl, "DIE 0 0 10 10\nBOGUS 1\n") {
             Err(PlacementIoError::Malformed { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn degenerate_and_non_finite_dies_are_malformed() {
+        let (_, nl, pl) = world();
+        let text = write_placement(&nl, &pl);
+        let body = text.lines().filter(|l| !l.starts_with("DIE")).collect::<Vec<_>>().join("\n");
+        for die in ["DIE 0 0 0 50", "DIE 0 0 NaN 50", "DIE 0 0 50 inf", "DIE 5 20 90 20"] {
+            let text = format!("# header\n{die}\n{body}");
+            match parse_placement(&nl, &text) {
+                Err(PlacementIoError::Malformed { line, .. }) => assert_eq!(line, 2, "{die}"),
+                other => panic!("{die}: expected malformed, got {other:?}"),
+            }
         }
     }
 

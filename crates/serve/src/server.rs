@@ -121,10 +121,11 @@ struct Conn {
 struct DesignEntry {
     sources: Option<(Netlist, Placement)>,
     prep: Arc<PreparedDesign>,
-    /// Delta-prepare context: lets `/transform` update the preparation
-    /// in place instead of recomputing it. `None` for boot-seeded
-    /// designs (immutable, never transformed) and after a grid change;
-    /// a missing context falls back to a cold prepare and re-arms.
+    /// Delta-prepare context: lets `/transform` carry clean endpoint
+    /// masks across a transform instead of recomputing them. `None` for
+    /// boot-seeded designs (immutable, never transformed) and after a
+    /// grid change; a missing context falls back to a cold prepare and
+    /// re-arms.
     pctx: Option<PrepareCtx>,
     inc: IncrementalCtx,
     pending: Vec<PinId>,
@@ -824,7 +825,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
     let targets = vec![0.0f32; graph.endpoints().len()];
     let seeds = rtt_opt::dirty_seed_pins(netlist, &nl);
     // Delta path when a prepare context is armed: carry the previous
-    // preparation's clean work across the transform (bit-identical to a
+    // preparation's clean masks across the transform (bit-identical to a
     // cold prepare). The context is taken out first, so a panic mid-update
     // simply drops it and the next transform re-arms cold.
     let (new_prep, new_ctx) = match pctx.take() {

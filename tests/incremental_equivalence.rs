@@ -28,8 +28,7 @@
 
 use proptest::TestRunner;
 use restructure_timing::model::{
-    IncrementalCtx, PrepareCtx, PREP_FEAT_ROWS_RECOMPUTED_COUNTER,
-    PREP_MAP_BINS_RECOMPUTED_COUNTER, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
+    IncrementalCtx, PrepareCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
     ROWS_RECOMPUTED_COUNTER, ROWS_TOTAL_COUNTER,
 };
 use restructure_timing::netlist::{CellId, NetId, PinId, DRIVE_STRENGTHS};
@@ -669,27 +668,17 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     let seeds = dirty_seed_pins(&before, &nl2);
     assert!(seeds.is_empty(), "no-op transform must seed no dirty pins, got {seeds:?}");
 
-    // Delta-prepare the no-op: every endpoint mask, feature row, and map
-    // bin must be reused (the `core::prepare_*_recomputed` counters do
-    // not move) while the totals confirm the update actually ran.
+    // Delta-prepare the no-op: every endpoint mask must be reused (the
+    // `core::prepare_masks_recomputed` counter does not move) while the
+    // total confirms the update actually ran.
     let graph2 = TimingGraph::try_build(&nl2, &lib).expect("no-op keeps the DAG");
-    let (pm0, pf0, pb0, pt0) = (
-        obs_counter(PREP_MASKS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_FEAT_ROWS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_MAP_BINS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_MASKS_TOTAL_COUNTER),
-    );
+    let (pm0, pt0) =
+        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
     let prep2 =
         prep.update(&mut pctx, (&before, pl), (&nl2, pl), &lib, &graph2, cfg, &seeds, targets);
-    let (pm1, pf1, pb1, pt1) = (
-        obs_counter(PREP_MASKS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_FEAT_ROWS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_MAP_BINS_RECOMPUTED_COUNTER),
-        obs_counter(PREP_MASKS_TOTAL_COUNTER),
-    );
+    let (pm1, pt1) =
+        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
     assert_eq!(pm1 - pm0, 0, "no-op update must recompute zero endpoint masks");
-    assert_eq!(pf1 - pf0, 0, "no-op update must recompute zero feature rows");
-    assert_eq!(pb1 - pb0, 0, "no-op update must recompute zero map bins");
     assert!(pt1 > pt0, "no-op update still counts total masks");
     prep2
         .bit_eq(&prepare_design(&nl2, pl, &lib, cfg))
