@@ -1,7 +1,7 @@
 //! Dirty-cone incremental inference state.
 //!
-//! [`IncrementalCtx`] caches the flat GNN activation matrix (and the CNN
-//! global map) of a *base* design. When the caller re-predicts after a
+//! [`IncrementalCtx`] caches the flat GNN activation matrix and the CNN
+//! global map of a *base* design. When the caller re-predicts after a
 //! netlist transform, [`crate::TimingModel::predict_incremental`] seeds a
 //! dirty set from the transform's touched pins, closes it over the
 //! level-ordered fan-out cones, recomputes only the dirty rows, and
@@ -22,12 +22,12 @@
 //! feature change (which also covers placement moves of surviving
 //! cells).
 //!
-//! The context also caches the per-endpoint readout-tail outputs, keyed
-//! by endpoint pin. A cached prediction is reused only when every tail
-//! input is bit-identical to the run that produced it: the endpoint's
-//! flat row was *not* recomputed by the refresh, its sparse mask bins
-//! are unchanged, and the CNN global map came from the cache — so reuse
-//! is bit-exact by construction, not by tolerance.
+//! Every refresh follows one rule: it reuses the GNN rows outside the
+//! dirty cone, recomputes the CNN global map, and empties the
+//! per-endpoint tail cache. A cached tail output depends on its
+//! endpoint's flat row, its mask bins and the global map; all three
+//! change only with the design, and every design change goes through a
+//! refresh, so an entry is valid exactly until the next one.
 
 use rtt_netlist::PinId;
 use rtt_nn::{ParamStore, Tensor};
@@ -79,27 +79,17 @@ pub(crate) struct BaseCache {
     feat_net: Option<Tensor>,
 }
 
-/// Cached readout-tail output for one endpoint: the prediction plus the
-/// sparse mask bins it was computed under.
-#[derive(Clone, Debug)]
-pub(crate) struct EpEntry {
-    pub(crate) val: f32,
-    pub(crate) mask: Vec<u32>,
-}
-
 /// Reusable incremental-inference context. One per (model, design
 /// lineage): reset it whenever the model weights change or prediction
 /// moves to an unrelated design.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalCtx {
     cache: Option<BaseCache>,
-    /// CNN global-map cache: valid while the design's layout maps are
-    /// bit-identical to `maps_key`.
-    gmap: Option<(Tensor, Tensor)>,
-    /// Per-endpoint tail-output cache, indexed by endpoint pin index.
-    /// Entries are invalidated when the pin's flat row goes dirty and
-    /// wholesale when the global map recomputes.
-    ep: Vec<Option<EpEntry>>,
+    /// CNN global map of the design the last refresh saw.
+    gmap: Option<Tensor>,
+    /// Tail outputs read since the last refresh, indexed by endpoint pin
+    /// index.
+    ep: Vec<Option<f32>>,
     // Recycled index scratch.
     dirty: Vec<bool>,
     map_rows: Vec<u32>,
@@ -141,18 +131,6 @@ fn rows_bit_eq(a: Option<&Tensor>, ra: u32, b: Option<&Tensor>, rb: u32) -> bool
     }
 }
 
-/// Bit-level whole-tensor compare (shape and every element).
-fn feat_bits_eq(a: Option<&Tensor>, b: Option<&Tensor>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => {
-            a.shape() == b.shape()
-                && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        (None, None) => true,
-        _ => false,
-    }
-}
-
 /// Clones `src` into `dst`, reusing `dst`'s allocation when possible.
 fn clone_feat(dst: &mut Option<Tensor>, src: Option<&Tensor>) {
     match (dst.as_mut(), src) {
@@ -186,9 +164,16 @@ impl IncrementalCtx {
         self.ep.clear();
     }
 
-    /// `true` once a base design's activations are cached.
+    /// `true` once a refresh has run: the context holds the activations
+    /// of the design it last saw.
     pub fn is_warm(&self) -> bool {
-        self.cache.is_some()
+        self.cache.is_some() || self.gmap.is_some()
+    }
+
+    /// Starts a refresh: empties the tail cache, whose entries read the
+    /// previous design.
+    pub(crate) fn clear_tail(&mut self) {
+        self.ep.clear();
     }
 
     /// Refreshes the cached flat GNN matrix for `design`, recomputing
@@ -213,7 +198,6 @@ impl IncrementalCtx {
 
         let recomputed = match &mut self.cache {
             None => {
-                self.ep.clear();
                 gnn.forward_flat(store, schedule, &design.feats, aggregation, bufs);
                 // Move the output out of the scratch slot rather than copy
                 // it: the cache owns the one whole-design matrix, and the
@@ -234,47 +218,27 @@ impl IncrementalCtx {
                 self.dirty.resize(n, false);
                 self.map_rows.clear();
                 self.map_rows.resize(n, u32::MAX);
-                // Fast path: when the pin map, node kinds, feature
-                // indices, and feature bits all match the base exactly,
-                // the per-row clean criterion below holds everywhere
-                // with an identity map — skip the branchy row loop (and
-                // the feature re-clone). This is the steady-state shape
-                // of a daemon re-predicting an unchanged design.
-                let same_structure = self.row_of_pin_new == cache.row_of_pin
-                    && new_kind == cache.row_kind
-                    && new_feat == cache.row_feat
-                    && feat_bits_eq(
-                        design.feats.cell_src_flat.as_ref(),
-                        cache.feat_cell_src.as_ref(),
-                    )
-                    && feat_bits_eq(design.feats.net_flat.as_ref(), cache.feat_net.as_ref());
-                if same_structure {
-                    for (r, m) in self.map_rows.iter_mut().enumerate() {
-                        *m = r as u32;
-                    }
-                } else {
-                    // Map every new row to its base row by pin,
-                    // auto-seeding rows that are new, changed kind, or
-                    // changed features at the bit level.
-                    for (r, p) in pins.iter().enumerate() {
-                        let q = cache.row_of_pin.get(p.index()).copied().unwrap_or(u32::MAX);
-                        let clean = q != u32::MAX && cache.row_kind[q as usize] == new_kind[r] && {
-                            let (new_t, old_t) = match new_kind[r] {
-                                RowKind::Net => {
-                                    (design.feats.net_flat.as_ref(), cache.feat_net.as_ref())
-                                }
-                                _ => (
-                                    design.feats.cell_src_flat.as_ref(),
-                                    cache.feat_cell_src.as_ref(),
-                                ),
-                            };
-                            rows_bit_eq(new_t, new_feat[r], old_t, cache.row_feat[q as usize])
+                // Map every new row to its base row by pin, auto-seeding
+                // rows that are new, changed kind, or changed features at
+                // the bit level. An unchanged design maps onto itself
+                // with no dirty row.
+                for (r, p) in pins.iter().enumerate() {
+                    let q = cache.row_of_pin.get(p.index()).copied().unwrap_or(u32::MAX);
+                    let clean = q != u32::MAX && cache.row_kind[q as usize] == new_kind[r] && {
+                        let (new_t, old_t) = match new_kind[r] {
+                            RowKind::Net => {
+                                (design.feats.net_flat.as_ref(), cache.feat_net.as_ref())
+                            }
+                            _ => {
+                                (design.feats.cell_src_flat.as_ref(), cache.feat_cell_src.as_ref())
+                            }
                         };
-                        if clean {
-                            self.map_rows[r] = q;
-                        } else {
-                            self.dirty[r] = true;
-                        }
+                        rows_bit_eq(new_t, new_feat[r], old_t, cache.row_feat[q as usize])
+                    };
+                    if clean {
+                        self.map_rows[r] = q;
+                    } else {
+                        self.dirty[r] = true;
                     }
                 }
                 // Caller-provided seeds: pins whose gather topology
@@ -287,17 +251,9 @@ impl IncrementalCtx {
                     }
                 }
                 let recomputed = schedule.propagate_dirty(&mut self.dirty);
-                for (r, &d) in self.dirty.iter().enumerate() {
+                for (m, &d) in self.map_rows.iter_mut().zip(&self.dirty) {
                     if d {
-                        self.map_rows[r] = u32::MAX;
-                        // A dirty row's activation may change, so any
-                        // cached tail output reading it is stale. (Pins
-                        // absent from this design keep their entries:
-                        // reappearing as a live row forces that row
-                        // dirty, which invalidates them right here.)
-                        if let Some(slot) = self.ep.get_mut(pins[r].index()) {
-                            *slot = None;
-                        }
+                        *m = u32::MAX;
                     }
                 }
                 self.compact.build(plan, &self.dirty);
@@ -313,13 +269,11 @@ impl IncrementalCtx {
                     bufs,
                 );
                 std::mem::swap(&mut cache.flat, &mut cache.spare);
-                if !same_structure {
-                    std::mem::swap(&mut cache.row_of_pin, &mut self.row_of_pin_new);
-                    cache.row_kind = new_kind;
-                    cache.row_feat = new_feat;
-                    clone_feat(&mut cache.feat_cell_src, design.feats.cell_src_flat.as_ref());
-                    clone_feat(&mut cache.feat_net, design.feats.net_flat.as_ref());
-                }
+                std::mem::swap(&mut cache.row_of_pin, &mut self.row_of_pin_new);
+                cache.row_kind = new_kind;
+                cache.row_feat = new_feat;
+                clone_feat(&mut cache.feat_cell_src, design.feats.cell_src_flat.as_ref());
+                clone_feat(&mut cache.feat_net, design.feats.net_flat.as_ref());
                 recomputed
             }
         };
@@ -330,85 +284,32 @@ impl IncrementalCtx {
         recomputed
     }
 
-    /// The cached flat activation matrix (once warm).
+    /// The cached flat activation matrix (once a model with a GNN branch
+    /// has refreshed).
     pub(crate) fn flat(&self) -> Option<&Tensor> {
         self.cache.as_ref().map(|c| &c.flat)
     }
 
-    /// `true` when the cached CNN global map was computed from layout
-    /// maps bit-identical to `maps`.
-    pub(crate) fn gmap_matches(&self, maps: &Tensor) -> bool {
-        self.gmap.as_ref().is_some_and(|(key, _)| {
-            key.shape() == maps.shape()
-                && key.data().iter().zip(maps.data()).all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-    }
-
-    /// Caches the CNN global map `gmap` keyed by the layout maps that
-    /// produced it. Every cached endpoint output read the previous
-    /// global map, so a recompute invalidates them all.
-    pub(crate) fn set_gmap(&mut self, maps: &Tensor, gmap: &Tensor) {
-        for e in &mut self.ep {
-            *e = None;
-        }
-        match &mut self.gmap {
-            Some((key, g)) => {
-                key.copy_from(maps);
-                g.copy_from(gmap);
-            }
-            slot => {
-                let (mut key, mut g) = (Tensor::default(), Tensor::default());
-                key.copy_from(maps);
-                g.copy_from(gmap);
-                *slot = Some((key, g));
-            }
-        }
+    /// Stores the CNN global map of the design being refreshed.
+    pub(crate) fn set_gmap(&mut self, gmap: &Tensor) {
+        self.gmap.get_or_insert_with(Tensor::default).copy_from(gmap);
     }
 
     /// The cached CNN global map, if any.
     pub(crate) fn gmap(&self) -> Option<&Tensor> {
-        self.gmap.as_ref().map(|(_, g)| g)
+        self.gmap.as_ref()
     }
 
-    /// The cached tail output for endpoint `pin`, if still valid.
-    pub(crate) fn ep_get(&self, pin: PinId) -> Option<&EpEntry> {
-        self.ep.get(pin.index()).and_then(|e| e.as_ref())
+    /// Endpoint `pin`'s tail output, if read since the last refresh.
+    pub(crate) fn ep_get(&self, pin: PinId) -> Option<f32> {
+        self.ep.get(pin.index()).copied().flatten()
     }
 
-    /// Caches endpoint `pin`'s tail output `val`, computed under the
-    /// sparse `mask` bins (empty when masking is inactive).
-    pub(crate) fn ep_put(&mut self, pin: PinId, val: f32, mask: &[u32]) {
+    /// Caches endpoint `pin`'s tail output `val` until the next refresh.
+    pub(crate) fn ep_put(&mut self, pin: PinId, val: f32) {
         if self.ep.len() <= pin.index() {
             self.ep.resize(pin.index() + 1, None);
         }
-        match &mut self.ep[pin.index()] {
-            Some(e) => {
-                e.val = val;
-                e.mask.clear();
-                e.mask.extend_from_slice(mask);
-            }
-            slot => *slot = Some(EpEntry { val, mask: mask.to_vec() }),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gmap_cache_is_keyed_by_exact_map_bits() {
-        let mut ctx = IncrementalCtx::new();
-        let maps = Tensor::from_vec(&[1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let gmap = Tensor::from_vec(&[1, 2], vec![9.0, 8.0]);
-        assert!(!ctx.gmap_matches(&maps));
-        ctx.set_gmap(&maps, &gmap);
-        assert!(ctx.gmap_matches(&maps));
-        assert_eq!(ctx.gmap().unwrap().data(), &[9.0, 8.0]);
-        let moved = Tensor::from_vec(&[1, 4], vec![1.0, 2.0, 3.0, 4.5]);
-        assert!(!ctx.gmap_matches(&moved), "any map change must invalidate the global map");
-        ctx.reset();
-        assert!(!ctx.gmap_matches(&maps));
-        assert!(!ctx.is_warm());
+        self.ep[pin.index()] = Some(val);
     }
 }

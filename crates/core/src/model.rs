@@ -308,15 +308,19 @@ impl TimingModel {
         out
     }
 
-    /// Incremental twin of [`Self::predict_batch`]: reuses the flat GNN
-    /// activations cached in `inc` for a base design, recomputing only
-    /// the fan-out cones of `dirty_pins` (plus any rows whose static
-    /// features, node kind, or existence changed — those are detected
-    /// internally). A cold `inc` runs one full pass. On return the cache
-    /// has rebased onto `design`, so a transform sequence only ever pays
-    /// for its latest step's cone. The readout tail then runs as in
-    /// [`Self::predict_cached`], so outputs are bit-identical to
-    /// [`Self::predict_batch`] on the same design and indices.
+    /// Incremental twin of [`Self::predict_batch`]: refreshes the
+    /// activations cached in `inc` onto `design`, then runs the readout
+    /// tail as in [`Self::predict_cached`], so outputs are bit-identical
+    /// to [`Self::predict_batch`] on the same design and indices.
+    ///
+    /// Every refresh follows one rule, for every model variant: the GNN
+    /// recomputes only the fan-out cones of `dirty_pins` (plus any rows
+    /// whose static features, node kind, or existence changed — those
+    /// are detected internally) and copies the rest from the cache; the
+    /// CNN global map is recomputed; and the per-endpoint tail cache is
+    /// emptied. A cold `inc` runs one full pass. On return the cache has
+    /// rebased onto `design`, so a transform sequence only ever pays for
+    /// its latest step's cone.
     ///
     /// Caller contract:
     /// * `dirty_pins` must cover every pin whose *gather topology*
@@ -327,9 +331,6 @@ impl TimingModel {
     ///   edits);
     /// * call [`IncrementalCtx::reset`] whenever the model weights
     ///   change (e.g. a hot-reload) or the design lineage breaks.
-    ///
-    /// CNN-only variants have no per-node state to cache and simply
-    /// forward to [`Self::predict_batch`].
     // rtt-lint: entry
     pub fn predict_incremental(
         &self,
@@ -341,23 +342,28 @@ impl TimingModel {
     ) -> Vec<f32> {
         let obs = rtt_obs::span("core::predict_incremental");
         obs.add("endpoints", indices.len() as u64);
-        let Some(gnn) = &self.gnn else {
-            return self.predict_batch(ctx, design, indices);
-        };
+        inc.clear_tail();
         ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + 3, |bufs, argmax, col| {
             let (gbufs, cnn_bufs) = bufs.split_at_mut(NetlistGnn::FLAT_SCRATCH);
             // The cache refreshes even for an empty index set, so a
             // caller draining queued transforms can always hand the
             // seeds over exactly once.
-            inc.refresh_gnn(gnn, &self.store, design, self.config.aggregation, dirty_pins, gbufs);
+            if let Some(gnn) = &self.gnn {
+                inc.refresh_gnn(
+                    gnn,
+                    &self.store,
+                    design,
+                    self.config.aggregation,
+                    dirty_pins,
+                    gbufs,
+                );
+            }
             if let Some((trunk, _)) = &self.cnn {
-                if !inc.gmap_matches(&design.maps) {
-                    let [cnn_a, cnn_b, gmap] = cnn_bufs else {
-                        unreachable!("scratch layout mismatch")
-                    };
-                    trunk.forward_into(&self.store, &design.maps, cnn_a, cnn_b, gmap, col, argmax);
-                    inc.set_gmap(&design.maps, gmap);
-                }
+                let [cnn_a, cnn_b, gmap] = cnn_bufs else {
+                    unreachable!("scratch layout mismatch")
+                };
+                trunk.forward_into(&self.store, &design.maps, cnn_a, cnn_b, gmap, col, argmax);
+                inc.set_gmap(gmap);
             }
         });
         self.read_cache(ctx, inc, design, indices)
@@ -377,9 +383,6 @@ impl TimingModel {
     /// the cache — that comparison is the refresh this method skips — so
     /// after any change to the design, refresh instead.
     ///
-    /// CNN-only variants have no per-node state to cache and simply
-    /// forward to [`Self::predict_batch`].
-    ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
@@ -391,21 +394,17 @@ impl TimingModel {
         design: &PreparedDesign,
         indices: &[u32],
     ) -> Vec<f32> {
-        // Warm means both branches' activations are cached; CNN-only
-        // models never warm the context.
-        if !inc.is_warm() || (self.cnn.is_some() && inc.gmap().is_none()) {
+        if !inc.is_warm() {
             return self.predict_incremental(ctx, inc, design, &[], indices);
         }
-        let obs = rtt_obs::span("core::predict_cached");
-        obs.add("endpoints", indices.len() as u64);
         self.read_cache(ctx, inc, design, indices)
     }
 
-    /// The readout tail over a refreshed `inc`. An endpoint whose flat row
-    /// survived the last refresh untouched, whose mask bins are unchanged
-    /// and whose global map came from the cache is served its cached
-    /// prediction, which is the same bits recomputation would produce;
-    /// the rest run [`Self::predict_tail`] and are cached.
+    /// The readout tail over a refreshed `inc`. An endpoint already read
+    /// since the last refresh is served its cached prediction: its tail
+    /// inputs (flat row, mask bins, global map) change only with the
+    /// design, and a design change goes through a refresh, which empties
+    /// the cache. The rest run [`Self::predict_tail`] and are cached.
     fn read_cache(
         &self,
         ctx: &InferCtx,
@@ -413,33 +412,29 @@ impl TimingModel {
         design: &PreparedDesign,
         indices: &[u32],
     ) -> Vec<f32> {
+        static EPS_REUSED: rtt_obs::Counter = rtt_obs::Counter::new(crate::EPS_REUSED_COUNTER);
+        static EPS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(crate::EPS_TOTAL_COUNTER);
         if indices.is_empty() {
             return Vec::new();
         }
-        // Split the request into cache hits (tail inputs bit-equal to the
-        // run that produced the entry) and endpoints that must recompute;
-        // scatter both into the caller's order.
+        // Split the request into cache hits and endpoints that must
+        // recompute; scatter both into the caller's order.
         let pins = design.schedule.flat_row_pins();
         let ep_rows = design.schedule.flat_endpoint_rows();
-        let masked = self.cnn.is_some() && self.config.masking;
         let mut out = vec![0.0; indices.len()];
         let mut todo: Vec<u32> = Vec::new();
         let mut todo_pos: Vec<usize> = Vec::new();
         for (k, &i) in indices.iter().enumerate() {
-            let pin = pins[ep_rows[i as usize] as usize];
-            let hit = inc.ep_get(pin).filter(|e| !masked || e.mask == design.masks[i as usize]);
-            match hit {
-                Some(e) => out[k] = e.val,
+            match inc.ep_get(pins[ep_rows[i as usize] as usize]) {
+                Some(v) => out[k] = v,
                 None => {
                     todo.push(i);
                     todo_pos.push(k);
                 }
             }
         }
-        rtt_obs::add_many(&[
-            (crate::EPS_REUSED_COUNTER, (indices.len() - todo.len()) as u64),
-            (crate::EPS_TOTAL_COUNTER, indices.len() as u64),
-        ]);
+        EPS_REUSED.add((indices.len() - todo.len()) as u64);
+        EPS_TOTAL.add(indices.len() as u64);
         if todo.is_empty() {
             return out;
         }
@@ -449,9 +444,7 @@ impl TimingModel {
         });
         for ((&v, &k), &i) in fresh.iter().zip(&todo_pos).zip(&todo) {
             out[k] = v;
-            let pin = pins[ep_rows[i as usize] as usize];
-            let mask: &[u32] = if masked { &design.masks[i as usize] } else { &[] };
-            inc.ep_put(pin, v, mask);
+            inc.ep_put(pins[ep_rows[i as usize] as usize], v);
         }
         out
     }

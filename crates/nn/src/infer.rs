@@ -130,7 +130,7 @@ mod tests {
             let [h, y, c] = bufs else { unreachable!("pool sized to 3 above") };
             ops::matmul(&a, &b, h);
             ops::relu_in_place(h);
-            ops::tanh(h, y);
+            ops::tanh_to(h, y);
             ops::conv2d(&x, &w, 1, col, c);
             ops::maxpool2d(c, 2, h, argmax);
             (y.clone(), h.clone())

@@ -27,7 +27,7 @@
 //! * [`ParamStore`] / [`ParamId`] — long-lived trainable tensors, injected
 //!   into each tape as leaves and updated from [`Grads`] by an optimizer.
 //! * [`Linear`], [`Mlp`], [`Conv2d`] — the layer zoo.
-//! * [`Adam`], [`Sgd`] — optimizers.
+//! * [`Adam`] — the optimizer.
 //! * [`parallel`] — global thread-pool configuration; every kernel is
 //!   bit-identical across thread counts.
 //!
@@ -75,7 +75,7 @@ mod tensor;
 pub use exec::Exec;
 pub use infer::InferCtx;
 pub use layers::{Conv2d, Linear, Mlp};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use store::{Grads, ParamId, ParamStore, WeightsError};
 pub use tape::{mse, Tape, Var};
 pub use tensor::Tensor;

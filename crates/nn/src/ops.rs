@@ -53,12 +53,8 @@ pub fn add(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 ///
 /// Panics if `row.len() != a.cols()`.
 pub fn add_row(a: &Tensor, row: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.cols(), row.len(), "bias width mismatch");
     out.copy_from(a);
-    let n = row.len();
-    for (i, x) in out.data_mut().iter_mut().enumerate() {
-        *x += row.data()[i % n];
-    }
+    add_row_in_place(out, row.data());
 }
 
 /// Adds a per-channel bias `[C]` to a feature map `[C, H, W]`.
@@ -67,14 +63,8 @@ pub fn add_row(a: &Tensor, row: &Tensor, out: &mut Tensor) {
 ///
 /// Panics if `bias.len() != C`.
 pub fn add_channel(x: &Tensor, bias: &Tensor, out: &mut Tensor) {
-    let (c, h, w) = rank3(x);
-    assert_eq!(bias.len(), c, "one bias per channel");
     out.copy_from(x);
-    for ch in 0..c {
-        for p in &mut out.data_mut()[ch * h * w..(ch + 1) * h * w] {
-            *p += bias.data()[ch];
-        }
-    }
+    add_channel_in_place(out, bias.data());
 }
 
 /// Elementwise difference (same shape).
@@ -110,12 +100,8 @@ pub fn mul(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 ///
 /// Panics if `row.len() != a.cols()`.
 pub fn mul_row(a: &Tensor, row: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.cols(), row.len(), "row width mismatch");
     out.copy_from(a);
-    let n = row.len();
-    for (i, x) in out.data_mut().iter_mut().enumerate() {
-        *x *= row.data()[i % n];
-    }
+    mul_row_in_place(out, row.data());
 }
 
 /// Scalar multiple.
@@ -127,17 +113,7 @@ pub fn scale(a: &Tensor, s: f32, out: &mut Tensor) {
 /// Rectified linear unit.
 pub fn relu(x: &Tensor, out: &mut Tensor) {
     out.copy_from(x);
-    for v in out.data_mut() {
-        *v = v.max(0.0);
-    }
-}
-
-/// Hyperbolic tangent.
-pub fn tanh(x: &Tensor, out: &mut Tensor) {
-    out.copy_from(x);
-    for v in out.data_mut() {
-        *v = v.tanh();
-    }
+    relu_in_place(out);
 }
 
 /// Reshaped copy with identical element count.
@@ -452,8 +428,7 @@ pub fn segment_sum_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
     }
 }
 
-/// In-place rectified linear unit (same values as [`relu`] minus the
-/// copy).
+/// In-place rectified linear unit.
 // rtt-lint: hot
 pub fn relu_in_place(x: &mut Tensor) {
     for v in x.data_mut() {
@@ -461,8 +436,8 @@ pub fn relu_in_place(x: &mut Tensor) {
     }
 }
 
-/// Hyperbolic tangent written directly into `out` (same values as
-/// [`tanh`], but the source stays intact for a later residual add).
+/// Hyperbolic tangent written into `out`; the source stays intact, so a
+/// residual block can add it back afterwards.
 // rtt-lint: hot
 pub fn tanh_to(src: &Tensor, out: &mut Tensor) {
     out.reset_for_overwrite(src.shape());
@@ -471,8 +446,7 @@ pub fn tanh_to(src: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// In-place bias add: `row` is added to every row of `x` (same values as
-/// [`add_row`] minus the copy).
+/// In-place bias add: `row` is added to every row of `x`.
 ///
 /// # Panics
 ///
@@ -488,8 +462,7 @@ pub fn add_row_in_place(x: &mut Tensor, row: &[f32]) {
     }
 }
 
-/// In-place per-channel bias add on a `[C, H, W]` map (same values as
-/// [`add_channel`] minus the copy).
+/// In-place per-channel bias add on a `[C, H, W]` map.
 ///
 /// # Panics
 ///
@@ -505,8 +478,7 @@ pub fn add_channel_in_place(x: &mut Tensor, bias: &[f32]) {
     }
 }
 
-/// In-place broadcast Hadamard: every row of `x` is multiplied by `row`
-/// (same values as [`mul_row`] minus the copy).
+/// In-place broadcast Hadamard: every row of `x` is multiplied by `row`.
 ///
 /// # Panics
 ///

@@ -1,35 +1,8 @@
-//! First-order optimizers.
+//! The Adam optimizer.
 
 use std::collections::HashMap;
 
 use crate::{Grads, ParamId, ParamStore, Tensor};
-
-/// Plain stochastic gradient descent.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one update from `grads` to every parameter that has one.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Grads) {
-        let ids: Vec<ParamId> = store.iter().map(|(id, _)| id).collect();
-        for id in ids {
-            if let Some(g) = grads.of(id) {
-                let p = store.value_mut(id);
-                for (v, gv) in p.data_mut().iter_mut().zip(g.data()) {
-                    *v -= self.lr * gv;
-                }
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction — the paper trains with Adam at
 /// a learning rate of 0.001.
@@ -101,13 +74,6 @@ mod tests {
             optimizer(&mut store, &grads);
         }
         last
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.5);
-        let last = fit(&mut |s, g| sgd.step(s, g), 100);
-        assert!(last < 1e-4, "sgd loss {last}");
     }
 
     #[test]

@@ -552,7 +552,7 @@ impl<'t> Var<'t> {
 
     /// Hyperbolic tangent.
     pub fn tanh(self) -> Var<'t> {
-        self.unary(Op::Tanh(self.id), ops::tanh)
+        self.unary(Op::Tanh(self.id), ops::tanh_to)
     }
 
     /// Reshaped view (copy) with identical element count.

@@ -205,16 +205,6 @@ impl Tensor {
         self.data[r * cols + c]
     }
 
-    /// Returns a reshaped copy (same number of elements).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volumes differ.
-    #[must_use]
-    pub fn reshaped(&self, shape: &[usize]) -> Self {
-        Self::from_vec(shape, self.data.clone())
-    }
-
     /// Reshapes in place (same number of elements, no data movement).
     ///
     /// # Panics
@@ -349,47 +339,6 @@ impl Tensor {
         } else {
             matmul_rows(&self.data, &other.data, &mut out.data, k, n);
         }
-    }
-
-    /// Matrix product specialized for a left operand known to be mostly
-    /// zeros (one-hot selections, binary masks): rows are scanned and zero
-    /// entries skip their whole `b`-row term. On dense inputs this branchy
-    /// loop is much slower than [`Tensor::matmul`] — call it only when the
-    /// caller can prove sparsity structurally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions mismatch.
-    #[must_use]
-    pub fn matmul_zero_skip(&self, other: &Tensor) -> Tensor {
-        let (m, k) = (self.rows(), self.cols());
-        let (k2, n) = (other.rows(), other.cols());
-        assert_eq!(k, k2, "matmul {m}x{k} by {k2}x{n}");
-        let mut out = Tensor::zeros(&[m, n]);
-        let mut nonzeros = 0u64;
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out.data[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                // Bit test for ±0.0 (shift drops the sign bit) — exactly the
-                // values whose products contribute nothing.
-                if a.to_bits() << 1 == 0 {
-                    continue;
-                }
-                nonzeros += 1;
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        static ZS_CALLS: rtt_obs::Counter = rtt_obs::Counter::new("nn::zero_skip_calls");
-        static ZS_ENTRIES: rtt_obs::Counter = rtt_obs::Counter::new("nn::zero_skip_entries");
-        static ZS_NONZEROS: rtt_obs::Counter = rtt_obs::Counter::new("nn::zero_skip_nonzeros");
-        ZS_CALLS.add(1);
-        ZS_ENTRIES.add((m * k) as u64);
-        ZS_NONZEROS.add(nonzeros);
-        out
     }
 
     /// Transposed copy of a matrix.

@@ -730,13 +730,13 @@ fn transform(shared: &Shared, req: &Request) -> Response {
                 Ok(i) => drive = Some(i),
                 Err(_) => return bad("drive"),
             },
-            "pos" => match v
-                .split_once(',')
-                .and_then(|(x, y)| Some(Point::new(x.trim().parse().ok()?, y.trim().parse().ok()?)))
-            {
-                Some(p) => pos = Some(p),
-                None => return bad("pos"),
-            },
+            "pos" => {
+                let coord = |s: &str| s.trim().parse::<f32>().ok().filter(|c| c.is_finite());
+                match v.split_once(',').and_then(|(x, y)| Some(Point::new(coord(x)?, coord(y)?))) {
+                    Some(p) => pos = Some(p),
+                    None => return bad("pos"),
+                }
+            }
             _ => return Response::text(400, format!("unrecognized body line: {line}\n")),
         }
     }

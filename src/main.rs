@@ -249,13 +249,11 @@ fn cmd_opt(opts: &HashMap<String, String>) -> Result<(), String> {
     // design incrementally from a cache primed on the input design, and
     // check the result against a cold full forward pass.
     if let Some(weights) = opts.get("weights").filter(|w| !w.is_empty()) {
-        let scale = opt_scale(opts)?;
         opt_incremental_report(
             &lib,
             (&before, &before_placement),
             (&netlist, &placement),
             weights,
-            scale,
         )?;
     }
     let stem = format!("{}_opt", netlist.name);
@@ -272,7 +270,6 @@ fn opt_incremental_report(
     (before, before_placement): (&Netlist, &Placement),
     (after, after_placement): (&Netlist, &Placement),
     weights: &str,
-    scale: Scale,
 ) -> Result<(), String> {
     use restructure_timing::model::{
         IncrementalCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
@@ -280,7 +277,7 @@ fn opt_incremental_report(
     };
     use restructure_timing::nn::InferCtx;
 
-    let model = load_model_file(weights, scale)?;
+    let model = load_model_file(weights)?;
     let cfg = model.config().clone();
     let build = |nl: &Netlist| -> Result<TimingGraph, String> {
         TimingGraph::try_build(nl, lib).map_err(|e| format!("timing graph: {e}"))
@@ -369,7 +366,7 @@ fn opt_incremental_report(
     Ok(())
 }
 
-/// Model architecture per scale (must match between `train` and `predict`).
+/// The model architecture `train` uses at each scale.
 fn model_config_for(scale: Scale) -> ModelConfig {
     match scale {
         Scale::Tiny => ModelConfig::tiny(),
@@ -416,27 +413,16 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads a model file: the versioned `RTTM` container (architecture comes
-/// from the file), falling back to the legacy raw weight blob, whose
-/// architecture must be supplied via `--scale`.
-fn load_model_file(path: &str, scale: Scale) -> Result<TimingModel, String> {
-    use restructure_timing::model::model_io::{load_model, ModelIoError};
+/// Loads a model file written by `train`: the versioned `RTTM`
+/// container, which carries its own architecture.
+fn load_model_file(path: &str) -> Result<TimingModel, String> {
     let blob = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    match load_model(&blob) {
-        Ok(model) => Ok(model),
-        Err(ModelIoError::BadMagic) => {
-            let mut model = TimingModel::new(model_config_for(scale));
-            model.load_weights(&blob).map_err(|e| format!("{path}: legacy weight blob: {e}"))?;
-            Ok(model)
-        }
-        Err(e) => Err(format!("{path}: {e}")),
-    }
+    restructure_timing::model::model_io::load_model(&blob).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), String> {
-    let scale = opt_scale(opts)?;
     let (lib, netlist, placement) = load_design(opts)?;
-    let model = load_model_file(required(opts, "weights")?, scale)?;
+    let model = load_model_file(required(opts, "weights")?)?;
     let cfg = model.config().clone();
 
     let graph = TimingGraph::build(&netlist, &lib);
@@ -470,9 +456,8 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     use restructure_timing::serve::{FaultPlan, ServeConfig, Server};
 
-    let scale = opt_scale(opts)?;
     let weights_path = required(opts, "weights")?;
-    let model = load_model_file(weights_path, scale)?;
+    let model = load_model_file(weights_path)?;
     let cfg = model.config().clone();
 
     let mut designs = Vec::new();

@@ -28,8 +28,9 @@
 
 use proptest::TestRunner;
 use restructure_timing::model::{
-    IncrementalCtx, PrepareCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
-    ROWS_RECOMPUTED_COUNTER, ROWS_TOTAL_COUNTER,
+    IncrementalCtx, PrepareCtx, EPS_REUSED_COUNTER, EPS_TOTAL_COUNTER,
+    PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER, ROWS_RECOMPUTED_COUNTER,
+    ROWS_TOTAL_COUNTER,
 };
 use restructure_timing::netlist::{CellId, NetId, PinId, DRIVE_STRENGTHS};
 use restructure_timing::nn::{parallel, InferCtx};
@@ -643,6 +644,8 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     // nothing to prune) must produce an empty dirty set and reuse the
     // activation cache in full: the `core::incremental_rows_recomputed`
     // counter does not move while `core::incremental_rows_total` does.
+    // The refresh still empties the per-endpoint tail cache, which the
+    // next cached read of the same indices refills in full.
     let (_, nl, pl) = &designs[0];
     let ctx = InferCtx::new();
     let mut inc = IncrementalCtx::new();
@@ -684,11 +687,34 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
         .bit_eq(&prepare_design(&nl2, pl, &lib, cfg))
         .unwrap_or_else(|field| panic!("no-op delta prepare diverged at field `{field}`"));
 
+    let eps = || (obs_counter(EPS_REUSED_COUNTER), obs_counter(EPS_TOTAL_COUNTER));
+    let n = all.len() as u64;
+    let (e0, et0) = eps();
     let inc_pred = model.predict_incremental(&ctx, &mut inc, &prep2, &seeds, &all);
     let (r2, t2) = (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
     assert_eq!(r2 - r1, 0, "empty dirty set must reuse the cached activations in full");
     assert_eq!(t2 - t1, t1 - t0, "warm pass covers the same row count");
-    assert_bits_eq("zero-dirty fixture", &inc_pred, &model.predict_batch(&ctx, &prep2, &all));
+    let want = model.predict_batch(&ctx, &prep2, &all);
+    assert_bits_eq("zero-dirty fixture", &inc_pred, &want);
+    let (e1, et1) = eps();
+    assert_eq!((e1 - e0, et1 - et0), (0, n), "a refresh reuses no endpoint");
+    let cached = model.predict_cached(&ctx, &mut inc, &prep2, &all);
+    assert_bits_eq("zero-dirty cached read", &cached, &want);
+    let (e2, et2) = eps();
+    assert_eq!((e2 - e1, et2 - et1), (n, n), "a cached read after a refresh reuses every endpoint");
+
+    // A CNN-only model caches its global map and tail outputs too: its
+    // second cached read of the same indices reuses every endpoint.
+    let cnn_only = TimingModel::new(cfg.clone().with_variant(ModelVariant::CnnOnly));
+    let mut inc = IncrementalCtx::new();
+    let want = cnn_only.predict_batch(&ctx, &prep2, &all);
+    let first = cnn_only.predict_cached(&ctx, &mut inc, &prep2, &all);
+    assert_bits_eq("CNN-only cold cached read", &first, &want);
+    let (e3, et3) = eps();
+    let second = cnn_only.predict_cached(&ctx, &mut inc, &prep2, &all);
+    assert_bits_eq("CNN-only warm cached read", &second, &want);
+    let (e4, et4) = eps();
+    assert_eq!((e4 - e3, et4 - et3), (n, n), "a CNN-only cached read reuses every endpoint");
 }
 
 /// Nightly soak: one long randomized transform session (200+ applied

@@ -412,6 +412,23 @@ fn daemon_serves_unchanged_designs_from_the_activation_cache() {
     assert_eq!(read(), expect);
     assert_eq!(cache_counts(addr), (READS + 1, 1), "a rejected transform keeps the cache current");
 
+    // A non-finite buffer position is rejected before anything runs, so
+    // the prune below still publishes generation 2.
+    let (net, sink) = nl
+        .nets()
+        .find_map(|(id, n)| n.sinks.first().map(|&s| (id, s)))
+        .expect("fixture has a net with sinks");
+    for pos in ["NaN,NaN", "inf,-inf"] {
+        let req = format!(
+            "design=rca\nop=buffer\nnet={}\nsink={}\npos={pos}\n",
+            net.index(),
+            sink.index()
+        );
+        let (status, body) = http(addr, &post("/transform", "", req.as_bytes()));
+        assert_eq!(status, 400, "pos={pos}: {}", String::from_utf8_lossy(&body));
+        assert_eq!(body, format!("bad pos: {pos}\n").into_bytes());
+    }
+
     let (status, body) = http(addr, &post("/transform", "", b"design=rca\nop=prune\n"));
     assert_eq!(status, 200);
     assert_eq!(body, b"generation=2\ndirty=0\n", "the fixture has nothing to prune");
