@@ -12,6 +12,12 @@ use rtt_nn::{mse, ops, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor, Var};
 
 use crate::BaselineInputs;
 
+/// Weight of the auxiliary local losses relative to the endpoint loss.
+const AUX_WEIGHT: f32 = 1.0;
+
+/// Seed for initialization.
+const INIT_SEED: u64 = 0x99;
+
 /// Hyper-parameters of the Guo baseline.
 #[derive(Clone, Debug)]
 pub struct GuoConfig {
@@ -19,15 +25,11 @@ pub struct GuoConfig {
     pub embed_dim: usize,
     /// Hidden width of the message/readout MLPs.
     pub hidden: usize,
-    /// Weight of the auxiliary local losses relative to the endpoint loss.
-    pub aux_weight: f32,
-    /// Seed for initialization.
-    pub seed: u64,
 }
 
 impl Default for GuoConfig {
     fn default() -> Self {
-        Self { embed_dim: 32, hidden: 32, aux_weight: 1.0, seed: 0x99 }
+        Self { embed_dim: 32, hidden: 32 }
     }
 }
 
@@ -103,7 +105,6 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
 
 /// The end-to-end GNN baseline model.
 pub struct GuoModel {
-    config: GuoConfig,
     store: ParamStore,
     gnn: NetlistGnn,
     arrival_head: Mlp,
@@ -112,14 +113,12 @@ pub struct GuoModel {
     arr_mean: f32,
     arr_std: f32,
     delay_std: f32,
-    #[allow(dead_code)]
-    rng: StdRng,
 }
 
 impl GuoModel {
     /// Creates an untrained model.
     pub fn new(config: GuoConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(INIT_SEED);
         let mut store = ParamStore::new();
         // Reuse the levelized GNN machinery with this baseline's widths.
         let mc = ModelConfig {
@@ -134,7 +133,6 @@ impl GuoModel {
         let net_head = Mlp::new(&mut store, &mut rng, &[d, h, 1]);
         let cell_head = Mlp::new(&mut store, &mut rng, &[d, h, 1]);
         Self {
-            config,
             store,
             gnn,
             arrival_head,
@@ -143,7 +141,6 @@ impl GuoModel {
             arr_mean: 0.0,
             arr_std: 1.0,
             delay_std: 1.0,
-            rng,
         }
     }
 
@@ -193,7 +190,7 @@ impl GuoModel {
                     let emb = tape.gather_rows(flat, &p.arr_rows).scale(rtt_core::READOUT_SCALE);
                     let pred = self.arrival_head.forward(&tape, &self.store, emb);
                     let t = self.norm_arr(&tape, &p.arr_labels);
-                    loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
+                    loss = loss.add(mse(&tape, pred, t).scale(AUX_WEIGHT));
                 }
                 if !p.net_rows.is_empty() {
                     // Local delays are not cumulative: bound the readout so
@@ -202,14 +199,14 @@ impl GuoModel {
                         tape.gather_rows(flat, &p.net_rows).scale(rtt_core::READOUT_SCALE).tanh();
                     let pred = self.net_head.forward(&tape, &self.store, emb);
                     let t = self.norm_delay(&tape, &p.net_labels);
-                    loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
+                    loss = loss.add(mse(&tape, pred, t).scale(AUX_WEIGHT));
                 }
                 if !p.cell_rows.is_empty() {
                     let emb =
                         tape.gather_rows(flat, &p.cell_rows).scale(rtt_core::READOUT_SCALE).tanh();
                     let pred = self.cell_head.forward(&tape, &self.store, emb);
                     let t = self.norm_delay(&tape, &p.cell_labels);
-                    loss = loss.add(mse(&tape, pred, t).scale(self.config.aux_weight));
+                    loss = loss.add(mse(&tape, pred, t).scale(AUX_WEIGHT));
                 }
                 let grads = tape.backward(loss);
                 adam.step(&mut self.store, &grads);

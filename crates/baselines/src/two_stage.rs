@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use rtt_netlist::{EdgeKind, GateFn, PinDir, PinId};
 use rtt_nn::{mse, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor};
-use rtt_route::{route, RouteConfig};
+use rtt_route::{route, RouteConfig, UNIT_CAP_FF_PER_UM};
 use rtt_sta::propagate;
 
 use crate::BaselineInputs;
@@ -52,7 +52,7 @@ fn extract_features(inputs: &BaselineInputs<'_>, kind: TwoStageKind) -> StageFea
     let dist_norm = rtt_features::DIST_NORM_UM;
     // Look-ahead RC network: an estimated detour-free routing (He et al.).
     let lookahead = (kind == TwoStageKind::Dac22He).then(|| {
-        let cfg = RouteConfig { detour_strength: 0.0, macro_detour: 0.0, ..RouteConfig::default() };
+        let cfg = RouteConfig { detour_strength: 0.0, macro_detour: 0.0 };
         route(inputs.netlist, inputs.library, inputs.placement, &cfg)
     });
 
@@ -85,13 +85,12 @@ fn extract_features(inputs: &BaselineInputs<'_>, kind: TwoStageKind) -> StageFea
             None => 0.5,
         };
         // Star-estimate of the driver's total load.
-        let rc = RouteConfig::default();
         row[6] = net
             .sinks
             .iter()
             .map(|&s| {
                 let p = inputs.placement.pin_position(inputs.netlist, s);
-                dp.manhattan(p) * rc.unit_cap_ff_per_um
+                dp.manhattan(p) * UNIT_CAP_FF_PER_UM
             })
             .sum::<f32>()
             / 10.0;

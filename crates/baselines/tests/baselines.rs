@@ -5,10 +5,10 @@ use std::collections::HashMap;
 use rtt_baselines::{BaselineInputs, GuoConfig, GuoModel, TwoStageKind, TwoStageModel};
 use rtt_circgen::GenParams;
 use rtt_netlist::{CellLibrary, Netlist, PinId, TimingGraph};
-use rtt_opt::{diff_netlists, optimize, OptConfig};
+use rtt_opt::{diff_netlists, optimize};
 use rtt_place::{place, PlaceConfig, Placement};
 use rtt_route::{route, RouteConfig};
-use rtt_sta::{run_sta, WireModel};
+use rtt_sta::run_sta;
 
 /// One design with its sign-off labels after a real optimize+route flow.
 struct World {
@@ -49,17 +49,12 @@ fn build_world(cells: usize, seed: u64) -> World {
     let mut opt_placement = input_placement.clone();
     let pre_graph = TimingGraph::build(&input_netlist, &lib);
     let pre_rt = route(&input_netlist, &lib, &input_placement, &RouteConfig::default());
-    let pre_sta = run_sta(&input_netlist, &lib, &pre_graph, WireModel::Routed(&pre_rt), 1.0);
+    let pre_sta = run_sta(&input_netlist, &lib, &pre_graph, &pre_rt, 1.0);
     let period = pre_sta.max_arrival() * 0.6;
-    optimize(
-        &mut opt_netlist,
-        &mut opt_placement,
-        &lib,
-        &OptConfig { clock_period_ps: period, ..OptConfig::default() },
-    );
+    optimize(&mut opt_netlist, &mut opt_placement, &lib, period);
     let opt_graph = TimingGraph::build(&opt_netlist, &lib);
     let opt_rt = route(&opt_netlist, &lib, &opt_placement, &RouteConfig::default());
-    let signoff = run_sta(&opt_netlist, &lib, &opt_graph, WireModel::Routed(&opt_rt), period);
+    let signoff = run_sta(&opt_netlist, &lib, &opt_graph, &opt_rt, period);
 
     // Labels on survivors only.
     let diff = diff_netlists(&input_netlist, &opt_netlist, &lib);

@@ -12,7 +12,7 @@ use rtt_netlist::{CellLibrary, Netlist, TimingGraph};
 use rtt_nn::{ParamStore, Tape, Tensor};
 use rtt_place::{place, PlaceConfig, Placement};
 use rtt_route::{route, RouteConfig};
-use rtt_sta::{run_sta, WireModel};
+use rtt_sta::run_sta;
 
 struct World {
     lib: CellLibrary,
@@ -35,7 +35,7 @@ fn bench_sta(c: &mut Criterion) {
         let w = world(cells);
         let rt = route(&w.nl, &w.lib, &w.pl, &RouteConfig::default());
         g.bench_with_input(BenchmarkId::from_parameter(cells), &cells, |b, _| {
-            b.iter(|| run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&rt), 500.0))
+            b.iter(|| run_sta(&w.nl, &w.lib, &w.graph, &rt, 500.0))
         });
     }
     g.finish();

@@ -13,7 +13,7 @@ use rtt_flow::{Dataset, FlowConfig};
 fn main() {
     let cli = Cli::parse();
     eprintln!("[ablation] generating dataset at scale {} ...", cli.scale);
-    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale, ..FlowConfig::default() });
+    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale });
     let (model, default_epochs) = match cli.scale {
         Scale::Tiny => (ModelConfig::tiny(), 10),
         // Huge scales the circuits for prepare benchmarks, not the model.

@@ -58,7 +58,7 @@ use rtt_netlist::{CellLibrary, PinId, TimingGraph};
 use rtt_nn::{parallel, InferCtx};
 use rtt_place::{place, PlaceConfig};
 use rtt_route::{route, RouteConfig};
-use rtt_sta::{fanout_cone, run_sta, WireModel};
+use rtt_sta::{fanout_cone, run_sta};
 
 /// Median wall-clock seconds over `reps` runs of `f`.
 fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -113,7 +113,7 @@ fn prepare_design(cells: usize, seed: u64, cfg: &ModelConfig, lib: &CellLibrary)
     let pl = place(&d.netlist, lib, 0, &PlaceConfig::default());
     let rt = route(&d.netlist, lib, &pl, &RouteConfig::default());
     let graph = TimingGraph::build(&d.netlist, lib);
-    let sta = run_sta(&d.netlist, lib, &graph, WireModel::Routed(&rt), 500.0);
+    let sta = run_sta(&d.netlist, lib, &graph, &rt, 500.0);
     let targets = sta.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
     PreparedDesign::prepare(&d.netlist, lib, &pl, &graph, cfg, targets)
 }
@@ -161,7 +161,7 @@ fn main() {
 
     // 1. Dataset generation: ten tiny designs through both flows, fanned
     //    out one design per thread.
-    let flow_cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let flow_cfg = FlowConfig { scale: Scale::Tiny };
     rows.push(serial_vs_parallel("dataset_generate", cores, 3, || Dataset::generate(&flow_cfg)));
 
     // 2. Endpoint-mask extraction at 2000 cells. The forest pass is
@@ -271,7 +271,7 @@ fn main() {
     let inc_pl = place(&inc_d.netlist, &lib, 0, &PlaceConfig::default());
     let inc_rt = route(&inc_d.netlist, &lib, &inc_pl, &RouteConfig::default());
     let inc_graph = TimingGraph::build(&inc_d.netlist, &lib);
-    let inc_sta = run_sta(&inc_d.netlist, &lib, &inc_graph, WireModel::Routed(&inc_rt), 500.0);
+    let inc_sta = run_sta(&inc_d.netlist, &lib, &inc_graph, &inc_rt, 500.0);
     let inc_targets = inc_sta.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
     let inc_prep =
         PreparedDesign::prepare(&inc_d.netlist, &lib, &inc_pl, &inc_graph, &cfg, inc_targets);

@@ -29,7 +29,7 @@ fn average(rows: &[&Table1Row], label: &str) -> Table1Row {
 fn main() {
     let cli = Cli::parse();
     eprintln!("[table1] generating dataset at scale {} ...", cli.scale);
-    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale, ..FlowConfig::default() });
+    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale });
     let mut rows = table1(&dataset);
     let train: Vec<&Table1Row> = rows.iter().filter(|r| r.train).collect();
     let test: Vec<&Table1Row> = rows.iter().filter(|r| !r.train).collect();

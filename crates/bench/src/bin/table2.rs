@@ -13,7 +13,7 @@ use rtt_flow::{Dataset, FlowConfig};
 fn main() {
     let cli = Cli::parse();
     eprintln!("[table2] generating dataset at scale {} ...", cli.scale);
-    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale, ..FlowConfig::default() });
+    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale });
 
     let (model, epochs, two_stage, guo) = match cli.scale {
         Scale::Tiny => (ModelConfig::tiny(), 40, 80, 10),
@@ -27,7 +27,6 @@ fn main() {
         train: TrainConfig { epochs, lr: 2e-3, log_every: 25, ..TrainConfig::default() },
         two_stage_epochs: two_stage,
         guo_epochs: guo,
-        ..Table2Config::default()
     };
     eprintln!("[table2] training all methods ({epochs} epochs for ours) ...");
     let mut rows = table2(&dataset, &cfg);

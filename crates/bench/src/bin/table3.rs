@@ -12,7 +12,7 @@ use rtt_flow::{Dataset, FlowConfig};
 fn main() {
     let cli = Cli::parse();
     eprintln!("[table3] generating dataset at scale {} (flow stages are timed) ...", cli.scale);
-    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale, ..FlowConfig::default() });
+    let dataset = Dataset::generate(&FlowConfig { scale: cli.scale });
     let model_cfg = match cli.scale {
         Scale::Tiny => ModelConfig::tiny(),
         // Huge scales the circuits for prepare benchmarks, not the model.

@@ -595,7 +595,7 @@ mod tests {
     use rtt_netlist::{CellLibrary, TimingGraph};
     use rtt_place::{place, PlaceConfig};
     use rtt_route::{route, RouteConfig};
-    use rtt_sta::{run_sta, WireModel};
+    use rtt_sta::run_sta;
 
     fn prepared(cells: usize, seed: u64, cfg: &ModelConfig) -> PreparedDesign {
         let lib = CellLibrary::asap7_like();
@@ -603,7 +603,7 @@ mod tests {
         let pl = place(&d.netlist, &lib, 0, &PlaceConfig::default());
         let rt = route(&d.netlist, &lib, &pl, &RouteConfig::default());
         let graph = TimingGraph::build(&d.netlist, &lib);
-        let sta = run_sta(&d.netlist, &lib, &graph, WireModel::Routed(&rt), 500.0);
+        let sta = run_sta(&d.netlist, &lib, &graph, &rt, 500.0);
         let targets = sta.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
         PreparedDesign::prepare(&d.netlist, &lib, &pl, &graph, cfg, targets)
     }

@@ -11,14 +11,14 @@ use rtt_netlist::{CellLibrary, TimingGraph};
 use rtt_nn::parallel;
 use rtt_place::{place, PlaceConfig};
 use rtt_route::{route, RouteConfig};
-use rtt_sta::{run_sta, WireModel};
+use rtt_sta::run_sta;
 
 fn prepare_design(cells: usize, seed: u64, cfg: &ModelConfig, lib: &CellLibrary) -> PreparedDesign {
     let d = GenParams::new(format!("det{seed}"), cells, seed).generate(lib);
     let pl = place(&d.netlist, lib, 0, &PlaceConfig::default());
     let rt = route(&d.netlist, lib, &pl, &RouteConfig::default());
     let graph = TimingGraph::build(&d.netlist, lib);
-    let sta = run_sta(&d.netlist, lib, &graph, WireModel::Routed(&rt), 500.0);
+    let sta = run_sta(&d.netlist, lib, &graph, &rt, 500.0);
     let targets = sta.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
     PreparedDesign::prepare(&d.netlist, lib, &pl, &graph, cfg, targets)
 }

@@ -8,48 +8,47 @@ use rayon::prelude::*;
 
 use rtt_circgen::{all_presets, GenParams, Scale, TRAIN_DESIGNS};
 use rtt_netlist::{CellLibrary, TimingGraph};
-use rtt_opt::{diff_netlists, optimize, OptConfig};
+use rtt_opt::{diff_netlists, optimize};
 use rtt_place::{place, PlaceConfig};
 use rtt_route::{route, RouteConfig};
-use rtt_sta::{run_sta, WireModel};
+use rtt_sta::run_sta;
 
 use crate::{DesignData, FlowTimings};
+
+/// Clock period as a fraction of the unoptimized critical path (lower →
+/// more violations → more aggressive restructuring).
+const PERIOD_FRACTION: f32 = 0.6;
+
+/// Utilization range sampled per design; varying density is what gives
+/// designs different optimizer headroom (the CNN's signal).
+const UTILIZATION: (f32, f32) = (0.40, 0.72);
+
+/// Master seed, mixed with each design's generator seed.
+const FLOW_SEED: u64 = 0xF10;
 
 /// Configuration of the dataset-generation flow.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowConfig {
     /// Design scale.
     pub scale: Scale,
-    /// Clock period as a fraction of the unoptimized critical path (lower →
-    /// more violations → more aggressive restructuring).
-    pub period_fraction: f32,
-    /// Utilization range sampled per design; varying density is what gives
-    /// designs different optimizer headroom (the CNN's signal).
-    pub utilization: (f32, f32),
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
-        Self { scale: Scale::Small, period_fraction: 0.6, utilization: (0.40, 0.72), seed: 0xF10 }
+        Self { scale: Scale::Small }
     }
 }
 
 /// Runs both flows for one design.
-pub fn run_design_flow(
-    params: &GenParams,
-    library: &CellLibrary,
-    config: &FlowConfig,
-) -> DesignData {
+pub fn run_design_flow(params: &GenParams, library: &CellLibrary) -> DesignData {
     // Root span: design flows fan out across worker threads; detaching from
     // the ambient span stack keeps the recorded tree thread-count-invariant.
     let _flow = rtt_obs::root_span("flow::design_flow");
-    let mut rng = StdRng::seed_from_u64(config.seed ^ params.seed);
+    let mut rng = StdRng::seed_from_u64(FLOW_SEED ^ params.seed);
     let generated = params.generate(library);
     let input_netlist = generated.netlist;
 
-    let utilization = rng.gen_range(config.utilization.0..config.utilization.1);
+    let utilization = rng.gen_range(UTILIZATION.0..UTILIZATION.1);
     let place_cfg = PlaceConfig { utilization, seed: rng.gen(), ..PlaceConfig::default() };
     let input_placement = place(&input_netlist, library, generated.num_macros, &place_cfg);
     let input_graph = TimingGraph::build(&input_netlist, library);
@@ -58,18 +57,16 @@ pub fn run_design_flow(
     // Flow A: no optimization (Table I reference, and the source of the
     // clock period).
     let rt_a = route(&input_netlist, library, &input_placement, &route_cfg);
-    let sta_probe = run_sta(&input_netlist, library, &input_graph, WireModel::Routed(&rt_a), 1.0);
-    let clock_period_ps = sta_probe.max_arrival() * config.period_fraction;
-    let no_opt =
-        run_sta(&input_netlist, library, &input_graph, WireModel::Routed(&rt_a), clock_period_ps);
+    let sta_probe = run_sta(&input_netlist, library, &input_graph, &rt_a, 1.0);
+    let clock_period_ps = sta_probe.max_arrival() * PERIOD_FRACTION;
+    let no_opt = run_sta(&input_netlist, library, &input_graph, &rt_a, clock_period_ps);
 
     // Flow B: optimize → route → sign-off STA, timed per stage.
     let mut opt_netlist = input_netlist.clone();
     let mut opt_placement = input_placement.clone();
-    let opt_cfg = OptConfig { clock_period_ps, ..OptConfig::default() };
     // rtt-lint: allow(D002, reason = "stage wall-clock is the measured quantity (Table III)")
     let t0 = Instant::now();
-    let opt_report = optimize(&mut opt_netlist, &mut opt_placement, library, &opt_cfg);
+    let opt_report = optimize(&mut opt_netlist, &mut opt_placement, library, clock_period_ps);
     let opt_s = t0.elapsed().as_secs_f64();
 
     // rtt-lint: allow(D002, reason = "stage wall-clock is the measured quantity (Table III)")
@@ -80,8 +77,7 @@ pub fn run_design_flow(
     let opt_graph = TimingGraph::build(&opt_netlist, library);
     // rtt-lint: allow(D002, reason = "stage wall-clock is the measured quantity (Table III)")
     let t2 = Instant::now();
-    let signoff =
-        run_sta(&opt_netlist, library, &opt_graph, WireModel::Routed(&rt_b), clock_period_ps);
+    let signoff = run_sta(&opt_netlist, library, &opt_graph, &rt_b, clock_period_ps);
     let sta_s = t2.elapsed().as_secs_f64();
 
     let diff = diff_netlists(&input_netlist, &opt_netlist, library);
@@ -115,15 +111,13 @@ impl Dataset {
     /// Generates all ten designs at the configured scale.
     ///
     /// Designs run in parallel. Each design's flow seeds its own RNG from
-    /// `config.seed ^ params.seed` and shares no other state, so the result
-    /// is byte-identical to a serial run regardless of thread count.
+    /// its generator seed and shares no other state, so the result is
+    /// byte-identical to a serial run regardless of thread count.
     pub fn generate(config: &FlowConfig) -> Self {
         let obs = rtt_obs::span("flow::dataset_generate");
         let library = CellLibrary::asap7_like();
-        let designs: Vec<DesignData> = all_presets(config.scale)
-            .par_iter()
-            .map(|p| run_design_flow(p, &library, config))
-            .collect();
+        let designs: Vec<DesignData> =
+            all_presets(config.scale).par_iter().map(|p| run_design_flow(p, &library)).collect();
         obs.add("designs", designs.len() as u64);
         Self { library, designs }
     }
@@ -139,7 +133,7 @@ impl Dataset {
         test.sort_by_key(|p| std::cmp::Reverse(p.comb_cells));
         let chosen: Vec<&GenParams> =
             presets[..n_train.min(5)].iter().chain(test.into_iter().take(n_test.min(5))).collect();
-        let designs = chosen.par_iter().map(|p| run_design_flow(p, &library, config)).collect();
+        let designs = chosen.par_iter().map(|p| run_design_flow(p, &library)).collect();
         Self { library, designs }
     }
 
@@ -161,7 +155,7 @@ mod tests {
     fn tiny_flow() -> DesignData {
         let lib = CellLibrary::asap7_like();
         let params = rtt_circgen::preset("chacha", Scale::Tiny).unwrap();
-        run_design_flow(&params, &lib, &FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() })
+        run_design_flow(&params, &lib)
     }
 
     #[test]
@@ -201,8 +195,7 @@ mod tests {
 
     #[test]
     fn dataset_subset_split_matches_names() {
-        let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
-        let ds = Dataset::generate_subset(&cfg, 1, 1);
+        let ds = Dataset::generate_subset(&FlowConfig { scale: Scale::Tiny }, 1, 1);
         assert_eq!(ds.designs.len(), 2);
         assert_eq!(ds.train_designs().len(), 1);
         assert_eq!(ds.test_designs().len(), 1);

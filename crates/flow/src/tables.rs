@@ -122,6 +122,9 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 
 // --------------------------------------------------------------- Table II
 
+/// Learning rate for the Table II baselines.
+const BASELINE_LR: f32 = 2e-3;
+
 /// Configuration of the Table II experiment.
 #[derive(Clone, Debug)]
 pub struct Table2Config {
@@ -133,20 +136,6 @@ pub struct Table2Config {
     pub two_stage_epochs: usize,
     /// Epochs for the Guo baseline.
     pub guo_epochs: usize,
-    /// Learning rate for the baselines.
-    pub baseline_lr: f32,
-}
-
-impl Default for Table2Config {
-    fn default() -> Self {
-        Self {
-            model: ModelConfig::small(),
-            train: TrainConfig::default(),
-            two_stage_epochs: 400,
-            guo_epochs: 40,
-            baseline_lr: 2e-3,
-        }
-    }
 }
 
 /// One row of Table II (a test benchmark).
@@ -218,15 +207,14 @@ pub fn table2(dataset: &Dataset, config: &Table2Config) -> Vec<Table2Row> {
 
     // Baselines.
     let mut dac19 = TwoStageModel::new(TwoStageKind::Dac19, 1);
-    dac19.train(&train_refs, config.two_stage_epochs, config.baseline_lr);
+    dac19.train(&train_refs, config.two_stage_epochs, BASELINE_LR);
     let mut he = TwoStageModel::new(TwoStageKind::Dac22He, 2);
-    he.train(&train_refs, config.two_stage_epochs, config.baseline_lr);
+    he.train(&train_refs, config.two_stage_epochs, BASELINE_LR);
     let mut guo = GuoModel::new(GuoConfig {
         embed_dim: config.model.embed_dim,
         hidden: config.model.gnn_hidden,
-        ..GuoConfig::default()
     });
-    guo.train(&train_refs, config.guo_epochs, config.baseline_lr);
+    guo.train(&train_refs, config.guo_epochs, BASELINE_LR);
 
     // Our three variants.
     let train_prepared: Vec<rtt_core::PreparedDesign> =
@@ -464,8 +452,7 @@ mod tests {
     use rtt_circgen::Scale;
 
     fn tiny_dataset() -> Dataset {
-        let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
-        Dataset::generate_subset(&cfg, 2, 2)
+        Dataset::generate_subset(&FlowConfig { scale: Scale::Tiny }, 2, 2)
     }
 
     #[test]
@@ -492,7 +479,6 @@ mod tests {
             train: rtt_core::TrainConfig { epochs: 4, ..Default::default() },
             two_stage_epochs: 20,
             guo_epochs: 4,
-            ..Table2Config::default()
         };
         let rows = table2(&ds, &cfg);
         assert_eq!(rows.len(), 2);

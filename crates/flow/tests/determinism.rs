@@ -25,7 +25,7 @@ fn fingerprint(d: &DesignData) -> (String, u32, u32, u32, Vec<u32>, usize, usize
 
 #[test]
 fn parallel_dataset_build_matches_serial() {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
 
     parallel::set_num_threads(1);
     let serial = Dataset::generate_subset(&cfg, 2, 1);

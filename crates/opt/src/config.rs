@@ -1,78 +1,4 @@
-//! Optimizer configuration and result report.
-
-/// Configuration of the timing optimizer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OptConfig {
-    /// Clock period the optimizer closes timing against, ps.
-    pub clock_period_ps: f32,
-    /// Maximum optimization passes (each pass = STA + transforms).
-    pub max_passes: usize,
-    /// Fraction of the worst endpoints attacked per pass.
-    pub endpoint_fraction: f32,
-    /// Bin utilization above which gate insertion/growth is illegal.
-    pub density_limit: f32,
-    /// Resolution of the legality density grid.
-    pub legality_grid: usize,
-    /// Net edges longer than this many µm are buffering candidates (and
-    /// repeaters whose bridged wire would stay shorter are bypass
-    /// candidates). The default is the break-even length `√(2·t_buf/(r·c))`
-    /// of the default wire parasitics.
-    pub buffer_length_um: f32,
-    /// Enable the design-wide DRV-fixing stage (max-length and max-fanout
-    /// buffering) that runs before slack-driven optimization, exactly as in
-    /// commercial flows. It is the largest source of netlist restructuring.
-    pub drv_fixing: bool,
-    /// Maximum legal fanout before a net is split behind buffers.
-    pub max_fanout: usize,
-    /// Enable structure-preserved gate sizing.
-    pub sizing: bool,
-    /// Enable the post-closure area/leakage recovery stage: downsize cells
-    /// with comfortable positive slack. Structure-preserved, but it churns
-    /// the delays of the *non-critical* majority of the netlist — a major
-    /// contributor to the paper's Δdelay on unreplaced elements.
-    pub area_recovery: bool,
-    /// Enable buffer insertion (structure-destructed).
-    pub buffering: bool,
-    /// Enable gate decomposition (structure-destructed).
-    pub decomposition: bool,
-    /// Enable repeater bypass (structure-destructed).
-    pub bypass: bool,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        Self {
-            clock_period_ps: 400.0,
-            max_passes: 6,
-            endpoint_fraction: 1.0,
-            density_limit: 0.80,
-            legality_grid: 24,
-            buffer_length_um: 30.0,
-            drv_fixing: true,
-            max_fanout: 8,
-            sizing: true,
-            area_recovery: true,
-            buffering: true,
-            decomposition: true,
-            bypass: true,
-        }
-    }
-}
-
-impl OptConfig {
-    /// A structure-preserved-only configuration (sizing only), used by
-    /// ablations.
-    pub fn sizing_only(clock_period_ps: f32) -> Self {
-        Self {
-            clock_period_ps,
-            drv_fixing: false,
-            buffering: false,
-            decomposition: false,
-            bypass: false,
-            ..Self::default()
-        }
-    }
-}
+//! Optimizer result report.
 
 /// What the optimizer did and what it achieved.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -120,20 +46,6 @@ impl OptReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_enables_all_transforms() {
-        let c = OptConfig::default();
-        assert!(c.sizing && c.buffering && c.decomposition && c.bypass);
-    }
-
-    #[test]
-    fn sizing_only_disables_destruction() {
-        let c = OptConfig::sizing_only(250.0);
-        assert!(c.sizing);
-        assert!(!c.buffering && !c.decomposition && !c.bypass);
-        assert_eq!(c.clock_period_ps, 250.0);
-    }
 
     #[test]
     fn report_op_arithmetic() {

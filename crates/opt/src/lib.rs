@@ -30,13 +30,12 @@
 //! use rtt_netlist::CellLibrary;
 //! use rtt_circgen::ripple_carry_adder;
 //! use rtt_place::{place, PlaceConfig};
-//! use rtt_opt::{optimize, OptConfig};
+//! use rtt_opt::optimize;
 //!
 //! let lib = CellLibrary::asap7_like();
 //! let mut nl = ripple_carry_adder(8, &lib);
 //! let mut pl = place(&nl, &lib, 0, &PlaceConfig::default());
-//! let cfg = OptConfig { clock_period_ps: 80.0, ..OptConfig::default() };
-//! let report = optimize(&mut nl, &mut pl, &lib, &cfg);
+//! let report = optimize(&mut nl, &mut pl, &lib, 80.0);
 //! assert!(report.wns_after >= report.wns_before);
 //! ```
 
@@ -49,7 +48,7 @@ mod legal;
 mod optimizer;
 mod transforms;
 
-pub use config::{OptConfig, OptReport};
+pub use config::OptReport;
 pub use diff::{diff_netlists, dirty_seed_pins, NetlistDiff};
 pub use legal::{DensityTracker, LegalityViolation};
 pub use optimizer::optimize;

@@ -7,6 +7,12 @@ use rtt_netlist::{CellId, CellLibrary, Netlist, PinId};
 
 use crate::{Floorplan, Grid, Point, Rect};
 
+/// Largest spreading-grid resolution (bins per die edge).
+const MAX_SPREAD_BINS: usize = 24;
+
+/// Die area fraction consumed by each macro block.
+const MACRO_FRACTION: f32 = 0.07;
+
 /// Placement configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlaceConfig {
@@ -14,19 +20,15 @@ pub struct PlaceConfig {
     /// optimizer's freedom (and hence the paper's layout signal) depends on
     /// the whitespace this leaves.
     pub utilization: f32,
-    /// Spreading-grid resolution (bins per die edge).
-    pub bins: usize,
     /// Force-directed iterations.
     pub iterations: usize,
-    /// Die area fraction consumed by each macro block.
-    pub macro_fraction: f32,
     /// RNG seed for initial placement and spreading decisions.
     pub seed: u64,
 }
 
 impl Default for PlaceConfig {
     fn default() -> Self {
-        Self { utilization: 0.55, bins: 24, iterations: 24, macro_fraction: 0.07, seed: 1 }
+        Self { utilization: 0.55, iterations: 24, seed: 1 }
     }
 }
 
@@ -135,11 +137,11 @@ pub fn place(
     // Die sizing: standard-cell area / utilization, plus macro area.
     let cell_area = netlist.total_cell_area(library) as f32;
     let std_area = (cell_area / config.utilization.max(0.05)).max(1.0);
-    let macro_blowup = 1.0 / (1.0 - config.macro_fraction * num_macros as f32).max(0.3);
+    let macro_blowup = 1.0 / (1.0 - MACRO_FRACTION * num_macros as f32).max(0.3);
     let side = (std_area * macro_blowup).sqrt().max(2.0);
     let die = Rect::new(0.0, 0.0, side, side);
 
-    let macros = carve_macros(die, num_macros, config.macro_fraction, &mut rng);
+    let macros = carve_macros(die, num_macros, &mut rng);
     let floorplan = Floorplan { die, macros };
 
     // Ports: inputs on the left edge, outputs on the right, evenly spread.
@@ -162,12 +164,13 @@ pub fn place(
     refine(netlist, library, placement, config, &mut rng)
 }
 
-/// Carves non-overlapping macro rectangles near the die corners/edges.
-fn carve_macros(die: Rect, count: usize, fraction: f32, rng: &mut StdRng) -> Vec<Rect> {
+/// Carves non-overlapping macro rectangles of about `MACRO_FRACTION` of the
+/// die each, near the die corners/edges.
+fn carve_macros(die: Rect, count: usize, rng: &mut StdRng) -> Vec<Rect> {
     let mut macros: Vec<Rect> = Vec::with_capacity(count);
     let die_area = die.area();
     'outer: for k in 0..count {
-        let area = die_area * fraction * rng.gen_range(0.8..1.2);
+        let area = die_area * MACRO_FRACTION * rng.gen_range(0.8..1.2);
         for _attempt in 0..64 {
             let aspect = rng.gen_range(0.6..1.6);
             let w = (area * aspect).sqrt().min(die.width() * 0.45);
@@ -291,7 +294,8 @@ fn spread(
     let fp = placement.floorplan.clone();
     // Adapt the grid so an average bin holds several cells; a grid finer
     // than the design cannot express meaningful density.
-    let bins = ((netlist.num_cells() as f32 / 8.0).sqrt().floor() as usize).clamp(2, config.bins);
+    let bins =
+        ((netlist.num_cells() as f32 / 8.0).sqrt().floor() as usize).clamp(2, MAX_SPREAD_BINS);
     let mut occupancy = Grid::new(bins, bins, fp.die);
     let mut members: Vec<Vec<CellId>> = vec![Vec::new(); bins * bins];
     for (cid, cell) in netlist.cells() {

@@ -31,5 +31,5 @@ mod router;
 mod steiner;
 
 pub use rc::{elmore_delays, RcTree};
-pub use router::{route, rudy_map, RouteConfig, RoutedNet, Routing};
+pub use router::{route, rudy_map, RouteConfig, RoutedNet, Routing, UNIT_CAP_FF_PER_UM};
 pub use steiner::{rectilinear_mst, tree_length};

@@ -9,32 +9,30 @@ use crate::steiner::rectilinear_mst;
 /// Load presented by a top-level output port, fF.
 const PORT_CAP_FF: f32 = 1.0;
 
-/// Routing configuration (wire parasitics and congestion response).
+/// Resolution of the RUDY congestion map used for detours.
+const RUDY_GRID: usize = 32;
+
+// ASAP7-like thin-wire parasitics: ~130 Ω/µm, ~0.2 fF/µm, so a 50 µm net
+// costs tens of ps — comparable to a gate delay.
+
+/// Wire resistance, kΩ per µm.
+const UNIT_RES_KOHM_PER_UM: f32 = 0.13;
+
+/// Wire capacitance, fF per µm.
+pub const UNIT_CAP_FF_PER_UM: f32 = 0.20;
+
+/// Routing configuration (congestion response).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RouteConfig {
-    /// Resolution of the RUDY congestion map used for detours.
-    pub rudy_grid: usize,
     /// How strongly congestion above the die average stretches wires.
     pub detour_strength: f32,
     /// Extra detour applied per unit of macro overlap along an edge.
     pub macro_detour: f32,
-    /// Wire resistance, kΩ per µm.
-    pub unit_res_kohm_per_um: f32,
-    /// Wire capacitance, fF per µm.
-    pub unit_cap_ff_per_um: f32,
 }
 
 impl Default for RouteConfig {
     fn default() -> Self {
-        Self {
-            rudy_grid: 32,
-            detour_strength: 0.35,
-            macro_detour: 0.45,
-            // ASAP7-like thin-wire parasitics: ~130 Ω/µm, ~0.2 fF/µm, so a
-            // 50 µm net costs tens of ps — comparable to a gate delay.
-            unit_res_kohm_per_um: 0.13,
-            unit_cap_ff_per_um: 0.20,
-        }
+        Self { detour_strength: 0.35, macro_detour: 0.45 }
     }
 }
 
@@ -122,7 +120,7 @@ pub fn route(
 ) -> Routing {
     let obs = rtt_obs::span("route::route");
     obs.add("nets", netlist.num_nets() as u64);
-    let congestion = rudy_map(netlist, placement, config.rudy_grid, config.rudy_grid);
+    let congestion = rudy_map(netlist, placement, RUDY_GRID, RUDY_GRID);
     let mean_c = {
         let v = congestion.values();
         let s: f32 = v.iter().sum();
@@ -147,7 +145,7 @@ pub fn route(
             let factor = detour_factor(&congestion, mean_c, macros, points[a], points[b], config);
             let len = base * factor;
             wl += len;
-            tree.set_edge(a, b, len * config.unit_res_kohm_per_um, len * config.unit_cap_ff_per_um);
+            tree.set_edge(a, b, len * UNIT_RES_KOHM_PER_UM, len * UNIT_CAP_FF_PER_UM);
         }
         for (i, &s) in net.sinks.iter().enumerate() {
             let cap = match netlist.pin(s).cell {
@@ -265,8 +263,7 @@ mod tests {
     #[test]
     fn detours_only_lengthen() {
         let (lib, nl, pl) = setup(300, 2);
-        let no_detour =
-            RouteConfig { detour_strength: 0.0, macro_detour: 0.0, ..RouteConfig::default() };
+        let no_detour = RouteConfig { detour_strength: 0.0, macro_detour: 0.0 };
         let base = route(&nl, &lib, &pl, &no_detour);
         let full = route(&nl, &lib, &pl, &RouteConfig::default());
         assert!(full.total_wirelength() >= base.total_wirelength());

@@ -3,18 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use rtt_netlist::{CellLibrary, EdgeKind, Netlist, PinDir, PinId, TimingEdge, TimingGraph};
-use rtt_place::Placement;
 use rtt_route::Routing;
-
-/// Where wire delays and loads come from.
-#[derive(Clone, Copy, Debug)]
-pub enum WireModel<'a> {
-    /// Placement-only estimate: per-sink Manhattan wire treated as an
-    /// isolated RC line (the classic pre-routing Elmore model).
-    PreRoute(&'a Placement),
-    /// Sign-off mode: delays and loads from the routed RC trees.
-    Routed(&'a Routing),
-}
 
 /// Generic PERT traversal: computes the arrival time of every node given a
 /// per-edge delay function and a per-source launch time function.
@@ -76,82 +65,31 @@ pub fn fanout_cone(graph: &TimingGraph, seeds: &[u32]) -> Vec<u32> {
     cone
 }
 
-/// Min-delay counterpart of [`propagate`]: earliest arrival per node (the
-/// forward pass of hold-time analysis).
-pub fn propagate_min<D, S>(graph: &TimingGraph, mut edge_delay: D, mut source_time: S) -> Vec<f32>
-where
-    D: FnMut(&TimingEdge) -> f32,
-    S: FnMut(u32) -> f32,
-{
-    let mut arrival = vec![0.0f32; graph.num_nodes()];
-    for v in graph.topo_order() {
-        let mut best: Option<f32> = None;
-        for e in graph.fanin(v) {
-            let a = arrival[e.from as usize] + edge_delay(e);
-            best = Some(match best {
-                Some(b) if b <= a => b,
-                _ => a,
-            });
-        }
-        arrival[v as usize] = best.unwrap_or_else(|| source_time(v));
-    }
-    arrival
-}
-
-/// Runs sign-off or pre-routing STA and assembles an [`crate::StaReport`].
+/// Runs sign-off STA over `routing` and assembles an [`crate::StaReport`].
 ///
-/// Flip-flop outputs launch at the cell's intrinsic (clock-to-Q) delay;
-/// primary inputs launch at time 0.
+/// Wire delays are the routed RC trees' Elmore sink delays, and a driver's
+/// load is its routed net's total capacitance. Flip-flop outputs launch at
+/// the cell's intrinsic (clock-to-Q) delay; primary inputs launch at time 0.
 pub fn run_sta(
     netlist: &Netlist,
     library: &CellLibrary,
     graph: &TimingGraph,
-    wire: WireModel<'_>,
+    routing: &Routing,
     clock_period_ps: f32,
 ) -> crate::StaReport {
     rtt_obs::span!("sta::run");
     // Per-driver output load (for the cell delay model).
     let load_of = |driver: PinId| -> f32 {
-        let Some(net_id) = netlist.pin(driver).net else { return 0.0 };
-        match wire {
-            WireModel::Routed(routing) => routing.net(net_id).map_or(0.0, |rn| rn.total_cap_ff),
-            WireModel::PreRoute(placement) => {
-                let net = netlist.net(net_id);
-                let d = placement.pin_position(netlist, driver);
-                let cfg = rtt_route::RouteConfig::default();
-                net.sinks
-                    .iter()
-                    .map(|&s| {
-                        let len = d.manhattan(placement.pin_position(netlist, s));
-                        len * cfg.unit_cap_ff_per_um + sink_cap(netlist, library, s)
-                    })
-                    .sum()
-            }
-        }
+        netlist.pin(driver).net.and_then(|n| routing.net(n)).map_or(0.0, |rn| rn.total_cap_ff)
     };
 
     let edge_delay = |e: &TimingEdge| -> f32 {
         match e.kind {
-            EdgeKind::Net => {
-                let driver = graph.pin_of(e.from);
-                let sink = graph.pin_of(e.to);
-                match wire {
-                    WireModel::Routed(routing) => e
-                        .net
-                        .and_then(|nid| routing.net(nid))
-                        .and_then(|rn| rn.sink_delay(sink))
-                        .unwrap_or(0.0),
-                    WireModel::PreRoute(placement) => {
-                        let cfg = rtt_route::RouteConfig::default();
-                        let len = placement
-                            .pin_position(netlist, driver)
-                            .manhattan(placement.pin_position(netlist, sink));
-                        let r = len * cfg.unit_res_kohm_per_um;
-                        let c = len * cfg.unit_cap_ff_per_um;
-                        r * (c * 0.5 + sink_cap(netlist, library, sink))
-                    }
-                }
-            }
+            EdgeKind::Net => e
+                .net
+                .and_then(|nid| routing.net(nid))
+                .and_then(|rn| rn.sink_delay(graph.pin_of(e.to)))
+                .unwrap_or(0.0),
             EdgeKind::Cell => match e.cell {
                 Some(cell) => {
                     let ty = library.cell_type(netlist.cell(cell).type_id);
@@ -184,7 +122,7 @@ pub fn run_sta(
         }
     };
 
-    // Compute every edge delay once, up front: the max/min/required
+    // Compute every edge delay once, up front: the arrival and required
     // passes and the report all read from this cache, and a miss is
     // structurally impossible because the same edge iterator fills it.
     let mut edge_delay_cache: HashMap<(PinId, PinId), f32> = HashMap::new();
@@ -198,8 +136,7 @@ pub fn run_sta(
     };
     let arrival_nodes = propagate(graph, |e| cached_delay(e.from, e.to), source_time);
 
-    // Split the cache by edge kind. BTreeMap: the report iterates these,
-    // and downstream feature extraction must see a stable order.
+    // Split the cache by edge kind for the report's per-edge lookups.
     let mut net_edge_delay = BTreeMap::new();
     let mut cell_edge_delay = BTreeMap::new();
     for e in graph.edges() {
@@ -209,25 +146,6 @@ pub fn run_sta(
             EdgeKind::Net => net_edge_delay.insert(key, d),
             EdgeKind::Cell => cell_edge_delay.insert(key, d),
         };
-    }
-
-    // Min-delay (hold) analysis: earliest arrivals over the cached edge
-    // delays, checked against the flip-flop hold requirement.
-    let arrival_min_nodes = propagate_min(graph, |e| cached_delay(e.from, e.to), source_time);
-    let mut hold_wns = f32::INFINITY;
-    for &v in graph.endpoints() {
-        let pin = netlist.pin(graph.pin_of(v));
-        // Hold requirement applies at sequential data pins only.
-        let hold_ps = match pin.cell {
-            Some(c) if library.cell_type(netlist.cell(c).type_id).is_sequential() => {
-                HOLD_REQUIREMENT_PS
-            }
-            _ => 0.0,
-        };
-        hold_wns = hold_wns.min(arrival_min_nodes[v as usize] - hold_ps);
-    }
-    if graph.endpoints().is_empty() {
-        hold_wns = 0.0;
     }
 
     // Required times: backward min-propagation from the endpoints.
@@ -248,11 +166,9 @@ pub fn run_sta(
 
     // Re-index arrivals/required by pin id and collect endpoints.
     let mut arrival = vec![f32::NAN; netlist.pin_capacity()];
-    let mut arrival_min = vec![f32::NAN; netlist.pin_capacity()];
     let mut required = vec![f32::NAN; netlist.pin_capacity()];
     for v in 0..graph.num_nodes() as u32 {
         arrival[graph.pin_of(v).index()] = arrival_nodes[v as usize];
-        arrival_min[graph.pin_of(v).index()] = arrival_min_nodes[v as usize];
         let r = required_nodes[v as usize];
         required[graph.pin_of(v).index()] = if r.is_finite() { r } else { f32::NAN };
     }
@@ -276,9 +192,7 @@ pub fn run_sta(
         clock_period_ps,
         wns,
         tns,
-        hold_wns,
         arrival,
-        arrival_min,
         required,
         endpoints,
         net_edge_delay,
@@ -286,21 +200,10 @@ pub fn run_sta(
     }
 }
 
-/// Hold requirement at sequential data pins, ps. A fixed synthetic value:
-/// the library does not model per-cell hold arcs.
-pub const HOLD_REQUIREMENT_PS: f32 = 4.0;
-
-fn sink_cap(netlist: &Netlist, library: &CellLibrary, sink: PinId) -> f32 {
-    match netlist.pin(sink).cell {
-        Some(c) => library.cell_type(netlist.cell(c).type_id).pin_cap_ff,
-        None => 1.0, // output port load
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtt_circgen::{ripple_carry_adder, GenParams};
+    use rtt_circgen::ripple_carry_adder;
     use rtt_netlist::TimingGraph;
     use rtt_place::{place, PlaceConfig};
     use rtt_route::{route, RouteConfig};
@@ -308,7 +211,6 @@ mod tests {
     struct World {
         lib: CellLibrary,
         nl: Netlist,
-        pl: Placement,
         rt: Routing,
         graph: TimingGraph,
     }
@@ -319,13 +221,13 @@ mod tests {
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let rt = route(&nl, &lib, &pl, &RouteConfig::default());
         let graph = TimingGraph::build(&nl, &lib);
-        World { lib, nl, pl, rt, graph }
+        World { lib, nl, rt, graph }
     }
 
     #[test]
     fn arrivals_increase_along_paths() {
         let w = world(|lib| ripple_carry_adder(8, lib));
-        let rep = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 500.0);
+        let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 500.0);
         for e in w.graph.edges() {
             let a = rep.arrival(w.graph.pin_of(e.from)).unwrap();
             let b = rep.arrival(w.graph.pin_of(e.to)).unwrap();
@@ -336,7 +238,7 @@ mod tests {
     #[test]
     fn carry_chain_dominates() {
         let w = world(|lib| ripple_carry_adder(8, lib));
-        let rep = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 500.0);
+        let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 500.0);
         // cout (end of the carry chain) must be the slowest endpoint.
         let cout =
             w.nl.output_ports().iter().copied().find(|&p| w.nl.pin(p).name == "cout").unwrap();
@@ -347,7 +249,7 @@ mod tests {
     #[test]
     fn wns_tns_match_endpoints() {
         let w = world(|lib| ripple_carry_adder(6, lib));
-        let rep = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 100.0);
+        let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 100.0);
         let min_slack =
             rep.endpoint_arrivals().iter().map(|&(_, a)| 100.0 - a).fold(f32::INFINITY, f32::min);
         assert!((rep.wns - min_slack).abs() < 1e-4);
@@ -359,7 +261,7 @@ mod tests {
     #[test]
     fn flop_outputs_launch_at_clk2q() {
         let w = world(|lib| ripple_carry_adder(4, lib));
-        let rep = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 500.0);
+        let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 500.0);
         let (dff_c, dff) =
             w.nl.cells().find(|(_, c)| w.lib.cell_type(c.type_id).is_sequential()).unwrap();
         let _ = dff_c;
@@ -369,32 +271,21 @@ mod tests {
     }
 
     #[test]
-    fn preroute_and_routed_disagree() {
-        let w = world(|lib| GenParams::new("g", 300, 3).generate(lib).netlist);
-        let pre = run_sta(&w.nl, &w.lib, &w.graph, WireModel::PreRoute(&w.pl), 500.0);
-        let post = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 500.0);
-        // Same endpoints, different numbers (detours + tree sharing).
-        assert_eq!(pre.endpoint_arrivals().len(), post.endpoint_arrivals().len());
-        let diff: f32 = pre
-            .endpoint_arrivals()
-            .iter()
-            .zip(post.endpoint_arrivals())
-            .map(|(&(_, a), &(_, b))| (a - b).abs())
-            .sum();
-        assert!(diff > 0.0, "models should not agree exactly");
-    }
-
-    #[test]
     fn edge_delays_are_exposed() {
         let w = world(|lib| ripple_carry_adder(2, lib));
-        let rep = run_sta(&w.nl, &w.lib, &w.graph, WireModel::Routed(&w.rt), 500.0);
-        assert_eq!(rep.net_edge_delays().count(), w.graph.num_net_edges());
-        assert_eq!(rep.cell_edge_delays().count(), w.graph.num_cell_edges());
-        for (_, _, d) in rep.net_edge_delays() {
-            assert!(d.is_finite() && d >= 0.0);
-        }
-        for (_, _, d) in rep.cell_edge_delays() {
-            assert!(d > 0.0, "cell delay includes intrinsic");
+        let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 500.0);
+        for e in w.graph.edges() {
+            let (from, to) = (w.graph.pin_of(e.from), w.graph.pin_of(e.to));
+            match e.kind {
+                EdgeKind::Net => {
+                    let d = rep.net_edge_delay(from, to).expect("every net edge has a delay");
+                    assert!(d.is_finite() && d >= 0.0);
+                }
+                EdgeKind::Cell => {
+                    let d = rep.cell_edge_delay(from, to).expect("every cell edge has a delay");
+                    assert!(d > 0.0, "cell delay includes intrinsic");
+                }
+            }
         }
     }
 
@@ -425,17 +316,13 @@ mod tests {
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let rt = route(&nl, &lib, &pl, &RouteConfig::default());
         let g = TimingGraph::build(&nl, &lib);
-        let before = run_sta(&nl, &lib, &g, WireModel::Routed(&rt), 500.0)
-            .cell_edge_delay(input, out)
-            .unwrap();
+        let before = run_sta(&nl, &lib, &g, &rt, 500.0).cell_edge_delay(input, out).unwrap();
 
         let stronger = lib.pick(lib.cell_type(cell.type_id).gate, 8).unwrap();
         nl.resize_cell(cid, stronger, &lib).unwrap();
         let rt2 = route(&nl, &lib, &pl, &RouteConfig::default());
         let g2 = TimingGraph::build(&nl, &lib);
-        let after = run_sta(&nl, &lib, &g2, WireModel::Routed(&rt2), 500.0)
-            .cell_edge_delay(input, out)
-            .unwrap();
+        let after = run_sta(&nl, &lib, &g2, &rt2, 500.0).cell_edge_delay(input, out).unwrap();
         assert!(after < before, "upsize should speed the cell: {after} vs {before}");
     }
 }
@@ -455,7 +342,7 @@ mod required_tests {
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let rt = route(&nl, &lib, &pl, &RouteConfig::default());
         let g = TimingGraph::build(&nl, &lib);
-        let rep = run_sta(&nl, &lib, &g, WireModel::Routed(&rt), 200.0);
+        let rep = run_sta(&nl, &lib, &g, &rt, 200.0);
         // At an endpoint, slack = period - arrival exactly.
         for &(pin, a) in rep.endpoint_arrivals() {
             let s = rep.pin_slack(pin).unwrap();
@@ -471,55 +358,13 @@ mod required_tests {
     }
 
     #[test]
-    fn hold_analysis_reports_min_arrivals() {
-        let lib = CellLibrary::asap7_like();
-        let nl = ripple_carry_adder(6, &lib);
-        let pl = place(&nl, &lib, 0, &PlaceConfig::default());
-        let rt = route(&nl, &lib, &pl, &RouteConfig::default());
-        let g = TimingGraph::build(&nl, &lib);
-        let rep = run_sta(&nl, &lib, &g, WireModel::Routed(&rt), 500.0);
-        // Min arrival never exceeds max arrival, anywhere.
-        for v in 0..g.num_nodes() as u32 {
-            let pin = g.pin_of(v);
-            let lo = rep.arrival_min(pin).unwrap();
-            let hi = rep.arrival(pin).unwrap();
-            assert!(lo <= hi + 1e-4, "min {lo} > max {hi}");
-        }
-        // The worst hold slack matches the endpoint definition.
-        let mut expect = f32::INFINITY;
-        for &v in g.endpoints() {
-            let pin = g.pin_of(v);
-            let is_seq = nl
-                .pin(pin)
-                .cell
-                .map(|c| lib.cell_type(nl.cell(c).type_id).is_sequential())
-                .unwrap_or(false);
-            let req = if is_seq { HOLD_REQUIREMENT_PS } else { 0.0 };
-            expect = expect.min(rep.arrival_min(pin).unwrap() - req);
-        }
-        assert!((rep.hold_wns - expect).abs() < 1e-4);
-    }
-
-    #[test]
-    fn min_propagation_with_unit_delays_is_shortest_path() {
-        let lib = CellLibrary::asap7_like();
-        let nl = ripple_carry_adder(3, &lib);
-        let g = TimingGraph::build(&nl, &lib);
-        let lo = propagate_min(&g, |_| 1.0, |_| 0.0);
-        let hi = propagate(&g, |_| 1.0, |_| 0.0);
-        for v in 0..g.num_nodes() as u32 {
-            assert!(lo[v as usize] <= hi[v as usize]);
-        }
-    }
-
-    #[test]
     fn required_is_infinite_only_off_path() {
         let lib = CellLibrary::asap7_like();
         let nl = ripple_carry_adder(3, &lib);
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let rt = route(&nl, &lib, &pl, &RouteConfig::default());
         let g = TimingGraph::build(&nl, &lib);
-        let rep = run_sta(&nl, &lib, &g, WireModel::Routed(&rt), 300.0);
+        let rep = run_sta(&nl, &lib, &g, &rt, 300.0);
         // Every pin in the adder reaches an endpoint, so all have required.
         for v in 0..g.num_nodes() as u32 {
             assert!(rep.required(g.pin_of(v)).is_some());

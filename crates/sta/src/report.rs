@@ -16,15 +16,9 @@ pub struct StaReport {
     pub wns: f32,
     /// Total negative slack (sum of negative endpoint slacks), ps.
     pub tns: f32,
-    /// Worst hold slack over all endpoints (min-delay check), ps.
-    pub hold_wns: f32,
     pub(crate) arrival: Vec<f32>,
-    pub(crate) arrival_min: Vec<f32>,
     pub(crate) required: Vec<f32>,
     pub(crate) endpoints: Vec<(PinId, f32)>,
-    // BTreeMap, not HashMap: `net_edge_delays()` / `cell_edge_delays()`
-    // iterate these, and consumers (feature extraction, report diffing)
-    // must see the same order on every run.
     pub(crate) net_edge_delay: BTreeMap<(PinId, PinId), f32>,
     pub(crate) cell_edge_delay: BTreeMap<(PinId, PinId), f32>,
 }
@@ -33,12 +27,6 @@ impl StaReport {
     /// Arrival time at `pin`, or `None` for pins outside the analyzed graph.
     pub fn arrival(&self, pin: PinId) -> Option<f32> {
         self.arrival.get(pin.index()).copied().filter(|a| a.is_finite())
-    }
-
-    /// Earliest (min-delay) arrival time at `pin` — the quantity behind
-    /// hold checks — or `None` outside the graph.
-    pub fn arrival_min(&self, pin: PinId) -> Option<f32> {
-        self.arrival_min.get(pin.index()).copied().filter(|a| a.is_finite())
     }
 
     /// Required time at `pin` (backward-propagated from the clock period),
@@ -57,11 +45,6 @@ impl StaReport {
         &self.endpoints
     }
 
-    /// Slack of an endpoint at `arrival`.
-    pub fn slack_of(&self, arrival: f32) -> f32 {
-        self.clock_period_ps - arrival
-    }
-
     /// Delay of the net edge `driver -> sink`, if it exists.
     pub fn net_edge_delay(&self, driver: PinId, sink: PinId) -> Option<f32> {
         self.net_edge_delay.get(&(driver, sink)).copied()
@@ -70,16 +53,6 @@ impl StaReport {
     /// Delay of the cell edge `input -> output`, if it exists.
     pub fn cell_edge_delay(&self, input: PinId, output: PinId) -> Option<f32> {
         self.cell_edge_delay.get(&(input, output)).copied()
-    }
-
-    /// Iterates over all `(driver, sink, delay)` net edges.
-    pub fn net_edge_delays(&self) -> impl Iterator<Item = (PinId, PinId, f32)> + '_ {
-        self.net_edge_delay.iter().map(|(&(a, b), &d)| (a, b, d))
-    }
-
-    /// Iterates over all `(input, output, delay)` cell edges.
-    pub fn cell_edge_delays(&self) -> impl Iterator<Item = (PinId, PinId, f32)> + '_ {
-        self.cell_edge_delay.iter().map(|(&(a, b), &d)| (a, b, d))
     }
 
     /// The largest endpoint arrival time (critical-path length), ps.

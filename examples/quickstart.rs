@@ -29,18 +29,13 @@ fn main() {
     // 2. Pre-optimization timing defines the clock target.
     let graph = TimingGraph::build(&netlist, &lib);
     let routing = route(&netlist, &lib, &placement, &RouteConfig::default());
-    let probe = run_sta(&netlist, &lib, &graph, WireModel::Routed(&routing), 1.0);
+    let probe = run_sta(&netlist, &lib, &graph, &routing, 1.0);
     let period = probe.max_arrival() * 0.6;
     println!("critical path {:.1} ps, clock target {:.1} ps", probe.max_arrival(), period);
 
     // 3. Timing optimization restructures the netlist.
     let input_netlist = netlist.clone();
-    let report = optimize(
-        &mut netlist,
-        &mut placement,
-        &lib,
-        &OptConfig { clock_period_ps: period, ..OptConfig::default() },
-    );
+    let report = optimize(&mut netlist, &mut placement, &lib, period);
     let diff = diff_netlists(&input_netlist, &netlist, &lib);
     println!(
         "optimizer: wns {:.1} -> {:.1} ps; {} sizings, {} buffers, {} decompositions, \
@@ -58,7 +53,7 @@ fn main() {
     // 4. Sign-off labels from the optimized design.
     let opt_graph = TimingGraph::build(&netlist, &lib);
     let opt_routing = route(&netlist, &lib, &placement, &RouteConfig::default());
-    let signoff = run_sta(&netlist, &lib, &opt_graph, WireModel::Routed(&opt_routing), period);
+    let signoff = run_sta(&netlist, &lib, &opt_graph, &opt_routing, period);
 
     // 5. Train the paper's model: inputs are PRE-optimization netlist +
     //    placement; targets are POST-optimization sign-off arrivals.

@@ -74,15 +74,10 @@ fn main() {
     let mut placement = place(&nl, &lib, 0, &PlaceConfig::default());
     let graph = TimingGraph::build(&nl, &lib);
     let routing = route(&nl, &lib, &placement, &RouteConfig::default());
-    let probe = run_sta(&nl, &lib, &graph, WireModel::Routed(&routing), 1.0);
+    let probe = run_sta(&nl, &lib, &graph, &routing, 1.0);
     let period = probe.max_arrival() * 0.5;
 
-    let report = optimize(
-        &mut nl,
-        &mut placement,
-        &lib,
-        &OptConfig { clock_period_ps: period, ..OptConfig::default() },
-    );
+    let report = optimize(&mut nl, &mut placement, &lib, period);
     dump(&nl, &lib, "after optimization");
 
     let diff = diff_netlists(&before, &nl, &lib);

@@ -20,7 +20,7 @@ use restructure_timing::prelude::*;
 
 fn main() {
     // Build a small training dataset through the real two-flow pipeline.
-    let flow_cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let flow_cfg = FlowConfig { scale: Scale::Tiny };
     let dataset = Dataset::generate_subset(&flow_cfg, 3, 1);
     let lib = &dataset.library;
     let cfg = ModelConfig::tiny();
@@ -61,18 +61,13 @@ fn main() {
         let mut opt_pl = placement.clone();
         let probe = {
             let rt = route(netlist, lib, &placement, &RouteConfig::default());
-            run_sta(netlist, lib, &graph, WireModel::Routed(&rt), 1.0)
+            run_sta(netlist, lib, &graph, &rt, 1.0)
         };
         let period = probe.max_arrival() * 0.6;
-        optimize(
-            &mut opt_nl,
-            &mut opt_pl,
-            lib,
-            &OptConfig { clock_period_ps: period, ..OptConfig::default() },
-        );
+        optimize(&mut opt_nl, &mut opt_pl, lib, period);
         let opt_graph = TimingGraph::build(&opt_nl, lib);
         let rt = route(&opt_nl, lib, &opt_pl, &RouteConfig::default());
-        let signoff = run_sta(&opt_nl, lib, &opt_graph, WireModel::Routed(&rt), period);
+        let signoff = run_sta(&opt_nl, lib, &opt_graph, &rt, period);
         let truth_mean = {
             let arr: Vec<f32> = signoff.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
             arr.iter().sum::<f32>() / arr.len() as f32

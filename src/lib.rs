@@ -31,7 +31,7 @@
 //! let placement = place(&design.netlist, &lib, 0, &PlaceConfig::default());
 //! let routing = route(&design.netlist, &lib, &placement, &RouteConfig::default());
 //! let graph = TimingGraph::build(&design.netlist, &lib);
-//! let sta = run_sta(&design.netlist, &lib, &graph, WireModel::Routed(&routing), 500.0);
+//! let sta = run_sta(&design.netlist, &lib, &graph, &routing, 500.0);
 //! assert!(!sta.endpoint_arrivals().is_empty());
 //! ```
 
@@ -59,8 +59,8 @@ pub mod prelude {
     pub use rtt_features::{endpoint_masks, LayoutMaps};
     pub use rtt_flow::{r2_score, Dataset, DesignData, FlowConfig};
     pub use rtt_netlist::{CellLibrary, GateFn, Netlist, TimingGraph};
-    pub use rtt_opt::{diff_netlists, optimize, OptConfig};
+    pub use rtt_opt::{diff_netlists, optimize};
     pub use rtt_place::{place, PlaceConfig, Placement};
     pub use rtt_route::{route, RouteConfig};
-    pub use rtt_sta::{run_sta, StaReport, WireModel};
+    pub use rtt_sta::{run_sta, StaReport};
 }

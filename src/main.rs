@@ -191,11 +191,11 @@ fn cmd_sta(opts: &HashMap<String, String>) -> Result<(), String> {
     let period: f32 = match opts.get("period") {
         Some(p) => p.parse().map_err(|e| format!("bad --period: {e}"))?,
         None => {
-            let probe = run_sta(&netlist, &lib, &graph, WireModel::Routed(&routing), 1.0);
+            let probe = run_sta(&netlist, &lib, &graph, &routing, 1.0);
             probe.max_arrival()
         }
     };
-    let report = run_sta(&netlist, &lib, &graph, WireModel::Routed(&routing), period);
+    let report = run_sta(&netlist, &lib, &graph, &routing, period);
     println!(
         "{}: {} endpoints, period {:.1} ps, wns {:.2} ps, tns {:.2} ps",
         netlist.name,
@@ -224,12 +224,7 @@ fn cmd_opt(opts: &HashMap<String, String>) -> Result<(), String> {
     let out = PathBuf::from(required(opts, "out")?);
     let before = netlist.clone();
     let before_placement = placement.clone();
-    let report = optimize(
-        &mut netlist,
-        &mut placement,
-        &lib,
-        &OptConfig { clock_period_ps: period, ..OptConfig::default() },
-    );
+    let report = optimize(&mut netlist, &mut placement, &lib, period);
     let diff = diff_netlists(&before, &netlist, &lib);
     println!(
         "wns {:.1} -> {:.1} ps | {} upsized, {} downsized, {} drv buffers, {} buffers, \
@@ -389,7 +384,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
             _ => 300,
         });
     eprintln!("generating the training dataset at scale {scale} (two full flows per design) ...");
-    let dataset = Dataset::generate(&FlowConfig { scale, ..FlowConfig::default() });
+    let dataset = Dataset::generate(&FlowConfig { scale });
     let cfg = model_config_for(scale);
     let train: Vec<PreparedDesign> =
         dataset.train_designs().iter().map(|d| d.prepared(&dataset.library, &cfg)).collect();
@@ -513,7 +508,7 @@ fn cmd_flow(opts: &HashMap<String, String>) -> Result<(), String> {
     let scale = opt_scale(opts)?;
     let lib = CellLibrary::asap7_like();
     let params = preset(name, scale).ok_or_else(|| format!("unknown design `{name}`"))?;
-    let data = run_design_flow(&params, &lib, &FlowConfig { scale, ..FlowConfig::default() });
+    let data = run_design_flow(&params, &lib);
     println!(
         "{name}: {} pins, {} endpoints, period {:.1} ps",
         data.input_netlist.num_pins(),

@@ -7,7 +7,7 @@ use restructure_timing::flow::{Dataset, FlowConfig};
 use restructure_timing::prelude::*;
 
 fn tiny_dataset() -> Dataset {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     Dataset::generate_subset(&cfg, 5, 2)
 }
 
@@ -28,7 +28,6 @@ fn full_pipeline_produces_all_tables() {
         train: TrainConfig { epochs: 40, lr: 2e-3, ..TrainConfig::default() },
         two_stage_epochs: 40,
         guo_epochs: 6,
-        ..Table2Config::default()
     };
     let t2 = table2(&ds, &cfg);
     assert_eq!(t2.len(), 2);
@@ -75,7 +74,7 @@ fn facade_reexports_are_wired() {
     let pl = place(&nl, &lib, 0, &PlaceConfig::default());
     let rt = route(&nl, &lib, &pl, &RouteConfig::default());
     let g = TimingGraph::build(&nl, &lib);
-    let sta = run_sta(&nl, &lib, &g, WireModel::Routed(&rt), 500.0);
+    let sta = run_sta(&nl, &lib, &g, &rt, 500.0);
     assert!(sta.max_arrival() > 0.0);
     assert!((restructure_timing::flow::r2_score(&[1.0, 2.0], &[1.0, 2.0]) - 1.0).abs() < 1e-6);
 }

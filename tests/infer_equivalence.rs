@@ -62,7 +62,7 @@ impl Labels {
 
 #[test]
 fn tape_free_predict_is_bit_identical_to_taped() {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     let ds = Dataset::generate_subset(&cfg, 1, 1);
     let lib = &ds.library;
     let d_train = ds.train_designs()[0];
@@ -227,7 +227,7 @@ fn tape_free_predict_is_bit_identical_to_taped() {
 fn inference_microbench_arena_beats_tape() {
     use restructure_timing::obs;
 
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     let ds = Dataset::generate_subset(&cfg, 1, 1);
     let mc = ModelConfig::small();
     let prep = ds.test_designs()[0].prepared(&ds.library, &mc);

@@ -36,7 +36,7 @@ fn bench_design() -> (PreparedDesign, TimingModel) {
     let pl = place(&d.netlist, &lib, 0, &PlaceConfig::default());
     let rt = route(&d.netlist, &lib, &pl, &RouteConfig::default());
     let graph = TimingGraph::build(&d.netlist, &lib);
-    let sta = run_sta(&d.netlist, &lib, &graph, WireModel::Routed(&rt), 500.0);
+    let sta = run_sta(&d.netlist, &lib, &graph, &rt, 500.0);
     let targets = sta.endpoint_arrivals().iter().map(|&(_, a)| a).collect();
     let prep = PreparedDesign::prepare(&d.netlist, &lib, &pl, &graph, &cfg, targets);
     (prep, TimingModel::new(cfg))

@@ -5,7 +5,7 @@ use restructure_timing::prelude::*;
 
 #[test]
 fn trained_model_roundtrips_through_bytes() {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     let ds = Dataset::generate_subset(&cfg, 1, 1);
     let lib = &ds.library;
     let mc = ModelConfig::tiny();
@@ -91,7 +91,7 @@ fn corrupt_model_files_are_rejected_with_typed_errors() {
 
 #[test]
 fn variants_predict_differently() {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     let ds = Dataset::generate_subset(&cfg, 1, 0);
     let lib = &ds.library;
     let d = ds.train_designs()[0];

@@ -12,7 +12,7 @@ use restructure_timing::prelude::*;
 
 #[test]
 fn sanitized_predict_is_bit_identical_and_checks_run() {
-    let cfg = FlowConfig { scale: Scale::Tiny, ..FlowConfig::default() };
+    let cfg = FlowConfig { scale: Scale::Tiny };
     let ds = Dataset::generate_subset(&cfg, 1, 1);
     let mc = ModelConfig::tiny();
     let design = ds.test_designs()[0];
