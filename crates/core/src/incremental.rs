@@ -189,6 +189,8 @@ impl IncrementalCtx {
         dirty_pins: &[PinId],
         bufs: &mut [Tensor],
     ) -> usize {
+        static ROWS_RECOMPUTED: rtt_obs::Counter = rtt_obs::Counter::new(ROWS_RECOMPUTED_COUNTER);
+        static ROWS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(ROWS_TOTAL_COUNTER);
         let schedule = &design.schedule;
         let plan = schedule.plan();
         let n = plan.total_rows;
@@ -277,10 +279,8 @@ impl IncrementalCtx {
                 recomputed
             }
         };
-        rtt_obs::add_many(&[
-            (ROWS_RECOMPUTED_COUNTER, recomputed as u64),
-            (ROWS_TOTAL_COUNTER, n as u64),
-        ]);
+        ROWS_RECOMPUTED.add(recomputed as u64);
+        ROWS_TOTAL.add(n as u64);
         recomputed
     }
 

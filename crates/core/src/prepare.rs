@@ -17,6 +17,10 @@ pub const PREP_MASKS_RECOMPUTED_COUNTER: &str = "core::prepare_masks_recomputed"
 /// Flat counter: total endpoints seen by the delta-prepare path.
 pub const PREP_MASKS_TOTAL_COUNTER: &str = "core::prepare_masks_total";
 
+static PREP_MASKS_RECOMPUTED: rtt_obs::Counter =
+    rtt_obs::Counter::new(PREP_MASKS_RECOMPUTED_COUNTER);
+static PREP_MASKS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(PREP_MASKS_TOTAL_COUNTER);
+
 /// Retained preparation state that lets [`PreparedDesign::update`] carry
 /// clean endpoint masks across a transform: the pin-keyed identity of the
 /// previous graph (nodes and endpoint ordinals are not stable across a
@@ -192,11 +196,8 @@ impl PreparedDesign {
         {
             let (prep, fresh) = Self::prepare_full(anl, library, apl, graph, config, targets);
             *ctx = fresh;
-            let eps = prep.masks.len() as u64;
-            rtt_obs::add_many(&[
-                (PREP_MASKS_RECOMPUTED_COUNTER, eps),
-                (PREP_MASKS_TOTAL_COUNTER, eps),
-            ]);
+            PREP_MASKS_RECOMPUTED.add(prep.masks.len() as u64);
+            PREP_MASKS_TOTAL.add(prep.masks.len() as u64);
             return prep;
         }
         let (schedule, feats, maps) = Self::build_dense(anl, library, apl, graph, config);
@@ -267,10 +268,8 @@ impl PreparedDesign {
         for (&(i, _), row) in recompute.iter().zip(rows) {
             masks[i] = row;
         }
-        rtt_obs::add_many(&[
-            (PREP_MASKS_RECOMPUTED_COUNTER, recompute.len() as u64),
-            (PREP_MASKS_TOTAL_COUNTER, eps.len() as u64),
-        ]);
+        PREP_MASKS_RECOMPUTED.add(recompute.len() as u64);
+        PREP_MASKS_TOTAL.add(eps.len() as u64);
 
         *ctx = PrepareCtx::capture(anl, graph);
         Self { name: anl.name.clone(), schedule, feats, maps, masks, mask_grid: mg, targets }

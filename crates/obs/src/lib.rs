@@ -8,15 +8,14 @@
 //!   `"/"`-joined paths (`"flow::design_flow/sta::run/sta::propagate"`).
 //!   Each path accumulates a call count, total wall time, and optional
 //!   per-span counters attached via [`SpanGuard::add`].
-//! - **Flat counters** ([`add`], [`add_many`], static [`Counter`]s) are
-//!   order-independent `u64` sums for hot paths (matmul flops, zero-skip
-//!   tallies, arena bytes) where span bookkeeping would be too costly or
-//!   the call site runs inside a parallel region. Per-kernel-call sites
-//!   use a static [`Counter`] (lock-free relaxed atomic); the string-keyed
-//!   [`add`]/[`add_many`] are for cold orchestration code.
-//! - **Gauges** ([`gauge`]) and **series** ([`series_push`]) hold `f64`
-//!   point values and ordered time series (per-epoch loss/R²/MAE). They
-//!   may only be written from serial orchestration code.
+//! - **Flat counters** (static [`Counter`]s) are order-independent `u64`
+//!   sums for hot paths (matmul flops, arena bytes, cache reuse) where
+//!   span bookkeeping would be too costly or the call site runs inside a
+//!   parallel region. A bump is one relaxed atomic add: no lock, no map
+//!   lookup.
+//! - **Series** ([`series_push`]) hold ordered `f64` time series
+//!   (per-epoch loss/R²/MAE). They may only be written from serial
+//!   orchestration code.
 //!
 //! # Determinism contract
 //!
@@ -33,8 +32,8 @@
 //! 2. Hot-path metrics inside parallel regions use flat counters only:
 //!    `u64` addition commutes, so the final sums are independent of
 //!    execution order and thread count.
-//! 3. Gauges and series are written from serial code only (they are
-//!    last-write / ordered-append and would otherwise race).
+//! 3. Series are written from serial code only (they are ordered-append
+//!    and would otherwise race).
 //!
 //! `rtt-lint` cannot check these rules mechanically; they are enforced
 //! by the tier-1 test `tests/observability.rs`, which runs the pipeline
@@ -78,10 +77,9 @@ pub struct SpanStats {
 pub struct Snapshot {
     /// Span statistics keyed by the `"/"`-joined span path.
     pub spans: BTreeMap<String, SpanStats>,
-    /// Flat order-independent counters.
+    /// Flat order-independent counters: every static [`Counter`] with a
+    /// nonzero value.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write gauges (serial writers only).
-    pub gauges: BTreeMap<String, f64>,
     /// Ordered time series (serial writers only).
     pub series: BTreeMap<String, Vec<f64>>,
 }
@@ -89,8 +87,6 @@ pub struct Snapshot {
 #[derive(Default)]
 struct Registry {
     spans: BTreeMap<String, SpanStats>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     series: BTreeMap<String, Vec<f64>>,
 }
 
@@ -123,8 +119,8 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Clears every span, counter, gauge, and series, including the values
-/// of registered static [`Counter`]s.
+/// Clears every span and series, and zeroes every registered static
+/// [`Counter`].
 pub fn reset() {
     *lock() = Registry::default();
     let statics = static_counters().lock().unwrap_or_else(PoisonError::into_inner);
@@ -148,9 +144,8 @@ fn static_counters() -> &'static Mutex<Vec<&'static Counter>> {
 /// FLOPS.add(128);
 /// ```
 ///
-/// Values merge into the flat-counter section of [`snapshot`] (omitted
-/// while zero, matching the behavior of a never-touched [`add`] key).
-/// Like every flat counter, `u64` sums commute, so hot counters keep the
+/// Values appear in the flat-counter section of [`snapshot`] (omitted
+/// while zero). `u64` sums commute, so counters keep the
 /// cross-thread-count determinism contract.
 pub struct Counter {
     name: &'static str,
@@ -301,40 +296,9 @@ impl Drop for RootGuard {
     }
 }
 
-/// Adds `delta` to a flat global counter. Safe from any thread and any
-/// parallel region: `u64` sums commute, so the result is independent of
-/// execution order.
-pub fn add(counter: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    *lock().counters.entry(counter.to_owned()).or_default() += delta;
-}
-
-/// Adds several flat counters under a single registry lock. Prefer this
-/// in hot paths: tally locally, then flush once per call.
-pub fn add_many(deltas: &[(&str, u64)]) {
-    if !enabled() || deltas.is_empty() {
-        return;
-    }
-    let mut reg = lock();
-    for &(counter, delta) in deltas {
-        *reg.counters.entry(counter.to_owned()).or_default() += delta;
-    }
-}
-
-/// Sets a last-write gauge. Serial orchestration code only — gauge
-/// writes from parallel regions would race and break the determinism
-/// contract.
-pub fn gauge(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    lock().gauges.insert(name.to_owned(), value);
-}
-
 /// Appends one value to an ordered series (e.g. per-epoch loss). Serial
-/// orchestration code only, for the same reason as [`gauge`].
+/// orchestration code only: appends from a parallel region would land in
+/// thread order and break the determinism contract.
 pub fn series_push(name: &str, value: f64) {
     if !enabled() {
         return;
@@ -428,17 +392,12 @@ impl Ring {
     }
 }
 
-/// Copies the current registry contents, merging in every registered
-/// static [`Counter`] with a nonzero value.
+/// Copies the current registry contents and every registered static
+/// [`Counter`] with a nonzero value.
 pub fn snapshot() -> Snapshot {
     let mut snap = {
         let reg = lock();
-        Snapshot {
-            spans: reg.spans.clone(),
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
-            series: reg.series.clone(),
-        }
+        Snapshot { spans: reg.spans.clone(), counters: BTreeMap::new(), series: reg.series.clone() }
     };
     let statics = static_counters().lock().unwrap_or_else(PoisonError::into_inner);
     for c in statics.iter() {
@@ -451,7 +410,7 @@ pub fn snapshot() -> Snapshot {
 }
 
 impl Snapshot {
-    /// Renders a human-readable span tree plus counter/gauge/series
+    /// Renders a human-readable span tree plus counter and series
     /// sections; the CLI prints this to stderr under `--trace`.
     pub fn render_tree(&self) -> String {
         let mut out = String::new();
@@ -480,12 +439,6 @@ impl Snapshot {
                 out.push_str(&format!("  {k:<46} {v}\n"));
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("  {k:<46} {v}\n"));
-            }
-        }
         if !self.series.is_empty() {
             out.push_str("series:\n");
             for (k, vs) in &self.series {
@@ -500,7 +453,7 @@ impl Snapshot {
     }
 
     /// Serializes the deterministic part of the snapshot (spans without
-    /// durations, counters, gauges, series) as canonical JSON. Two runs
+    /// durations, counters, series) as canonical JSON. Two runs
     /// that obey the determinism contract produce byte-identical output
     /// regardless of `RTT_THREADS`.
     pub fn structure_json(&self) -> String {
@@ -552,15 +505,6 @@ impl Snapshot {
             }
             json::write_string(out, k);
             out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(out, k);
-            out.push(':');
-            json::write_f64(out, *v);
         }
         out.push_str("},\"series\":{");
         for (i, (k, vs)) in self.series.iter().enumerate() {
@@ -636,15 +580,16 @@ mod tests {
     fn flat_counters_gauges_series_round_trip() {
         let _g = test_lock();
         reset();
-        add("a", 2);
-        add_many(&[("a", 3), ("b", 1)]);
-        gauge("g", 0.5);
+        static A: Counter = Counter::new("a");
+        static B: Counter = Counter::new("b");
+        A.add(2);
+        A.add(3);
+        B.add(1);
         series_push("s", 1.0);
         series_push("s", 2.0);
         let snap = snapshot();
         assert_eq!(snap.counters["a"], 5);
         assert_eq!(snap.counters["b"], 1);
-        assert!((snap.gauges["g"] - 0.5).abs() < 1e-12);
         assert_eq!(snap.series["s"].len(), 2);
     }
 
@@ -660,10 +605,8 @@ mod tests {
                 s.spawn(|| WIDGETS.add(25));
             }
         });
-        // Map counters with the same name merge additively.
-        add("static::widgets", 1);
         let snap = snapshot();
-        assert_eq!(snap.counters["static::widgets"], 103);
+        assert_eq!(snap.counters["static::widgets"], 102);
         assert!(!snap.counters.contains_key("static::untouched"), "zero counters are omitted");
         let _ = &UNTOUCHED;
         reset();
@@ -674,11 +617,12 @@ mod tests {
     fn counters_sum_identically_across_threads() {
         let _g = test_lock();
         reset();
+        static HITS: Counter = Counter::new("hits");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        add("hits", 1);
+                        HITS.add(1);
                     }
                 });
             }
@@ -690,10 +634,11 @@ mod tests {
     fn disabled_recording_is_a_no_op() {
         let _g = test_lock();
         reset();
+        static GHOST: Counter = Counter::new("ghost");
         set_enabled(false);
         {
             span!("ghost");
-            add("ghost", 1);
+            GHOST.add(1);
         }
         set_enabled(true);
         let snap = snapshot();
@@ -708,7 +653,7 @@ mod tests {
             let g = span("stage \"q\"");
             g.add("pins", 7);
         }
-        gauge("nan_gauge", f64::NAN);
+        series_push("nan_series", f64::NAN);
         let snap = snapshot();
         let structure = json::Value::parse(&snap.structure_json()).expect("valid JSON");
         assert!(snap.structure_json().contains("\\\""), "span name must be escaped");
@@ -725,11 +670,11 @@ mod tests {
         {
             span!("top");
         }
-        add("c", 1);
-        gauge("g", 1.5);
+        static C: Counter = Counter::new("c");
+        C.add(1);
         series_push("s", 3.0);
         let text = snapshot().render_tree();
-        for needle in ["spans", "top", "counters:", "gauges:", "series:", "1 points"] {
+        for needle in ["spans", "top", "counters:", "series:", "1 points"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

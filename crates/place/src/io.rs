@@ -9,8 +9,10 @@
 //! PORT <port-name> <x> <y>
 //! ```
 //!
-//! Together with the structural-Verilog writer in `rtt-netlist`, this lets
-//! a placed design leave and re-enter the flow as text.
+//! Every `CELL` and `PORT` position must lie on the `DIE` (edges
+//! included). Together with the structural-Verilog writer in
+//! `rtt-netlist`, this lets a placed design leave and re-enter the flow as
+//! text.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -82,13 +84,17 @@ pub fn write_placement(netlist: &Netlist, placement: &Placement) -> String {
 ///
 /// # Errors
 ///
-/// Returns a [`PlacementIoError`] if records are malformed, reference
-/// unknown entities, or any live cell is left unplaced.
+/// Returns a [`PlacementIoError`] if records are malformed (including a
+/// `CELL` or `PORT` outside the `DIE`), reference unknown entities, or any
+/// live cell is left unplaced.
 pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, PlacementIoError> {
     let mut die: Option<Rect> = None;
     let mut macros = Vec::new();
     let mut cell_pos: HashMap<&str, Point> = HashMap::new();
     let mut port_pos: HashMap<&str, Point> = HashMap::new();
+    // `(line, position)` of every CELL/PORT record, checked against the
+    // DIE once it is known (it may come later in the file).
+    let mut positions: Vec<(usize, Point)> = Vec::new();
 
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -129,6 +135,7 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
                     return Err(malformed(format!("{kind} needs a name and 2 coordinates")));
                 }
                 let p = Point::new(num(rest[1])?, num(rest[2])?);
+                positions.push((line_no, p));
                 if kind == "CELL" {
                     cell_pos.insert(rest[0], p);
                 } else {
@@ -140,6 +147,10 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
     }
 
     let die = die.ok_or(PlacementIoError::MissingDie)?;
+    if let Some(&(line, p)) = positions.iter().find(|(_, p)| !die.contains(*p)) {
+        let message = format!("position ({}, {}) lies outside the DIE", p.x, p.y);
+        return Err(PlacementIoError::Malformed { line, message });
+    }
     let mut placement = Placement::empty(Floorplan { die, macros }, netlist);
     // Reject names that match nothing in the netlist.
     let known_cells: HashMap<&str, rtt_netlist::CellId> =
@@ -262,6 +273,23 @@ mod tests {
                 Err(PlacementIoError::Malformed { line, .. }) => assert_eq!(line, 2, "{die}"),
                 other => panic!("{die}: expected malformed, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn positions_off_the_die_are_malformed() {
+        let (_, nl, pl) = world();
+        let text = write_placement(&nl, &pl);
+        let die = pl.floorplan().die;
+        let (k, cell) =
+            text.lines().enumerate().find(|(_, l)| l.starts_with("CELL")).expect("a CELL record");
+        let name = cell.split_whitespace().nth(1).expect("cell name");
+        let off = format!("CELL {name} {} {}", die.x1 + 1.0, die.y0);
+        let moved: Vec<&str> =
+            text.lines().enumerate().map(|(i, l)| if i == k { off.as_str() } else { l }).collect();
+        match parse_placement(&nl, &moved.join("\n")) {
+            Err(PlacementIoError::Malformed { line, .. }) => assert_eq!(line, k + 1),
+            other => panic!("expected malformed, got {other:?}"),
         }
     }
 

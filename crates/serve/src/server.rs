@@ -675,7 +675,8 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
 /// registered), `op=buffer|resize|bypass|prune`, plus the op's operands:
 ///
 /// * `op=buffer` — `net=I sink=I pos=X,Y`: insert a buffer between the
-///   net's driver and one sink, placed at `pos`.
+///   net's driver and one sink, placed at `pos`, which must lie on the
+///   design's die (`422` otherwise).
 /// * `op=resize` — `cell=I drive=N`: swap the cell's master for the
 ///   same-function variant at drive strength `N`.
 /// * `op=bypass` — `cell=I`: short-circuit a repeater (buffer) cell.
@@ -771,6 +772,9 @@ fn transform(shared: &Shared, req: &Request) -> Response {
             let pos = pos.ok_or_else(|| {
                 Response::text(400, "pos= is required for op=buffer\n".to_owned())
             })?;
+            if !pl.floorplan().die.contains(pos) {
+                return Err(Response::text(422, "pos lies outside the die\n"));
+            }
             if net.index() >= nl.net_capacity() || sink.index() >= nl.pin_capacity() {
                 return Err(Response::text(422, "net/sink id out of range\n"));
             }

@@ -412,8 +412,9 @@ fn daemon_serves_unchanged_designs_from_the_activation_cache() {
     assert_eq!(read(), expect);
     assert_eq!(cache_counts(addr), (READS + 1, 1), "a rejected transform keeps the cache current");
 
-    // A non-finite buffer position is rejected before anything runs, so
-    // the prune below still publishes generation 2.
+    // A non-finite buffer position is rejected before anything runs, and
+    // a finite one off the die before the transform runs, so the prune
+    // below still publishes generation 2.
     let (net, sink) = nl
         .nets()
         .find_map(|(id, n)| n.sinks.first().map(|&s| (id, s)))
@@ -428,6 +429,14 @@ fn daemon_serves_unchanged_designs_from_the_activation_cache() {
         assert_eq!(status, 400, "pos={pos}: {}", String::from_utf8_lossy(&body));
         assert_eq!(body, format!("bad pos: {pos}\n").into_bytes());
     }
+    let req = format!(
+        "design=rca\nop=buffer\nnet={}\nsink={}\npos=3e38,3e38\n",
+        net.index(),
+        sink.index()
+    );
+    let (status, body) = http(addr, &post("/transform", "", req.as_bytes()));
+    assert_eq!(status, 422, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(body, b"pos lies outside the die\n");
 
     let (status, body) = http(addr, &post("/transform", "", b"design=rca\nop=prune\n"));
     assert_eq!(status, 200);
