@@ -7,6 +7,9 @@
 //! * **Order preservation** — `par_iter().map(f).collect()` returns results
 //!   in input order, so parallel output is a permutation-free, bit-identical
 //!   replacement for the serial map.
+//! * **Dynamic handout** — threads take runs of consecutive items from one
+//!   shared cursor, so which thread runs an item depends on timing; since
+//!   results are reordered, it never changes the output.
 //! * **No nesting** — a parallel call issued from inside a worker runs
 //!   serially on that worker (rayon would work-steal instead; for the
 //!   fork-join shapes used here the observable results are identical and
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Global thread count; 0 = not yet initialized.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -118,8 +122,10 @@ where
     })
 }
 
-/// Order-preserving parallel map over an item list: items are split into
-/// one contiguous chunk per thread; chunk `0` runs on the calling thread.
+/// Order-preserving parallel map over an item list. Every thread, the
+/// calling one included, takes runs of consecutive items from one shared
+/// cursor until none are left, so a thread whose items finish early takes
+/// more instead of idling; results are put back in input order.
 fn execute<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -131,40 +137,50 @@ where
     if threads <= 1 || IN_WORKER.with(std::cell::Cell::get) {
         return items.into_iter().map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut items = items.into_iter();
-    for _ in 0..threads {
-        chunks.push(items.by_ref().take(chunk).collect());
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        let mut chunks = chunks.into_iter();
-        // `threads >= 2` past the serial early-return, so a chunk always
-        // exists; the guard keeps the serving path panic-free regardless.
-        let Some(first) = chunks.next() else { return Vec::new() };
-        for c in chunks {
-            handles.push(s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                c.into_iter().map(f).collect::<Vec<R>>()
-            }));
+    // About four runs per thread: a long list of small items (one row
+    // each) then takes the cursor's lock a few times per thread, while a
+    // short list of large items (one design each) goes out one at a time.
+    let run = (n / (4 * threads)).max(1);
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut done: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let next: Vec<(usize, T)> = {
+                // Taking items cannot panic, so a poisoned lock still holds
+                // a valid cursor.
+                let mut items = cursor.lock().unwrap_or_else(PoisonError::into_inner);
+                items.by_ref().take(run).collect()
+            };
+            let Some(&(first, _)) = next.first() else { return done };
+            done.push((first, next.into_iter().map(|(_, item)| f(item)).collect()));
         }
-        // Mark the calling thread as a worker while it processes its own
-        // chunk so nested parallel calls inside `f` degrade serially.
+    };
+    let mut runs = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    work()
+                })
+            })
+            .collect();
+        // Mark the calling thread as a worker while it takes items so
+        // nested parallel calls inside `f` degrade serially.
         let was = IN_WORKER.with(|w| w.replace(true));
-        let mut out: Vec<R> = first.into_iter().map(f).collect();
+        let mut runs = work();
         IN_WORKER.with(|w| w.set(was));
         for h in handles {
             // A worker can only fail if `f` panicked; re-raise that panic
             // on the caller exactly as rayon does.
             match h.join() {
-                Ok(part) => out.extend(part),
+                Ok(part) => runs.extend(part),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        out
-    })
+        runs
+    });
+    runs.sort_unstable_by_key(|&(first, _)| first);
+    runs.into_iter().flat_map(|(_, results)| results).collect()
 }
 
 /// Parallel iterator types and conversion traits.

@@ -391,7 +391,7 @@ impl NetlistGnn {
     ) -> Var<'t> {
         let d = self.f_c1.out_dim();
         let product = |mlp: &Mlp, x: &Option<Tensor>| match x {
-            Some(x) => mlp.forward(tape, store, tape.constant(x.clone())),
+            Some(x) => mlp.forward(tape, store, tape.constant_with(x.len(), |t| t.copy_from(x))),
             None => tape.constant(Tensor::zeros(&[0, d])),
         };
         let sc = product(&self.f_c2, &feats.cell_src_flat);
@@ -416,56 +416,56 @@ impl NetlistGnn {
     ) -> Var<'t> {
         let mut inputs = vec![sc, sn];
         inputs.extend(self.f_c1.params().map(|id| tape.param(store, id)));
-        let forward = |v: &[&Tensor]| {
-            let mut flat = Tensor::default();
-            flat.reset_for_overwrite(&[plan.total_rows, self.f_c1.out_dim()]);
+        let shape = [plan.total_rows, self.f_c1.out_dim()];
+        let forward = |v: &[&Tensor], flat: &mut Tensor| {
+            flat.reset_for_overwrite(&shape);
             let mut scratch: [Tensor; 5] = Default::default();
-            self.run_levels(store, &plan.levels, aggregation, v[0], v[1], &mut flat, &mut scratch);
-            flat
+            self.run_levels(store, &plan.levels, aggregation, v[0], v[1], flat, &mut scratch);
         };
         let (gnn, plan) = (self.clone(), Arc::clone(plan));
-        tape.fused(&inputs, forward, move |inputs, flat, grad| {
-            gnn.level_loop_backward(&plan.levels, aggregation, inputs, flat, grad)
+        tape.fused(&inputs, shape[0] * shape[1], forward, move |inputs, flat, grad, gin| {
+            gnn.level_loop_backward(&plan.levels, aggregation, inputs, flat, grad, gin);
         })
     }
 
     /// The backward of the node [`Self::level_loop`] records: one reverse
-    /// loop over `levels`. A row is written by its own level and read only
-    /// by later ones, so when the loop reaches a level, the gradients of
-    /// that level's rows are complete. The tape keeps only the flat matrix;
-    /// each level's gather, reduction and `f_c1` activations are recomputed
-    /// from it with the forward's kernels.
+    /// loop over `levels`, adding each input's gradient into `gin`. A row
+    /// is written by its own level and read only by later ones, so when the
+    /// loop reaches a level, the gradients of that level's rows are
+    /// complete; they accumulate in place in `g_flat`, the flat matrix's
+    /// gradient. The tape keeps only the flat matrix; each level's gather,
+    /// reduction and `f_c1` activations are recomputed from it with the
+    /// forward's kernels.
     fn level_loop_backward(
         &self,
         levels: &[FlatLevel],
         aggregation: Aggregation,
         inputs: &[&Tensor],
         flat: &Tensor,
-        grad: &Tensor,
-    ) -> Vec<Tensor> {
-        let mut gin: Vec<Tensor> = inputs.iter().map(|t| Tensor::zeros(t.shape())).collect();
-        let [g_sc, g_sn, g_c1 @ ..] = &mut gin[..] else {
+        g_flat: &mut Tensor,
+        gin: &mut [Tensor],
+    ) {
+        let [g_sc, g_sn, g_c1 @ ..] = gin else {
             unreachable!("inputs are the two static products and f_c1's tensors")
         };
         let (sc, c1) = (inputs[0], &inputs[2..]);
-        let mut g_flat = grad.clone();
         let [mut msgs, mut agg, mut ctx, mut h, mut g_h, mut g_msgs]: [Tensor; 6] =
             Default::default();
         for fl in levels.iter().rev() {
             if fl.n_srcs > 0 {
-                ops::gather_rows_flat(&g_flat, &fl.src_dst, &mut g_h);
+                ops::gather_rows_flat(g_flat, &fl.src_dst, &mut g_h);
                 ops::gather_rows_flat(flat, &fl.src_dst, &mut h);
                 ops::relu_backward(&mut g_h, &h);
                 add_to_rows(g_sc, fl.src_feat_off, &g_h);
             }
             if fl.n_nets > 0 {
-                ops::gather_rows_flat(&g_flat, &fl.net_dst, &mut g_h);
+                ops::gather_rows_flat(g_flat, &fl.net_dst, &mut g_h);
                 if !self.residual {
                     ops::gather_rows_flat(flat, &fl.net_dst, &mut h);
                     ops::relu_backward(&mut g_h, &h);
                 }
                 add_to_rows(g_sn, fl.net_feat_off, &g_h);
-                ops::scatter_add_rows(&g_h, &fl.net_gather, &mut g_flat);
+                ops::scatter_add_rows(&g_h, &fl.net_gather, g_flat);
             }
             if fl.n_cells == 0 {
                 continue;
@@ -477,7 +477,7 @@ impl NetlistGnn {
             } else {
                 &agg
             };
-            ops::gather_rows_flat(&g_flat, &fl.cell_dst, &mut g_h);
+            ops::gather_rows_flat(g_flat, &fl.cell_dst, &mut g_h);
             // `z` is f_c1(x) plus the cells' f_c2 rows, before the ReLU.
             let g_x = self.f_c1.backward(c1, x, g_c1, |z| {
                 ops::add_rows_range(z, sc, fl.cell_feat_off);
@@ -519,9 +519,8 @@ impl NetlistGnn {
                     }
                 }
             }
-            ops::scatter_add_rows(&g_msgs, &fl.cell_gather, &mut g_flat);
+            ops::scatter_add_rows(&g_msgs, &fl.cell_gather, g_flat);
         }
-        gin
     }
 
     /// Number of scratch tensors [`Self::forward_flat`] consumes (the

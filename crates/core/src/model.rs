@@ -6,7 +6,9 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use rtt_netlist::PinId;
-use rtt_nn::{mse, ops, Adam, Exec, Grads, InferCtx, Linear, Mlp, ParamStore, Tape, Tensor, Var};
+use rtt_nn::{
+    mse, ops, Adam, Exec, Grads, InferCtx, Linear, Mlp, ParamStore, Tape, TapeArena, Tensor, Var,
+};
 
 use crate::cnn::LayoutCnn;
 use crate::gnn::NetlistGnn;
@@ -111,15 +113,17 @@ impl TimingModel {
             }
         });
         let layout_emb = self.cnn.as_ref().map(|(trunk, fc)| {
-            let maps = tape.constant(design.maps.clone());
+            let maps = tape.constant_with(design.maps.len(), |t| t.copy_from(&design.maps));
             let global_map = trunk.forward(tape, &self.store, maps);
-            let masks = if self.config.masking {
-                tape.constant(design.dense_mask_rows(indices))
-            } else {
-                // Ablation A2: every endpoint sees the full layout map.
-                let cols = design.mask_grid * design.mask_grid;
-                tape.constant(Tensor::full(&[indices.len().max(1), cols], 1.0))
-            };
+            let cols = design.mask_grid * design.mask_grid;
+            let masks = tape.constant_with(indices.len().max(1) * cols, |t| {
+                if self.config.masking {
+                    design.dense_mask_rows_into(indices, t);
+                } else {
+                    // Ablation A2: every endpoint sees the full layout map.
+                    t.reset(&[indices.len().max(1), cols], 1.0);
+                }
+            });
             let masked = tape.mul_row(masks, global_map);
             fc.forward(tape, &self.store, masked)
         });
@@ -169,13 +173,19 @@ impl TimingModel {
         let mut adam = Adam::new(tc.lr);
         let mut log = TrainLog::default();
         let mut order: Vec<usize> = (0..designs.len()).collect();
+        // One tape arena per design: a design runs the same ops at the
+        // same sizes every epoch, so from its second pass on, its arena has
+        // a spare for every buffer and the pass allocates nothing
+        // design-sized. Per design rather than shared, so what an arena
+        // grows by does not depend on which passes run at the same time.
+        let mut arenas: Vec<TapeArena> = designs.iter().map(|_| TapeArena::default()).collect();
 
         for epoch in 0..tc.epochs {
             order.shuffle(&mut self.rng);
             // Minibatch indices are drawn serially, in shuffled design
             // order, so the RNG stream is identical no matter how many
             // threads run the forward/backward passes below.
-            let batches: Vec<(usize, Vec<u32>)> = order
+            let batches: Vec<(usize, Vec<u32>, TapeArena)> = order
                 .iter()
                 .map(|&di| {
                     let n_ep = designs[di].num_endpoints();
@@ -184,7 +194,7 @@ impl TimingModel {
                     } else {
                         (0..n_ep as u32).collect()
                     };
-                    (di, idx)
+                    (di, idx, std::mem::take(&mut arenas[di]))
                 })
                 .collect();
             // Each design's forward/backward pass sees the same epoch-start
@@ -192,30 +202,36 @@ impl TimingModel {
             // gradients reduce in a fixed-order pairwise tree and the
             // optimizer takes one step per epoch over the accumulated sum.
             let this: &TimingModel = self;
-            let results: Vec<(f32, Grads)> = batches
-                .par_iter()
-                .map(|(di, idx)| {
+            let results: Vec<(usize, f32, Grads, TapeArena)> = batches
+                .into_par_iter()
+                .map(|(di, idx, arena)| {
                     // Root span: worker threads must not inherit (or leak
                     // into) the caller's span stack, or the recorded tree
                     // would depend on RTT_THREADS.
                     let _pass = rtt_obs::root_span("core::train::design_pass");
-                    let design = &designs[*di];
-                    let tape = Tape::new();
-                    let pred_b = this.forward(&tape, design, Some(idx));
-                    let data: Vec<f32> = idx
-                        .iter()
-                        .map(|&i| (design.targets[i as usize] - this.target_mean) / this.target_std)
-                        .collect();
-                    let target_b = tape.constant(Tensor::from_vec(&[idx.len(), 1], data));
-                    let loss = mse(&tape, pred_b, target_b).scale(weights[*di]);
-                    (tape.value(loss).data()[0], tape.backward(loss))
+                    let design = &designs[di];
+                    let tape = Tape::with_arena(arena);
+                    let pred_b = this.forward(&tape, design, Some(&idx));
+                    let target_b = tape.constant_with(idx.len(), |t| {
+                        t.reset_for_overwrite(&[idx.len(), 1]);
+                        for (y, &i) in t.data_mut().iter_mut().zip(&idx) {
+                            *y = (design.targets[i as usize] - this.target_mean) / this.target_std;
+                        }
+                    });
+                    let loss = mse(&tape, pred_b, target_b).scale(weights[di]);
+                    let value = tape.value(loss).data()[0];
+                    let mut grads = tape.backward(loss);
+                    let mut arena = tape.into_arena();
+                    arena.reclaim(&mut grads);
+                    (di, value, grads, arena)
                 })
                 .collect();
             let mut epoch_loss = 0.0;
             let mut grad_sets = Vec::with_capacity(results.len());
-            for (l, g) in results {
+            for (di, l, g, arena) in results {
                 epoch_loss += l;
                 grad_sets.push(g);
+                arenas[di] = arena;
             }
             adam.step(&mut self.store, &Grads::tree_sum(grad_sets));
             epoch_loss /= designs.len() as f32;

@@ -12,7 +12,8 @@
 //! allocations. In the steady state a pass allocates nothing, which is
 //! why the `nn::infer_arena_bytes` counter (bytes of fresh allocation
 //! growth, recorded as it happens) stays far below `nn::tape_bytes`
-//! (bytes appended to the tape, paid again on every pass).
+//! (bytes a tape records, counted on every pass whether or not its
+//! [`crate::TapeArena`] recycles them).
 
 use std::cell::RefCell;
 use std::mem;

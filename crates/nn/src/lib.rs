@@ -19,6 +19,14 @@
 //!   op records what it needs for the backward sweep; a parameter is one
 //!   leaf however often it is used. [`Tape::fused`] records a whole
 //!   sub-computation as one node with its own boxed backward closure.
+//!   [`Tape::backward`] gives each non-leaf gradient back as soon as its
+//!   node is done, so [`Grads`] holds parameter and constant-leaf
+//!   gradients only.
+//! * [`TapeArena`] — the spare tensors a tape draws every recorded value
+//!   and every backward buffer from. A trainer hands one in with
+//!   [`Tape::with_arena`] and takes it back with [`Tape::into_arena`], so a
+//!   pass that repeats the previous one allocates nothing; growth is
+//!   tallied on `nn::tape_arena_bytes`.
 //! * [`Exec`] — the op-by-op forward trait the layers' and models' taped
 //!   `forward` methods are written against; `&Tape` implements it.
 //! * [`InferCtx`] — the scratch pool of the tape-free passes: the
@@ -77,5 +85,5 @@ pub use infer::InferCtx;
 pub use layers::{Conv2d, Linear, Mlp};
 pub use optim::Adam;
 pub use store::{Grads, ParamId, ParamStore, WeightsError};
-pub use tape::{mse, Tape, Var};
+pub use tape::{mse, Tape, TapeArena, Var};
 pub use tensor::Tensor;

@@ -220,13 +220,16 @@ fn le_u32(s: &[u8]) -> u32 {
     u32::from_le_bytes(arr)
 }
 
-/// Gradients produced by [`crate::Tape::backward`].
+/// Gradients produced by [`crate::Tape::backward`]: one per parameter and
+/// one per constant leaf the loss depends on. The sweep gives every other
+/// node's gradient back to the tape's arena once the node is processed.
 #[derive(Debug, Default)]
 pub struct Grads {
     // BTreeMap, not HashMap: `norm()` and `merge_sum()` iterate this map,
     // and float accumulation order must not depend on hasher state.
     by_param: BTreeMap<ParamId, Tensor>,
-    by_var: Vec<Option<Tensor>>,
+    /// Indexed by tape node; only constant leaves hold a gradient.
+    by_leaf: Vec<Option<Tensor>>,
 }
 
 impl Grads {
@@ -234,8 +237,13 @@ impl Grads {
         self.by_param.insert(id, g);
     }
 
-    pub(crate) fn set_var_grads(&mut self, grads: Vec<Option<Tensor>>) {
-        self.by_var = grads;
+    pub(crate) fn set_leaf_grads(&mut self, grads: Vec<Option<Tensor>>) {
+        self.by_leaf = grads;
+    }
+
+    /// Removes and yields the constant leaves' gradients.
+    pub(crate) fn take_leaf_grads(&mut self) -> impl Iterator<Item = Tensor> {
+        std::mem::take(&mut self.by_leaf).into_iter().flatten()
     }
 
     /// Gradient of the loss with respect to parameter `id`, if it
@@ -244,10 +252,13 @@ impl Grads {
         self.by_param.get(&id)
     }
 
-    /// Gradient with respect to the tape node `var_id` (see
-    /// [`crate::Var::id`]); useful for tests and saliency inspection.
+    /// Gradient with respect to the constant leaf `var_id` (see
+    /// [`crate::Tape::constant`] and [`crate::Var::id`]); useful for tests
+    /// and saliency inspection. Answers for constant leaves only: `None`
+    /// for a parameter's leaf (read it with [`Grads::of`]) and for every
+    /// other node, whose gradient the sweep has given back.
     pub fn wrt(&self, var_id: usize) -> Option<&Tensor> {
-        self.by_var.get(var_id).and_then(Option::as_ref)
+        self.by_leaf.get(var_id).and_then(Option::as_ref)
     }
 
     /// Global gradient L2 norm over all parameters.
@@ -256,14 +267,14 @@ impl Grads {
     }
 
     /// Adds `other`'s parameter gradients into `self` (elementwise).
-    /// Per-tape-node gradients are dropped — they are meaningless across
+    /// Constant-leaf gradients are dropped — they are meaningless across
     /// tapes.
     ///
     /// # Panics
     ///
     /// Panics if a parameter appears in both with different shapes.
     pub fn merge_sum(&mut self, other: Grads) {
-        self.by_var.clear();
+        self.by_leaf.clear();
         for (id, g) in other.by_param {
             match self.by_param.get_mut(&id) {
                 Some(acc) => acc.add_assign(&g),

@@ -56,34 +56,132 @@ struct Node {
     op: Op,
 }
 
-/// The backward of a [`Tape::fused`] node: `(inputs, value, grad)` to one
-/// gradient per input.
-type FusedBackward = dyn Fn(&[&Tensor], &Tensor, &Tensor) -> Vec<Tensor>;
+/// The backward of a [`Tape::fused`] node: `(inputs, value, grad, gin)`
+/// adds the gradient with respect to each input into `gin`.
+type FusedBackward = dyn Fn(&[&Tensor], &Tensor, &mut Tensor, &mut [Tensor]);
+
+/// Spare tensors a [`Tape`] draws its buffers from, carried from one pass
+/// to the next.
+///
+/// Hand one in with [`Tape::with_arena`] and take it back with
+/// [`Tape::into_arena`]. A request takes the smallest spare with room for
+/// it, so a pass that repeats the previous pass's ops over same-sized
+/// inputs finds a spare for every buffer and allocates nothing. Bytes
+/// allocated because no spare had room are tallied on the global
+/// `nn::tape_arena_bytes` counter.
+///
+/// ```
+/// use rtt_nn::{Tape, TapeArena, Tensor};
+///
+/// let x = Tensor::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
+/// let mut arena = TapeArena::default();
+/// for _ in 0..3 {
+///     let tape = Tape::with_arena(arena);
+///     let xv = tape.constant_with(x.len(), |t| t.copy_from(&x));
+///     let loss = xv.matmul(xv).relu().mean();
+///     let mut grads = tape.backward(loss);
+///     arena = tape.into_arena();
+///     // The input's gradient goes back too, for the next pass to reuse.
+///     arena.reclaim(&mut grads);
+/// }
+/// ```
+#[derive(Default)]
+pub struct TapeArena {
+    spares: Vec<Tensor>,
+}
+
+impl TapeArena {
+    /// Moves the constant-leaf gradients of `grads` (the ones
+    /// [`Grads::wrt`] answers) into the arena as spares, leaving the
+    /// parameter gradients.
+    pub fn reclaim(&mut self, grads: &mut Grads) {
+        self.spares.extend(grads.take_leaf_grads());
+    }
+}
 
 /// A define-by-run tape: forward ops append nodes; [`Tape::backward`]
 /// sweeps them in reverse to produce [`Grads`].
+///
+/// Every tensor the tape records (except a [`Tape::constant`] handed in
+/// by value) and every buffer its backward needs (except the parameter
+/// gradients, which leave with [`Grads`]) comes from the tape's arena (see
+/// [`TapeArena`]). A buffer the sweep is done with goes back to it at
+/// once, so a non-leaf gradient lives only until its node has been
+/// processed. [`Tape::new`] starts with an empty arena.
 #[derive(Default)]
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
-    /// Bytes of tensor data appended to the tape arena since the last
-    /// flush; tallied lock-free here and flushed to the global
-    /// `nn::tape_bytes` counter in [`Tape::backward`] / `Drop`.
+    /// Bytes of tensor data recorded on the tape since the last flush;
+    /// tallied lock-free here and flushed to the global `nn::tape_bytes`
+    /// counter in [`Tape::backward`] / `Drop`.
     pending_bytes: Cell<u64>,
-    /// Recycled im2col scratch shared by every [`Tape::conv2d`] on this
-    /// tape: the col matrix is transient (only the conv output is kept as
-    /// a node), so one buffer sized for the largest conv serves all calls
-    /// instead of regrowing a fresh allocation per invocation.
-    conv_col: RefCell<Tensor>,
     /// Leaf node of each parameter injected so far, indexed by
     /// [`ParamId`]: a parameter used N times is one leaf whose gradient
     /// sums all N uses.
     param_leaf: RefCell<Vec<Option<usize>>>,
+    /// The buffers requests draw from, each flagged `true` while it is a
+    /// spare handed in with the arena that no request has taken yet.
+    free: RefCell<Vec<(Tensor, bool)>>,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty tape that draws its buffers from `arena`.
+    pub fn with_arena(arena: TapeArena) -> Self {
+        let tape = Self::default();
+        *tape.free.borrow_mut() = arena.spares.into_iter().map(|t| (t, true)).collect();
+        tape
+    }
+
+    /// Ends the pass and returns its arena: every recorded tensor and every
+    /// buffer the pass gave back. Spares the pass never took are dropped,
+    /// so an arena holds one pass's worth of memory.
+    pub fn into_arena(self) -> TapeArena {
+        let given_back = self.free.take().into_iter().filter(|&(_, untouched)| !untouched);
+        let values = self.nodes.take().into_iter().map(|n| n.value);
+        let spares = given_back.map(|(t, _)| t).chain(values);
+        TapeArena { spares: spares.filter(|t| t.capacity() > 0).collect() }
+    }
+
+    /// A buffer from the arena that `write` fills, as an [`ops`] kernel
+    /// fills its output: the smallest spare with room for `len` elements,
+    /// holding stale data, or an empty tensor if no spare has room. Any
+    /// growth is tallied on `nn::tape_arena_bytes`.
+    ///
+    /// Buffers this pass gave back come before the spares handed in with
+    /// the arena. A pass that repeats the previous one then makes the same
+    /// choices among the former, and where the previous pass allocated, it
+    /// takes the spare allocated there: an arena stops growing after one
+    /// pass, where a single smallest-first pool could still grow in the
+    /// second.
+    fn buffer(&self, len: usize, write: impl FnOnce(&mut Tensor)) -> Tensor {
+        static ARENA_BYTES: rtt_obs::Counter = rtt_obs::Counter::new("nn::tape_arena_bytes");
+        let mut t = {
+            let mut free = self.free.borrow_mut();
+            let best = (free.iter().enumerate())
+                .filter(|(_, (t, _))| t.capacity() >= len)
+                .min_by_key(|&(_, (t, untouched))| (*untouched, t.capacity()))
+                .map(|(i, _)| i);
+            best.map(|i| free.swap_remove(i).0).unwrap_or_default()
+        };
+        t.recycle(len);
+        let cap = t.capacity();
+        write(&mut t);
+        let grown = t.capacity().saturating_sub(cap);
+        if grown > 0 {
+            ARENA_BYTES.add(4 * grown as u64);
+        }
+        t
+    }
+
+    /// Gives buffers back to the arena for later requests of this pass.
+    fn give(&self, bufs: impl IntoIterator<Item = Tensor>) {
+        let mut free = self.free.borrow_mut();
+        free.extend(bufs.into_iter().filter(|t| t.capacity() > 0).map(|t| (t, false)));
     }
 
     fn push(&self, value: Tensor, op: Op) -> Var<'_> {
@@ -93,7 +191,17 @@ impl Tape {
         Var { tape: self, id: nodes.len() - 1 }
     }
 
-    /// Moves the locally tallied arena bytes into the global counter.
+    /// Records a node whose value `write` computes from the recorded
+    /// values into an arena buffer with room for `len` elements.
+    fn record(&self, len: usize, op: Op, write: impl FnOnce(&[Node], &mut Tensor)) -> Var<'_> {
+        let value = {
+            let nodes = self.nodes.borrow();
+            self.buffer(len, |out| write(&nodes, out))
+        };
+        self.push(value, op)
+    }
+
+    /// Moves the locally tallied recorded bytes into the global counter.
     fn flush_bytes(&self) {
         static TAPE_BYTES: rtt_obs::Counter = rtt_obs::Counter::new("nn::tape_bytes");
         let bytes = self.pending_bytes.take();
@@ -112,9 +220,22 @@ impl Tape {
         self.nodes.borrow().is_empty()
     }
 
+    /// Element count of node `id`'s value.
+    fn len_of(&self, id: usize) -> usize {
+        self.nodes.borrow()[id].value.len()
+    }
+
     /// Adds a non-trainable input leaf.
     pub fn constant(&self, value: Tensor) -> Var<'_> {
         self.push(value, Op::Leaf { param: None })
+    }
+
+    /// Adds a non-trainable input leaf whose value `fill` writes into an
+    /// arena buffer with room for `len` elements. The buffer holds stale
+    /// data of any shape, so `fill` sets the shape and every element, as
+    /// the [`ops`] kernels do (e.g. with [`Tensor::copy_from`]).
+    pub fn constant_with(&self, len: usize, fill: impl FnOnce(&mut Tensor)) -> Var<'_> {
+        self.push(self.buffer(len, fill), Op::Leaf { param: None })
     }
 
     /// Injects a trainable parameter from `store` as a leaf; its gradient
@@ -125,7 +246,9 @@ impl Tape {
         if let Some(&Some(leaf)) = self.param_leaf.borrow().get(id.0) {
             return Var { tape: self, id: leaf };
         }
-        let v = self.push(store.value(id).clone(), Op::Leaf { param: Some(id) });
+        let value = store.value(id);
+        let value = self.buffer(value.len(), |t| t.copy_from(value));
+        let v = self.push(value, Op::Leaf { param: Some(id) });
         let mut leaves = self.param_leaf.borrow_mut();
         if leaves.len() <= id.0 {
             leaves.resize(id.0 + 1, None);
@@ -146,34 +269,43 @@ impl Tape {
     ///
     /// Panics if an index is out of range or `x` is not a matrix.
     pub fn gather_rows<'t>(&'t self, x: Var<'t>, idx: &[u32]) -> Var<'t> {
-        let mut out = Tensor::default();
-        ops::gather_rows_flat(&self.nodes.borrow()[x.id].value, idx, &mut out);
-        self.push(out, Op::GatherRows(x.id, idx.to_vec()))
+        let len = idx.len().max(1) * self.nodes.borrow()[x.id].value.cols();
+        self.record(len, Op::GatherRows(x.id, idx.to_vec()), |nodes, out| {
+            ops::gather_rows_flat(&nodes[x.id].value, idx, out);
+        })
     }
 
     /// Records a whole sub-computation as one node that carries its own
     /// backward, femtoGPT's `Computation { inps, func: Box<dyn Function> }`
-    /// pattern. `forward` computes the value from the inputs' values;
-    /// `backward(inputs, value, grad)` later returns one gradient per input,
-    /// in input order and shaped like it, from the gradient of the loss with
-    /// respect to the value. The tape keeps only the inputs and the value,
-    /// so whatever else the backward needs, it recomputes.
+    /// pattern. `forward(inputs, out)` writes the value from the inputs'
+    /// values into an arena buffer with room for `len` elements, as an
+    /// [`ops`] kernel writes its output: the buffer holds stale data of any
+    /// shape, so `forward` sets the shape and every element.
+    /// `backward(inputs, value, grad, gin)` later adds the gradient with
+    /// respect to each input into `gin`, which holds one zero-filled
+    /// tensor per input, in input order and shaped like it. `grad` is the
+    /// gradient of the loss with respect to the value; the sweep discards
+    /// it afterwards, so `backward` may overwrite it. The tape keeps only
+    /// the inputs and the value, so whatever else the backward needs, it
+    /// recomputes.
     ///
     /// # Panics
     ///
-    /// [`Tape::backward`] panics if `backward` returns a gradient count or
-    /// shape that does not match the inputs.
+    /// [`Tape::backward`] panics if `backward` reshapes a gradient in
+    /// `gin`.
     pub fn fused<'t>(
         &'t self,
         inputs: &[Var<'t>],
-        forward: impl FnOnce(&[&Tensor]) -> Tensor,
-        backward: impl Fn(&[&Tensor], &Tensor, &Tensor) -> Vec<Tensor> + 'static,
+        len: usize,
+        forward: impl FnOnce(&[&Tensor], &mut Tensor),
+        backward: impl Fn(&[&Tensor], &Tensor, &mut Tensor, &mut [Tensor]) + 'static,
     ) -> Var<'t> {
+        let inputs: Vec<usize> = inputs.iter().map(|v| v.id).collect();
         let value = {
             let nodes = self.nodes.borrow();
-            forward(&inputs.iter().map(|v| &nodes[v.id].value).collect::<Vec<_>>())
+            let values: Vec<&Tensor> = inputs.iter().map(|&i| &nodes[i].value).collect();
+            self.buffer(len, |out| forward(&values, out))
         };
-        let inputs = inputs.iter().map(|v| v.id).collect();
         self.push(value, Op::Fused { inputs, backward: Box::new(backward) })
     }
 
@@ -184,30 +316,36 @@ impl Tape {
     ///
     /// Panics on row mismatch.
     pub fn concat_cols<'t>(&'t self, a: Var<'t>, b: Var<'t>) -> Var<'t> {
-        let mut out = Tensor::default();
-        {
-            let nodes = self.nodes.borrow();
-            ops::concat_cols(&nodes[a.id].value, &nodes[b.id].value, &mut out);
-        }
-        self.push(out, Op::ConcatCols(a.id, b.id))
+        let len = self.len_of(a.id) + self.len_of(b.id);
+        self.record(len, Op::ConcatCols(a.id, b.id), |nodes, out| {
+            ops::concat_cols(&nodes[a.id].value, &nodes[b.id].value, out);
+        })
     }
 
     /// 2-D convolution, stride 1: `x` is `[C_in, H, W]`, `w` is
     /// `[C_out, C_in, kh, kw]`, output `[C_out, H', W']` with
-    /// `H' = H + 2·pad - kh + 1`.
+    /// `H' = H + 2·pad - kh + 1`. The im2col matrix is transient: it comes
+    /// from the arena and goes back once the output is written.
     ///
     /// # Panics
     ///
     /// Panics on rank/shape mismatch or if the kernel exceeds the padded
     /// input.
     pub fn conv2d<'t>(&'t self, x: Var<'t>, w: Var<'t>, pad: usize) -> Var<'t> {
-        let mut out = Tensor::default();
-        {
-            let mut col = self.conv_col.borrow_mut();
+        let value = {
             let nodes = self.nodes.borrow();
-            ops::conv2d(&nodes[x.id].value, &nodes[w.id].value, pad, &mut col, &mut out);
-        }
-        self.push(out, Op::Conv2d { x: x.id, w: w.id, pad })
+            let (tx, tw) = (&nodes[x.id].value, &nodes[w.id].value);
+            let (cin, h, wd) = rank3(tx);
+            let ws = tw.shape();
+            let (oh, ow) = (h + 2 * pad + 1 - ws[2], wd + 2 * pad + 1 - ws[3]);
+            let mut value = Tensor::default();
+            let col = self.buffer(cin * ws[2] * ws[3] * oh * ow, |col| {
+                value = self.buffer(ws[0] * oh * ow, |out| ops::conv2d(tx, tw, pad, col, out));
+            });
+            self.give([col]);
+            value
+        };
+        self.push(value, Op::Conv2d { x: x.id, w: w.id, pad })
     }
 
     /// Max pooling with a square window and equal stride over `[C, H, W]`.
@@ -216,13 +354,20 @@ impl Tape {
     ///
     /// Panics if `size` does not divide H and W.
     pub fn maxpool2d<'t>(&'t self, x: Var<'t>, size: usize) -> Var<'t> {
-        let mut out = Tensor::default();
         let mut argmax = Vec::new();
-        ops::maxpool2d(&self.nodes.borrow()[x.id].value, size, &mut out, &mut argmax);
-        self.push(out, Op::MaxPool2d { x: x.id, argmax })
+        let value = {
+            let nodes = self.nodes.borrow();
+            let tx = &nodes[x.id].value;
+            self.buffer(tx.len() / (size * size).max(1), |out| {
+                ops::maxpool2d(tx, size, out, &mut argmax);
+            })
+        };
+        self.push(value, Op::MaxPool2d { x: x.id, argmax })
     }
 
     /// Runs the reverse sweep from scalar `loss` and collects gradients.
+    /// A non-leaf node's gradient goes back to the arena as soon as the
+    /// node has been processed, so the result holds only the leaves'.
     ///
     /// # Panics
     ///
@@ -231,25 +376,28 @@ impl Tape {
         rtt_obs::span!("nn::backward");
         self.flush_bytes();
         let nodes = self.nodes.borrow();
-        assert_eq!(nodes[loss.id].value.len(), 1, "loss must be scalar");
-        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.id] = Some(Tensor::full(nodes[loss.id].value.shape(), 1.0));
-
+        let seed = &nodes[loss.id].value;
+        assert_eq!(seed.len(), 1, "loss must be scalar");
+        let mut sweep = Sweep { tape: self, nodes: &nodes, grads: vec![None; nodes.len()] };
+        sweep.grads[loss.id] = Some(self.buffer(1, |t| t.reset(seed.shape(), 1.0)));
         for id in (0..nodes.len()).rev() {
-            let Some(g) = grads[id].take() else { continue };
-            backward_node(&nodes, id, &g, &mut grads);
-            grads[id] = Some(g);
+            if matches!(nodes[id].op, Op::Leaf { .. }) {
+                continue;
+            }
+            let Some(mut g) = sweep.grads[id].take() else { continue };
+            sweep.node(id, &mut g);
+            self.give([g]);
         }
 
         let mut out = Grads::default();
         for (id, node) in nodes.iter().enumerate() {
             if let Op::Leaf { param: Some(pid) } = node.op {
-                if let Some(g) = grads[id].take() {
+                if let Some(g) = sweep.grads[id].take() {
                     out.insert_param(pid, g);
                 }
             }
         }
-        out.set_var_grads(grads);
+        out.set_leaf_grads(sweep.grads);
         out
     }
 }
@@ -257,190 +405,217 @@ impl Tape {
 impl Drop for Tape {
     fn drop(&mut self) {
         // Forward-only tapes (prediction) never reach `backward`; account
-        // for their arena here.
+        // for their nodes here.
         self.flush_bytes();
     }
 }
 
-fn accumulate(slot: &mut Option<Tensor>, shape: &[usize], add: impl FnOnce(&mut Tensor)) {
-    let g = slot.get_or_insert_with(|| Tensor::zeros(shape));
-    add(g);
+/// The state of one reverse sweep: the gradient of every node still
+/// pending.
+struct Sweep<'a> {
+    tape: &'a Tape,
+    nodes: &'a [Node],
+    grads: Vec<Option<Tensor>>,
 }
 
-#[allow(clippy::too_many_lines)]
-fn backward_node(nodes: &[Node], id: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
-    match &nodes[id].op {
-        Op::Leaf { .. } => {}
-        Op::MatMul(a, b) => {
-            let (ta, tb) = (&nodes[*a].value, &nodes[*b].value);
-            let ga = g.matmul(&tb.transposed());
-            let gb = ta.transposed().matmul(g);
-            accumulate(&mut grads[*a], ta.shape(), |t| t.add_assign(&ga));
-            accumulate(&mut grads[*b], tb.shape(), |t| t.add_assign(&gb));
-        }
-        Op::Add(a, b) => {
-            for src in [a, b] {
-                accumulate(&mut grads[*src], nodes[*src].value.shape(), |t| t.add_assign(g));
+impl Sweep<'_> {
+    /// Adds into node `i`'s gradient through `add`, starting it at zero:
+    /// a parameter's from a fresh tensor, since it leaves with [`Grads`]
+    /// for good, and every other from the arena.
+    fn accumulate(&mut self, i: usize, add: impl FnOnce(&mut Tensor)) {
+        let (tape, node) = (self.tape, &self.nodes[i]);
+        let g = self.grads[i].get_or_insert_with(|| match node.op {
+            Op::Leaf { param: Some(_) } => Tensor::zeros(node.value.shape()),
+            _ => tape.buffer(node.value.len(), |t| t.reset(node.value.shape(), 0.0)),
+        });
+        add(g);
+    }
+
+    /// Propagates node `id`'s gradient `g` into its inputs' gradients.
+    #[allow(clippy::too_many_lines)]
+    fn node(&mut self, id: usize, g: &mut Tensor) {
+        let (tape, nodes) = (self.tape, self.nodes);
+        match &nodes[id].op {
+            Op::Leaf { .. } => {}
+            Op::MatMul(a, b) => {
+                let (ta, tb) = (&nodes[*a].value, &nodes[*b].value);
+                let tb_t =
+                    tape.buffer(tb.len(), |t| tb.transpose_view_into(tb.rows(), tb.cols(), t));
+                let ga = tape.buffer(g.rows() * tb_t.cols(), |t| g.matmul_into(&tb_t, t));
+                let ta_t =
+                    tape.buffer(ta.len(), |t| ta.transpose_view_into(ta.rows(), ta.cols(), t));
+                let gb = tape.buffer(ta_t.rows() * g.cols(), |t| ta_t.matmul_into(g, t));
+                self.accumulate(*a, |t| t.add_assign(&ga));
+                self.accumulate(*b, |t| t.add_assign(&gb));
+                tape.give([tb_t, ga, ta_t, gb]);
             }
-        }
-        Op::Sub(a, b) => {
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| t.add_assign(g));
-            accumulate(&mut grads[*b], nodes[*b].value.shape(), |t| {
-                for (x, y) in t.data_mut().iter_mut().zip(g.data()) {
-                    *x -= y;
+            Op::Add(a, b) => {
+                for src in [a, b] {
+                    self.accumulate(*src, |t| t.add_assign(g));
                 }
-            });
-        }
-        Op::AddRow(a, row) => {
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| t.add_assign(g));
-            accumulate(&mut grads[*row], nodes[*row].value.shape(), |t| ops::add_row_sums(g, t));
-        }
-        Op::AddChannel(x, b) => {
-            accumulate(&mut grads[*x], nodes[*x].value.shape(), |t| t.add_assign(g));
-            let (c, h, w) = rank3(&nodes[*x].value);
-            accumulate(&mut grads[*b], nodes[*b].value.shape(), |t| {
-                for ch in 0..c {
-                    let s: f32 = g.data()[ch * h * w..(ch + 1) * h * w].iter().sum();
-                    t.data_mut()[ch] += s;
+            }
+            Op::Sub(a, b) => {
+                self.accumulate(*a, |t| t.add_assign(g));
+                self.accumulate(*b, |t| {
+                    for (x, y) in t.data_mut().iter_mut().zip(g.data()) {
+                        *x -= y;
+                    }
+                });
+            }
+            Op::AddRow(a, row) => {
+                self.accumulate(*a, |t| t.add_assign(g));
+                self.accumulate(*row, |t| ops::add_row_sums(g, t));
+            }
+            Op::AddChannel(x, b) => {
+                self.accumulate(*x, |t| t.add_assign(g));
+                let (c, h, w) = rank3(&nodes[*x].value);
+                self.accumulate(*b, |t| {
+                    for ch in 0..c {
+                        let s: f32 = g.data()[ch * h * w..(ch + 1) * h * w].iter().sum();
+                        t.data_mut()[ch] += s;
+                    }
+                });
+            }
+            Op::Mul(a, b) => {
+                let (ta, tb) = (&nodes[*a].value, &nodes[*b].value);
+                self.accumulate(*a, |t| {
+                    for ((x, gv), bv) in t.data_mut().iter_mut().zip(g.data()).zip(tb.data()) {
+                        *x += gv * bv;
+                    }
+                });
+                self.accumulate(*b, |t| {
+                    for ((x, gv), av) in t.data_mut().iter_mut().zip(g.data()).zip(ta.data()) {
+                        *x += gv * av;
+                    }
+                });
+            }
+            Op::MulRow(a, row) => {
+                let ta = &nodes[*a].value;
+                let tr = &nodes[*row].value;
+                let n = tr.len();
+                self.accumulate(*a, |t| {
+                    for (i, (x, gv)) in t.data_mut().iter_mut().zip(g.data()).enumerate() {
+                        *x += gv * tr.data()[i % n];
+                    }
+                });
+                self.accumulate(*row, |t| {
+                    for (i, gv) in g.data().iter().enumerate() {
+                        t.data_mut()[i % n] += gv * ta.data()[i];
+                    }
+                });
+            }
+            Op::Scale(a, s) => {
+                self.accumulate(*a, |t| {
+                    for (x, gv) in t.data_mut().iter_mut().zip(g.data()) {
+                        *x += gv * s;
+                    }
+                });
+            }
+            Op::Relu(a) => {
+                let ta = &nodes[*a].value;
+                self.accumulate(*a, |t| {
+                    for ((x, gv), av) in t.data_mut().iter_mut().zip(g.data()).zip(ta.data()) {
+                        if *av > 0.0 {
+                            *x += gv;
+                        }
+                    }
+                });
+            }
+            Op::Tanh(a) => {
+                let ty = &nodes[id].value;
+                self.accumulate(*a, |t| {
+                    for ((x, gv), yv) in t.data_mut().iter_mut().zip(g.data()).zip(ty.data()) {
+                        *x += gv * (1.0 - yv * yv);
+                    }
+                });
+            }
+            Op::GatherRows(a, idx) => {
+                self.accumulate(*a, |t| ops::scatter_add_rows(g, idx, t));
+            }
+            Op::Fused { inputs, backward } => {
+                let values: Vec<&Tensor> = inputs.iter().map(|&i| &nodes[i].value).collect();
+                let mut gin: Vec<Tensor> = (values.iter())
+                    .map(|v| tape.buffer(v.len(), |t| t.reset(v.shape(), 0.0)))
+                    .collect();
+                backward(&values, &nodes[id].value, g, &mut gin);
+                for (&i, gi) in inputs.iter().zip(&gin) {
+                    self.accumulate(i, |t| t.add_assign(gi));
                 }
-            });
-        }
-        Op::Mul(a, b) => {
-            let (ta, tb) = (&nodes[*a].value, &nodes[*b].value);
-            accumulate(&mut grads[*a], ta.shape(), |t| {
-                for ((x, gv), bv) in t.data_mut().iter_mut().zip(g.data()).zip(tb.data()) {
-                    *x += gv * bv;
-                }
-            });
-            accumulate(&mut grads[*b], tb.shape(), |t| {
-                for ((x, gv), av) in t.data_mut().iter_mut().zip(g.data()).zip(ta.data()) {
-                    *x += gv * av;
-                }
-            });
-        }
-        Op::MulRow(a, row) => {
-            let ta = &nodes[*a].value;
-            let tr = &nodes[*row].value;
-            let n = tr.len();
-            accumulate(&mut grads[*a], ta.shape(), |t| {
-                for (i, (x, gv)) in t.data_mut().iter_mut().zip(g.data()).enumerate() {
-                    *x += gv * tr.data()[i % n];
-                }
-            });
-            accumulate(&mut grads[*row], tr.shape(), |t| {
-                for (i, gv) in g.data().iter().enumerate() {
-                    t.data_mut()[i % n] += gv * ta.data()[i];
-                }
-            });
-        }
-        Op::Scale(a, s) => {
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for (x, gv) in t.data_mut().iter_mut().zip(g.data()) {
-                    *x += gv * s;
-                }
-            });
-        }
-        Op::Relu(a) => {
-            let ta = &nodes[*a].value;
-            accumulate(&mut grads[*a], ta.shape(), |t| {
-                for ((x, gv), av) in t.data_mut().iter_mut().zip(g.data()).zip(ta.data()) {
-                    if *av > 0.0 {
+                tape.give(gin);
+            }
+            Op::ConcatCols(a, b) => {
+                let (p, q) = (nodes[*a].value.cols(), nodes[*b].value.cols());
+                let m = nodes[*a].value.rows();
+                self.accumulate(*a, |t| {
+                    for r in 0..m {
+                        for c in 0..p {
+                            t.data_mut()[r * p + c] += g.data()[r * (p + q) + c];
+                        }
+                    }
+                });
+                self.accumulate(*b, |t| {
+                    for r in 0..m {
+                        for c in 0..q {
+                            t.data_mut()[r * q + c] += g.data()[r * (p + q) + p + c];
+                        }
+                    }
+                });
+            }
+            Op::Conv2d { x, w, pad } => {
+                let tx = &nodes[*x].value;
+                let tw = &nodes[*w].value;
+                let (cin, h, wd) = rank3(tx);
+                let ws = tw.shape();
+                let (cout, kh, kw) = (ws[0], ws[2], ws[3]);
+                let (oh, ow) = (h + 2 * pad + 1 - kh, wd + 2 * pad + 1 - kw);
+                let (pad, k) = (*pad, cin * kh * kw);
+                // Both gradients route through the forward's im2col matrix:
+                //   gw = g₂d · colᵀ        [cout, cin·kh·kw]
+                //   gx = col2im(w₂dᵀ · g₂d) [cin, h, w]
+                // so the heavy lifting is two blocked/parallel matmuls; the
+                // im2col matrix is recomputed rather than kept alive on the
+                // tape (memory over speed — one col per graph node would
+                // dominate the tape's footprint).
+                let col = tape.buffer(k * oh * ow, |t| im2col(tx, kh, kw, pad, oh, ow, t));
+                let g2d = tape.buffer(g.len(), |t| {
+                    t.copy_from(g);
+                    t.reshape_in_place(&[cout, oh * ow]);
+                });
+                let col_t = tape.buffer(col.len(), |t| col.transpose_view_into(k, oh * ow, t));
+                let gw2d = tape.buffer(cout * k, |t| g2d.matmul_into(&col_t, t));
+                let w2d_t = tape.buffer(tw.len(), |t| tw.transpose_view_into(cout, k, t));
+                let gcol = tape.buffer(col.len(), |t| w2d_t.matmul_into(&g2d, t));
+                self.accumulate(*x, |gx| col2im(&gcol, cin, h, wd, kh, kw, pad, gx));
+                self.accumulate(*w, |gw| {
+                    for (dst, src) in gw.data_mut().iter_mut().zip(gw2d.data()) {
+                        *dst += src;
+                    }
+                });
+                tape.give([col, g2d, col_t, gw2d, w2d_t, gcol]);
+            }
+            Op::MaxPool2d { x, argmax } => {
+                self.accumulate(*x, |t| {
+                    for (oi, &ii) in argmax.iter().enumerate() {
+                        t.data_mut()[ii as usize] += g.data()[oi];
+                    }
+                });
+            }
+            Op::Reshape(a) => {
+                self.accumulate(*a, |t| {
+                    for (x, gv) in t.data_mut().iter_mut().zip(g.data()) {
                         *x += gv;
                     }
-                }
-            });
-        }
-        Op::Tanh(a) => {
-            let ty = &nodes[id].value;
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for ((x, gv), yv) in t.data_mut().iter_mut().zip(g.data()).zip(ty.data()) {
-                    *x += gv * (1.0 - yv * yv);
-                }
-            });
-        }
-        Op::GatherRows(a, idx) => {
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                ops::scatter_add_rows(g, idx, t);
-            });
-        }
-        Op::Fused { inputs, backward } => {
-            let values: Vec<&Tensor> = inputs.iter().map(|&i| &nodes[i].value).collect();
-            let gin = backward(&values, &nodes[id].value, g);
-            assert_eq!(gin.len(), inputs.len(), "a fused backward returns one gradient per input");
-            for (&i, gi) in inputs.iter().zip(&gin) {
-                accumulate(&mut grads[i], nodes[i].value.shape(), |t| t.add_assign(gi));
+                });
             }
-        }
-        Op::ConcatCols(a, b) => {
-            let (p, q) = (nodes[*a].value.cols(), nodes[*b].value.cols());
-            let m = nodes[*a].value.rows();
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for r in 0..m {
-                    for c in 0..p {
-                        t.data_mut()[r * p + c] += g.data()[r * (p + q) + c];
+            Op::Mean(a) => {
+                let n = nodes[*a].value.len() as f32;
+                let gv = g.data()[0] / n;
+                self.accumulate(*a, |t| {
+                    for x in t.data_mut() {
+                        *x += gv;
                     }
-                }
-            });
-            accumulate(&mut grads[*b], nodes[*b].value.shape(), |t| {
-                for r in 0..m {
-                    for c in 0..q {
-                        t.data_mut()[r * q + c] += g.data()[r * (p + q) + p + c];
-                    }
-                }
-            });
-        }
-        Op::Conv2d { x, w, pad } => {
-            let tx = &nodes[*x].value;
-            let tw = &nodes[*w].value;
-            let (cin, h, wd) = rank3(tx);
-            let ws = tw.shape().to_vec();
-            let (cout, kh, kw) = (ws[0], ws[2], ws[3]);
-            let (oh, ow) = (h + 2 * pad + 1 - kh, wd + 2 * pad + 1 - kw);
-            let pad = *pad;
-            // Both gradients route through the forward's im2col matrix:
-            //   gw = g₂d · colᵀ        [cout, cin·kh·kw]
-            //   gx = col2im(w₂dᵀ · g₂d) [cin, h, w]
-            // so the heavy lifting is two blocked/parallel matmuls; the
-            // im2col matrix is recomputed rather than kept alive on the
-            // tape (memory over speed — one col per graph node would
-            // dominate the tape's footprint).
-            let mut col = Tensor::default();
-            im2col(tx, kh, kw, pad, oh, ow, &mut col);
-            let g2d = Tensor::from_vec(&[cout, oh * ow], g.data().to_vec());
-            let w2d = Tensor::from_vec(&[cout, cin * kh * kw], tw.data().to_vec());
-            let gw2d = g2d.matmul(&col.transposed());
-            let gcol = w2d.transposed().matmul(&g2d);
-            accumulate(&mut grads[*x], tx.shape(), |gx| {
-                col2im(&gcol, cin, h, wd, kh, kw, pad, gx);
-            });
-            accumulate(&mut grads[*w], tw.shape(), |gw| {
-                for (dst, src) in gw.data_mut().iter_mut().zip(gw2d.data()) {
-                    *dst += src;
-                }
-            });
-        }
-        Op::MaxPool2d { x, argmax } => {
-            accumulate(&mut grads[*x], nodes[*x].value.shape(), |t| {
-                for (oi, &ii) in argmax.iter().enumerate() {
-                    t.data_mut()[ii as usize] += g.data()[oi];
-                }
-            });
-        }
-        Op::Reshape(a) => {
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for (x, gv) in t.data_mut().iter_mut().zip(g.data()) {
-                    *x += gv;
-                }
-            });
-        }
-        Op::Mean(a) => {
-            let n = nodes[*a].value.len() as f32;
-            let gv = g.data()[0] / n;
-            accumulate(&mut grads[*a], nodes[*a].value.shape(), |t| {
-                for x in t.data_mut() {
-                    *x += gv;
-                }
-            });
+                });
+            }
         }
     }
 }
@@ -451,26 +626,29 @@ impl<'t> Var<'t> {
         self.id
     }
 
-    /// Records a node whose value is `f(self, out)` over this var's tensor.
-    fn unary(self, op: Op, f: impl FnOnce(&Tensor, &mut Tensor)) -> Var<'t> {
-        let mut out = Tensor::default();
-        f(&self.tape.nodes.borrow()[self.id].value, &mut out);
-        self.tape.push(out, op)
+    /// Records a node whose value is `f(self, out)` over this var's
+    /// tensor, with room for `len` elements.
+    fn unary(self, len: usize, op: Op, f: impl FnOnce(&Tensor, &mut Tensor)) -> Var<'t> {
+        self.tape.record(len, op, |nodes, out| f(&nodes[self.id].value, out))
     }
 
-    /// Records a node whose value is `f(self, other, out)`.
+    /// Records a node whose value is `f(self, other, out)`, with room for
+    /// `len` elements.
     fn binary(
         self,
         other: Var<'t>,
+        len: usize,
         op: Op,
         f: impl FnOnce(&Tensor, &Tensor, &mut Tensor),
     ) -> Var<'t> {
-        let mut out = Tensor::default();
-        {
-            let nodes = self.tape.nodes.borrow();
-            f(&nodes[self.id].value, &nodes[other.id].value, &mut out);
-        }
-        self.tape.push(out, op)
+        self.tape.record(len, op, |nodes, out| {
+            f(&nodes[self.id].value, &nodes[other.id].value, out);
+        })
+    }
+
+    /// Element count of this var's value.
+    fn len(self) -> usize {
+        self.tape.len_of(self.id)
     }
 
     /// Matrix product.
@@ -479,7 +657,11 @@ impl<'t> Var<'t> {
     ///
     /// Panics on dimension mismatch.
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, Op::MatMul(self.id, other.id), ops::matmul)
+        let len = {
+            let nodes = self.tape.nodes.borrow();
+            nodes[self.id].value.rows() * nodes[other.id].value.cols()
+        };
+        self.binary(other, len, Op::MatMul(self.id, other.id), ops::matmul)
     }
 
     /// Elementwise sum (same shape).
@@ -489,7 +671,7 @@ impl<'t> Var<'t> {
     /// Panics on shape mismatch.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, Op::Add(self.id, other.id), ops::add)
+        self.binary(other, self.len(), Op::Add(self.id, other.id), ops::add)
     }
 
     /// Adds a rank-1 row vector to every row of a matrix (bias add).
@@ -498,7 +680,7 @@ impl<'t> Var<'t> {
     ///
     /// Panics if `row.len() != self.cols()`.
     pub fn add_row(self, row: Var<'t>) -> Var<'t> {
-        self.binary(row, Op::AddRow(self.id, row.id), ops::add_row)
+        self.binary(row, self.len(), Op::AddRow(self.id, row.id), ops::add_row)
     }
 
     /// Adds a per-channel bias `[C]` to a feature map `[C, H, W]`.
@@ -507,7 +689,7 @@ impl<'t> Var<'t> {
     ///
     /// Panics if `bias.len() != C`.
     pub fn add_channel(self, bias: Var<'t>) -> Var<'t> {
-        self.binary(bias, Op::AddChannel(self.id, bias.id), ops::add_channel)
+        self.binary(bias, self.len(), Op::AddChannel(self.id, bias.id), ops::add_channel)
     }
 
     /// Elementwise difference (same shape).
@@ -517,7 +699,7 @@ impl<'t> Var<'t> {
     /// Panics on shape mismatch.
     #[allow(clippy::should_implement_trait)]
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, Op::Sub(self.id, other.id), ops::sub)
+        self.binary(other, self.len(), Op::Sub(self.id, other.id), ops::sub)
     }
 
     /// Elementwise (Hadamard) product — the paper's Equation 6 masking.
@@ -527,7 +709,7 @@ impl<'t> Var<'t> {
     /// Panics on shape mismatch.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, Op::Mul(self.id, other.id), ops::mul)
+        self.binary(other, self.len(), Op::Mul(self.id, other.id), ops::mul)
     }
 
     /// Multiplies every row of a matrix by a rank-1 vector (broadcast
@@ -537,22 +719,22 @@ impl<'t> Var<'t> {
     ///
     /// Panics if `row.len() != self.cols()`.
     pub fn mul_row(self, row: Var<'t>) -> Var<'t> {
-        self.binary(row, Op::MulRow(self.id, row.id), ops::mul_row)
+        self.binary(row, self.len(), Op::MulRow(self.id, row.id), ops::mul_row)
     }
 
     /// Scalar multiple.
     pub fn scale(self, s: f32) -> Var<'t> {
-        self.unary(Op::Scale(self.id, s), |x, out| ops::scale(x, s, out))
+        self.unary(self.len(), Op::Scale(self.id, s), |x, out| ops::scale(x, s, out))
     }
 
     /// Rectified linear unit.
     pub fn relu(self) -> Var<'t> {
-        self.unary(Op::Relu(self.id), ops::relu)
+        self.unary(self.len(), Op::Relu(self.id), ops::relu)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(self) -> Var<'t> {
-        self.unary(Op::Tanh(self.id), ops::tanh_to)
+        self.unary(self.len(), Op::Tanh(self.id), ops::tanh_to)
     }
 
     /// Reshaped view (copy) with identical element count.
@@ -561,12 +743,12 @@ impl<'t> Var<'t> {
     ///
     /// Panics if volumes differ.
     pub fn reshape(self, shape: &[usize]) -> Var<'t> {
-        self.unary(Op::Reshape(self.id), |x, out| ops::reshape(x, shape, out))
+        self.unary(self.len(), Op::Reshape(self.id), |x, out| ops::reshape(x, shape, out))
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean(self) -> Var<'t> {
-        self.unary(Op::Mean(self.id), ops::mean)
+        self.unary(1, Op::Mean(self.id), ops::mean)
     }
 }
 
@@ -589,7 +771,7 @@ impl<'t> Exec for &'t Tape {
     }
 
     fn len(self, v: Var<'t>) -> usize {
-        self.nodes.borrow()[v.id].value.len()
+        self.len_of(v.id)
     }
 
     fn matmul(self, a: Var<'t>, b: Var<'t>) -> Var<'t> {
@@ -852,6 +1034,29 @@ mod tests {
         let loss = tape.param(&store, id).scale(2.0).add(tape.param(&store, id).scale(5.0));
         let grads = tape.backward(loss);
         assert_eq!(grads.of(id).unwrap().data(), &[7.0]);
+    }
+
+    #[test]
+    fn a_repeated_pass_takes_the_buffers_of_the_previous_one() {
+        // In the first pass the 6 takes the given-back 10. Smallest-first
+        // alone would hand it the spare 7 in the second pass, the 7 would
+        // take the 10, and the last 10 would find no spare with room.
+        let pass = |arena| {
+            let tape = Tape::with_arena(arena);
+            let take = |len: usize| tape.buffer(len, |t| t.reset(&[len], 0.0));
+            tape.give([take(10)]);
+            let (six, seven) = (take(6), take(7));
+            tape.give([six]);
+            let ten = take(10);
+            tape.give([seven, ten]);
+            let arena = tape.into_arena();
+            let mut capacities: Vec<usize> = arena.spares.iter().map(Tensor::capacity).collect();
+            capacities.sort_unstable();
+            (capacities, arena)
+        };
+        let (first, arena) = pass(TapeArena::default());
+        assert_eq!(first, [7, 10]);
+        assert_eq!(pass(arena).0, first, "the second pass allocated");
     }
 
     #[test]

@@ -277,6 +277,16 @@ impl Tensor {
         self.data.capacity()
     }
 
+    /// Views a recycled buffer as a flat `[n]` tensor of its first `n`
+    /// stale elements, `n = min(len, self.len())`, keeping the whole
+    /// allocation. A kernel that resets it to a volume of `len` without
+    /// filling then sees stale data, not zeros.
+    pub(crate) fn recycle(&mut self, len: usize) {
+        self.data.truncate(len);
+        self.shape.clear();
+        self.shape.push(self.data.len());
+    }
+
     /// Matrix product `self · other` for rank-2 tensors.
     ///
     /// Uses a cache-blocked kernel, splitting output rows across threads
@@ -348,14 +358,25 @@ impl Tensor {
     /// Panics if the tensor is not rank 2.
     #[must_use]
     pub fn transposed(&self) -> Tensor {
-        let (m, n) = (self.rows(), self.cols());
-        let mut out = Tensor::zeros(&[n, m]);
+        let mut out = Tensor::default();
+        self.transpose_view_into(self.rows(), self.cols(), &mut out);
+        out
+    }
+
+    /// [`Tensor::transposed`] of `self` read as an `[m, n]` matrix, written
+    /// into `out` (every element is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m·n` differs from the element count.
+    pub(crate) fn transpose_view_into(&self, m: usize, n: usize, out: &mut Tensor) {
+        assert_eq!(m * n, self.data.len(), "view [{m}, {n}] does not hold {} elements", self.len());
+        out.reset_for_overwrite(&[n, m]);
         for i in 0..m {
             for j in 0..n {
                 out.data[j * m + i] = self.data[i * n + j];
             }
         }
-        out
     }
 
     /// In-place `self += other` (same shape).

@@ -216,10 +216,7 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpErr
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(HttpError::TransferEncoding);
     }
-    let body_len = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v.parse::<usize>().map_err(|_| HttpError::Bad("bad content-length"))?,
-        None => 0,
-    };
+    let body_len = content_length(&headers)?;
     if body_len > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge);
     }
@@ -239,6 +236,23 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpErr
         }),
         consumed: total,
     })
+}
+
+/// The body length the `content-length` fields declare, 0 without one.
+/// Each value must be ASCII digits (no sign, which Rust's integer parser
+/// would take), and repeated fields must agree: framing by the first of two
+/// different lengths would read the rest of the body as the next request.
+fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+    let mut len = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v.parse::<usize>().ok().filter(|_| v.bytes().all(|b| b.is_ascii_digit()));
+        match (n, len) {
+            (Some(n), None) => len = Some(n),
+            (Some(n), Some(first)) if n == first => {}
+            _ => return Err(HttpError::Bad("bad content-length")),
+        }
+    }
+    Ok(len.unwrap_or(0))
 }
 
 /// The reason phrase for the status codes this daemon emits.

@@ -101,6 +101,16 @@ fn fixture_requests_parse_as_expected() {
             b"POST /p HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
             Err(HttpError::Bad("bad content-length")),
         ),
+        (
+            b"POST /p HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            Err(HttpError::Bad("bad content-length")),
+        ),
+        // Two different lengths: framing by either would misread the body.
+        (
+            b"POST /p HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\n0123456789",
+            Err(HttpError::Bad("bad content-length")),
+        ),
+        (b"POST /p HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc", Ok("/p")),
         (b"OPTIONS * HTTP/1.1\r\n\r\n", Err(HttpError::Bad("target must be origin-form"))),
     ];
     for (raw, expected) in cases {
