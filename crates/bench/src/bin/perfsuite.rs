@@ -11,7 +11,9 @@
 //! The training row times several epochs per rep, so that each design's
 //! tape arena is reused, and reports seconds per epoch. A `training`
 //! section records the bytes the arenas grow by in the first epoch and in
-//! the epochs after it.
+//! the epochs after it. A `masks` section records the endpoint masks of
+//! jpeg at small and huge scale as stored (row runs) under
+//! `ModelConfig::small()`: runs, set bins and heap bytes.
 //!
 //! Every bound the suite checks on a measured figure is a gate: each one's
 //! name, value, bound and result go into the `gates` list, and the suite
@@ -419,6 +421,9 @@ fn main() {
     parallel::set_num_threads(cores);
     println!("\ncold prepare throughput ({cores} threads):");
     let mut prep_tiers: Vec<(String, usize, usize, f64, f64)> = Vec::new();
+    // The jpeg tiers' endpoint masks as stored: tier, runs, set bins and
+    // heap bytes.
+    let mut mask_tiers: Vec<(String, usize, usize, usize)> = Vec::new();
     for (pname, scale) in [("jpeg", Scale::Small), ("hwacha", Scale::Small), ("jpeg", Scale::Huge)]
     {
         let params = rtt_circgen::preset(pname, scale).expect("known preset");
@@ -437,6 +442,16 @@ fn main() {
              {pins_per_s:>12.0} pins/s"
         );
         prep_tiers.push((format!("{pname}-{scale}"), tier_pins, tier_eps, s, pins_per_s));
+        if pname == "jpeg" {
+            let masks = endpoint_masks(&d.netlist, &pl, &graph, cfg.pooled_grid());
+            let runs: usize = (0..masks.len()).map(|e| masks.runs(e).len()).sum();
+            let bins: usize = (0..masks.len()).map(|e| masks.bins(e).count()).sum();
+            println!(
+                "  {pname:<8} {scale:<5} masks: {runs} runs over {bins} set bins, {} bytes",
+                masks.heap_bytes()
+            );
+            mask_tiers.push((format!("{pname}-{scale}"), runs, bins, masks.heap_bytes()));
+        }
     }
 
     parallel::set_num_threads(1);
@@ -646,6 +661,16 @@ fn main() {
          \"arena_bytes_first_epoch\": {arena_first}, \
          \"arena_bytes_after_first_epoch\": {arena_later}}},\n"
     ));
+    json.push_str("  \"masks\": {\"config\": \"small\", \"grid\": ");
+    json.push_str(&format!("{}, \"tiers\": [\n", cfg.pooled_grid()));
+    for (i, (tier, runs, bins, bytes)) in mask_tiers.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"tier\": \"{tier}\", \"runs\": {runs}, \"set_bins\": {bins}, \
+             \"resident_bytes\": {bytes}}}{}\n",
+            if i + 1 < mask_tiers.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]},\n");
     json.push_str("  \"gates\": [\n");
     for (i, g) in gates.iter().enumerate() {
         json.push_str(&format!(

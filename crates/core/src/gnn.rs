@@ -7,7 +7,7 @@ use rand::Rng;
 
 use rtt_features::{NodeFeatures, CELL_FEATURE_DIM, NET_FEATURE_DIM};
 use rtt_netlist::{EdgeKind, NodeKind, PinId, TimingGraph};
-use rtt_nn::{ops, Mlp, ParamStore, Tape, Tensor, Var};
+use rtt_nn::{ops, Mlp, MlpScratch, ParamStore, Tape, Tensor, Var};
 
 use crate::{Aggregation, ModelConfig};
 
@@ -451,6 +451,7 @@ impl NetlistGnn {
         let (sc, c1) = (inputs[0], &inputs[2..]);
         let [mut msgs, mut agg, mut ctx, mut h, mut g_h, mut g_msgs]: [Tensor; 6] =
             Default::default();
+        let mut mlp = MlpScratch::new(c1);
         for fl in levels.iter().rev() {
             if fl.n_srcs > 0 {
                 ops::gather_rows_flat(g_flat, &fl.src_dst, &mut g_h);
@@ -479,12 +480,11 @@ impl NetlistGnn {
             };
             ops::gather_rows_flat(g_flat, &fl.cell_dst, &mut g_h);
             // `z` is f_c1(x) plus the cells' f_c2 rows, before the ReLU.
-            let g_x = self.f_c1.backward(c1, x, g_c1, |z| {
+            let g_x = self.f_c1.backward(c1, x, g_c1, &mut mlp, |z, g| {
                 ops::add_rows_range(z, sc, fl.cell_feat_off);
-                let mut g = g_h.clone();
-                ops::relu_backward(&mut g, z);
-                add_to_rows(g_sc, fl.cell_feat_off, &g);
-                g
+                g.copy_from(&g_h);
+                ops::relu_backward(g, z);
+                add_to_rows(g_sc, fl.cell_feat_off, g);
             });
             let g_agg = if self.residual {
                 // `agg + relu(z)`: the skip passes `g_h` through, and the
@@ -494,7 +494,7 @@ impl NetlistGnn {
                 }
                 &g_h
             } else {
-                &g_x
+                g_x
             };
             // Max routes to the first row of the run equal to the output,
             // the row the kernel's strict `>` kept (a zeroed column has

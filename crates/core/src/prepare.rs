@@ -4,7 +4,7 @@
 //! layout maps, and carries the endpoint masks outside the transform's
 //! dirty cone over (see DESIGN.md "Preparation pipeline").
 
-use rtt_features::{endpoint_masks, endpoint_masks_for, LayoutMaps, NodeFeatures};
+use rtt_features::{endpoint_masks, endpoint_masks_for, LayoutMaps, MaskRuns, NodeFeatures};
 use rtt_netlist::{CellId, CellLibrary, Netlist, PinId, TimingGraph};
 use rtt_nn::Tensor;
 use rtt_place::Placement;
@@ -55,10 +55,11 @@ impl PrepareCtx {
 /// graph construction, topological levels, and endpoint-wise critical
 /// region generation.
 ///
-/// Masks are stored sparsely (set-bin indices per endpoint): a dense
+/// Masks are stored as row runs ([`MaskRuns`]): a dense
 /// `[num_endpoints, (G/4)²]` matrix would need gigabytes at the paper's
-/// 512×512 grid on endpoint-heavy designs. Dense rows are materialized per
-/// batch via [`Self::dense_mask_rows`].
+/// 512×512 grid on endpoint-heavy designs, and one index per set bin still
+/// took 1.3 GB at jpeg-paper, where the runs take 27.5 MB. The model reads the runs directly
+/// ([`rtt_nn::ops::masked_readout`]) and never builds a dense mask row.
 #[derive(Clone, Debug)]
 pub struct PreparedDesign {
     /// Design name (for reporting).
@@ -69,9 +70,9 @@ pub struct PreparedDesign {
     pub feats: LevelFeats,
     /// Stacked `[3, G, G]` layout maps (density, RUDY, macro).
     pub maps: Tensor,
-    /// Set bins of each endpoint's critical-region mask, at pooled
-    /// resolution (row-major indices into the `(G/4)²` map).
-    pub masks: Vec<Vec<u32>>,
+    /// Each endpoint's critical-region mask at pooled resolution, as row
+    /// runs of row-major bins of the `(G/4)²` map, one row per endpoint.
+    pub masks: MaskRuns,
     /// Pooled mask width (`G/4`).
     pub mask_grid: usize,
     /// Ground-truth endpoint arrival times, aligned with
@@ -251,24 +252,27 @@ impl PreparedDesign {
             node_dirty[v as usize] = true;
         }
         let eps = graph.endpoints();
-        let mut masks: Vec<Vec<u32>> = Vec::with_capacity(eps.len());
-        let mut recompute: Vec<(usize, u32)> = Vec::new();
-        for (i, &ep) in eps.iter().enumerate() {
-            let p = graph.pin_of(ep);
-            let prev = ctx.mask_of_pin.get(p.index()).copied().unwrap_or(u32::MAX);
-            if !node_dirty[ep as usize] && prev != u32::MAX {
-                masks.push(self.masks[prev as usize].clone());
+        // Each endpoint's previous mask row, or `u32::MAX` to recompute.
+        let prev: Vec<u32> = (eps.iter())
+            .map(|&ep| match ctx.mask_of_pin.get(graph.pin_of(ep).index()) {
+                Some(&row) if !node_dirty[ep as usize] => row,
+                _ => u32::MAX,
+            })
+            .collect();
+        let nodes: Vec<u32> =
+            eps.iter().zip(&prev).filter(|&(_, &p)| p == u32::MAX).map(|(&ep, _)| ep).collect();
+        let fresh = endpoint_masks_for(anl, apl, graph, mg, &nodes);
+        let mut masks = MaskRuns::default();
+        let mut next = 0;
+        for &p in &prev {
+            if p == u32::MAX {
+                masks.push_row(&fresh, next);
+                next += 1;
             } else {
-                masks.push(Vec::new());
-                recompute.push((i, ep));
+                masks.push_row(&self.masks, p as usize);
             }
         }
-        let nodes: Vec<u32> = recompute.iter().map(|&(_, ep)| ep).collect();
-        let rows = endpoint_masks_for(anl, apl, graph, mg, &nodes);
-        for (&(i, _), row) in recompute.iter().zip(rows) {
-            masks[i] = row;
-        }
-        PREP_MASKS_RECOMPUTED.add(recompute.len() as u64);
+        PREP_MASKS_RECOMPUTED.add(nodes.len() as u64);
         PREP_MASKS_TOTAL.add(eps.len() as u64);
 
         *ctx = PrepareCtx::capture(anl, graph);
@@ -326,7 +330,9 @@ impl PreparedDesign {
     }
 
     /// Materializes dense 0/1 mask rows for the given endpoint indices
-    /// (`[indices.len(), (G/4)²]`, row-major).
+    /// (`[indices.len(), (G/4)²]`, row-major). The model never calls it:
+    /// it is the dense reference that the readout tests and perfbench's
+    /// replica of the model compare the sparse readout against.
     ///
     /// # Panics
     ///
@@ -337,8 +343,8 @@ impl PreparedDesign {
         out
     }
 
-    /// [`Self::dense_mask_rows`] into a caller-provided buffer, so the
-    /// batched inference path reuses one allocation across chunks.
+    /// [`Self::dense_mask_rows`] into a caller-provided buffer, so a
+    /// reference loop over chunks reuses one allocation.
     ///
     /// # Panics
     ///
@@ -348,7 +354,7 @@ impl PreparedDesign {
         out.reset(&[indices.len().max(1), cols], 0.0);
         let data = out.data_mut();
         for (r, &ep) in indices.iter().enumerate() {
-            for &bin in &self.masks[ep as usize] {
+            for bin in self.masks.bins(ep as usize) {
                 data[r * cols + bin as usize] = 1.0;
             }
         }
@@ -378,9 +384,9 @@ mod tests {
         let idx: Vec<u32> = (0..n_ep as u32).collect();
         let dense = prep.dense_mask_rows(&idx);
         assert_eq!(dense.shape(), &[n_ep, cfg.pooled_grid() * cfg.pooled_grid()]);
-        for (r, bins) in prep.masks.iter().enumerate() {
+        for r in 0..n_ep {
             let ones = dense.row(r).iter().filter(|&&v| v.to_bits() == 1.0f32.to_bits()).count();
-            assert_eq!(ones, bins.len());
+            assert_eq!(ones, prep.masks.bins(r).count());
         }
         assert_eq!(prep.schedule.num_endpoints(), n_ep);
         assert_eq!(prep.name, nl.name);

@@ -20,5 +20,5 @@ mod mask;
 mod node_features;
 
 pub use maps::LayoutMaps;
-pub use mask::{endpoint_mask, endpoint_masks, endpoint_masks_for, longest_path};
+pub use mask::{endpoint_mask, endpoint_masks, endpoint_masks_for, longest_path, MaskRuns};
 pub use node_features::{NodeFeatures, CELL_FEATURE_DIM, DIST_NORM_UM, NET_FEATURE_DIM};

@@ -74,9 +74,133 @@ fn mark_bins(mask: &mut Grid, r: Rect) {
     }
 }
 
+/// Critical-region masks of a list of endpoints, stored as row runs: the
+/// set bins of row `e` are the union of `start..start + len` over its runs
+/// `[start, len]`. Runs ascend, are non-empty and neither overlap nor
+/// touch, so they are maximal and two `MaskRuns` are equal exactly when
+/// every row has the same set bins. All rows share one flat run array
+/// (CSR), so a mask costs 8 bytes per run and no allocation of its own.
+///
+/// A row is built by [`Self::push_bin`] calls in ascending bin order and
+/// closed by [`Self::end_row`]:
+///
+/// ```
+/// use rtt_features::MaskRuns;
+///
+/// let mut masks = MaskRuns::default();
+/// for bin in [3, 4, 5, 9] {
+///     masks.push_bin(bin);
+/// }
+/// masks.end_row();
+/// masks.end_row(); // an empty mask
+/// assert_eq!(masks.runs(0), &[[3, 3], [9, 1]]);
+/// assert_eq!(masks.bins(0).collect::<Vec<_>>(), [3, 4, 5, 9]);
+/// assert!(masks.runs(1).is_empty());
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MaskRuns {
+    /// Row `e`'s runs are `runs[off[e]..off[e + 1]]`; the last offset also
+    /// starts the row being built.
+    off: Vec<u32>,
+    /// `[start bin, length]` of each run.
+    runs: Vec<[u32; 2]>,
+}
+
+impl Default for MaskRuns {
+    fn default() -> Self {
+        Self { off: vec![0], runs: Vec::new() }
+    }
+}
+
+impl MaskRuns {
+    /// `rows` masks that each cover all `bins` bins: the one full run the
+    /// unmasked ablation reads.
+    pub fn full(rows: usize, bins: usize) -> Self {
+        Self { off: (0..=rows as u32).collect(), runs: vec![[0, bins as u32]; rows] }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// `true` if there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `e`'s runs `[start, len]`, in ascending bin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn runs(&self, e: usize) -> &[[u32; 2]] {
+        &self.runs[self.off[e] as usize..self.off[e + 1] as usize]
+    }
+
+    /// Row `e`'s set bins, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn bins(&self, e: usize) -> impl Iterator<Item = u32> + '_ {
+        self.runs(e).iter().flat_map(|&[start, len]| start..start + len)
+    }
+
+    /// Sets `bin` in the row being built. Bins must come in ascending order.
+    pub fn push_bin(&mut self, bin: u32) {
+        let in_row = self.runs.len() > self.off.last().copied().unwrap_or(0) as usize;
+        match self.runs.last_mut() {
+            Some(run) if in_row && run[0] + run[1] == bin => run[1] += 1,
+            _ => {
+                debug_assert!(
+                    !in_row || self.runs.last().is_some_and(|r| r[0] + r[1] < bin),
+                    "bins ascend"
+                );
+                self.runs.push([bin, 1]);
+            }
+        }
+    }
+
+    /// Closes the row being built; the next bin starts a new row.
+    pub fn end_row(&mut self) {
+        self.off.push(self.runs.len() as u32);
+    }
+
+    /// Appends a copy of row `e` of `other` as a new row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn push_row(&mut self, other: &MaskRuns, e: usize) {
+        self.runs.extend_from_slice(other.runs(e));
+        self.end_row();
+    }
+
+    /// The rows `rows` of `self`, in that order (a row listed twice is
+    /// copied twice).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range.
+    pub fn select(&self, rows: &[u32]) -> MaskRuns {
+        let mut out = MaskRuns::default();
+        out.off.reserve(rows.len());
+        for &e in rows {
+            out.push_row(self, e as usize);
+        }
+        out
+    }
+
+    /// Bytes of heap memory the masks hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.off.capacity() * std::mem::size_of::<u32>()
+            + self.runs.capacity() * std::mem::size_of::<[u32; 2]>()
+    }
+}
+
 /// Computes the critical-region mask of every endpoint, aligned with
-/// `graph.endpoints()`, in sparse form: per endpoint, the ascending
-/// row-major indices of the set bins of its `grid × grid` mask.
+/// `graph.endpoints()`, as row runs of its `grid × grid` mask.
 ///
 /// Bit-identical to the set bins of [`endpoint_mask`] on the endpoint's
 /// [`longest_path`]: the shared geometry grid carries the same die
@@ -87,7 +211,7 @@ pub fn endpoint_masks(
     placement: &Placement,
     graph: &TimingGraph,
     grid: usize,
-) -> Vec<Vec<u32>> {
+) -> MaskRuns {
     endpoint_masks_for(netlist, placement, graph, grid, graph.endpoints())
 }
 
@@ -108,7 +232,7 @@ pub fn endpoint_masks_for(
     graph: &TimingGraph,
     grid: usize,
     eps: &[u32],
-) -> Vec<Vec<u32>> {
+) -> MaskRuns {
     let obs = rtt_obs::span("features::endpoint_masks");
     obs.add("endpoints", eps.len() as u64);
     // Geometry only: read by `bin_of`, never written.
@@ -208,7 +332,7 @@ impl Forest {
     /// counted bins are exactly its mask, and they all lie inside the
     /// bounding box of its path's boxes, which is scanned row-major so
     /// bins come out ascending.
-    fn masks(&self, grid: usize) -> Vec<Vec<u32>> {
+    fn masks(&self, grid: usize) -> MaskRuns {
         let k = self.node.len();
         // Children in CSR form: those of node `c` are
         // `child[off[c]..off[c + 1]]`.
@@ -226,7 +350,10 @@ impl Forest {
             cursor[p as usize] += 1;
         }
 
-        let mut out = vec![Vec::new(); self.next_row.len()];
+        // Masks in the order the walk reaches them; `slot[row]` is where
+        // listed row `row`'s mask sits, shared by an endpoint's rows.
+        let mut walked = MaskRuns::default();
+        let mut slot = vec![NONE; self.next_row.len()];
         let mut cover = vec![0i32; grid * grid];
         let roots = (0..k).filter(|&c| self.parent[c] == NONE);
         let mut todo: Vec<Step> = roots.map(|c| Step::Enter(c, EMPTY_BOX)).collect();
@@ -239,22 +366,21 @@ impl Forest {
                         let [x0, y0, x1, y1] = bbox;
                         bbox = [x0.min(b[0]), y0.min(b[1]), x1.max(b[2]), y1.max(b[3])];
                     }
-                    let row = self.first_row[self.node[c] as usize];
+                    let mut row = self.first_row[self.node[c] as usize];
                     if row != NONE {
                         let [x0, y0, x1, y1] = bbox;
-                        let bins = &mut out[row as usize];
                         for y in y0..=y1 {
                             let first = y * grid + x0;
                             for (bin, &n) in (first..).zip(&cover[first..=y * grid + x1]) {
                                 if n > 0 {
-                                    bins.push(bin as u32);
+                                    walked.push_bin(bin as u32);
                                 }
                             }
                         }
-                        let mut dup = self.next_row[row as usize];
-                        while dup != NONE {
-                            out[dup as usize] = out[row as usize].clone();
-                            dup = self.next_row[dup as usize];
+                        walked.end_row();
+                        while row != NONE {
+                            slot[row as usize] = walked.len() as u32 - 1;
+                            row = self.next_row[row as usize];
                         }
                     }
                     todo.push(Step::Leave(c));
@@ -267,6 +393,20 @@ impl Forest {
                 }
             }
         }
+
+        // Every listed endpoint is a forest node, and the walk reaches every
+        // node; a row it missed on a malformed graph stays empty.
+        let mut out = MaskRuns::default();
+        out.off.reserve(slot.len());
+        out.runs.reserve(walked.runs.len());
+        for &s in &slot {
+            match s {
+                NONE => out.end_row(),
+                s => out.push_row(&walked, s as usize),
+            }
+        }
+        out.off.shrink_to_fit();
+        out.runs.shrink_to_fit();
         out
     }
 }
@@ -395,16 +535,25 @@ mod tests {
         set.map(|(i, _)| i as u32).collect()
     }
 
+    /// Row `e` of `masks` as set bins, after checking that its runs are
+    /// maximal: non-empty, ascending, neither overlapping nor touching.
+    fn expanded(masks: &MaskRuns, e: usize) -> Vec<u32> {
+        let runs = masks.runs(e);
+        assert!(runs.iter().all(|r| r[1] > 0), "empty run in {runs:?}");
+        assert!(runs.windows(2).all(|w| w[0][0] + w[0][1] < w[1][0]), "runs not maximal: {runs:?}");
+        masks.bins(e).collect()
+    }
+
     #[test]
     fn batched_masks_match_individual() {
         for (_, nl, pl, g) in [world(), buffer_chain()] {
             let grid = 8;
             let all = endpoint_masks(&nl, &pl, &g, grid);
             assert_eq!(all.len(), g.endpoints().len());
-            for (row, &ep) in all.iter().zip(g.endpoints()) {
-                assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+            for (e, &ep) in g.endpoints().iter().enumerate() {
+                assert_eq!(expanded(&all, e), reference_bins(&nl, &pl, &g, ep, grid));
             }
-            assert!(all.iter().any(|row| !row.is_empty()), "some endpoint has a critical region");
+            assert!((0..all.len()).any(|e| !all.runs(e).is_empty()), "some endpoint has a mask");
         }
     }
 
@@ -416,10 +565,36 @@ mod tests {
             eps.push(eps[eps.len() / 2]);
             let rows = endpoint_masks_for(&nl, &pl, &g, grid, &eps);
             assert_eq!(rows.len(), eps.len(), "a repeated endpoint gets its own row");
-            for (row, &ep) in rows.iter().zip(&eps) {
-                assert_eq!(row, &reference_bins(&nl, &pl, &g, ep, grid));
+            for (e, &ep) in eps.iter().enumerate() {
+                assert_eq!(expanded(&rows, e), reference_bins(&nl, &pl, &g, ep, grid));
             }
         }
+    }
+
+    #[test]
+    fn runs_merge_select_and_cover_full_rows() {
+        let mut m = MaskRuns::default();
+        // Bins 6 and 7 end the second row of a 4-wide grid and 8 starts the
+        // third: one run.
+        for bin in [1, 6, 7, 8, 10] {
+            m.push_bin(bin);
+        }
+        m.end_row();
+        m.end_row();
+        m.push_bin(2);
+        m.end_row();
+        assert_eq!(m.runs(0), &[[1, 1], [6, 3], [10, 1]]);
+        assert_eq!(expanded(&m, 0), [1, 6, 7, 8, 10]);
+        // A row never merges into the previous one.
+        assert_eq!(m.runs(2), &[[2, 1]]);
+        let picked = m.select(&[2, 1, 0, 2]);
+        assert_eq!(picked.len(), 4);
+        assert_eq!(picked.runs(0), picked.runs(3));
+        assert!(picked.runs(1).is_empty());
+        assert_eq!(picked.runs(2), m.runs(0));
+        let full = MaskRuns::full(3, 16);
+        assert!((0..3).all(|e| full.runs(e) == [[0, 16]]));
+        assert_eq!(MaskRuns::full(0, 16), MaskRuns::default());
     }
 
     #[test]
@@ -451,7 +626,10 @@ mod tests {
 
         let rows = endpoint_masks(&nl, &pl, &g, 8);
         let floating = g.endpoints().iter().position(|&ep| nl.pin(g.pin_of(ep)).name == "floating");
-        assert!(rows[floating.expect("an endpoint")].is_empty(), "the floating port has no mask");
+        assert!(
+            rows.runs(floating.expect("an endpoint")).is_empty(),
+            "the floating port has no mask"
+        );
     }
 
     #[test]
@@ -461,7 +639,8 @@ mod tests {
         let pl = place(&d.netlist, &lib, 0, &PlaceConfig::default());
         let g = TimingGraph::build(&d.netlist, &lib);
         let masks = endpoint_masks(&d.netlist, &pl, &g, 12);
-        let distinct: std::collections::HashSet<&Vec<u32>> = masks.iter().collect();
+        let distinct: std::collections::HashSet<&[[u32; 2]]> =
+            (0..masks.len()).map(|e| masks.runs(e)).collect();
         assert!(distinct.len() > masks.len() / 4, "masks are suspiciously uniform");
     }
 }

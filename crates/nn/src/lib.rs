@@ -82,7 +82,7 @@ mod tensor;
 
 pub use exec::Exec;
 pub use infer::InferCtx;
-pub use layers::{Conv2d, Linear, Mlp};
+pub use layers::{Conv2d, Linear, Mlp, MlpScratch};
 pub use optim::Adam;
 pub use store::{Grads, ParamId, ParamStore, WeightsError};
 pub use tape::{mse, Tape, TapeArena, Var};

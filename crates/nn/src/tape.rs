@@ -713,7 +713,8 @@ impl<'t> Var<'t> {
     }
 
     /// Multiplies every row of a matrix by a rank-1 vector (broadcast
-    /// Hadamard — each endpoint mask row times the shared layout map).
+    /// Hadamard — each endpoint mask row times the shared layout map): the
+    /// dense reference of the model's masked readout.
     ///
     /// # Panics
     ///

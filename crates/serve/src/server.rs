@@ -890,15 +890,19 @@ fn reload(shared: &Shared) -> Response {
 /// `POST /load?name=NAME` — registers a design at runtime. The body is
 /// the structural verilog followed by the placement file; the
 /// `X-Netlist-Bytes` header says where the split is.
+///
+/// A new name past `max_designs` answers 422. The cap is checked before
+/// the parse, to spare the work, and again under the lock that inserts,
+/// since concurrent loads of new names can all pass the first check.
 fn load_design(shared: &Shared, req: &Request) -> Response {
     let Some(name) = req.query_param("name").filter(|n| !n.is_empty()) else {
         return Response::text(400, "name= query parameter is required\n");
     };
-    {
-        let registry = shared.designs.lock().unwrap_or_else(PoisonError::into_inner);
-        if registry.len() >= shared.cfg.max_designs && !registry.contains_key(name) {
-            return Response::text(422, "design registry full\n");
-        }
+    let full = |registry: &BTreeMap<String, Arc<Mutex<DesignEntry>>>| {
+        registry.len() >= shared.cfg.max_designs && !registry.contains_key(name)
+    };
+    if full(&shared.designs.lock().unwrap_or_else(PoisonError::into_inner)) {
+        return Response::text(422, "design registry full\n");
     }
     let Some(split) = req.header("x-netlist-bytes").and_then(|v| v.parse::<usize>().ok()) else {
         return Response::text(400, "X-Netlist-Bytes header is required\n");
@@ -943,10 +947,10 @@ fn load_design(shared: &Shared, req: &Request) -> Response {
         model_generation: 0,
         cached_at: None,
     };
-    shared
-        .designs
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(name.to_owned(), Arc::new(Mutex::new(entry)));
+    let mut registry = shared.designs.lock().unwrap_or_else(PoisonError::into_inner);
+    if full(&registry) {
+        return Response::text(422, "design registry full\n");
+    }
+    registry.insert(name.to_owned(), Arc::new(Mutex::new(entry)));
     Response::text(200, format!("endpoints={endpoints}\n"))
 }

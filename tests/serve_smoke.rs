@@ -511,3 +511,44 @@ fn load_outlasting_the_deadline_still_answers() {
     assert_eq!(status, 200);
     assert_eq!(predict_bits(&reply).1, expect, "the loaded design serves predictions");
 }
+
+/// Concurrent `/load`s of new names race past the cap check that runs
+/// before parsing; the insert must check again. With `max_designs: 1`,
+/// exactly one of them registers and the rest answer 422.
+#[test]
+fn concurrent_loads_never_overfill_the_registry() {
+    let (lib, nl, pl, _) = fixture(4);
+    let model = TimingModel::new(ModelConfig::tiny());
+    let serve_cfg = ServeConfig { max_designs: 1, workers: 4, ..ServeConfig::default() };
+    let server = Server::start(serve_cfg, model, vec![]).expect("daemon starts");
+    let addr = server.addr();
+    let verilog = write_verilog(&nl, &lib);
+    let mut body = verilog.clone().into_bytes();
+    body.extend_from_slice(write_placement(&nl, &pl).as_bytes());
+    let header = format!("X-Netlist-Bytes: {}\r\n", verilog.len());
+
+    let loads = 4;
+    let start = std::sync::Barrier::new(loads);
+    let replies: Vec<(u16, Vec<u8>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..loads)
+            .map(|i| {
+                let request = post(&format!("/load?name=d{i}"), &header, &body);
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    http(addr, &request)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    });
+    let ok = replies.iter().filter(|(status, _)| *status == 200).count();
+    assert_eq!(ok, 1, "exactly one load registers: {replies:?}");
+    for (status, reply) in replies.iter().filter(|(status, _)| *status != 200) {
+        assert_eq!((*status, reply.as_slice()), (422, &b"design registry full\n"[..]));
+    }
+    let (status, stats) = http(addr, &get("/stats"));
+    assert_eq!(status, 200);
+    let text = String::from_utf8(stats).expect("utf-8 stats");
+    assert!(text.contains("\"designs\":1,"), "one design registered: {text}");
+}
