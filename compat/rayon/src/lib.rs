@@ -21,9 +21,9 @@
 //!   reconfigure the count (the perf suite uses this to time serial vs.
 //!   parallel execution in one process).
 //!
-//! Threads are spawned per parallel call rather than pooled. Every call
-//! site in this workspace guards with a work-size threshold so the ~tens of
-//! microseconds of spawn cost are amortized.
+//! Threads are spawned per parallel call rather than pooled. The call
+//! sites in this workspace map over whole designs, so the ~tens of
+//! microseconds of spawn cost are small against each item's work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,27 +99,6 @@ impl ThreadPoolBuilder {
         THREADS.store(n, Ordering::SeqCst);
         Ok(())
     }
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 || IN_WORKER.with(std::cell::Cell::get) {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || {
-            IN_WORKER.with(|w| w.set(true));
-            b()
-        });
-        let ra = a();
-        (ra, hb.join().expect("parallel task panicked"))
-    })
 }
 
 /// Order-preserving parallel map over an item list. Every thread, the
@@ -205,38 +184,12 @@ pub mod iter {
         pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> Map<T, F> {
             Map { items: self.items, f }
         }
-
-        /// Pairs each item with its input position.
-        #[must_use]
-        pub fn enumerate(self) -> ParIter<(usize, T)> {
-            ParIter { items: self.items.into_iter().enumerate().collect() }
-        }
-
-        /// Applies `f` to every item in parallel.
-        pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-            execute(self.items, &f);
-        }
-
-        /// Number of items.
-        pub fn len(&self) -> usize {
-            self.items.len()
-        }
-
-        /// `true` if there are no items.
-        pub fn is_empty(&self) -> bool {
-            self.items.is_empty()
-        }
     }
 
     impl<T: Send, R: Send, F: Fn(T) -> R + Sync> Map<T, F> {
         /// Runs the map in parallel and collects results in input order.
         pub fn collect<C: FromParIter<R>>(self) -> C {
             C::from_results(execute(self.items, self.f))
-        }
-
-        /// Parallel sum of the mapped results.
-        pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-            execute(self.items, self.f).into_iter().sum()
         }
     }
 
@@ -301,23 +254,11 @@ pub mod iter {
             ParIter { items: self.iter().collect() }
         }
     }
-
-    /// `par_chunks_mut()` — disjoint mutable chunks processed in parallel.
-    pub trait ParallelSliceMut<T: Send> {
-        /// Splits into chunks of at most `size` elements.
-        fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]>;
-    }
-
-    impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]> {
-            ParIter { items: self.chunks_mut(size).collect() }
-        }
-    }
 }
 
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 #[cfg(test)]
@@ -333,25 +274,6 @@ mod tests {
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
         let out2: Vec<usize> = (0..100usize).into_par_iter().map(|x| x + 1).collect();
         assert_eq!(out2, (1..101).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunks_mut_writes_disjointly() {
-        ThreadPoolBuilder::new().num_threads(3).build_global().unwrap();
-        let mut data = vec![0u32; 97];
-        data.par_chunks_mut(10).enumerate().for_each(|(ci, chunk)| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (ci * 10 + i) as u32;
-            }
-        });
-        assert_eq!(data, (0..97).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".repeat(3));
-        assert_eq!(a, 2);
-        assert_eq!(b, "xxx");
     }
 
     #[test]

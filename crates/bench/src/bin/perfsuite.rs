@@ -1,12 +1,13 @@
-//! Serial-vs-parallel performance suite.
+//! Workspace performance suite.
 //!
-//! Times the four workloads the parallel execution layer targets — dataset
-//! generation, GNN forward, CNN forward, and a training epoch — once with
-//! one thread and once with all available cores, then writes the results to
-//! `BENCH_PR10.json` in the current directory (and prints them). Every
-//! workload is bit-identical across thread counts, so this suite measures
-//! speed only. A `lint` section records the wall time of the full
-//! rtt-lint workspace pass (parse + call graph + reachability).
+//! Times the two workloads that fan out across threads — dataset
+//! generation (one design per item) and a training epoch (one design's
+//! forward/backward pass per item) — once with one thread and once with
+//! all available cores, then writes the results to `BENCH_PR10.json` in
+//! the current directory (and prints them). The kernels underneath are
+//! serial, and both workloads are bit-identical across thread counts, so
+//! this suite measures speed only. A `lint` section records the wall time
+//! of the full rtt-lint workspace pass (parse + call graph + reachability).
 //!
 //! The training row times several epochs per rep, so that each design's
 //! tape arena is reused, and reports seconds per epoch. A `training`
@@ -30,11 +31,6 @@
 //! the tape-backed reference (`predict_taped`): endpoints/sec for both,
 //! the speedup, and bytes allocated per pass by each backend.
 //!
-//! A `batched_inference` section sweeps `TimingModel::predict_batch` over
-//! batch sizes on the flat CSR kernel path: endpoints/sec at each batch
-//! size, plus pins/sec through the shared GNN pass (every call propagates
-//! the whole graph once, so small batches pay the full pass per call).
-//!
 //! An `incremental` section sweeps `TimingModel::predict_incremental` over
 //! dirty-cone sizes (~5%, ~20%, ~50% of pins, seeds chosen via rtt-sta's
 //! `fanout_cone`): wall time and speedup versus the full `predict_batch`
@@ -49,14 +45,6 @@
 //! after a buffer insertion. The delta round trip must clear a 3x
 //! speedup, and the delta-updated preparation is asserted bit-identical
 //! to the cold one first.
-//!
-//! A `serving` section measures the `rtt-serve` daemon end to end on a
-//! loopback socket: requests/sec and p50/p99 request latency under
-//! keep-alive clients, daemon endpoints/sec against the in-process
-//! library path, and the resident `InferCtx` arena bytes per worker.
-//! The design never changes, so after the first request the daemon
-//! serves every read from its activation cache. Results land in
-//! `BENCH_PR10.json`.
 
 #![allow(clippy::print_stdout)] // reports/tables go to stdout by design
 
@@ -155,40 +143,6 @@ fn prepare_design(cells: usize, seed: u64, cfg: &ModelConfig, lib: &CellLibrary)
     PreparedDesign::prepare(&d.netlist, lib, &pl, &graph, cfg, targets)
 }
 
-/// One keep-alive HTTP client: `count` request/response exchanges on a
-/// single connection. Panics with context on any protocol hiccup — this
-/// is a benchmark, not a chaos test, so failures should be loud.
-fn serving_round_trip(addr: std::net::SocketAddr, request: &str, count: usize) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to daemon");
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("set read timeout");
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    for _ in 0..count {
-        stream.write_all(request.as_bytes()).expect("send request");
-        loop {
-            if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = std::str::from_utf8(&buf[..head_end]).expect("ascii head");
-                assert!(head.starts_with("HTTP/1.1 200"), "daemon answered: {head}");
-                let body_len: usize = head
-                    .lines()
-                    .filter_map(|l| l.split_once(':'))
-                    .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-                    .and_then(|(_, v)| v.trim().parse().ok())
-                    .expect("content-length header");
-                let total = head_end + 4 + body_len;
-                if buf.len() >= total {
-                    buf.drain(..total);
-                    break;
-                }
-            }
-            let n = stream.read(&mut chunk).expect("read response");
-            assert!(n > 0, "daemon closed the connection mid-benchmark");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("perfsuite: {cores} core(s) available");
@@ -201,28 +155,11 @@ fn main() {
     let flow_cfg = FlowConfig { scale: Scale::Tiny };
     rows.push(serial_vs_parallel("dataset_generate", cores, 3, 1, || Dataset::generate(&flow_cfg)));
 
-    // 2. Endpoint-mask extraction at 2000 cells. The forest pass is
-    //    serial, so both columns time the same code.
-    let md = GenParams::new("perfmask".to_owned(), 2000, 17).generate(&lib);
-    let mpl = place(&md.netlist, &lib, 0, &PlaceConfig::default());
-    let mgraph = TimingGraph::build(&md.netlist, &lib);
-    rows.push(serial_vs_parallel("endpoint_masks_2000", cores, 3, 1, || {
-        endpoint_masks(&md.netlist, &mpl, &mgraph, 32)
-    }));
-
-    // 3./4. Model forwards at paper-ish widths (parallel matmul + im2col
-    //       conv paths).
+    // 2. Training over four 2000-cell designs (per-design gradient
+    //    fan-out). A rep runs several epochs, so every design's tape arena
+    //    is filled once and then reused, as in a real run; the row is
+    //    seconds per epoch.
     let cfg = ModelConfig::small();
-    let gnn_design = prepare_design(2000, 21, &cfg, &lib);
-    let gnn_model = TimingModel::new(cfg.clone());
-    rows.push(serial_vs_parallel("gnn_cnn_forward_2000", cores, 3, 1, || {
-        gnn_model.predict(&gnn_design)
-    }));
-
-    // 5. Training over four 2000-cell designs (per-design gradient
-    //    fan-out + parallel kernels underneath). A rep runs several epochs,
-    //    so every design's tape arena is filled once and then reused, as in
-    //    a real run; the row is seconds per epoch.
     let designs: Vec<PreparedDesign> =
         (0..4).map(|s| prepare_design(2000, 100 + s, &cfg, &lib)).collect();
     let train_epochs = 4;
@@ -249,11 +186,12 @@ fn main() {
     let mut gates =
         vec![Gate::at_most("train_arena_bytes_after_first_epoch", arena_later as f64, 0.0)];
 
-    // Inference: tape-free serving vs the tape-backed reference on the
-    // 2000-cell design, at all cores (the serving configuration). One
-    // InferCtx persists across passes, so steady-state passes should
-    // allocate (nearly) nothing; the tape re-appends every pass.
-    parallel::set_num_threads(cores);
+    // Inference: tape-free serving vs the tape-backed reference on a
+    // 2000-cell design. One InferCtx persists across passes, so
+    // steady-state passes should allocate (nearly) nothing; the tape
+    // re-appends every pass.
+    let gnn_design = prepare_design(2000, 21, &cfg, &lib);
+    let gnn_model = TimingModel::new(cfg.clone());
     let infer_reps = 7;
     let n_ep = gnn_design.num_endpoints();
     let ctx = InferCtx::new();
@@ -269,10 +207,9 @@ fn main() {
         rtt_obs::snapshot().counters.get("nn::infer_arena_bytes").copied().unwrap_or(0)
             / infer_reps as u64;
     let arena_resident = ctx.arena_bytes();
-    parallel::set_num_threads(1);
     let infer_speedup = taped_s / infer_s.max(1e-12);
     println!(
-        "\ninference ({n_ep} endpoints, {cores} threads):\n\
+        "\ninference ({n_ep} endpoints):\n\
          {:<22} {:>9.4}s  {:>10.0} ep/s  {:>12} bytes/pass\n\
          {:<22} {:>9.4}s  {:>10.0} ep/s  {:>12} bytes/pass ({} resident)\n\
          {:<22} {infer_speedup:>8.2}x",
@@ -293,38 +230,11 @@ fn main() {
         tape_bytes as f64,
     ));
 
-    // Batched inference: endpoints/sec vs batch size through the flat CSR
-    // kernel path, single-threaded (the per-core serving figure). Each
-    // `predict_batch` call runs one full GNN+CNN pass, so pins/sec counts
-    // one whole-graph propagation per call.
-    parallel::set_num_threads(1);
-    let pins = gnn_design.schedule.num_nodes();
-    let all: Vec<u32> = (0..n_ep as u32).collect();
-    let _ = gnn_model.predict_batch(&ctx, &gnn_design, &all); // warm batch scratch
-    let mut batch_rows: Vec<(usize, f64, f64, f64)> = Vec::new();
-    println!("\nbatched inference ({n_ep} endpoints, {pins} pins, 1 thread):");
-    for &bs in &[1usize, 16, 64, n_ep] {
-        let s = time_median(infer_reps, || {
-            for chunk in all.chunks(bs) {
-                std::hint::black_box(gnn_model.predict_batch(&ctx, &gnn_design, chunk));
-            }
-        });
-        let passes = all.chunks(bs).len() as f64;
-        let ep_per_s = n_ep as f64 / s.max(1e-12);
-        let pins_per_s = passes * pins as f64 / s.max(1e-12);
-        println!(
-            "  batch {bs:>5}  {s:>9.4}s for all endpoints  {ep_per_s:>10.0} ep/s  \
-             {pins_per_s:>12.0} pins/s"
-        );
-        batch_rows.push((bs, s, ep_per_s, pins_per_s));
-    }
-
     // Incremental inference: dirty-cone `predict_incremental` against the
     // full `predict_batch` pass on the same design. Seed pins are chosen so
     // their fan-out cone (per rtt-sta's `fanout_cone`) covers ~5% / ~20% /
     // ~50% of pins; every rep re-dirties the same cone, so each timed call
     // pays exactly that cone's GNN recompute plus the per-endpoint tail.
-    parallel::set_num_threads(1);
     let inc_d = GenParams::new("perfinc".to_owned(), 2000, 55).generate(&lib);
     let inc_pl = place(&inc_d.netlist, &lib, 0, &PlaceConfig::default());
     let inc_rt = route(&inc_d.netlist, &lib, &inc_pl, &RouteConfig::default());
@@ -339,7 +249,7 @@ fn main() {
     let _ = gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &[], &inc_eps); // prime cache
     let inc_full_s = time_median(infer_reps, || gnn_model.predict_batch(&ctx, &inc_prep, &inc_eps));
     println!(
-        "\nincremental inference ({} endpoints, {inc_pins} pins, 1 thread; \
+        "\nincremental inference ({} endpoints, {inc_pins} pins; \
          full predict_batch {inc_full_s:.4}s):",
         inc_eps.len()
     );
@@ -418,8 +328,7 @@ fn main() {
     // then the transform→predict round trip both ways on the 2000-cell
     // incremental design: delta `update` + `predict_incremental` versus
     // cold prepare + full `predict_batch`, after one buffer insertion.
-    parallel::set_num_threads(cores);
-    println!("\ncold prepare throughput ({cores} threads):");
+    println!("\ncold prepare throughput:");
     let mut prep_tiers: Vec<(String, usize, usize, f64, f64)> = Vec::new();
     // The jpeg tiers' endpoint masks as stored: tier, runs, set bins and
     // heap bytes.
@@ -454,7 +363,6 @@ fn main() {
         }
     }
 
-    parallel::set_num_threads(1);
     let rep_targets = vec![0.0f32; inc_graph.endpoints().len()];
     let (base_prep, base_ctx) = PreparedDesign::prepare_full(
         &inc_d.netlist,
@@ -542,7 +450,7 @@ fn main() {
     let rt_speedup = cold_rt_s / delta_rt_s.max(1e-12);
     println!(
         "\ntransform→predict round trip ({} pins, {} dirty seeds, \
-         {rt_masks}/{rt_masks_total} masks recomputed, 1 thread):\n\
+         {rt_masks}/{rt_masks_total} masks recomputed):\n\
          {:<22} {cold_rt_s:>9.4}s  (cold prepare + predict_batch)\n\
          {:<22} {delta_rt_s:>9.4}s  (delta update + predict_incremental)\n\
          {:<22} {rt_speedup:>8.2}x",
@@ -553,63 +461,6 @@ fn main() {
         "speedup"
     );
     gates.push(Gate::at_least("transform_round_trip_speedup", rt_speedup, 3.0));
-
-    // Serving: the same model and design behind the rtt-serve daemon on a
-    // loopback socket. Keep-alive clients hammer /predict on the unchanged
-    // design, so every timed request is a cache read (readout tail or
-    // tail-cache hit), not the full pass the in-process figure times.
-    let serve_clients = 4usize;
-    let reqs_per_client = 24usize;
-    let daemon_workers = cores.clamp(1, 4);
-    parallel::set_num_threads(1); // daemon parallelism comes from its worker pool
-    let serve_cfg =
-        rtt_serve::ServeConfig { workers: daemon_workers, ..rtt_serve::ServeConfig::default() };
-    let mut server = rtt_serve::Server::start(
-        serve_cfg,
-        gnn_model.clone(),
-        vec![("perf".to_owned(), gnn_design.clone())],
-    )
-    .expect("daemon binds an ephemeral port");
-    let serve_addr = server.addr();
-    let request =
-        "POST /predict HTTP/1.1\r\nHost: bench\r\nContent-Length: 12\r\n\r\ndesign=perf\n"
-            .to_owned();
-    // Warm every worker's arena before timing.
-    for _ in 0..daemon_workers * 2 {
-        serving_round_trip(serve_addr, &request, 1);
-    }
-    let serve_t0 = Instant::now();
-    let client_handles: Vec<_> = (0..serve_clients)
-        .map(|_| {
-            let request = request.clone();
-            std::thread::spawn(move || serving_round_trip(serve_addr, &request, reqs_per_client))
-        })
-        .collect();
-    for h in client_handles {
-        h.join().expect("client thread");
-    }
-    let serve_wall_s = serve_t0.elapsed().as_secs_f64();
-    let serve_snap = server.stats();
-    let total_reqs = (serve_clients * reqs_per_client) as f64;
-    let serve_rps = total_reqs / serve_wall_s.max(1e-12);
-    let daemon_ep_per_s = total_reqs * n_ep as f64 / serve_wall_s.max(1e-12);
-    let library_ep_per_s = batch_rows.last().map_or(0.0, |&(_, _, ep, _)| ep);
-    let serve_p50 = serve_snap.latency_p50_ms.unwrap_or(0.0);
-    let serve_p99 = serve_snap.latency_p99_ms.unwrap_or(0.0);
-    let arena_per_worker: Vec<u64> = serve_snap.arena_bytes.clone();
-    server.shutdown();
-    println!(
-        "\nserving ({n_ep} endpoints/request, {daemon_workers} workers, {serve_clients} keep-alive clients):\n\
-         {:<22} {serve_rps:>9.1} req/s  {daemon_ep_per_s:>12.0} ep/s\n\
-         {:<22} {serve_p50:>9.3} ms p50  {serve_p99:>9.3} ms p99\n\
-         {:<22} {library_ep_per_s:>12.0} ep/s (1 thread, in-process)\n\
-         {:<22} {:?} bytes resident",
-        "daemon /predict",
-        "request latency",
-        "library predict_batch",
-        "arena per worker",
-        arena_per_worker,
-    );
 
     // Static analysis wall time: the full rtt-lint workspace pass (parse,
     // call graph, reachability) must stay fast enough to sit in tier-1 CI
@@ -633,11 +484,9 @@ fn main() {
     // one instrumented end-to-end pass (generation → place → route → STA →
     // features → one training epoch), then dump the tree.
     rtt_obs::reset();
-    parallel::set_num_threads(cores);
     let stage_design = prepare_design(2000, 300, &cfg, &lib);
     let mut stage_model = TimingModel::new(cfg.clone());
     stage_model.train(&[stage_design], &TrainConfig { epochs: 1, ..TrainConfig::default() });
-    parallel::set_num_threads(1);
     let snap = rtt_obs::snapshot();
     println!("\nper-stage breakdown (one end-to-end pass):");
     print!("{}", snap.render_tree());
@@ -686,7 +535,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"inference\": {{\"endpoints\": {n_ep}, \"threads\": {cores}, \
+        "  \"inference\": {{\"endpoints\": {n_ep}, \"threads\": 1, \
          \"taped_s\": {taped_s:.6}, \"taped_endpoints_per_s\": {:.1}, \
          \"tape_bytes_per_pass\": {tape_bytes}, \
          \"infer_s\": {infer_s:.6}, \"infer_endpoints_per_s\": {:.1}, \
@@ -696,18 +545,6 @@ fn main() {
         n_ep as f64 / taped_s.max(1e-12),
         n_ep as f64 / infer_s.max(1e-12),
     ));
-    json.push_str(&format!(
-        "  \"batched_inference\": {{\"endpoints\": {n_ep}, \"pins\": {pins}, \"threads\": 1, \
-         \"rows\": [\n"
-    ));
-    for (i, (bs, s, ep_per_s, pins_per_s)) in batch_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch\": {bs}, \"total_s\": {s:.6}, \"endpoints_per_s\": {ep_per_s:.1}, \
-             \"pins_per_s\": {pins_per_s:.1}}}{}\n",
-            if i + 1 < batch_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
     json.push_str(&format!(
         "  \"incremental\": {{\"endpoints\": {}, \"pins\": {inc_pins}, \"threads\": 1, \
          \"full_batch_s\": {inc_full_s:.6}, \"rows\": [\n",
@@ -741,15 +578,6 @@ fn main() {
          \"cold_round_trip_s\": {cold_rt_s:.6}, \"delta_round_trip_s\": {delta_rt_s:.6}, \
          \"speedup\": {rt_speedup:.3}}}}},\n",
         seeds.len(),
-    ));
-    json.push_str(&format!(
-        "  \"serving\": {{\"endpoints_per_request\": {n_ep}, \"workers\": {daemon_workers}, \
-         \"clients\": {serve_clients}, \"requests\": {}, \"wall_s\": {serve_wall_s:.6}, \
-         \"requests_per_s\": {serve_rps:.1}, \"latency_p50_ms\": {serve_p50:.4}, \
-         \"latency_p99_ms\": {serve_p99:.4}, \"daemon_endpoints_per_s\": {daemon_ep_per_s:.1}, \
-         \"library_endpoints_per_s\": {library_ep_per_s:.1}, \
-         \"arena_resident_bytes_per_worker\": {arena_per_worker:?}}},\n",
-        serve_clients * reqs_per_client,
     ));
     json.push_str(&format!(
         "  \"lint\": {{\"wall_s\": {lint_s:.6}, \"files_checked\": {}, \"call_edges\": {}, \

@@ -36,8 +36,8 @@
 //!   into each tape as leaves and updated from [`Grads`] by an optimizer.
 //! * [`Linear`], [`Mlp`], [`Conv2d`] — the layer zoo.
 //! * [`Adam`] — the optimizer.
-//! * [`parallel`] — global thread-pool configuration; every kernel is
-//!   bit-identical across thread counts.
+//! * [`parallel`] — global thread-count configuration for the per-design
+//!   maps above the kernels; every kernel is a serial loop.
 //!
 //! # Example
 //!

@@ -7,8 +7,10 @@
 //! every node it records; [`crate::InferCtx`] calls the *same* functions
 //! with recycled arena buffers. That single-implementation rule is what
 //! makes the two execution backends bit-identical by construction: each
-//! kernel has one accumulation order, fixed regardless of thread count
-//! (see the determinism notes on the individual functions).
+//! kernel is a serial loop with one accumulation order (see the
+//! determinism notes on the individual functions). Kernels never fan out
+//! across threads; parallelism lives in the callers whose work items are
+//! independent designs or requests.
 //!
 //! [`maxpool2d`] always records its argmax for the backward pass — the
 //! tape keeps it on the node, the inference engine hands in a scratch
@@ -18,20 +20,9 @@
 //! row of the run equal to the output, which keeps the serving kernel
 //! branch-free.
 
-use rayon::prelude::*;
-
-use crate::parallel;
 use crate::Tensor;
 
-/// Output-element count above which gather and segment ops fan out.
-const GATHER_PAR_ELEMS: usize = 1 << 14;
-/// Products added (masked bins times width) above which [`masked_readout`]
-/// fans out. Timed on a 2-vCPU host under `ModelConfig::small()` (32
-/// wide): two threads took 1.1–1.5× the serial time at 64 endpoints
-/// (0.28 M products), 0.74–0.90× at 256 (1.1 M) and 0.51× at 998 (4.1 M).
-const READOUT_PAR_ELEMS: usize = 1 << 20;
-
-/// Matrix product `a · b` (delegates to the blocked/parallel
+/// Matrix product `a · b` (delegates to the cache-blocked
 /// [`Tensor::matmul_into`] kernel).
 ///
 /// # Panics
@@ -178,7 +169,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, pad: usize, col: &mut Tensor, out: &mut Te
     CONV2D_CALLS.add(1);
     CONV2D_FLOPS.add(2 * (cout * cin * kh * kw * oh * ow) as u64);
     // im2col: the convolution becomes one dense [cout, cin·kh·kw] ×
-    // [cin·kh·kw, oh·ow] product, which reuses the blocked/parallel matmul.
+    // [cin·kh·kw, oh·ow] product, which reuses the blocked matmul.
     // Products accumulate in the same (ci, ky, kx) order as a direct loop
     // (padding taps contribute exact zeros), so values match the naive
     // kernel.
@@ -244,14 +235,8 @@ pub fn gather_rows_flat(src: &Tensor, idx: &[u32], out: &mut Tensor) {
         return;
     }
     out.reset_for_overwrite(&[idx.len(), d]);
-    if parallel::should_parallelize(idx.len() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(i, row)| {
-            row.copy_from_slice(src.row(idx[i] as usize));
-        });
-    } else {
-        for (i, &r) in idx.iter().enumerate() {
-            out.data_mut()[i * d..(i + 1) * d].copy_from_slice(src.row(r as usize));
-        }
+    for (i, &r) in idx.iter().enumerate() {
+        out.data_mut()[i * d..(i + 1) * d].copy_from_slice(src.row(r as usize));
     }
 }
 
@@ -275,15 +260,10 @@ pub fn gather_rows_or_zero(src: &Tensor, idx: &[u32], out: &mut Tensor) {
         return;
     }
     out.reset_for_overwrite(&[idx.len(), d]);
-    let fill_row = |i: usize, row: &mut [f32]| match idx[i] {
-        u32::MAX => row.fill(0.0),
-        r => row.copy_from_slice(src.row(r as usize)),
-    };
-    if parallel::should_parallelize(idx.len() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(i, row)| fill_row(i, row));
-    } else {
-        for (i, row) in out.data_mut().chunks_mut(d).enumerate() {
-            fill_row(i, row);
+    for (row, &r) in out.data_mut().chunks_mut(d).zip(idx) {
+        match r {
+            u32::MAX => row.fill(0.0),
+            r => row.copy_from_slice(src.row(r as usize)),
         }
     }
 }
@@ -366,11 +346,11 @@ pub fn segment_max_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
     assert_eq!(*seg_off.last().unwrap_or(&0) as usize, src.rows(), "CSR must cover all rows");
     out.reset_for_overwrite(&[n, d]);
     let data = src.data();
-    let reduce_row = |s: usize, orow: &mut [f32]| {
+    for (s, orow) in out.data_mut().chunks_mut(d).enumerate() {
         let (lo, hi) = (seg_off[s] as usize, seg_off[s + 1] as usize);
         if lo == hi {
             orow.fill(0.0);
-            return;
+            continue;
         }
         orow.fill(f32::NEG_INFINITY);
         for r in lo..hi {
@@ -388,13 +368,6 @@ pub fn segment_max_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
             if o.to_bits() == f32::NEG_INFINITY.to_bits() {
                 *o = 0.0;
             }
-        }
-    };
-    if parallel::should_parallelize(src.rows() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(s, orow)| reduce_row(s, orow));
-    } else {
-        for (s, orow) in out.data_mut().chunks_mut(d).enumerate() {
-            reduce_row(s, orow);
         }
     }
 }
@@ -417,20 +390,13 @@ pub fn segment_sum_csr(src: &Tensor, seg_off: &[u32], out: &mut Tensor) {
     assert_eq!(*seg_off.last().unwrap_or(&0) as usize, src.rows(), "CSR must cover all rows");
     out.reset_for_overwrite(&[n, d]);
     let data = src.data();
-    let reduce_row = |s: usize, orow: &mut [f32]| {
+    for (s, orow) in out.data_mut().chunks_mut(d).enumerate() {
         orow.fill(0.0);
         for r in seg_off[s] as usize..seg_off[s + 1] as usize {
             let srow = &data[r * d..(r + 1) * d];
             for (o, &v) in orow.iter_mut().zip(srow) {
                 *o += v;
             }
-        }
-    };
-    if parallel::should_parallelize(src.rows() * d, GATHER_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(s, orow)| reduce_row(s, orow));
-    } else {
-        for (s, orow) in out.data_mut().chunks_mut(d).enumerate() {
-            reduce_row(s, orow);
         }
     }
 }
@@ -527,14 +493,14 @@ pub fn masked_readout<'r>(
     gmap: &[f32],
     bias: &[f32],
     rows: usize,
-    runs_of: impl Fn(usize) -> &'r [[u32; 2]] + Sync,
+    runs_of: impl Fn(usize) -> &'r [[u32; 2]],
     out: &mut Tensor,
 ) {
     let d = w.cols();
     assert_eq!(bias.len(), d, "bias width mismatch");
     out.reset(&[rows.max(1), d], 0.0);
     let data = w.data();
-    let fill_row = |i: usize, orow: &mut [f32]| {
+    for (i, orow) in out.data_mut().chunks_mut(d).enumerate() {
         if i < rows {
             for &[start, len] in runs_of(i) {
                 let span = start as usize..(start + len) as usize;
@@ -548,14 +514,6 @@ pub fn masked_readout<'r>(
         }
         for (o, &b) in orow.iter_mut().zip(bias) {
             *o += b;
-        }
-    };
-    let summed: usize = (0..rows).flat_map(&runs_of).map(|r| r[1] as usize).sum();
-    if parallel::should_parallelize(summed * d, READOUT_PAR_ELEMS) {
-        out.data_mut().par_chunks_mut(d).enumerate().for_each(|(i, orow)| fill_row(i, orow));
-    } else {
-        for (i, orow) in out.data_mut().chunks_mut(d).enumerate() {
-            fill_row(i, orow);
         }
     }
 }
@@ -665,7 +623,7 @@ pub(crate) fn im2col(
 ) {
     let (cin, h, wd) = rank3(x);
     col.reset(&[cin * kh * kw, oh * ow], 0.0);
-    col.data_mut().par_chunks_mut(oh * ow).enumerate().for_each(|(row, crow)| {
+    for (row, crow) in col.data_mut().chunks_mut(oh * ow).enumerate() {
         let ci = row / (kh * kw);
         let ky = (row / kw) % kh;
         let kx = row % kw;
@@ -684,7 +642,7 @@ pub(crate) fn im2col(
             let src = &x.data()[ci * h * wd + iy as usize * wd + ix0..];
             crow[oy * ow + lo..oy * ow + hi].copy_from_slice(&src[..hi - lo]);
         }
-    });
+    }
 }
 
 /// Folds the im2col gradient `[C_in·kh·kw, oh·ow]` back onto the input map

@@ -1,17 +1,14 @@
-//! Thread-pool configuration for every parallel kernel in the workspace.
+//! Thread-count configuration for the workspace's two parallel tiers.
 //!
-//! All parallelism funnels through rayon's global pool. The pool size
-//! defaults to the `RTT_THREADS` environment variable, falling back to all
-//! available cores. `RTT_THREADS=1` (or [`set_num_threads`]`(1)`) runs every
-//! kernel serially and reproduces single-threaded results exactly — the
-//! parallel kernels are written to be bit-identical to their serial
-//! counterparts regardless of thread count, so this is a debugging aid, not
-//! a correctness requirement.
-
-/// The number of threads parallel kernels fan out to.
-pub fn num_threads() -> usize {
-    rayon::current_num_threads()
-}
+//! Work fans out only where items are independent: the per-design maps in
+//! dataset generation and training run on rayon's global pool, and the
+//! serving daemon runs its own worker threads. The kernels in this crate
+//! are serial loops. The pool size defaults to the `RTT_THREADS`
+//! environment variable, falling back to all available cores.
+//! `RTT_THREADS=1` (or [`set_num_threads`]`(1)`) runs the per-design maps
+//! serially and reproduces their results exactly — each design's result is
+//! bit-identical whichever thread computes it, so this is a debugging aid,
+//! not a correctness requirement.
 
 /// Reconfigures the global thread count (`1` forces serial execution).
 pub fn set_num_threads(n: usize) {
@@ -21,13 +18,6 @@ pub fn set_num_threads(n: usize) {
     let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
 }
 
-/// `true` when a kernel processing `work` elements (or flops) should fan
-/// out: the pool has more than one thread and the work amortizes spawn
-/// overhead.
-pub(crate) fn should_parallelize(work: usize, threshold: usize) -> bool {
-    work >= threshold && num_threads() > 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,12 +25,8 @@ mod tests {
     #[test]
     fn set_num_threads_round_trips() {
         set_num_threads(3);
-        assert_eq!(num_threads(), 3);
+        assert_eq!(rayon::current_num_threads(), 3);
         set_num_threads(1);
-        assert_eq!(num_threads(), 1);
-        assert!(!should_parallelize(usize::MAX, 1));
-        set_num_threads(2);
-        assert!(should_parallelize(100, 100));
-        assert!(!should_parallelize(99, 100));
+        assert_eq!(rayon::current_num_threads(), 1);
     }
 }

@@ -572,7 +572,7 @@ impl Sweep<'_> {
                 // Both gradients route through the forward's im2col matrix:
                 //   gw = g₂d · colᵀ        [cout, cin·kh·kw]
                 //   gx = col2im(w₂dᵀ · g₂d) [cin, h, w]
-                // so the heavy lifting is two blocked/parallel matmuls; the
+                // so the heavy lifting is two blocked matmuls; the
                 // im2col matrix is recomputed rather than kept alive on the
                 // tape (memory over speed — one col per graph node would
                 // dominate the tape's footprint).

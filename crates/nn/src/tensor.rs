@@ -1,9 +1,6 @@
 //! Dense row-major float tensors.
 
 use rand::Rng;
-use rayon::prelude::*;
-
-use crate::parallel;
 
 /// Rows of the left operand processed per block; sized so a block of
 /// output rows stays cache-resident while a `K_BLOCK`-row panel of the
@@ -11,16 +8,12 @@ use crate::parallel;
 const MM_ROW_BLOCK: usize = 8;
 /// Depth (`k`) tile width for the blocked kernel.
 const MM_K_BLOCK: usize = 128;
-/// FLOP count (`2·m·k·n`) above which `matmul` fans out across threads.
-const MM_PAR_FLOPS: usize = 1 << 17;
 
-/// Blocked matmul over a contiguous band of output rows.
-///
-/// `a` holds the band's rows of the left operand (`rows × k`), `b` the full
-/// right operand (`k × n`), `out` the band's output (`rows × n`, zeroed).
-/// Every output element accumulates its `k` products in ascending-`k`
-/// order — the same order as the textbook triple loop — so the blocked,
-/// serial, and row-parallel paths all produce bit-identical results.
+/// Blocked matmul: `a` is the left operand (`m × k`), `b` the right
+/// operand (`k × n`), `out` the output (`m × n`, zeroed). Every output
+/// element accumulates its `k` products in ascending-`k` order — the same
+/// order as the textbook triple loop — so the blocking leaves results
+/// bit-identical to it.
 fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let m = out.len() / n;
     for i0 in (0..m).step_by(MM_ROW_BLOCK) {
@@ -289,10 +282,8 @@ impl Tensor {
 
     /// Matrix product `self · other` for rank-2 tensors.
     ///
-    /// Uses a cache-blocked kernel, splitting output rows across threads
-    /// when the product is large enough to amortize the fan-out. Results
-    /// are bit-identical across thread counts (each output element always
-    /// accumulates in ascending-`k` order).
+    /// Uses a serial cache-blocked kernel; each output element accumulates
+    /// in ascending-`k` order.
     ///
     /// # Panics
     ///
@@ -339,16 +330,7 @@ impl Tensor {
         MATMUL_CALLS.add(1);
         MATMUL_FLOPS.add(2 * (m * k * n) as u64);
         out.reset(&[m, n], 0.0);
-        if m > 1 && parallel::should_parallelize(2 * m * k * n, MM_PAR_FLOPS) {
-            let band = m.div_ceil(parallel::num_threads()).max(1);
-            out.data.par_chunks_mut(band * n).enumerate().for_each(|(ci, chunk)| {
-                let r0 = ci * band;
-                let rows = chunk.len() / n;
-                matmul_rows(&self.data[r0 * k..(r0 + rows) * k], &other.data, chunk, k, n);
-            });
-        } else {
-            matmul_rows(&self.data, &other.data, &mut out.data, k, n);
-        }
+        matmul_rows(&self.data, &other.data, &mut out.data, k, n);
     }
 
     /// Transposed copy of a matrix.

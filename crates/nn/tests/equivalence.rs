@@ -1,10 +1,11 @@
-//! Property-based equivalence suites for the parallel kernel layer.
+//! Property-based equivalence suites for the kernel layer.
 //!
-//! The blocked/parallel `matmul`, the zero-skip variant, and the im2col
-//! `conv2d` all claim to be drop-in replacements for the naive reference
-//! loops they displaced. These tests pin that claim down: each kernel is
-//! compared against a reference implementation written the obvious way,
-//! across randomly sampled shapes and values, and across thread counts.
+//! The blocked `matmul`, the zero-skip variant, and the im2col `conv2d`
+//! all claim to be drop-in replacements for the naive reference loops they
+//! displaced. These tests pin that claim down: each kernel is compared
+//! against a reference implementation written the obvious way, across
+//! randomly sampled shapes and values, and across thread counts (kernels
+//! are serial, so the pool size must never reach their results).
 
 use std::sync::Mutex;
 
@@ -38,7 +39,7 @@ fn random_tensor(shape: &[usize], seed: u64, bound: f32) -> Tensor {
 
 /// The naive triple loop the blocked kernel replaced, accumulating over
 /// `k` in ascending order per output element — the same order the blocked
-/// and row-parallel paths use, so results must match bit for bit.
+/// kernel uses, so results must match bit for bit.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let n = b.cols();
@@ -62,8 +63,7 @@ proptest! {
         dims in (1usize..17, 1usize..33, 1usize..33),
         seed in 0u64..1_000_000,
     ) {
-        // Shapes stay below the parallel threshold, so this exercises the
-        // serial blocked kernel no matter what the pool is set to.
+        // The blocked kernel is serial, so the pool size does not matter.
         let (m, k, n) = dims;
         let a = random_tensor(&[m, k], seed, 2.0);
         let b = random_tensor(&[k, n], seed ^ 0xA5A5, 2.0);
@@ -73,8 +73,8 @@ proptest! {
 
 #[test]
 fn parallel_matmul_is_bit_identical_to_serial() {
-    // 2·m·k·n = 2·64·64·64 = 512 KiFLOPs, past the row-split threshold, so
-    // the four-thread run takes the par_chunks_mut path.
+    // 2·m·k·n = 2·64·64·64 = 512 KiFLOPs, large enough that a threaded
+    // kernel would split the output rows.
     let a = random_tensor(&[64, 64], 7, 1.5);
     let b = random_tensor(&[64, 64], 11, 1.5);
     let (serial, par) = at_one_and_four_threads(|| a.matmul(&b));
@@ -227,7 +227,8 @@ fn parallel_conv2d_is_bit_identical_to_serial() {
 
 #[test]
 fn parallel_segment_reductions_are_bit_identical_to_serial() {
-    // 256 rows × 64 cols crosses the gather/segment parallel threshold.
+    // 256 rows × 64 cols, large enough that a threaded gather or segment
+    // kernel would split the output rows.
     let (rows, d, segs) = (256usize, 64usize, 10usize);
     let x = random_tensor(&[rows, d], 19, 1.0);
     // CSR runs of growing length.
@@ -306,8 +307,8 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// zero, negative-zero and negative map bins.
 #[test]
 fn masked_readout_matches_the_dense_layer_bit_for_bit() {
-    // 1,000 rows of about 40 bins at width 32 cross the readout's
-    // parallel threshold.
+    // 1,000 rows of about 40 bins at width 32, large enough that a
+    // threaded readout would split the output rows.
     let (bins, d) = (96, 32);
     for seed in 0..3 {
         let rows = std::sync::Arc::new(mask_rows(bins as u32, 1000, seed));
