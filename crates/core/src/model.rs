@@ -5,10 +5,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use rtt_features::MaskRuns;
 use rtt_netlist::PinId;
+use rtt_nn::parallel::par_map;
 use rtt_nn::{
     mse, ops, Adam, Exec, Grads, InferCtx, Linear, Mlp, ParamStore, Tape, TapeArena, Tensor, Var,
 };
@@ -75,30 +75,16 @@ impl TimingModel {
         self.store.num_scalars()
     }
 
-    /// One taped forward pass over a design for the endpoint rows in
-    /// `batch` (`None` = all endpoints); returns normalized predictions
-    /// `[rows, 1]`.
+    /// One taped forward pass over a design for the endpoint rows
+    /// `indices`; returns normalized predictions `[rows, 1]`.
     ///
     /// The GNN necessarily computes every node (messages flow through the
     /// whole DAG), but the layout branch and regressor run only on the
     /// requested rows. The masked layout embedding is one fused node over
     /// the batch's mask runs ([`Self::readout`]), so no `[rows, (G/4)²]`
     /// tensor is recorded.
-    fn forward<'t>(
-        &self,
-        tape: &'t Tape,
-        design: &PreparedDesign,
-        batch: Option<&[u32]>,
-    ) -> Var<'t> {
+    fn forward<'t>(&self, tape: &'t Tape, design: &PreparedDesign, indices: &[u32]) -> Var<'t> {
         rtt_obs::span!("core::forward");
-        let all: Vec<u32>;
-        let indices: &[u32] = match batch {
-            Some(b) => b,
-            None => {
-                all = (0..design.num_endpoints() as u32).collect();
-                &all
-            }
-        };
         let netlist_emb = self.gnn.as_ref().map(|gnn| {
             let emb = gnn.forward(
                 tape,
@@ -236,30 +222,27 @@ impl TimingModel {
             // gradients reduce in a fixed-order pairwise tree and the
             // optimizer takes one step per epoch over the accumulated sum.
             let this: &TimingModel = self;
-            let results: Vec<(usize, f32, Grads, TapeArena)> = batches
-                .into_par_iter()
-                .map(|(di, idx, arena)| {
-                    // Root span: worker threads must not inherit (or leak
-                    // into) the caller's span stack, or the recorded tree
-                    // would depend on RTT_THREADS.
-                    let _pass = rtt_obs::root_span("core::train::design_pass");
-                    let design = &designs[di];
-                    let tape = Tape::with_arena(arena);
-                    let pred_b = this.forward(&tape, design, Some(&idx));
-                    let target_b = tape.constant_with(idx.len(), |t| {
-                        t.reset_for_overwrite(&[idx.len(), 1]);
-                        for (y, &i) in t.data_mut().iter_mut().zip(&idx) {
-                            *y = (design.targets[i as usize] - this.target_mean) / this.target_std;
-                        }
-                    });
-                    let loss = mse(&tape, pred_b, target_b).scale(weights[di]);
-                    let value = tape.value(loss).data()[0];
-                    let mut grads = tape.backward(loss);
-                    let mut arena = tape.into_arena();
-                    arena.reclaim(&mut grads);
-                    (di, value, grads, arena)
-                })
-                .collect();
+            let results = par_map(batches, |(di, idx, arena)| {
+                // Root span: worker threads must not inherit (or leak into)
+                // the caller's span stack, or the recorded tree would
+                // depend on RTT_THREADS.
+                let _pass = rtt_obs::root_span("core::train::design_pass");
+                let design = &designs[di];
+                let tape = Tape::with_arena(arena);
+                let pred_b = this.forward(&tape, design, &idx);
+                let target_b = tape.constant_with(idx.len(), |t| {
+                    t.reset_for_overwrite(&[idx.len(), 1]);
+                    for (y, &i) in t.data_mut().iter_mut().zip(&idx) {
+                        *y = (design.targets[i as usize] - this.target_mean) / this.target_std;
+                    }
+                });
+                let loss = mse(&tape, pred_b, target_b).scale(weights[di]);
+                let value = tape.value(loss).data()[0];
+                let mut grads = tape.backward(loss);
+                let mut arena = tape.into_arena();
+                arena.reclaim(&mut grads);
+                (di, value, grads, arena)
+            });
             let mut epoch_loss = 0.0;
             let mut grad_sets = Vec::with_capacity(results.len());
             for (di, l, g, arena) in results {
@@ -590,7 +573,7 @@ impl TimingModel {
             let end = (start + Self::PREDICT_CHUNK).min(n);
             let idx: Vec<u32> = (start as u32..end as u32).collect();
             let tape = Tape::new();
-            let pred = self.forward(&tape, design, Some(&idx));
+            let pred = self.forward(&tape, design, &idx);
             out.extend(
                 tape.value(pred).data().iter().map(|p| p * self.target_std + self.target_mean),
             );

@@ -4,10 +4,10 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use rtt_circgen::{all_presets, GenParams, Scale, TRAIN_DESIGNS};
 use rtt_netlist::{CellLibrary, TimingGraph};
+use rtt_nn::parallel::par_map;
 use rtt_opt::{diff_netlists, optimize};
 use rtt_place::{place, PlaceConfig};
 use rtt_route::{route, RouteConfig};
@@ -116,8 +116,7 @@ impl Dataset {
     pub fn generate(config: &FlowConfig) -> Self {
         let obs = rtt_obs::span("flow::dataset_generate");
         let library = CellLibrary::asap7_like();
-        let designs: Vec<DesignData> =
-            all_presets(config.scale).par_iter().map(|p| run_design_flow(p, &library)).collect();
+        let designs = par_map(all_presets(config.scale), |p| run_design_flow(&p, &library));
         obs.add("designs", designs.len() as u64);
         Self { library, designs }
     }
@@ -133,7 +132,7 @@ impl Dataset {
         test.sort_by_key(|p| std::cmp::Reverse(p.comb_cells));
         let chosen: Vec<&GenParams> =
             presets[..n_train.min(5)].iter().chain(test.into_iter().take(n_test.min(5))).collect();
-        let designs = chosen.par_iter().map(|p| run_design_flow(p, &library)).collect();
+        let designs = par_map(chosen, |p| run_design_flow(p, &library));
         Self { library, designs }
     }
 

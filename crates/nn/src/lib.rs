@@ -36,8 +36,9 @@
 //!   into each tape as leaves and updated from [`Grads`] by an optimizer.
 //! * [`Linear`], [`Mlp`], [`Conv2d`] — the layer zoo.
 //! * [`Adam`] — the optimizer.
-//! * [`parallel`] — global thread-count configuration for the per-design
-//!   maps above the kernels; every kernel is a serial loop.
+//! * [`parallel`] — [`parallel::par_map`], the order-preserving map the
+//!   per-design loops above the kernels fan out with, and its global
+//!   thread count; every kernel is a serial loop.
 //!
 //! # Example
 //!

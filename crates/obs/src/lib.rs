@@ -24,8 +24,8 @@
 //! recorded durations may differ. Three rules make this hold under the
 //! workspace's order-preserving parallel layer (see DESIGN.md):
 //!
-//! 1. Any closure executed by a parallel fan-out (`par_iter` and
-//!    friends) must open a [`root_span`] before opening child spans.
+//! 1. Any closure executed by a parallel fan-out (`rtt_nn`'s `par_map`)
+//!    must open a [`root_span`] before opening child spans.
 //!    Worker threads inherit an empty span stack while the calling
 //!    thread keeps its ambient stack, so a plain nested [`span()`] would
 //!    parent differently depending on which thread ran the closure.

@@ -81,14 +81,7 @@ pub fn diff_netlists(before: &Netlist, after: &Netlist, library: &CellLibrary) -
         let driver = net.driver;
         for &sink in &net.sinks {
             diff.total_net_edges += 1;
-            let survives = sink.index() < after.pin_capacity()
-                && after.pin(sink).is_alive()
-                && after.pin(driver).is_alive()
-                && after
-                    .pin(sink)
-                    .net
-                    .is_some_and(|n| after.net(n).is_alive() && after.net(n).driver == driver);
-            if survives {
+            if drives(after, driver, sink) {
                 diff.surviving_net.push((driver, sink));
             } else {
                 diff.replaced_net_edges += 1;
@@ -111,6 +104,19 @@ pub fn diff_netlists(before: &Netlist, after: &Netlist, library: &CellLibrary) -
         }
     }
     diff
+}
+
+/// Whether `pin` exists in `nl` and is alive.
+fn alive(nl: &Netlist, pin: PinId) -> bool {
+    pin.index() < nl.pin_capacity() && nl.pin(pin).is_alive()
+}
+
+/// Whether the net edge `(driver, sink)` is present in `nl`: both pins
+/// alive, and the sink's net alive and driven by `driver`.
+fn drives(nl: &Netlist, driver: PinId, sink: PinId) -> bool {
+    alive(nl, driver)
+        && alive(nl, sink)
+        && nl.pin(sink).net.is_some_and(|n| nl.net(n).is_alive() && nl.net(n).driver == driver)
 }
 
 /// Seeds an incremental-inference dirty set: every pin of `after` whose
@@ -155,15 +161,7 @@ pub fn dirty_seed_pins(before: &Netlist, after: &Netlist) -> Vec<PinId> {
     for (_, net) in after.nets() {
         let driver = net.driver;
         for &sink in &net.sinks {
-            let existed = sink.index() < before.pin_capacity()
-                && before.pin(sink).is_alive()
-                && driver.index() < before.pin_capacity()
-                && before.pin(driver).is_alive()
-                && before
-                    .pin(sink)
-                    .net
-                    .is_some_and(|n| before.net(n).is_alive() && before.net(n).driver == driver);
-            if !existed {
+            if !drives(before, driver, sink) {
                 seeds.push(sink);
             }
         }
@@ -173,14 +171,7 @@ pub fn dirty_seed_pins(before: &Netlist, after: &Netlist) -> Vec<PinId> {
     for (_, net) in before.nets() {
         let driver = net.driver;
         for &sink in &net.sinks {
-            let survives = sink.index() < after.pin_capacity()
-                && after.pin(sink).is_alive()
-                && after.pin(driver).is_alive()
-                && after
-                    .pin(sink)
-                    .net
-                    .is_some_and(|n| after.net(n).is_alive() && after.net(n).driver == driver);
-            if !survives && sink.index() < after.pin_capacity() && after.pin(sink).is_alive() {
+            if alive(after, sink) && !drives(after, driver, sink) {
                 seeds.push(sink);
             }
         }
