@@ -151,9 +151,12 @@ fn main() {
     let lib = CellLibrary::asap7_like();
 
     // 1. Dataset generation: ten tiny designs through both flows, fanned
-    //    out one design per thread.
+    //    out one design per thread. A generation takes only 20-30 ms, so
+    //    the row takes the median of 15 reps per side.
     let flow_cfg = FlowConfig { scale: Scale::Tiny };
-    rows.push(serial_vs_parallel("dataset_generate", cores, 3, 1, || Dataset::generate(&flow_cfg)));
+    rows.push(serial_vs_parallel("dataset_generate", cores, 15, 1, || {
+        Dataset::generate(&flow_cfg)
+    }));
 
     // 2. Training over four 2000-cell designs (per-design gradient
     //    fan-out). A rep runs several epochs, so every design's tape arena

@@ -150,7 +150,7 @@ impl GnnSchedule {
             src_off += fl.n_srcs;
             levels.push(fl);
         }
-        // Debug/env-gated plan validation (RTT_SANITIZE=1): every gather
+        // Debug-build plan validation (rtt_nn::sanitize): every gather
         // and scatter index must address a real flat row, and segment
         // offsets must tile the gathered messages exactly.
         if rtt_nn::sanitize::enabled() {

@@ -265,11 +265,6 @@ impl CellLibrary {
         v.sort_unstable_by_key(|(d, _)| *d);
         v.into_iter().map(|(_, id)| id).collect()
     }
-
-    /// Number of distinct gate functions (one-hot feature width).
-    pub fn gate_fn_count(&self) -> usize {
-        GateFn::ALL.len()
-    }
 }
 
 impl Default for CellLibrary {

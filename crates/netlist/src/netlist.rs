@@ -440,18 +440,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Moves `sink` from its current net onto `to_net`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Self::disconnect_sink`] / [`Self::add_sink`];
-    /// returns a direction error if `sink` is currently unconnected.
-    pub fn move_sink(&mut self, sink: PinId, to_net: NetId) -> Result<(), NetlistError> {
-        let from = self.pin(sink).net.ok_or(NetlistError::DirectionMismatch(sink))?;
-        self.disconnect_sink(from, sink)?;
-        self.add_sink(to_net, sink)
-    }
-
     // ---- validation ---------------------------------------------------------
 
     /// Checks structural invariants: live nets have live, correctly-directed,
@@ -607,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn move_sink_rewires() {
+    fn disconnect_then_add_sink_rewires() {
         let (lib, mut nl, c, _, _) = tiny();
         let i1 = nl.cell(c).inputs[1];
         // New buffer driven by port a's net... simpler: new net from a fresh port.
@@ -619,7 +607,8 @@ mod tests {
         let dummy = nl.add_output_port("d");
         let nb = nl.connect_net("nbuf", bo, &[dummy]).unwrap();
         let old_net = nl.pin(i1).net.unwrap();
-        nl.move_sink(i1, nb).unwrap();
+        nl.disconnect_sink(old_net, i1).unwrap();
+        nl.add_sink(nb, i1).unwrap();
         assert_eq!(nl.pin(i1).net, Some(nb));
         assert_eq!(nl.net(nb).sinks.len(), 2);
         // The vacated net is now empty; validation flags it until removed.

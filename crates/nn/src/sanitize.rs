@@ -1,4 +1,4 @@
-//! Debug-build kernel sanitizer, gated on `RTT_SANITIZE=1`.
+//! Debug-build kernel sanitizer.
 //!
 //! Two families of checks, both free in release builds:
 //!
@@ -11,28 +11,23 @@
 //!   the index count, and every gather index addresses a real row.
 //!
 //! [`enabled`] is `const false` in release builds, so every check body is
-//! dead code there and the serving path pays nothing. In debug builds the
-//! checks run only when `RTT_SANITIZE=1` is set in the environment, and
-//! each pass bumps the `nn::sanitize_value_checks` /
+//! dead code there and the serving path pays nothing. Debug builds always
+//! check, and each pass bumps the `nn::sanitize_value_checks` /
 //! `nn::sanitize_plan_checks` flat counters so tests can assert the
-//! sanitizer actually looked at something. Checks never mutate data, so a
-//! sanitized run is bit-identical to an unsanitized one.
+//! sanitizer actually looked at something. Checks never mutate data, so
+//! they cannot change an output bit.
 
 use crate::Tensor;
 
 static VALUE_CHECKS: rtt_obs::Counter = rtt_obs::Counter::new("nn::sanitize_value_checks");
 static PLAN_CHECKS: rtt_obs::Counter = rtt_obs::Counter::new("nn::sanitize_plan_checks");
 
-/// `true` when sanitizer checks should run: a debug build with
-/// `RTT_SANITIZE=1` in the environment. Always `false` in release builds,
-/// which lets the optimizer delete every check body.
+/// `true` when sanitizer checks should run: in debug builds. Always
+/// `false` in release builds, which lets the optimizer delete every check
+/// body.
 #[inline]
-pub fn enabled() -> bool {
-    if cfg!(debug_assertions) {
-        std::env::var_os("RTT_SANITIZE").is_some_and(|v| v == "1")
-    } else {
-        false
-    }
+pub const fn enabled() -> bool {
+    cfg!(debug_assertions)
 }
 
 /// Scans `t` for non-finite values when the sanitizer is enabled.
@@ -48,7 +43,7 @@ pub fn check_finite(tag: &str, t: &Tensor) {
     VALUE_CHECKS.add(1);
     for (i, &v) in t.data().iter().enumerate() {
         if !v.is_finite() {
-            // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug/env-gated, compiled out of release")
+            // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug builds only, compiled out of release")
             panic!(
                 "sanitize[{tag}]: non-finite value {v} at flat index {i} of shape {:?}",
                 t.shape()
@@ -71,7 +66,7 @@ pub fn check_csr(tag: &str, offsets: &[u32], indices: &[u32], rows: usize) {
         return;
     }
     PLAN_CHECKS.add(1);
-    // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug/env-gated, compiled out of release")
+    // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug builds only, compiled out of release")
     let fail = |what: String| -> ! { panic!("sanitize[{tag}]: {what}") };
     if offsets.is_empty() {
         fail("CSR offsets are empty".to_owned());
@@ -109,7 +104,7 @@ pub fn check_rows(tag: &str, dst: &[u32], rows: usize) {
     PLAN_CHECKS.add(1);
     for (i, &ix) in dst.iter().enumerate() {
         if ix as usize >= rows {
-            // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug/env-gated, compiled out of release")
+            // rtt-lint: allow(R002, R003, reason = "sanitizer abort is the product: debug builds only, compiled out of release")
             panic!("sanitize[{tag}]: row index {ix} at position {i} exceeds {rows} rows");
         }
     }
@@ -119,63 +114,46 @@ pub fn check_rows(tag: &str, dst: &[u32], rows: usize) {
 mod tests {
     use super::*;
 
-    // The enabled() gate is covered end-to-end in tests/sanitize.rs (it
-    // needs process-level env control); these exercise the check bodies
-    // directly by calling through with the gate forced via env.
-
-    fn with_sanitize<R>(f: impl FnOnce() -> R) -> R {
-        // One test at a time owns the env var; the lock also survives a
-        // should_panic unwind (poisoning is ignored).
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::env::set_var("RTT_SANITIZE", "1");
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        std::env::remove_var("RTT_SANITIZE");
-        match r {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
+    // tests/sanitize.rs covers the gate end-to-end (checks run in debug,
+    // none in release); these exercise the check bodies directly.
 
     #[test]
     fn finite_tensor_passes() {
-        with_sanitize(|| check_finite("t", &Tensor::zeros(&[2, 2])));
+        check_finite("t", &Tensor::zeros(&[2, 2]));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-finite")]
     fn nan_is_caught() {
-        with_sanitize(|| {
-            let mut t = Tensor::zeros(&[2]);
-            t.data_mut()[1] = f32::NAN;
-            check_finite("t", &t);
-        });
+        let mut t = Tensor::zeros(&[2]);
+        t.data_mut()[1] = f32::NAN;
+        check_finite("t", &t);
     }
 
     #[test]
     fn valid_csr_passes() {
-        with_sanitize(|| check_csr("p", &[0, 2, 2, 3], &[0, 1, 4], 5));
+        check_csr("p", &[0, 2, 2, 3], &[0, 1, 4], 5);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "exceeds")]
     fn out_of_range_gather_is_caught() {
-        with_sanitize(|| check_csr("p", &[0, 1], &[9], 5));
+        check_csr("p", &[0, 1], &[9], 5);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "end at")]
     fn truncated_offsets_are_caught() {
-        with_sanitize(|| check_csr("p", &[0, 1], &[0, 1], 5));
+        check_csr("p", &[0, 1], &[0, 1], 5);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "row index")]
     fn bad_scatter_row_is_caught() {
-        with_sanitize(|| check_rows("p", &[7], 3));
+        check_rows("p", &[7], 3);
     }
 }

@@ -43,13 +43,6 @@ impl DensityTracker {
         Self { occupancy, limit: density_limit }
     }
 
-    /// Current utilization (0..) of the bin containing `p`.
-    pub fn utilization_at(&self, p: Point) -> f32 {
-        let (bx, by) = self.occupancy.bin_of(p.x, p.y);
-        let (bw, bh) = self.occupancy.bin_size();
-        self.occupancy.at(bx, by) / (bw * bh)
-    }
-
     /// Checks whether `extra_area` µm² can be added at `p`.
     ///
     /// # Errors
@@ -197,13 +190,5 @@ mod tests {
         let found = t.find_legal_near(&pl, p, 5.0);
         assert!(found.is_ok());
         assert_ne!(found.unwrap(), p);
-    }
-
-    #[test]
-    fn utilization_is_positive_where_cells_sit() {
-        let (lib, nl, pl) = world(0.6);
-        let t = DensityTracker::new(&nl, &lib, &pl, 8, 0.8);
-        let (cid, _) = nl.cells().next().unwrap();
-        assert!(t.utilization_at(pl.cell_pos(cid)) > 0.0);
     }
 }

@@ -109,14 +109,6 @@ impl Floorplan {
     pub fn is_placeable(&self, p: Point) -> bool {
         self.die.contains(p) && !self.macros.iter().any(|m| m.contains(p))
     }
-
-    /// Fraction of the die covered by macros.
-    pub fn macro_fraction(&self) -> f32 {
-        if self.die.area() <= 0.0 {
-            return 0.0;
-        }
-        self.macros.iter().map(Rect::area).sum::<f32>() / self.die.area()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +153,6 @@ mod tests {
         assert!(!fp.is_placeable(Point::new(10.0, 10.0)));
         assert!(fp.is_placeable(Point::new(50.0, 50.0)));
         assert!(!fp.is_placeable(Point::new(150.0, 50.0)));
-        assert!((fp.macro_fraction() - 0.09).abs() < 1e-6);
     }
 
     proptest! {

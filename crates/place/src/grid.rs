@@ -168,32 +168,6 @@ impl Grid {
         }
     }
 
-    /// Average-pools the grid by an integer `factor` in both dimensions,
-    /// producing a `(w/factor) × (h/factor)` grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` does not divide both dimensions.
-    #[must_use]
-    pub fn avg_pool(&self, factor: usize) -> Grid {
-        assert!(factor > 0 && self.w.is_multiple_of(factor) && self.h.is_multiple_of(factor));
-        let (nw, nh) = (self.w / factor, self.h / factor);
-        let mut out = Grid::new(nw, nh, self.die);
-        let inv = 1.0 / (factor * factor) as f32;
-        for y in 0..nh {
-            for x in 0..nw {
-                let mut s = 0.0;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        s += self.at(x * factor + dx, y * factor + dy);
-                    }
-                }
-                out.set(x, y, s * inv);
-            }
-        }
-        out
-    }
-
     /// Renders the grid as a binary PGM image (max-normalized), for the
     /// Fig. 5 reproduction.
     pub fn to_pgm(&self) -> Vec<u8> {
@@ -291,22 +265,6 @@ mod tests {
             }
             assert!(one_slow.total() > 0.0, "{what}: the reference deposited nothing");
         }
-    }
-
-    #[test]
-    fn avg_pool_preserves_mean() {
-        let mut g = Grid::new(8, 8, die());
-        for y in 0..8 {
-            for x in 0..8 {
-                g.set(x, y, (x + y) as f32);
-            }
-        }
-        let p = g.avg_pool(4);
-        assert_eq!(p.width(), 2);
-        assert_eq!(p.height(), 2);
-        let mean_g = g.total() / 64.0;
-        let mean_p = p.total() / 4.0;
-        assert!((mean_g - mean_p).abs() < 1e-5);
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! on does depend on scheduling; what the suite relies on is the
 //! deterministic per-site fault mix, not a per-request script.
 //!
-//! Injection is env-gated like `RTT_SANITIZE`: production code calls
-//! [`FaultPlan::from_env`], which returns the zero-cost disabled plan
-//! unless `RTT_FAULTS` is set. Tests construct plans directly.
+//! Injection is env-gated: production code calls [`FaultPlan::from_env`],
+//! which returns the zero-cost disabled plan unless `RTT_FAULTS` is set.
+//! Tests construct plans directly.
 //!
 //! ```
 //! use rtt_serve::fault::{FaultMode, FaultSpec};
 //!
-//! let plan = FaultSpec::new(42).rate(0.5).all_modes().build();
+//! let plan = FaultSpec::new(42).rate(0.5).build();
 //! // Deterministic: the same seed always yields the same decision stream.
 //! let first: Vec<bool> = (0..8).map(|_| plan.decide(FaultMode::ShortRead)).collect();
-//! let again = FaultSpec::new(42).rate(0.5).all_modes().build();
+//! let again = FaultSpec::new(42).rate(0.5).build();
 //! let second: Vec<bool> = (0..8).map(|_| again.decide(FaultMode::ShortRead)).collect();
 //! assert_eq!(first, second);
 //! ```
@@ -119,17 +119,10 @@ impl FaultSpec {
         self
     }
 
-    /// Remembers `probability` as the default for [`Self::all_modes`].
+    /// Sets every mode's injection probability (`0.0..=1.0`).
     #[must_use]
     pub fn rate(mut self, probability: f64) -> Self {
         self.rate_ppm = [ppm(probability); 7];
-        self
-    }
-
-    /// Enables every mode at the rate set by the last [`Self::rate`] call
-    /// (identity today; kept for spec readability).
-    #[must_use]
-    pub fn all_modes(self) -> Self {
         self
     }
 
@@ -358,7 +351,7 @@ mod tests {
     #[test]
     fn decision_streams_are_deterministic_per_seed() {
         let draw = |seed: u64| -> Vec<bool> {
-            let plan = FaultSpec::new(seed).rate(0.3).all_modes().build();
+            let plan = FaultSpec::new(seed).rate(0.3).build();
             (0..256).map(|i| plan.decide(ALL_MODES[i % ALL_MODES.len()])).collect()
         };
         assert_eq!(draw(7), draw(7));

@@ -21,7 +21,7 @@
 //!   surfaces the typed error on `/stats`.
 //! * [`fault`] — deterministic, seeded fault injection (short reads and
 //!   writes, disconnects, stalls, corrupt reloads, queue-full bursts),
-//!   env-gated via `RTT_FAULTS` exactly like `RTT_SANITIZE`.
+//!   env-gated via `RTT_FAULTS`.
 //! * [`stats`] / [`server`] — request counters, bounded latency rings,
 //!   and the daemon itself: a fixed worker pool, one recycled `InferCtx`
 //!   per worker, per-request deadlines, graceful drain on shutdown.

@@ -719,10 +719,10 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
 
 /// Nightly soak: one long randomized transform session (200+ applied
 /// transforms on one design, bit-checked after every step). CI runs this
-/// under `RTT_SANITIZE=1` so every kernel output is finite-checked too.
+/// in a debug build, so every kernel output is finite-checked too.
 ///
 /// ```text
-/// cargo test --release --test incremental_equivalence -- --ignored
+/// cargo test --test incremental_equivalence -- --ignored
 /// ```
 #[test]
 #[ignore = "nightly soak; run explicitly with -- --ignored"]
