@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rtt_core::{Aggregation, GnnSchedule, LevelFeats, ModelConfig, NetlistGnn};
 use rtt_features::NodeFeatures;
 use rtt_netlist::NodeKind;
-use rtt_nn::{mse, ops, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor, Var};
+use rtt_nn::{mse, Adam, Mlp, ParamStore, Tape, Tensor, Var};
 
 use crate::BaselineInputs;
 
@@ -229,33 +229,11 @@ impl GuoModel {
         self.gnn.forward_nodes(tape, &self.store, &p.schedule, &p.feats, Aggregation::Max)
     }
 
-    /// Predicts endpoint arrivals for a design (tape-free backend).
-    ///
-    /// Runs on the flat kernel path: one batched GNN pass over the
-    /// precomputed CSR plan, one gather of every endpoint row, one pass
-    /// through the arrival head. Bit-identical to
-    /// [`Self::predict_endpoints_taped`] (asserted by the equivalence
-    /// suite).
+    /// Predicts endpoint arrivals for a design: one GNN pass over the
+    /// flat plan, one gather of every endpoint row, one pass through the
+    /// arrival head — the forward this model trains on.
     // rtt-lint: entry
     pub fn predict_endpoints(&self, inputs: &BaselineInputs<'_>) -> Vec<f32> {
-        let p = prepare(inputs);
-        let ctx = InferCtx::new();
-        ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + 4, |bufs, _, _| {
-            let (gbufs, rest) = bufs.split_at_mut(NetlistGnn::FLAT_SCRATCH);
-            let [ep, t0, t1, pred] = rest else {
-                unreachable!("scratch pool sized to FLAT_SCRATCH + 4 above")
-            };
-            self.gnn.forward_flat(&self.store, &p.schedule, &p.feats, Aggregation::Max, gbufs);
-            ops::gather_rows_flat(&gbufs[0], p.schedule.flat_endpoint_rows(), ep);
-            ep.scale_assign(rtt_core::READOUT_SCALE);
-            self.arrival_head.forward_into(&self.store, ep, t0, t1, pred);
-            pred.data().iter().map(|v| v * self.arr_std + self.arr_mean).collect()
-        })
-    }
-
-    /// Reference implementation of [`Self::predict_endpoints`] on the tape
-    /// backend; the equivalence suite asserts bit-identical outputs.
-    pub fn predict_endpoints_taped(&self, inputs: &BaselineInputs<'_>) -> Vec<f32> {
         let p = prepare(inputs);
         let tape = Tape::new();
         let flat = self.node_embeddings(&tape, &p);

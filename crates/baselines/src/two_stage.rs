@@ -1,12 +1,12 @@
 //! The two-stage baselines: local stage-delay regression + PERT assembly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rtt_netlist::{EdgeKind, GateFn, PinDir, PinId};
-use rtt_nn::{mse, Adam, InferCtx, Mlp, ParamStore, Tape, Tensor};
+use rtt_nn::{mse, Adam, Mlp, ParamStore, Tape, Tensor};
 use rtt_route::{route, RouteConfig, UNIT_CAP_FF_PER_UM};
 use rtt_sta::propagate;
 
@@ -190,53 +190,25 @@ impl TwoStageModel {
         }
     }
 
-    fn decode_stages(
-        &self,
-        edges: Vec<(PinId, PinId)>,
-        vals: &Tensor,
-    ) -> HashMap<(PinId, PinId), f32> {
-        edges
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| {
-                let encoded = vals.data()[i] * self.label_std + self.label_mean;
-                (k, encoded.exp() - 1.0)
-            })
-            .collect()
-    }
-
-    /// Predicts the stage delay of every net edge of a design (tape-free
-    /// backend).
-    ///
-    /// Runs the regressor straight over the feature matrix with the
-    /// buffer-reusing MLP kernels (no constant copy, no per-layer
-    /// allocation). Bit-identical to [`Self::predict_stages_taped`]
-    /// (asserted by the equivalence suite).
+    /// Predicts the stage delay of every net edge of a design, keyed by
+    /// `(driver, sink)`. The map iterates in key order, so every pass over
+    /// it (and every sum over [`Self::local_eval`]'s pairs) repeats bit
+    /// for bit.
     // rtt-lint: entry
-    pub fn predict_stages(&self, inputs: &BaselineInputs<'_>) -> HashMap<(PinId, PinId), f32> {
-        let sf = extract_features(inputs, self.kind);
-        let ctx = InferCtx::new();
-        ctx.with_scratch(3, |bufs, _, _| {
-            let [t0, t1, out] = bufs else { unreachable!("scratch pool sized to 3 above") };
-            self.mlp.forward_into(&self.store, &sf.feats, t0, t1, out);
-            self.decode_stages(sf.edges, out)
-        })
-    }
-
-    /// Reference implementation of [`Self::predict_stages`] on the tape
-    /// backend; the equivalence suite asserts bit-identical outputs.
-    pub fn predict_stages_taped(
-        &self,
-        inputs: &BaselineInputs<'_>,
-    ) -> HashMap<(PinId, PinId), f32> {
+    pub fn predict_stages(&self, inputs: &BaselineInputs<'_>) -> BTreeMap<(PinId, PinId), f32> {
         let sf = extract_features(inputs, self.kind);
         let tape = Tape::new();
         let vals = tape.value(self.mlp.forward(&tape, &self.store, tape.constant(sf.feats)));
-        self.decode_stages(sf.edges, &vals)
+        sf.edges
+            .into_iter()
+            .zip(vals.data())
+            .map(|(k, &v)| (k, (v * self.label_std + self.label_mean).exp() - 1.0))
+            .collect()
     }
 
-    /// `(prediction, label)` pairs on the *surviving* stages — the data
-    /// behind the left columns of Table II.
+    /// `(prediction, label)` pairs on the *surviving* stages, in
+    /// `(driver, sink)` order — the data behind the left columns of
+    /// Table II.
     pub fn local_eval(&self, inputs: &BaselineInputs<'_>) -> Vec<(f32, f32)> {
         let stages = self.predict_stages(inputs);
         stages.iter().filter_map(|(&(d, s), &p)| inputs.stage_label(d, s).map(|l| (p, l))).collect()
@@ -250,16 +222,10 @@ impl TwoStageModel {
         self.assemble_endpoints(inputs, &self.predict_stages(inputs))
     }
 
-    /// Reference implementation of [`Self::predict_endpoints`] via
-    /// [`Self::predict_stages_taped`].
-    pub fn predict_endpoints_taped(&self, inputs: &BaselineInputs<'_>) -> Vec<f32> {
-        self.assemble_endpoints(inputs, &self.predict_stages_taped(inputs))
-    }
-
     fn assemble_endpoints(
         &self,
         inputs: &BaselineInputs<'_>,
-        stages: &HashMap<(PinId, PinId), f32>,
+        stages: &BTreeMap<(PinId, PinId), f32>,
     ) -> Vec<f32> {
         let graph = inputs.graph;
         let arrivals = propagate(

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use rtt_baselines::{BaselineInputs, GuoConfig, GuoModel, TwoStageKind, TwoStageModel};
 use rtt_circgen::GenParams;
-use rtt_netlist::{CellLibrary, Netlist, PinId, TimingGraph};
+use rtt_netlist::{CellLibrary, EdgeKind, Netlist, PinId, TimingGraph};
 use rtt_opt::{diff_netlists, optimize};
 use rtt_place::{place, PlaceConfig, Placement};
 use rtt_route::{route, RouteConfig};
@@ -136,6 +136,17 @@ fn two_stage_models_train_and_predict() {
         // untrained model decisively.
         let local = model.local_eval(&inputs);
         assert!(!local.is_empty());
+        // Both repeat bit for bit, the local pairs in the same order.
+        let bits = |v: &[(f32, f32)]| -> Vec<(u32, u32)> {
+            v.iter().map(|&(p, l)| (p.to_bits(), l.to_bits())).collect()
+        };
+        assert_eq!(bits(&local), bits(&model.local_eval(&inputs)), "{} local_eval", kind.label());
+        let again = model.predict_endpoints(&inputs);
+        assert!(
+            ep.iter().zip(&again).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{} predict_endpoints",
+            kind.label()
+        );
         let fit = r2(&local);
         assert!(fit > 0.0, "{} local R² = {fit}", kind.label());
         // Endpoint prediction correlates with truth at least grossly.
@@ -168,7 +179,10 @@ fn stage_labels_compose_cell_and_net() {
     let w = build_world(150, 10);
     let inputs = w.inputs();
     let mut found_composite = false;
-    for (&(drv, snk), &net_d) in &w.net_delays {
+    // Walk the labelled stages in the graph's edge order, not hash order.
+    for e in w.graph.edges().iter().filter(|e| e.kind == EdgeKind::Net) {
+        let (drv, snk) = (w.graph.pin_of(e.from), w.graph.pin_of(e.to));
+        let Some(&net_d) = w.net_delays.get(&(drv, snk)) else { continue };
         if let Some(stage) = inputs.stage_label(drv, snk) {
             assert!(stage >= net_d - 1e-4, "stage must include the net part");
             if stage > net_d + 1e-4 {

@@ -2,12 +2,16 @@
 //!
 //! Times the two workloads that fan out across threads — dataset
 //! generation (one design per item) and a training epoch (one design's
-//! forward/backward pass per item) — once with one thread and once with
-//! all available cores, then writes the results to `BENCH_PR10.json` in
-//! the current directory (and prints them). The kernels underneath are
+//! forward/backward pass per item) — with one thread and with all
+//! available cores, then writes the results to `BENCH_PR10.json` in the
+//! current directory (and prints them). The kernels underneath are
 //! serial, and both workloads are bit-identical across thread counts, so
-//! this suite measures speed only. A `lint` section records the wall time
-//! of the full rtt-lint workspace pass (parse + call graph + reachability).
+//! this suite measures speed only. Each side of a ratio (serial against
+//! parallel, full against incremental, cold against delta, batched
+//! against one endpoint per call) is timed in alternating reps and
+//! reported as its own median, so both sides see the same host state. A
+//! `lint` section records the wall time of the full rtt-lint workspace
+//! pass (parse + call graph + reachability).
 //!
 //! The training row times several epochs per rep, so that each design's
 //! tape arena is reused, and reports seconds per epoch. A `training`
@@ -29,13 +33,16 @@
 //! An `inference` section compares the tape-free serving path
 //! (`TimingModel::predict_with` on a persistent `InferCtx` arena) against
 //! the tape-backed reference (`predict_taped`): endpoints/sec for both,
-//! the speedup, and bytes allocated per pass by each backend.
+//! the speedup, and bytes allocated per pass by each backend. It also
+//! gates `predict_batch` over every endpoint against one call per
+//! endpoint over the first 16: batching shares one GNN+CNN pass, so its
+//! endpoints/sec must be at least the single-endpoint rate.
 //!
 //! An `incremental` section sweeps `TimingModel::predict_incremental` over
 //! dirty-cone sizes (~5%, ~20%, ~50% of pins, seeds chosen via rtt-sta's
 //! `fanout_cone`): wall time and speedup versus the full `predict_batch`
 //! pass, plus the rows-recomputed counters that prove how much of the GNN
-//! each cone actually redid. The ≤10%-dirty row must clear a 5x speedup.
+//! each cone actually redid. The ≤10%-dirty row must clear a 4x speedup.
 //!
 //! A `prepare` section measures the preparation pipeline: cold
 //! `PreparedDesign::prepare` pins/sec per circgen tier (including the
@@ -60,17 +67,33 @@ use rtt_place::{place, PlaceConfig};
 use rtt_route::{route, RouteConfig};
 use rtt_sta::{fanout_cone, run_sta};
 
-/// Median wall-clock seconds over `reps` runs of `f`.
-fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Wall-clock seconds of one call of `f`.
+fn time_once<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock seconds over `reps` runs of `f`.
+fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    median((0..reps.max(1)).map(|_| time_once(&mut f)).collect())
+}
+
+/// Times the two sides of a ratio in alternating reps — `a`, then `b`, in
+/// each of `reps` — so both see the same host state, and returns each
+/// side's median seconds.
+fn time_pair<A, B>(reps: usize, mut a: impl FnMut() -> A, mut b: impl FnMut() -> B) -> (f64, f64) {
+    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        sa.push(time_once(&mut a));
+        sb.push(time_once(&mut b));
+    }
+    (median(sa), median(sb))
 }
 
 struct Row {
@@ -108,21 +131,28 @@ impl Row {
     }
 }
 
-/// Times one workload with 1 thread, then with all cores, in seconds per
-/// each of the `ops` operations one call of `f` runs.
+/// Times one workload with 1 thread and with all cores, in alternating
+/// reps, in seconds per each of the `ops` operations one call of `f` runs.
 fn serial_vs_parallel<R>(
     name: &'static str,
     cores: usize,
     reps: usize,
     ops: usize,
-    mut f: impl FnMut() -> R,
+    f: impl Fn() -> R,
 ) -> Row {
+    let (serial_s, parallel_s) = time_pair(
+        reps,
+        || {
+            parallel::set_num_threads(1);
+            f()
+        },
+        || {
+            parallel::set_num_threads(cores);
+            f()
+        },
+    );
     parallel::set_num_threads(1);
-    let serial_s = time_median(reps, &mut f) / ops as f64;
-    parallel::set_num_threads(cores);
-    let parallel_s = time_median(reps, &mut f) / ops as f64;
-    parallel::set_num_threads(1);
-    let row = Row { name, serial_s, parallel_s };
+    let row = Row { name, serial_s: serial_s / ops as f64, parallel_s: parallel_s / ops as f64 };
     println!(
         "{:<22} serial {:>9.4}s  parallel {:>9.4}s  speedup {:>5.2}x",
         row.name,
@@ -232,12 +262,40 @@ fn main() {
         arena_growth as f64,
         tape_bytes as f64,
     ));
+    // Batching shares one GNN+CNN pass across a call's endpoints, so
+    // `predict_batch` over every endpoint must beat one call per endpoint
+    // in endpoints/s. The single-endpoint side calls the first
+    // `single_calls` endpoints, each paying a full pass.
+    let single_calls = 16.min(n_ep);
+    let all_eps: Vec<u32> = (0..n_ep as u32).collect();
+    let (batched_s, single_s) = time_pair(
+        5,
+        || gnn_model.predict_batch(&ctx, &gnn_design, &all_eps),
+        || {
+            for i in 0..single_calls as u32 {
+                std::hint::black_box(gnn_model.predict_batch(&ctx, &gnn_design, &[i]));
+            }
+        },
+    );
+    let batched_eps = n_ep as f64 / batched_s.max(1e-12);
+    let single_eps = single_calls as f64 / single_s.max(1e-12);
+    println!(
+        "{:<22} {batched_eps:>10.0} ep/s batched, {single_eps:>10.0} ep/s one endpoint per call \
+         ({single_calls} calls)",
+        ""
+    );
+    gates.push(Gate::at_least(
+        "batched_inference_beats_single_endpoint",
+        batched_eps / single_eps.max(1e-12),
+        1.0,
+    ));
 
     // Incremental inference: dirty-cone `predict_incremental` against the
-    // full `predict_batch` pass on the same design. Seed pins are chosen so
-    // their fan-out cone (per rtt-sta's `fanout_cone`) covers ~5% / ~20% /
-    // ~50% of pins; every rep re-dirties the same cone, so each timed call
-    // pays exactly that cone's GNN recompute plus the per-endpoint tail.
+    // full `predict_batch` pass on the same design, in alternating reps.
+    // Seed pins are chosen so their fan-out cone (per rtt-sta's
+    // `fanout_cone`) covers ~5% / ~20% / ~50% of pins; every rep re-dirties
+    // the same cone, so each timed call pays exactly that cone's GNN
+    // recompute plus the per-endpoint tail.
     let inc_d = GenParams::new("perfinc".to_owned(), 2000, 55).generate(&lib);
     let inc_pl = place(&inc_d.netlist, &lib, 0, &PlaceConfig::default());
     let inc_rt = route(&inc_d.netlist, &lib, &inc_pl, &RouteConfig::default());
@@ -250,12 +308,7 @@ fn main() {
     let inc_eps: Vec<u32> = (0..inc_prep.num_endpoints() as u32).collect();
     let mut inc = IncrementalCtx::new();
     let _ = gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &[], &inc_eps); // prime cache
-    let inc_full_s = time_median(infer_reps, || gnn_model.predict_batch(&ctx, &inc_prep, &inc_eps));
-    println!(
-        "\nincremental inference ({} endpoints, {inc_pins} pins; \
-         full predict_batch {inc_full_s:.4}s):",
-        inc_eps.len()
-    );
+    println!("\nincremental inference ({} endpoints, {inc_pins} pins):", inc_eps.len());
     // Score candidate seeds by their individual cone size and union
     // smallest-first: one high-fanout root (a PI or clock buffer) would
     // otherwise blanket most of the design and every target fraction
@@ -264,7 +317,7 @@ fn main() {
         (0..inc_pins as u32).step_by(3).map(|v| (fanout_cone(&inc_graph, &[v]).len(), v)).collect();
     inc_candidates.sort_unstable();
     #[allow(clippy::type_complexity)]
-    let mut inc_rows: Vec<(f64, usize, u64, u64, u64, u64, f64, f64)> = Vec::new();
+    let mut inc_rows: Vec<(f64, usize, u64, u64, u64, u64, f64, f64, f64)> = Vec::new();
     for &target in &[0.05f64, 0.20, 0.50] {
         // Grow the seed set until the union fan-out cone covers the
         // target fraction of pins. Mid-sized cones (at most half the
@@ -294,15 +347,17 @@ fn main() {
                 && probe.iter().zip(&full_ref).all(|(a, b)| a.to_bits() == b.to_bits()),
             "incremental diverged from full predict_batch at cone fraction {target}"
         );
-        let inc_s = time_median(infer_reps, || {
-            gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &seed_pins, &inc_eps)
-        });
-        let speedup = inc_full_s / inc_s.max(1e-12);
+        let (full_s, inc_s) = time_pair(
+            infer_reps,
+            || gnn_model.predict_batch(&ctx, &inc_prep, &inc_eps),
+            || gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &seed_pins, &inc_eps),
+        );
+        let speedup = full_s / inc_s.max(1e-12);
         let dirty_frac = recomputed as f64 / total.max(1) as f64;
         println!(
             "  cone ~{:>2.0}%  {:>4} seeds  {recomputed:>6}/{total} rows recomputed \
-             ({:>5.1}% dirty)  {eps_reused}/{eps_total} eps reused  {inc_s:>9.4}s  \
-             speedup {speedup:>5.2}x",
+             ({:>5.1}% dirty)  {eps_reused}/{eps_total} eps reused  full {full_s:>7.4}s  \
+             incremental {inc_s:>7.4}s  speedup {speedup:>5.2}x",
             target * 100.0,
             seed_nodes.len(),
             dirty_frac * 100.0
@@ -321,6 +376,7 @@ fn main() {
             total,
             eps_reused,
             eps_total,
+            full_s,
             inc_s,
             speedup,
         ));
@@ -430,26 +486,29 @@ fn main() {
     // Prime the activation cache on the pre-transform design, as a serving
     // loop would have.
     let _ = gnn_model.predict_incremental(&ctx, &mut rt_inc, &base_prep, &[], &base_eps);
-    let cold_rt_s = time_median(infer_reps, || {
-        let p = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
-        gnn_model.predict_batch(&ctx, &p, &t_eps)
-    });
-    let delta_rt_s = time_median(infer_reps, || {
-        // The clone stands in for the per-rep context state a real loop
-        // would thread through; its cost is charged to the delta path.
-        let mut c = base_ctx.clone();
-        let p = base_prep.update(
-            &mut c,
-            (&inc_d.netlist, &inc_pl),
-            (&tnl, &tpl),
-            &lib,
-            &tgraph,
-            &cfg,
-            &seeds,
-            t_targets.clone(),
-        );
-        gnn_model.predict_incremental(&ctx, &mut rt_inc, &p, &seeds, &t_eps)
-    });
+    let (cold_rt_s, delta_rt_s) = time_pair(
+        infer_reps,
+        || {
+            let p = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
+            gnn_model.predict_batch(&ctx, &p, &t_eps)
+        },
+        || {
+            // The clone stands in for the per-rep context state a real loop
+            // would thread through; its cost is charged to the delta path.
+            let mut c = base_ctx.clone();
+            let p = base_prep.update(
+                &mut c,
+                (&inc_d.netlist, &inc_pl),
+                (&tnl, &tpl),
+                &lib,
+                &tgraph,
+                &cfg,
+                &seeds,
+                t_targets.clone(),
+            );
+            gnn_model.predict_incremental(&ctx, &mut rt_inc, &p, &seeds, &t_eps)
+        },
+    );
     let rt_speedup = cold_rt_s / delta_rt_s.max(1e-12);
     println!(
         "\ntransform→predict round trip ({} pins, {} dirty seeds, \
@@ -544,23 +603,27 @@ fn main() {
          \"infer_s\": {infer_s:.6}, \"infer_endpoints_per_s\": {:.1}, \
          \"arena_growth_bytes_per_pass\": {arena_growth}, \
          \"arena_resident_bytes\": {arena_resident}, \
-         \"speedup\": {infer_speedup:.3}}},\n",
+         \"speedup\": {infer_speedup:.3}, \
+         \"batched_endpoints_per_s\": {batched_eps:.1}, \
+         \"single_endpoint_calls\": {single_calls}, \
+         \"single_endpoint_endpoints_per_s\": {single_eps:.1}}},\n",
         n_ep as f64 / taped_s.max(1e-12),
         n_ep as f64 / infer_s.max(1e-12),
     ));
     json.push_str(&format!(
         "  \"incremental\": {{\"endpoints\": {}, \"pins\": {inc_pins}, \"threads\": 1, \
-         \"full_batch_s\": {inc_full_s:.6}, \"rows\": [\n",
+         \"rows\": [\n",
         inc_eps.len(),
     ));
-    for (i, (target, seeds, recomputed, total, eps_reused, eps_total, inc_s, speedup)) in
+    for (i, (target, seeds, recomputed, total, eps_reused, eps_total, full_s, inc_s, speedup)) in
         inc_rows.iter().enumerate()
     {
         json.push_str(&format!(
             "    {{\"target_fraction\": {target:.2}, \"seed_pins\": {seeds}, \
              \"rows_recomputed\": {recomputed}, \"rows_total\": {total}, \
              \"dirty_fraction\": {:.4}, \"endpoints_reused\": {eps_reused}, \
-             \"endpoints_requested\": {eps_total}, \"incremental_s\": {inc_s:.6}, \
+             \"endpoints_requested\": {eps_total}, \"full_batch_s\": {full_s:.6}, \
+             \"incremental_s\": {inc_s:.6}, \
              \"speedup\": {speedup:.3}}}{}\n",
             *recomputed as f64 / (*total).max(1) as f64,
             if i + 1 < inc_rows.len() { "," } else { "" }

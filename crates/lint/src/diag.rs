@@ -5,8 +5,7 @@ use std::fmt;
 /// Identifier of one lint rule.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Rule {
-    /// Nondeterministic `HashMap`/`HashSet` iteration in a
-    /// determinism-critical crate.
+    /// Nondeterministic `HashMap`/`HashSet` iteration.
     D001,
     /// Ambient entropy: `thread_rng`, `SystemTime`, `Instant::now`.
     D002,
@@ -70,7 +69,7 @@ impl Rule {
     /// One-line description used in diagnostics.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D001 => "iteration over HashMap/HashSet in a determinism-critical crate",
+            Rule::D001 => "iteration over HashMap/HashSet",
             Rule::D002 => "ambient entropy source in library code",
             Rule::D003 => "exact float comparison",
             Rule::D004 => "order-sensitive reduction over a parallel iterator",

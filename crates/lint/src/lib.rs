@@ -6,7 +6,7 @@
 //!
 //! | id   | checks |
 //! |------|--------|
-//! | D001 | HashMap/HashSet iteration in determinism-critical crates |
+//! | D001 | HashMap/HashSet iteration (hash order), in every file |
 //! | D002 | ambient entropy (`thread_rng`, `SystemTime::now`, `Instant::now`) |
 //! | D003 | exact float `==` / `!=` comparison |
 //! | D004 | `par_iter()` reduced with `.sum()`/`.reduce()` (scheduling-order) |
@@ -190,7 +190,6 @@ mod tests {
         FileContext {
             path: format!("crates/{crate_name}/src/lib.rs"),
             crate_name: crate_name.to_owned(),
-            determinism_critical: walk::DETERMINISM_CRITICAL.contains(&crate_name),
             kind: FileKind::Lib,
         }
     }
@@ -220,7 +219,6 @@ mod tests {
         let b_ctx = FileContext {
             path: "crates/nn/src/ops.rs".to_owned(),
             crate_name: "nn".to_owned(),
-            determinism_critical: true,
             kind: FileKind::Lib,
         };
         let a = "// rtt-lint: entry\npub fn predict() { kernel(); }\n";

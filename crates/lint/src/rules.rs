@@ -35,8 +35,6 @@ pub struct FileContext {
     pub crate_name: String,
     /// File classification.
     pub kind: FileKind,
-    /// `true` when `crate_name` is in the determinism-critical set.
-    pub determinism_critical: bool,
 }
 
 /// Iterator adaptors whose order reflects hash order.
@@ -80,9 +78,7 @@ pub fn check_file(lexed: &Lexed, ctx: &FileContext, source: &str) -> Vec<Finding
         });
     };
 
-    if ctx.determinism_critical {
-        d001(toks, &mut push);
-    }
+    d001(toks, &mut push);
     if ctx.kind == FileKind::Lib {
         d002(toks, &mut push);
     }
@@ -118,10 +114,9 @@ pub fn check_file(lexed: &Lexed, ctx: &FileContext, source: &str) -> Vec<Finding
     findings
 }
 
-/// D001 — iteration over `HashMap`/`HashSet` in determinism-critical
-/// crates. Tracks names declared with a hash-map type in this file (let
-/// bindings, struct fields, fn params) and flags order-sensitive iteration
-/// through them.
+/// D001 — iteration over `HashMap`/`HashSet`, in every file. Tracks names
+/// declared with a hash-map type in this file (let bindings, struct fields,
+/// fn params) and flags order-sensitive iteration through them.
 fn d001(toks: &[Token], push: &mut impl FnMut(Rule, &Token, String)) {
     let names = hash_typed_names(toks);
     if names.is_empty() {

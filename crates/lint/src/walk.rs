@@ -3,10 +3,6 @@
 use crate::rules::{FileContext, FileKind};
 use std::path::{Path, PathBuf};
 
-/// Crates whose outputs feed the timing-prediction numeric path; D001
-/// applies only here.
-pub const DETERMINISM_CRITICAL: &[&str] = &["netlist", "sta", "features", "nn", "core", "flow"];
-
 /// Collects every `.rs` file under the workspace root that the lint pass
 /// covers, sorted by path so output order is stable. Skips `target/` and
 /// any directory named `fixtures` (lint test inputs are intentionally
@@ -64,12 +60,7 @@ pub fn classify(rel: &str) -> FileContext {
     } else {
         FileKind::Lib
     };
-    FileContext {
-        path: rel.to_owned(),
-        crate_name: crate_name.to_owned(),
-        determinism_critical: DETERMINISM_CRITICAL.contains(&crate_name),
-        kind,
-    }
+    FileContext { path: rel.to_owned(), crate_name: crate_name.to_owned(), kind }
 }
 
 #[cfg(test)]
@@ -81,7 +72,6 @@ mod tests {
         let c = classify("crates/sta/src/propagate.rs");
         assert_eq!(c.crate_name, "sta");
         assert_eq!(c.kind, FileKind::Lib);
-        assert!(c.determinism_critical);
 
         let c = classify("crates/flow/src/bin/table3.rs");
         assert_eq!(c.kind, FileKind::Bin);
@@ -91,7 +81,6 @@ mod tests {
 
         let c = classify("crates/bench/src/lib.rs");
         assert_eq!(c.kind, FileKind::Bench);
-        assert!(!c.determinism_critical);
 
         let c = classify("src/lib.rs");
         assert_eq!(c.crate_name, "restructure-timing");
@@ -102,6 +91,5 @@ mod tests {
 
         let c = classify("compat/rand/src/lib.rs");
         assert_eq!(c.crate_name, "rand");
-        assert!(!c.determinism_critical);
     }
 }

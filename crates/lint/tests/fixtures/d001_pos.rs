@@ -1,4 +1,4 @@
-// D001 positive: hash-order iteration in a determinism-critical crate.
+// D001 positive: hash-order iteration.
 use std::collections::{HashMap, HashSet};
 
 pub fn sum_values(scores: &HashMap<u32, f32>) -> f32 {

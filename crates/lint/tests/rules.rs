@@ -3,13 +3,12 @@
 
 use rtt_lint::{lint_source, FileContext, FileKind, Rule};
 
-/// Context of a library file in a determinism-critical crate — the
-/// strictest setting, so every rule is active.
+/// Context of a library file — the strictest setting, so every rule is
+/// active.
 fn strict_ctx() -> FileContext {
     FileContext {
         path: "crates/sta/src/fixture.rs".to_owned(),
         crate_name: "sta".to_owned(),
-        determinism_critical: true,
         kind: FileKind::Lib,
     }
 }
@@ -51,12 +50,7 @@ fn graph_rule_findings(files: &[(&str, &str)], rule: Rule) -> usize {
         .iter()
         .map(|(path, src)| {
             let crate_name = path.split('/').nth(1).unwrap_or("nn").to_owned();
-            let ctx = FileContext {
-                path: (*path).to_owned(),
-                crate_name,
-                determinism_critical: false,
-                kind: FileKind::Lib,
-            };
+            let ctx = FileContext { path: (*path).to_owned(), crate_name, kind: FileKind::Lib };
             (ctx, *src)
         })
         .collect();
@@ -142,10 +136,10 @@ fn relaxed_contexts_disable_the_right_rules() {
     let pos_d001 = include_str!("fixtures/d001_pos.rs");
     let mut ctx = strict_ctx();
     ctx.crate_name = "place".to_owned();
-    ctx.determinism_critical = false;
+    ctx.path = "crates/place/src/fixture.rs".to_owned();
     assert!(
-        lint_source(pos_d001, &ctx).findings.iter().all(|f| f.rule != Rule::D001),
-        "D001 only applies to determinism-critical crates"
+        lint_source(pos_d001, &ctx).findings.iter().any(|f| f.rule == Rule::D001),
+        "D001 applies in every crate"
     );
 
     let pos_r001 = include_str!("fixtures/r001_pos.rs");

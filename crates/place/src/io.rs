@@ -90,11 +90,10 @@ pub fn write_placement(netlist: &Netlist, placement: &Placement) -> String {
 pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, PlacementIoError> {
     let mut die: Option<Rect> = None;
     let mut macros = Vec::new();
-    let mut cell_pos: HashMap<&str, Point> = HashMap::new();
-    let mut port_pos: HashMap<&str, Point> = HashMap::new();
-    // `(line, position)` of every CELL/PORT record, checked against the
-    // DIE once it is known (it may come later in the file).
-    let mut positions: Vec<(usize, Point)> = Vec::new();
+    // `(line, is_cell, name, position)` of every CELL/PORT record in file
+    // order, checked against the DIE once it is known (it may come later
+    // in the file) and then against the netlist.
+    let mut records: Vec<(usize, bool, &str, Point)> = Vec::new();
 
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -135,48 +134,46 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
                     return Err(malformed(format!("{kind} needs a name and 2 coordinates")));
                 }
                 let p = Point::new(num(rest[1])?, num(rest[2])?);
-                positions.push((line_no, p));
-                if kind == "CELL" {
-                    cell_pos.insert(rest[0], p);
-                } else {
-                    port_pos.insert(rest[0], p);
-                }
+                records.push((line_no, kind == "CELL", rest[0], p));
             }
             other => return Err(malformed(format!("unknown record `{other}`"))),
         }
     }
 
     let die = die.ok_or(PlacementIoError::MissingDie)?;
-    if let Some(&(line, p)) = positions.iter().find(|(_, p)| !die.contains(*p)) {
+    if let Some(&(line, _, _, p)) = records.iter().find(|r| !die.contains(r.3)) {
         let message = format!("position ({}, {}) lies outside the DIE", p.x, p.y);
         return Err(PlacementIoError::Malformed { line, message });
     }
     let mut placement = Placement::empty(Floorplan { die, macros }, netlist);
-    // Reject names that match nothing in the netlist.
+    // Reject names that match nothing in the netlist, in file order so the
+    // first unknown name is the one reported. A repeated record places its
+    // entity again: the last one wins.
     let known_cells: HashMap<&str, rtt_netlist::CellId> =
         netlist.cells().map(|(id, c)| (c.name.as_str(), id)).collect();
-    for (&name, &p) in &cell_pos {
-        let id = known_cells
-            .get(name)
-            .copied()
-            .ok_or_else(|| PlacementIoError::UnknownCell(name.to_owned()))?;
-        placement.place_cell(id, p);
-    }
-    for (&name, &p) in &port_pos {
-        let pid = netlist
-            .input_ports()
-            .iter()
-            .chain(netlist.output_ports())
-            .copied()
-            .find(|&pid| netlist.pin(pid).name == name)
-            .ok_or_else(|| PlacementIoError::UnknownPort(name.to_owned()))?;
-        placement.place_port(pid, p);
+    let mut placed = vec![false; netlist.cell_capacity()];
+    for &(_, is_cell, name, p) in &records {
+        if is_cell {
+            let id = known_cells
+                .get(name)
+                .copied()
+                .ok_or_else(|| PlacementIoError::UnknownCell(name.to_owned()))?;
+            placement.place_cell(id, p);
+            placed[id.index()] = true;
+        } else {
+            let pid = netlist
+                .input_ports()
+                .iter()
+                .chain(netlist.output_ports())
+                .copied()
+                .find(|&pid| netlist.pin(pid).name == name)
+                .ok_or_else(|| PlacementIoError::UnknownPort(name.to_owned()))?;
+            placement.place_port(pid, p);
+        }
     }
     // Completeness: every live cell must be placed.
-    for (_, cell) in netlist.cells() {
-        if !cell_pos.contains_key(cell.name.as_str()) {
-            return Err(PlacementIoError::UnplacedCell(cell.name.clone()));
-        }
+    if let Some((_, cell)) = netlist.cells().find(|&(id, _)| !placed[id.index()]) {
+        return Err(PlacementIoError::UnplacedCell(cell.name.clone()));
     }
     Ok(placement)
 }
@@ -217,8 +214,14 @@ mod tests {
     fn rejects_unknown_names() {
         let (_, nl, pl) = world();
         let mut text = write_placement(&nl, &pl);
-        text.push_str("CELL ghost 1 1\n");
-        assert!(matches!(parse_placement(&nl, &text), Err(PlacementIoError::UnknownCell(_))));
+        // Of several unknown cells, the error names the first in the file.
+        for i in 0..64 {
+            text.push_str(&format!("CELL ghost{i} 1 1\n"));
+        }
+        match parse_placement(&nl, &text) {
+            Err(PlacementIoError::UnknownCell(name)) => assert_eq!(name, "ghost0"),
+            other => panic!("expected an unknown cell, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Bit-equality of the tape-free inference backend against the tape path.
 //!
-//! `TimingModel::predict` (and the baselines' predict paths) run on
-//! [`rtt_nn::InferCtx`]; the tape-backed reference implementations are kept
-//! as `predict_taped` / `predict_endpoints_taped`. Both backends execute
-//! the same `rtt_nn::ops` kernels in the same order, so their outputs must
-//! agree to the bit — for every model variant, at tiny and small model
-//! scales, and for any thread count. The batched entry points
+//! `TimingModel::predict` runs on [`rtt_nn::InferCtx`]; the tape-backed
+//! reference implementation is kept as `predict_taped`. Both backends
+//! execute the same `rtt_nn::ops` kernels in the same order, so their
+//! outputs must agree to the bit — for every model variant, at tiny and
+//! small model scales, and for any thread count. The batched entry points
 //! (`predict_batch` at batch sizes 1, 7, and all endpoints, and
 //! `predict_with` over one shared context) and the cached reads
 //! (`predict_cached` over a primed or a cold `IncrementalCtx`) must land
@@ -19,14 +18,8 @@
 //! inside a single `#[test]` that switches `RTT_THREADS`-equivalent state
 //! serially.
 
-use std::collections::HashMap;
-
-use restructure_timing::baselines::{
-    BaselineInputs, GuoConfig, GuoModel, TwoStageKind, TwoStageModel,
-};
-use restructure_timing::flow::{Dataset, DesignData, FlowConfig};
+use restructure_timing::flow::{Dataset, FlowConfig};
 use restructure_timing::model::IncrementalCtx;
-use restructure_timing::netlist::PinId;
 use restructure_timing::nn::{parallel, InferCtx};
 use restructure_timing::obs;
 use restructure_timing::prelude::*;
@@ -47,29 +40,6 @@ fn obs_counter(name: &str) -> u64 {
     obs::snapshot().counters.get(name).copied().unwrap_or(0)
 }
 
-/// Owned label bundle backing a [`BaselineInputs`] view.
-struct Labels {
-    nets: HashMap<(PinId, PinId), f32>,
-    cells: HashMap<(PinId, PinId), f32>,
-    arrivals: HashMap<PinId, f32>,
-    endpoints: Vec<f32>,
-}
-
-impl Labels {
-    fn of(d: &DesignData) -> Self {
-        Self {
-            nets: d.surviving_net_delays(),
-            cells: d.surviving_cell_delays(),
-            arrivals: d.surviving_arrivals(),
-            endpoints: d.endpoint_targets(),
-        }
-    }
-
-    fn inputs<'a>(&'a self, d: &'a DesignData, lib: &'a CellLibrary) -> BaselineInputs<'a> {
-        d.baseline_inputs(lib, &self.nets, &self.cells, &self.arrivals, &self.endpoints)
-    }
-}
-
 #[test]
 fn tape_free_predict_is_bit_identical_to_taped() {
     let cfg = FlowConfig { scale: Scale::Tiny };
@@ -77,18 +47,6 @@ fn tape_free_predict_is_bit_identical_to_taped() {
     let lib = &ds.library;
     let d_train = ds.train_designs()[0];
     let d_test = ds.test_designs()[0];
-    let train_labels = Labels::of(d_train);
-    let test_labels = Labels::of(d_test);
-
-    // Baselines, trained briefly so weights (and normalizations) are
-    // nontrivial.
-    let train_inputs = train_labels.inputs(d_train, lib);
-    let mut dac19 = TwoStageModel::new(TwoStageKind::Dac19, 1);
-    dac19.train(&[&train_inputs], 20, 2e-3);
-    let mut he = TwoStageModel::new(TwoStageKind::Dac22He, 2);
-    he.train(&[&train_inputs], 20, 2e-3);
-    let mut guo = GuoModel::new(GuoConfig::default());
-    guo.train(&[&train_inputs], 2, 2e-3);
 
     // Our model: every variant at the tiny scale, the unmasked ablation,
     // plus the full model at the small scale (different widths, grid, and
@@ -213,27 +171,10 @@ fn tape_free_predict_is_bit_identical_to_taped() {
 
             this_round.push(infer);
         }
-        let test_inputs = test_labels.inputs(d_test, lib);
-        for (name, infer, taped) in [
-            (
-                "DAC19",
-                dac19.predict_endpoints(&test_inputs),
-                dac19.predict_endpoints_taped(&test_inputs),
-            ),
-            (
-                "DAC22-he",
-                he.predict_endpoints(&test_inputs),
-                he.predict_endpoints_taped(&test_inputs),
-            ),
-            ("guo", guo.predict_endpoints(&test_inputs), guo.predict_endpoints_taped(&test_inputs)),
-        ] {
-            assert_bits_eq(&format!("{name} @ {threads} threads"), &infer, &taped);
-            this_round.push(infer);
-        }
         across_threads.push(this_round);
     }
     parallel::set_num_threads(1);
     for (i, (a, b)) in across_threads[0].iter().zip(&across_threads[1]).enumerate() {
-        assert_bits_eq(&format!("model/baseline {i} across thread counts"), a, b);
+        assert_bits_eq(&format!("model {i} across thread counts"), a, b);
     }
 }

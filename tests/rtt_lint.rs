@@ -31,8 +31,10 @@ fn call_graph_covers_the_serving_surface() {
     let report = rtt_lint::lint_workspace(root).expect("lint pass runs");
     // The serving surface: TimingModel::{predict, predict_with,
     // predict_batch, predict_incremental, predict_cached}, the daemon's
-    // handle_connection and route, plus the baselines' predict entry
-    // points. Losing a marker would silently turn R003 off for that path.
+    // handle_connection and route, plus the baselines' three predict
+    // paths (GuoModel::predict_endpoints, TwoStageModel::{predict_stages,
+    // predict_endpoints}), which run the taped forward they train on.
+    // Losing a marker would silently turn R003 off for that path.
     assert!(report.entry_points >= 7, "only {} entry points annotated", report.entry_points);
     // The kernel hot set: ops kernels, layer forward_into paths, and the
     // inference-arena primitives.
