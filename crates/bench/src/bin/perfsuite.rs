@@ -7,11 +7,11 @@
 //! current directory (and prints them). The kernels underneath are
 //! serial, and both workloads are bit-identical across thread counts, so
 //! this suite measures speed only. Each side of a ratio (serial against
-//! parallel, full against incremental, cold against delta, batched
-//! against one endpoint per call) is timed in alternating reps and
-//! reported as its own median, so both sides see the same host state. A
-//! `lint` section records the wall time of the full rtt-lint workspace
-//! pass (parse + call graph + reachability).
+//! parallel, taped against tape-free, full against incremental, cold
+//! against delta, batched against one endpoint per call) is timed in
+//! alternating reps and reported as its own median, so both sides see
+//! the same host state. A `lint` section records the wall time of the
+//! full rtt-lint workspace pass (parse + call graph + reachability).
 //!
 //! The training row times several epochs per rep, so that each design's
 //! tape arena is reused, and reports seconds per epoch. A `training`
@@ -33,10 +33,11 @@
 //! An `inference` section compares the tape-free serving path
 //! (`TimingModel::predict_with` on a persistent `InferCtx` arena) against
 //! the tape-backed reference (`predict_taped`): endpoints/sec for both,
-//! the speedup, and bytes allocated per pass by each backend. It also
-//! gates `predict_batch` over every endpoint against one call per
-//! endpoint over the first 16: batching shares one GNN+CNN pass, so its
-//! endpoints/sec must be at least the single-endpoint rate.
+//! the speedup, and bytes allocated per pass by each backend, read from
+//! one untimed pass each. It also gates `predict_batch` over every
+//! endpoint against one call per endpoint over the first 16: batching
+//! shares one GNN+CNN pass, so its endpoints/sec must be at least the
+//! single-endpoint rate.
 //!
 //! An `incremental` section sweeps `TimingModel::predict_incremental` over
 //! dirty-cone sizes (~5%, ~20%, ~50% of pins, seeds chosen via rtt-sta's
@@ -228,17 +229,21 @@ fn main() {
     let infer_reps = 7;
     let n_ep = gnn_design.num_endpoints();
     let ctx = InferCtx::new();
-    let _ = gnn_model.predict_with(&ctx, &gnn_design); // warm the arena
+    // Warm the arena. Bytes per pass come from one untimed pass per side:
+    // the timed reps alternate the sides, so their counters would mix.
+    let _ = gnn_model.predict_with(&ctx, &gnn_design);
+    let counter = |key: &str| rtt_obs::snapshot().counters.get(key).copied().unwrap_or(0);
+    rtt_obs::reset();
     let _ = gnn_model.predict_taped(&gnn_design);
+    let tape_bytes = counter("nn::tape_bytes");
     rtt_obs::reset();
-    let taped_s = time_median(infer_reps, || gnn_model.predict_taped(&gnn_design));
-    let tape_bytes = rtt_obs::snapshot().counters.get("nn::tape_bytes").copied().unwrap_or(0)
-        / infer_reps as u64;
-    rtt_obs::reset();
-    let infer_s = time_median(infer_reps, || gnn_model.predict_with(&ctx, &gnn_design));
-    let arena_growth =
-        rtt_obs::snapshot().counters.get("nn::infer_arena_bytes").copied().unwrap_or(0)
-            / infer_reps as u64;
+    let _ = gnn_model.predict_with(&ctx, &gnn_design);
+    let arena_growth = counter("nn::infer_arena_bytes");
+    let (taped_s, infer_s) = time_pair(
+        infer_reps,
+        || gnn_model.predict_taped(&gnn_design),
+        || gnn_model.predict_with(&ctx, &gnn_design),
+    );
     let arena_resident = ctx.arena_bytes();
     let infer_speedup = taped_s / infer_s.max(1e-12);
     println!(
@@ -294,8 +299,9 @@ fn main() {
     // full `predict_batch` pass on the same design, in alternating reps.
     // Seed pins are chosen so their fan-out cone (per rtt-sta's
     // `fanout_cone`) covers ~5% / ~20% / ~50% of pins; every rep re-dirties
-    // the same cone, so each timed call pays exactly that cone's GNN
-    // recompute plus the per-endpoint tail.
+    // the same cone, so each timed call pays that cone's GNN recompute,
+    // the CNN global map (which every refresh recomputes), and the
+    // readout tail of every requested endpoint.
     let inc_d = GenParams::new("perfinc".to_owned(), 2000, 55).generate(&lib);
     let inc_pl = place(&inc_d.netlist, &lib, 0, &PlaceConfig::default());
     let inc_rt = route(&inc_d.netlist, &lib, &inc_pl, &RouteConfig::default());
@@ -363,10 +369,10 @@ fn main() {
             dirty_frac * 100.0
         );
         if dirty_frac <= 0.10 {
-            // The measured speedup is ~5x but the denominator is a ~4 ms
-            // full pass, so single-core scheduling noise swings the ratio
-            // by ±10%; gate at 4x to keep the regression check meaningful
-            // without flaking on loaded runners.
+            // The bound is a target the suite does not reach yet: six
+            // runs on a 2-vCPU host read 2.65-2.77, because the refresh
+            // also pays the CNN global map and every endpoint's tail
+            // (ROADMAP item 3).
             gates.push(Gate::at_least("incremental_speedup_at_most_10pct_dirty", speedup, 4.0));
         }
         inc_rows.push((

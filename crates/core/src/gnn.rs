@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use rtt_features::{NodeFeatures, CELL_FEATURE_DIM, NET_FEATURE_DIM};
-use rtt_netlist::{EdgeKind, NodeKind, PinId, TimingGraph};
+use rtt_netlist::{EdgeKind, NodeKind, TimingGraph};
 use rtt_nn::{ops, Mlp, MlpScratch, ParamStore, Tape, Tensor, Var};
 
 use crate::{Aggregation, ModelConfig};
@@ -20,36 +20,34 @@ pub const READOUT_SCALE: f32 = 0.05;
 /// owns, where each node's messages come from, and where each level's
 /// results land. Building it once per design and reusing it across epochs
 /// and requests is what makes CPU training and serving viable.
+///
+/// A node's flat row is its pin's index: pin ids survive every tombstoning
+/// edit, so a pin keeps its row across a transform.
 #[derive(Clone, Debug)]
 pub struct GnnSchedule {
-    /// Flat row of each graph node.
+    /// Flat row of each graph node (its pin's index).
     row_of: Vec<u32>,
     /// The batched plan both GNN passes run, shared with the tape nodes
     /// that train through it.
     plan: Arc<GnnPlan>,
-    /// Pin behind each flat row — the stable key the incremental path
-    /// uses to match rows across a netlist transform (pin ids survive
-    /// tombstoning edits, flat row numbers do not).
-    pin_of_row: Vec<PinId>,
 }
 
-/// The batched execution plan over one flat `[num_nodes, embed_dim]`
-/// embedding matrix. Nodes own rows in level order; each level splits into
-/// cell, net and source groups, whose fanin messages are gathered by flat
-/// row, reduced over CSR runs, and scattered back to the group's rows.
-/// All of it is index arithmetic done once per design, so the per-pass
-/// inner loops are straight-line gathers, contiguous reductions, and row
-/// memcpys.
+/// The batched execution plan over one flat `[total_rows, embed_dim]`
+/// embedding matrix. Each level splits into cell, net and source groups,
+/// whose fanin messages are gathered by flat row, reduced over CSR runs,
+/// and scattered back to the group's rows. All of it is index arithmetic
+/// done once per design, so the per-pass inner loops are straight-line
+/// gathers, contiguous reductions, and row memcpys.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct GnnPlan {
     pub(crate) levels: Vec<FlatLevel>,
     /// Flat row of each endpoint, aligned with `TimingGraph::endpoints()`.
     pub(crate) endpoint_rows: Vec<u32>,
-    /// Total rows of the flat matrix (= number of graph nodes).
+    /// Rows of the flat matrix: one past the largest live pin's index.
     pub(crate) total_rows: usize,
-    /// First flat row of each level (`len = levels + 1`): level `l` owns
-    /// rows `level_off[l]..level_off[l + 1]`.
-    pub(crate) level_off: Vec<u32>,
+    /// Rows that belong to a live pin (= graph nodes). The other rows are
+    /// holes left by dead pins: no gather or scatter names them.
+    pub(crate) live_rows: usize,
 }
 
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -81,22 +79,14 @@ impl GnnSchedule {
     /// Plans the levelized propagation for `graph`.
     pub fn build(graph: &TimingGraph) -> Self {
         let num_levels = graph.max_level() as usize + 1;
-        // Rows follow level order, and inside a level the graph's own
-        // node order; cell groups' static features come first in the
+        // A node's row is its pin's index; rows of dead pins are holes.
+        let nodes = 0..graph.num_nodes() as u32;
+        let row_of: Vec<u32> = nodes.clone().map(|v| graph.pin_of(v).index() as u32).collect();
+        let total_rows = row_of.iter().map(|&r| r as usize + 1).max().unwrap_or(0);
+        // Group lists follow level order, and inside a level the graph's
+        // own node order; cell groups' static features come first in the
         // concatenated `f_c2` input, source groups after them.
-        let mut row_of = vec![0u32; graph.num_nodes()];
-        let mut level_off = Vec::with_capacity(num_levels + 1);
-        let mut total_rows = 0u32;
-        let mut total_cell_rows = 0usize;
-        for l in 0..num_levels as u32 {
-            level_off.push(total_rows);
-            for &v in graph.nodes_at_level(l) {
-                row_of[v as usize] = total_rows;
-                total_rows += 1;
-                total_cell_rows += usize::from(graph.node_kind(v) == NodeKind::CellOut);
-            }
-        }
-        level_off.push(total_rows);
+        let total_cell_rows = nodes.filter(|&v| graph.node_kind(v) == NodeKind::CellOut).count();
 
         let (mut cell_off, mut net_off, mut src_off) = (0usize, 0usize, total_cell_rows);
         let mut levels = Vec::with_capacity(num_levels);
@@ -154,32 +144,27 @@ impl GnnSchedule {
         // and scatter index must address a real flat row, and segment
         // offsets must tile the gathered messages exactly.
         if rtt_nn::sanitize::enabled() {
-            let rows = total_rows as usize;
             for fl in &levels {
                 rtt_nn::sanitize::check_csr(
                     "gnn_plan.cell_seg",
                     &fl.cell_seg_off,
                     &fl.cell_gather,
-                    rows,
+                    total_rows,
                 );
-                rtt_nn::sanitize::check_rows("gnn_plan.net_gather", &fl.net_gather, rows);
-                rtt_nn::sanitize::check_rows("gnn_plan.cell_dst", &fl.cell_dst, rows);
-                rtt_nn::sanitize::check_rows("gnn_plan.net_dst", &fl.net_dst, rows);
-                rtt_nn::sanitize::check_rows("gnn_plan.src_dst", &fl.src_dst, rows);
+                rtt_nn::sanitize::check_rows("gnn_plan.net_gather", &fl.net_gather, total_rows);
+                rtt_nn::sanitize::check_rows("gnn_plan.cell_dst", &fl.cell_dst, total_rows);
+                rtt_nn::sanitize::check_rows("gnn_plan.net_dst", &fl.net_dst, total_rows);
+                rtt_nn::sanitize::check_rows("gnn_plan.src_dst", &fl.src_dst, total_rows);
             }
         }
 
-        let mut pin_of_row = vec![PinId::from_index(0); total_rows as usize];
-        for (v, &r) in row_of.iter().enumerate() {
-            pin_of_row[r as usize] = graph.pin_of(v as u32);
-        }
         let plan = Arc::new(GnnPlan {
             levels,
             endpoint_rows: graph.endpoints().iter().map(|&v| row_of[v as usize]).collect(),
-            total_rows: total_rows as usize,
-            level_off,
+            total_rows,
+            live_rows: row_of.len(),
         });
-        Self { row_of, plan, pin_of_row }
+        Self { row_of, plan }
     }
 
     /// Number of topological levels.
@@ -194,7 +179,7 @@ impl GnnSchedule {
 
     /// Row of graph node `node` in the flat embedding matrix that
     /// [`NetlistGnn::forward_nodes`] and [`NetlistGnn::forward_flat`]
-    /// fill.
+    /// fill: the index of the node's pin.
     ///
     /// # Panics
     ///
@@ -203,8 +188,8 @@ impl GnnSchedule {
         self.row_of[node as usize]
     }
 
-    /// Total graph nodes — the row count of the flat embedding matrix
-    /// that [`NetlistGnn::forward_flat`] fills (one row per pin).
+    /// Number of graph nodes (live pins). The flat embedding matrix has
+    /// one row per pin index up to the largest live one, so it can have more.
     pub fn num_nodes(&self) -> usize {
         self.row_of.len()
     }
@@ -215,13 +200,6 @@ impl GnnSchedule {
         &self.plan.endpoint_rows
     }
 
-    /// Pin behind each flat row (the inverse of the node → row mapping,
-    /// keyed by the transform-stable [`PinId`]s). The incremental path
-    /// matches rows across netlist edits through this.
-    pub fn flat_row_pins(&self) -> &[PinId] {
-        &self.pin_of_row
-    }
-
     /// Structural equality down to the bit: every index vector and every
     /// derived float compared (fanin means are built from small integer
     /// counts, so `==` coincides with bit equality — no NaN or negative
@@ -229,9 +207,7 @@ impl GnnSchedule {
     /// whose schedules must be indistinguishable from a cold
     /// [`GnnSchedule::build`].
     pub fn bit_eq(&self, other: &Self) -> bool {
-        self.row_of == other.row_of
-            && self.plan == other.plan
-            && self.pin_of_row == other.pin_of_row
+        self.row_of == other.row_of && self.plan == other.plan
     }
 
     /// The flat execution plan (crate-internal: the incremental engine
@@ -284,7 +260,7 @@ pub struct LevelFeats {
 impl LevelFeats {
     /// Assembles the group feature matrices from extracted node features.
     pub fn assemble(schedule: &GnnSchedule, features: &NodeFeatures) -> Self {
-        let mut node_of_row = vec![0u32; schedule.num_nodes()];
+        let mut node_of_row = vec![0u32; schedule.plan.total_rows];
         for (v, &r) in schedule.row_of.iter().enumerate() {
             node_of_row[r as usize] = v as u32;
         }
@@ -367,10 +343,10 @@ impl NetlistGnn {
         tape.gather_rows(flat, &schedule.plan.endpoint_rows)
     }
 
-    /// Like [`Self::forward`], but returns the whole `[num_nodes,
-    /// embed_dim]` flat embedding matrix, so callers can read out any node
-    /// through [`GnnSchedule::row_of`] (the end-to-end baseline predicts at
-    /// all pins, not only endpoints).
+    /// Like [`Self::forward`], but returns the whole flat embedding matrix
+    /// (one row per pin index, holes zeroed), so callers can read out any
+    /// node through [`GnnSchedule::row_of`] (the end-to-end baseline
+    /// predicts at all pins, not only endpoints).
     ///
     /// The static `f_c2` / `f_n` products over the whole design are
     /// ordinary tape ops. The level loop is one fused tape node: its
@@ -418,7 +394,7 @@ impl NetlistGnn {
         inputs.extend(self.f_c1.params().map(|id| tape.param(store, id)));
         let shape = [plan.total_rows, self.f_c1.out_dim()];
         let forward = |v: &[&Tensor], flat: &mut Tensor| {
-            flat.reset_for_overwrite(&shape);
+            plan.reset_flat(flat, shape[1]);
             let mut scratch: [Tensor; 5] = Default::default();
             self.run_levels(store, &plan.levels, aggregation, v[0], v[1], flat, &mut scratch);
         };
@@ -529,9 +505,10 @@ impl NetlistGnn {
     pub const FLAT_SCRATCH: usize = 8;
 
     /// Batched, tape-free levelized forward over the flat plan built by
-    /// [`GnnSchedule::build`]. Fills `bufs[0]` with the
-    /// `[num_nodes, embed_dim]` flat embedding matrix; read node
-    /// embeddings out of it via [`GnnSchedule::flat_endpoint_rows`].
+    /// [`GnnSchedule::build`]. Fills `bufs[0]` with the flat embedding
+    /// matrix, one row per pin index up to the largest live pin, with the
+    /// rows of dead pins zeroed; read node embeddings out of it via
+    /// [`GnnSchedule::flat_endpoint_rows`] or [`GnnSchedule::row_of`].
     ///
     /// The tape's [`Self::forward_nodes`] runs the same level loop, so the
     /// two are bit-identical. The static `f_c2` / `f_n` products are
@@ -563,40 +540,38 @@ impl NetlistGnn {
         if let Some(nf) = &feats.net_flat {
             self.embed(&self.f_n, self.residual, store, nf, sn, scratch);
         }
-        flat.reset_for_overwrite(&[plan.total_rows, self.f_c1.out_dim()]);
+        plan.reset_flat(flat, self.f_c1.out_dim());
         self.run_levels(store, &plan.levels, aggregation, sc, sn, flat, scratch);
         rtt_nn::sanitize::check_finite("gnn_forward_flat", flat);
     }
 
     /// Dirty-cone twin of [`Self::forward_flat`]: runs the same level
     /// loop over the dirty-row sub-plan in `compact` (built by
-    /// [`IncCompact::build`] from the dirty set) and fills every clean row
-    /// by copying its mapped row of `base_flat` (a cached flat matrix for
-    /// a base design whose clean rows are, by the caller's invariants,
-    /// bit-identical to what a full pass over this design would produce).
-    /// `bufs` has the [`Self::FLAT_SCRATCH`] layout; the output goes to
-    /// `flat` instead of `bufs[0]`, which gathers the dirty feature rows.
+    /// [`IncCompact::build`] from the dirty set), in place over `flat`,
+    /// a `[total_rows, embed_dim]` matrix whose clean rows already hold
+    /// what a full pass over this design writes there (the incremental
+    /// cache: a base design's matrix, whose rows are its pins, resized to
+    /// this schedule's row count). `bufs` has the [`Self::FLAT_SCRATCH`]
+    /// layout; `bufs[0]` gathers the dirty feature rows.
     ///
-    /// Caller contract — the dirty set behind `compact` / `map_rows`
-    /// (indexed by this schedule's flat rows) must satisfy:
+    /// Caller contract — the dirty set behind `compact` (indexed by flat
+    /// row) must satisfy:
     /// * the dirty set is closed under fan-out:
     ///   [`GnnSchedule::propagate_dirty`] has been run after seeding
     ///   every row whose static features, node kind, or gather sources
-    ///   changed versus the base design;
+    ///   changed versus the base design, and every row new to it;
     /// * `compact` was built by [`IncCompact::build`] from that closed
-    ///   dirty set over this schedule's plan;
-    /// * rows without a base mapping are dirty, and `map_rows[r]` is
-    ///   `u32::MAX` exactly on dirty rows.
+    ///   dirty set over this schedule's plan.
     ///
     /// Bit-identity argument (induction over levels): a clean row's
-    /// inputs are all clean (closure), its static features are
-    /// bit-identical to the base (seeding), so the byte copy of the base
-    /// row equals a recompute. A dirty row is recomputed by the same loop
-    /// as the full pass over the same rows in the same order: the
-    /// compacted `f_c2` / `f_n` products are row-wise exact, and the
-    /// sub-plan's CSR runs scan the same message rows ascending. Nothing
-    /// reads a dirty row before its level writes it, because gathers only
-    /// reference earlier levels.
+    /// inputs are all clean (closure), and its static features are
+    /// bit-identical to the base (seeding), so its cached value equals a
+    /// recompute. A dirty row is recomputed by the same loop as the full
+    /// pass over the same rows in the same order: the compacted `f_c2` /
+    /// `f_n` products are row-wise exact, and the sub-plan's CSR runs
+    /// scan the same message rows ascending. Nothing reads a dirty row's
+    /// stale value, because its level overwrites it before any later
+    /// level gathers it, and gathers only reference earlier levels.
     ///
     /// # Panics
     ///
@@ -611,8 +586,6 @@ impl NetlistGnn {
         feats: &LevelFeats,
         aggregation: Aggregation,
         compact: &IncCompact,
-        map_rows: &[u32],
-        base_flat: &Tensor,
         flat: &mut Tensor,
         bufs: &mut [Tensor],
     ) {
@@ -621,7 +594,7 @@ impl NetlistGnn {
             unreachable!("forward_flat_incremental needs {} scratch buffers", Self::FLAT_SCRATCH)
         };
         let plan = &schedule.plan;
-        assert_eq!(map_rows.len(), plan.total_rows, "row map must cover every flat row");
+        assert_eq!(flat.rows(), plan.total_rows, "cached matrix must cover every flat row");
         assert_eq!(compact.levels.len(), plan.levels.len(), "sub-plan must match schedule");
         if !compact.cell_src_rows.is_empty() {
             let Some(cs) = feats.cell_src_flat.as_ref() else {
@@ -637,10 +610,6 @@ impl NetlistGnn {
             ops::gather_rows_flat(nf, &compact.net_rows, feat_in);
             self.embed(&self.f_n, self.residual, store, feat_in, sn, scratch);
         }
-        // Clean rows: one bulk copy from the base. Dirty rows come back
-        // zeroed and are overwritten by the level loop before anything
-        // gathers them.
-        ops::gather_rows_or_zero(base_flat, map_rows, flat);
         self.run_levels(store, &compact.levels, aggregation, sc, sn, flat, scratch);
         rtt_nn::sanitize::check_finite("gnn_forward_flat_incremental", flat);
     }
@@ -729,6 +698,19 @@ impl NetlistGnn {
                     }
                 }
             }
+        }
+    }
+}
+
+impl GnnPlan {
+    /// Shapes `flat` to `[total_rows, d]` for a pass over the whole plan,
+    /// which writes every live row; hole rows, if any, are zero-filled.
+    fn reset_flat(&self, flat: &mut Tensor, d: usize) {
+        let shape = [self.total_rows, d];
+        if self.live_rows < self.total_rows {
+            flat.reset(&shape, 0.0);
+        } else {
+            flat.reset_for_overwrite(&shape);
         }
     }
 }
@@ -842,7 +824,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rtt_circgen::{ripple_carry_adder, GenParams};
-    use rtt_netlist::CellLibrary;
+    use rtt_netlist::{CellLibrary, GateFn};
     use rtt_nn::Tape;
     use rtt_place::{place, PlaceConfig};
 
@@ -901,15 +883,60 @@ mod tests {
     fn gathers_reference_earlier_levels_only() {
         let (schedule, _, _) = world(200);
         let plan = schedule.plan();
+        let mut written = vec![false; plan.total_rows];
         for (l, fl) in plan.levels.iter().enumerate() {
-            let level_start = plan.level_off[l];
             for &row in fl.cell_gather.iter().chain(&fl.net_gather) {
-                assert!(row < level_start, "forward reference at level {l}");
+                assert!(written[row as usize], "level {l} gathers row {row} before it is written");
             }
             for &row in fl.cell_dst.iter().chain(&fl.net_dst).chain(&fl.src_dst) {
-                assert!((level_start..plan.level_off[l + 1]).contains(&row), "level {l} row {row}");
+                assert!(!written[row as usize], "row {row} written twice");
+                written[row as usize] = true;
             }
         }
+    }
+
+    /// After a bypass (which kills pins) and a buffer insertion (which
+    /// adds pins past the old count), a node's row is still its pin's
+    /// index. The dead pins' rows are holes: no plan list names them, and
+    /// a full pass over a stale buffer leaves them at `+0.0`.
+    #[test]
+    fn rows_are_pin_indices_and_dead_pins_leave_zero_holes() {
+        let lib = CellLibrary::asap7_like();
+        let mut nl = GenParams::new("g", 150, 3).generate(&lib).netlist;
+        let mut pl = place(&nl, &lib, 0, &PlaceConfig::default());
+        let old_pins = nl.pin_capacity();
+        let is_buf = |c: &rtt_netlist::Cell| lib.cell_type(c.type_id).gate == GateFn::Buf;
+        let (buf, _) = nl.cells().find(|(_, c)| is_buf(c)).expect("generated design has a buffer");
+        let dead = [nl.cell(buf).inputs[0], nl.cell(buf).output];
+        rtt_opt::bypass_repeater(&mut nl, &lib, buf).expect("buffer bypass applies");
+        let (net, sink) = nl.nets().map(|(id, net)| (id, net.sinks[0])).next().expect("nets");
+        let pos = pl.floorplan().die.center();
+        rtt_opt::insert_buffer(&mut nl, &mut pl, &lib, net, sink, pos).expect("buffer inserts");
+
+        let graph = TimingGraph::build(&nl, &lib);
+        let schedule = GnnSchedule::build(&graph);
+        let plan = schedule.plan();
+        assert!(plan.total_rows > old_pins, "the new buffer's pins lie past the old count");
+        let mut live = vec![false; plan.total_rows];
+        for v in 0..graph.num_nodes() as u32 {
+            assert_eq!(schedule.row_of(v) as usize, graph.pin_of(v).index(), "node {v}");
+            live[schedule.row_of(v) as usize] = true;
+        }
+        assert!(dead.iter().all(|p| !live[p.index()]), "bypassed pins are holes");
+        for fl in &plan.levels {
+            let lists = [&fl.cell_gather, &fl.net_gather, &fl.cell_dst, &fl.net_dst, &fl.src_dst];
+            assert!(lists.into_iter().flatten().all(|&r| live[r as usize]), "a list names a hole");
+        }
+
+        let feats = LevelFeats::assemble(&schedule, &NodeFeatures::extract(&nl, &lib, &graph, &pl));
+        let cfg = ModelConfig::tiny();
+        let mut store = ParamStore::new();
+        let gnn = NetlistGnn::new(&mut store, &mut rand::rngs::StdRng::seed_from_u64(3), &cfg);
+        let mut bufs = vec![Tensor::default(); NetlistGnn::FLAT_SCRATCH];
+        bufs[0] = Tensor::full(&[plan.total_rows, cfg.embed_dim], f32::NAN);
+        gnn.forward_flat(&store, &schedule, &feats, Aggregation::Max, &mut bufs);
+        let mut holes = (0..plan.total_rows).filter(|&r| !live[r]).flat_map(|r| bufs[0].row(r));
+        assert!(holes.all(|v| v.to_bits() == 0), "a hole row is not +0.0");
     }
 
     /// Equation 3 evaluated node by node straight from the timing graph,
@@ -1089,7 +1116,7 @@ mod tests {
     fn incremental_forward_matches_full_pass() {
         let (schedule, feats, _) = world(150);
         let plan = schedule.plan();
-        let n = schedule.num_nodes();
+        let n = plan.total_rows;
 
         let mut compact = IncCompact::default();
         compact.build(plan, &vec![true; n]);
@@ -1100,8 +1127,6 @@ mod tests {
         cone[plan.levels[0].src_dst[0] as usize] = true;
         let cone_rows = schedule.propagate_dirty(&mut cone);
         assert!(1 < cone_rows && cone_rows < n, "cone of {cone_rows}/{n} rows is not partial");
-        let cone_map: Vec<u32> =
-            (0..n as u32).map(|r| if cone[r as usize] { u32::MAX } else { r }).collect();
 
         for residual in [false, true] {
             let cfg = ModelConfig { residual, ..ModelConfig::tiny() };
@@ -1113,43 +1138,39 @@ mod tests {
                     (0..NetlistGnn::FLAT_SCRATCH).map(|_| Tensor::default()).collect();
                 gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
                 let full = bufs[0].clone();
-                let mut incremental = |dirty: &[bool], map_rows: &[u32], base: &Tensor| {
+                let mut incremental = |dirty: &[bool], mut cached: Tensor| {
                     compact.build(plan, dirty);
-                    let mut flat = Tensor::default();
                     gnn.forward_flat_incremental(
                         &store,
                         &schedule,
                         &feats,
                         aggregation,
                         &compact,
-                        map_rows,
-                        base,
-                        &mut flat,
+                        &mut cached,
                         &mut bufs,
                     );
-                    bits(&flat)
+                    bits(&cached)
                 };
                 let tag = format!("residual={residual} {aggregation:?}");
 
-                // Everything dirty: the base must not be consulted at all.
+                // Everything dirty: no cached row may be read.
                 let poison = Tensor::full(&[n, cfg.embed_dim], f32::NAN);
-                let all = incremental(&vec![true; n], &vec![u32::MAX; n], &poison);
+                let all = incremental(&vec![true; n], poison);
                 assert_eq!(all, bits(&full), "{tag}: all-dirty pass must equal the full pass");
 
-                // A partial cone over the full pass as the base: clean rows
-                // are copied, the cone is recomputed. Its base rows are
-                // poisoned, so reading one instead of recomputing it shows.
-                let mut base = full.clone();
+                // A partial cone over the full pass: clean rows are kept,
+                // the cone is recomputed. Its cached rows are poisoned, so
+                // reading one instead of recomputing it shows.
+                let mut cached = full.clone();
                 for r in (0..n).filter(|&r| cone[r]) {
-                    base.data_mut()[r * cfg.embed_dim..(r + 1) * cfg.embed_dim].fill(f32::NAN);
+                    cached.data_mut()[r * cfg.embed_dim..(r + 1) * cfg.embed_dim].fill(f32::NAN);
                 }
-                let part = incremental(&cone, &cone_map, &base);
+                let part = incremental(&cone, cached);
                 assert_eq!(part, bits(&full), "{tag}: partial-cone pass must equal the full pass");
 
-                // Nothing dirty: a pure row copy of the base.
-                let identity: Vec<u32> = (0..n as u32).collect();
-                let none = incremental(&vec![false; n], &identity, &full);
-                assert_eq!(none, bits(&full), "{tag}: zero-dirty pass must copy the base");
+                // Nothing dirty: the cached matrix stays as it is.
+                let none = incremental(&vec![false; n], full.clone());
+                assert_eq!(none, bits(&full), "{tag}: zero-dirty pass must keep the cache");
             }
         }
     }
@@ -1157,7 +1178,7 @@ mod tests {
     #[test]
     fn propagate_dirty_reaches_exactly_the_fanout_cone() {
         let (schedule, _, _) = world(200);
-        let n = schedule.num_nodes();
+        let n = schedule.plan().total_rows;
         // Closure check: propagating an already-propagated set is a no-op,
         // and every row gathering from a dirty row is dirty.
         let mut dirty = vec![false; n];

@@ -4,23 +4,23 @@
 //! global map of a *base* design. When the caller re-predicts after a
 //! netlist transform, [`crate::TimingModel::predict_incremental`] seeds a
 //! dirty set from the transform's touched pins, closes it over the
-//! level-ordered fan-out cones, recomputes only the dirty rows, and
-//! copies every clean row straight out of the cache — bit-identical to a
-//! full pass, at cone-proportional cost. On success the cache *rebases*
-//! to the just-predicted design, so an optimizer inner loop only ever
-//! pays for the cone of its latest transform. A caller that knows the
-//! design has not changed since the last refresh reads through
+//! level-ordered fan-out cones, and recomputes only the dirty rows, in
+//! place in the cached matrix; every clean row keeps its cached value —
+//! bit-identical to a full pass, at cone-proportional cost. The cache
+//! then holds the just-predicted design, so an optimizer inner loop only
+//! ever pays for the cone of its latest transform. A caller that knows
+//! the design has not changed since the last refresh reads through
 //! [`crate::TimingModel::predict_cached`] instead, which skips the
 //! refresh and runs only the per-endpoint readout tail.
 //!
-//! Row matching across designs is keyed by [`PinId`] (stable under the
-//! tombstoning edits of `rtt_netlist`), never by flat row number. The
-//! caller's dirty seeds must cover **topology** changes (a pin whose
-//! gather sources changed — `rtt_opt::dirty_seed_pins` derives exactly
-//! that from a netlist diff); the context itself detects the rest:
-//! unmapped rows (new pins), node-kind changes, and any bit-level static
-//! feature change (which also covers placement moves of surviving
-//! cells).
+//! A flat row is its pin's index, and [`PinId`]s are stable under the
+//! tombstoning edits of `rtt_netlist`, so a surviving pin keeps its row
+//! across a transform and rows match by number. The caller's dirty seeds
+//! must cover **topology** changes (a pin whose gather sources changed —
+//! `rtt_opt::dirty_seed_pins` derives exactly that from a netlist diff);
+//! the context itself detects the rest: new pins, node-kind changes, and
+//! any bit-level static feature change (which also covers placement moves
+//! of surviving cells).
 //!
 //! Every refresh follows one rule: it reuses the GNN rows outside the
 //! dirty cone, recomputes the CNN global map, and empties the
@@ -32,7 +32,7 @@
 use rtt_netlist::PinId;
 use rtt_nn::{ParamStore, Tensor};
 
-use crate::gnn::{GnnPlan, IncCompact, NetlistGnn};
+use crate::gnn::{GnnPlan, IncCompact, LevelFeats, NetlistGnn};
 use crate::{Aggregation, PreparedDesign};
 
 /// Observability counter: flat GNN rows recomputed by the last
@@ -48,35 +48,28 @@ pub const EPS_REUSED_COUNTER: &str = "core::incremental_eps_reused";
 /// [`crate::TimingModel::predict_cached`].
 pub const EPS_TOTAL_COUNTER: &str = "core::incremental_eps_total";
 
-/// Node-kind tag per flat row (cell / net / source), used to detect kind
-/// flips (e.g. a pin losing its driver turns `NetSink` into `Source`)
-/// that a pure feature compare could miss.
+/// Node-kind tag per flat row (cell / net / source, or a hole left by a
+/// dead pin), used to detect kind flips (e.g. a pin losing its driver
+/// turns `NetSink` into `Source`) that a pure feature compare could miss.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum RowKind {
     Cell,
     Net,
     Src,
+    Hole,
 }
 
-/// Cached state for one base design (plus the reusable spare buffer the
-/// next refresh writes into).
+/// Cached state for one base design.
 #[derive(Clone, Debug)]
 pub(crate) struct BaseCache {
     /// `[total_rows, embed_dim]` flat activations of the base design.
     pub(crate) flat: Tensor,
-    /// Swap target for the next refresh (recycled allocation).
-    spare: Tensor,
-    /// Pin index → base flat row (`u32::MAX` = pin absent).
-    row_of_pin: Vec<u32>,
-    /// Node kind per base flat row.
-    row_kind: Vec<RowKind>,
-    /// Static-feature row (into the matching feature matrix) per base
-    /// flat row.
-    row_feat: Vec<u32>,
-    /// Clones of the base design's static feature matrices, kept for the
-    /// bit-level feature compare against the next design.
-    feat_cell_src: Option<Tensor>,
-    feat_net: Option<Tensor>,
+    /// Node kind and static-feature row (into the matching feature
+    /// matrix) per base flat row.
+    meta: Vec<(RowKind, u32)>,
+    /// A copy of the base design's static features, kept for the
+    /// bit-level compare against the next design.
+    feats: LevelFeats,
 }
 
 /// Reusable incremental-inference context. One per (model, design
@@ -87,48 +80,43 @@ pub struct IncrementalCtx {
     cache: Option<BaseCache>,
     /// CNN global map of the design the last refresh saw.
     gmap: Option<Tensor>,
-    /// Tail outputs read since the last refresh, indexed by endpoint pin
-    /// index.
+    /// Tail outputs read since the last refresh, indexed by the
+    /// endpoint's flat row.
     ep: Vec<Option<f32>>,
-    // Recycled index scratch.
+    /// Recycled dirty-set scratch.
     dirty: Vec<bool>,
-    map_rows: Vec<u32>,
-    row_of_pin_new: Vec<u32>,
     /// Recycled dirty-row sub-plan (built here, outside the hot kernel,
     /// so the kernel itself never allocates).
     compact: IncCompact,
 }
 
-fn row_meta(plan: &GnnPlan) -> (Vec<RowKind>, Vec<u32>) {
-    let mut kind = vec![RowKind::Cell; plan.total_rows];
-    let mut feat = vec![0u32; plan.total_rows];
+fn row_meta(plan: &GnnPlan) -> Vec<(RowKind, u32)> {
+    let mut meta = vec![(RowKind::Hole, 0); plan.total_rows];
     for fl in &plan.levels {
         for j in 0..fl.n_cells {
-            kind[fl.cell_dst[j] as usize] = RowKind::Cell;
-            feat[fl.cell_dst[j] as usize] = (fl.cell_feat_off + j) as u32;
+            meta[fl.cell_dst[j] as usize] = (RowKind::Cell, (fl.cell_feat_off + j) as u32);
         }
         for j in 0..fl.n_nets {
-            kind[fl.net_dst[j] as usize] = RowKind::Net;
-            feat[fl.net_dst[j] as usize] = (fl.net_feat_off + j) as u32;
+            meta[fl.net_dst[j] as usize] = (RowKind::Net, (fl.net_feat_off + j) as u32);
         }
         for j in 0..fl.n_srcs {
-            kind[fl.src_dst[j] as usize] = RowKind::Src;
-            feat[fl.src_dst[j] as usize] = (fl.src_feat_off + j) as u32;
+            meta[fl.src_dst[j] as usize] = (RowKind::Src, (fl.src_feat_off + j) as u32);
         }
     }
-    (kind, feat)
+    meta
+}
+
+/// Static-feature row `row` of a `kind` row: nets read the `f_n` input,
+/// cells and sources the `f_c2` one.
+fn feat_row(feats: &LevelFeats, kind: RowKind, row: u32) -> &[f32] {
+    let t = if kind == RowKind::Net { &feats.net_flat } else { &feats.cell_src_flat };
+    t.as_ref().map_or(&[], |t| t.row(row as usize))
 }
 
 /// Bit-level row compare (`==` on f32 would call NaNs unequal even when
 /// the recomputed value would be byte-identical).
-fn rows_bit_eq(a: Option<&Tensor>, ra: u32, b: Option<&Tensor>, rb: u32) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => {
-            let (x, y) = (a.row(ra as usize), b.row(rb as usize));
-            x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
-        }
-        _ => false,
-    }
+fn rows_bit_eq(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
 /// Clones `src` into `dst`, reusing `dst`'s allocation when possible.
@@ -137,15 +125,6 @@ fn clone_feat(dst: &mut Option<Tensor>, src: Option<&Tensor>) {
         (Some(d), Some(s)) => d.copy_from(s),
         (_, None) => *dst = None,
         (None, Some(s)) => *dst = Some(s.clone()),
-    }
-}
-
-fn build_row_of_pin(pins: &[PinId], out: &mut Vec<u32>) {
-    let cap = pins.iter().map(|p| p.index() + 1).max().unwrap_or(0);
-    out.clear();
-    out.resize(cap, u32::MAX);
-    for (r, p) in pins.iter().enumerate() {
-        out[p.index()] = r as u32;
     }
 }
 
@@ -178,8 +157,8 @@ impl IncrementalCtx {
 
     /// Refreshes the cached flat GNN matrix for `design`, recomputing
     /// only the cones dirtied by `dirty_pins` (cold caches run one full
-    /// pass). Rebases the cache onto `design` and returns the number of
-    /// rows recomputed.
+    /// pass). The cache then holds `design`'s activations; returns the
+    /// number of rows recomputed.
     pub(crate) fn refresh_gnn(
         &mut self,
         gnn: &NetlistGnn,
@@ -194,9 +173,7 @@ impl IncrementalCtx {
         let schedule = &design.schedule;
         let plan = schedule.plan();
         let n = plan.total_rows;
-        let pins = schedule.flat_row_pins();
-        let (new_kind, new_feat) = row_meta(plan);
-        build_row_of_pin(pins, &mut self.row_of_pin_new);
+        let meta = row_meta(plan);
 
         let recomputed = match &mut self.cache {
             None => {
@@ -206,81 +183,55 @@ impl IncrementalCtx {
                 // caller's arena does not stay sized to it.
                 self.cache = Some(BaseCache {
                     flat: std::mem::take(&mut bufs[0]),
-                    spare: Tensor::default(),
-                    row_of_pin: std::mem::take(&mut self.row_of_pin_new),
-                    row_kind: new_kind,
-                    row_feat: new_feat,
-                    feat_cell_src: design.feats.cell_src_flat.clone(),
-                    feat_net: design.feats.net_flat.clone(),
+                    meta,
+                    feats: design.feats.clone(),
                 });
-                n
+                plan.live_rows
             }
             Some(cache) => {
                 self.dirty.clear();
                 self.dirty.resize(n, false);
-                self.map_rows.clear();
-                self.map_rows.resize(n, u32::MAX);
-                // Map every new row to its base row by pin, auto-seeding
-                // rows that are new, changed kind, or changed features at
-                // the bit level. An unchanged design maps onto itself
-                // with no dirty row.
-                for (r, p) in pins.iter().enumerate() {
-                    let q = cache.row_of_pin.get(p.index()).copied().unwrap_or(u32::MAX);
-                    let clean = q != u32::MAX && cache.row_kind[q as usize] == new_kind[r] && {
-                        let (new_t, old_t) = match new_kind[r] {
-                            RowKind::Net => {
-                                (design.feats.net_flat.as_ref(), cache.feat_net.as_ref())
-                            }
-                            _ => {
-                                (design.feats.cell_src_flat.as_ref(), cache.feat_cell_src.as_ref())
-                            }
-                        };
-                        rows_bit_eq(new_t, new_feat[r], old_t, cache.row_feat[q as usize])
-                    };
-                    if clean {
-                        self.map_rows[r] = q;
-                    } else {
-                        self.dirty[r] = true;
-                    }
+                // A surviving pin keeps its row, so each live row compares
+                // with the base row of the same number and is seeded when
+                // it is new (a hole or past the end in the base), changed
+                // kind, or changed features at the bit level. An unchanged
+                // design has no dirty row.
+                for (r, &(kind, feat)) in
+                    meta.iter().enumerate().filter(|(_, m)| m.0 != RowKind::Hole)
+                {
+                    let new = feat_row(&design.feats, kind, feat);
+                    let clean = cache.meta.get(r).is_some_and(|&(k, f)| {
+                        k == kind && rows_bit_eq(new, feat_row(&cache.feats, k, f))
+                    });
+                    self.dirty[r] = !clean;
                 }
-                // Caller-provided seeds: pins whose gather topology
+                // Caller-provided seeds: live pins whose gather topology
                 // changed (the part a row-local compare cannot see).
                 for p in dirty_pins {
-                    if let Some(&r) = self.row_of_pin_new.get(p.index()) {
-                        if r != u32::MAX {
-                            self.dirty[r as usize] = true;
-                        }
+                    if meta.get(p.index()).is_some_and(|m| m.0 != RowKind::Hole) {
+                        self.dirty[p.index()] = true;
                     }
                 }
                 let recomputed = schedule.propagate_dirty(&mut self.dirty);
-                for (m, &d) in self.map_rows.iter_mut().zip(&self.dirty) {
-                    if d {
-                        *m = u32::MAX;
-                    }
-                }
                 self.compact.build(plan, &self.dirty);
+                cache.flat.resize_rows(n);
                 gnn.forward_flat_incremental(
                     store,
                     schedule,
                     &design.feats,
                     aggregation,
                     &self.compact,
-                    &self.map_rows,
-                    &cache.flat,
-                    &mut cache.spare,
+                    &mut cache.flat,
                     bufs,
                 );
-                std::mem::swap(&mut cache.flat, &mut cache.spare);
-                std::mem::swap(&mut cache.row_of_pin, &mut self.row_of_pin_new);
-                cache.row_kind = new_kind;
-                cache.row_feat = new_feat;
-                clone_feat(&mut cache.feat_cell_src, design.feats.cell_src_flat.as_ref());
-                clone_feat(&mut cache.feat_net, design.feats.net_flat.as_ref());
+                cache.meta = meta;
+                clone_feat(&mut cache.feats.cell_src_flat, design.feats.cell_src_flat.as_ref());
+                clone_feat(&mut cache.feats.net_flat, design.feats.net_flat.as_ref());
                 recomputed
             }
         };
         ROWS_RECOMPUTED.add(recomputed as u64);
-        ROWS_TOTAL.add(n as u64);
+        ROWS_TOTAL.add(plan.live_rows as u64);
         recomputed
     }
 
@@ -300,16 +251,55 @@ impl IncrementalCtx {
         self.gmap.as_ref()
     }
 
-    /// Endpoint `pin`'s tail output, if read since the last refresh.
-    pub(crate) fn ep_get(&self, pin: PinId) -> Option<f32> {
-        self.ep.get(pin.index()).copied().flatten()
+    /// The tail output of the endpoint at flat row `row`, if read since
+    /// the last refresh.
+    pub(crate) fn ep_get(&self, row: u32) -> Option<f32> {
+        self.ep.get(row as usize).copied().flatten()
     }
 
-    /// Caches endpoint `pin`'s tail output `val` until the next refresh.
-    pub(crate) fn ep_put(&mut self, pin: PinId, val: f32) {
-        if self.ep.len() <= pin.index() {
-            self.ep.resize(pin.index() + 1, None);
+    /// Caches the tail output `val` of the endpoint at `row` until the
+    /// next refresh.
+    pub(crate) fn ep_put(&mut self, row: u32, val: f32) {
+        if self.ep.len() <= row as usize {
+            self.ep.resize(row as usize + 1, None);
         }
-        self.ep[pin.index()] = Some(val);
+        self.ep[row as usize] = Some(val);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ModelConfig, TimingModel};
+    use rtt_circgen::GenParams;
+    use rtt_netlist::{CellLibrary, TimingGraph};
+    use rtt_nn::InferCtx;
+    use rtt_place::{place, PlaceConfig};
+
+    /// A warm refresh at an unchanged row count runs in place: the cached
+    /// matrix keeps its allocation, so the context holds one whole-design
+    /// matrix.
+    #[test]
+    fn warm_refresh_keeps_the_cached_matrix_allocation() {
+        let lib = CellLibrary::asap7_like();
+        let nl = GenParams::new("g", 150, 3).generate(&lib).netlist;
+        let graph = TimingGraph::build(&nl, &lib);
+        let (cfg, zeros) = (ModelConfig::tiny(), vec![0.0; graph.endpoints().len()]);
+        let mut pl = place(&nl, &lib, 0, &PlaceConfig::default());
+        let base = PreparedDesign::prepare(&nl, &lib, &pl, &graph, &cfg, zeros.clone());
+        // A moved cell changes static features, not the row count.
+        let (cell, centre) = (nl.cells().next().expect("cells").0, pl.floorplan().die.center());
+        pl.place_cell(cell, centre);
+        let moved = PreparedDesign::prepare(&nl, &lib, &pl, &graph, &cfg, zeros);
+
+        let model = TimingModel::new(cfg);
+        let (ctx, mut inc) = (InferCtx::new(), IncrementalCtx::new());
+        let all: Vec<u32> = (0..base.num_endpoints() as u32).collect();
+        model.predict_incremental(&ctx, &mut inc, &base, &[], &all);
+        let ptr = inc.flat().expect("a cold refresh fills the cache").data().as_ptr();
+        for design in [&moved, &base, &base] {
+            model.predict_incremental(&ctx, &mut inc, design, &[], &all);
+            assert_eq!(inc.flat().map(|t| t.data().as_ptr()), Some(ptr), "the matrix moved");
+        }
     }
 }

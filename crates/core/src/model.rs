@@ -349,11 +349,11 @@ impl TimingModel {
     /// Every refresh follows one rule, for every model variant: the GNN
     /// recomputes only the fan-out cones of `dirty_pins` (plus any rows
     /// whose static features, node kind, or existence changed — those
-    /// are detected internally) and copies the rest from the cache; the
-    /// CNN global map is recomputed; and the per-endpoint tail cache is
-    /// emptied. A cold `inc` runs one full pass. On return the cache has
-    /// rebased onto `design`, so a transform sequence only ever pays for
-    /// its latest step's cone.
+    /// are detected internally), in place in the cached matrix, and keeps
+    /// the rest; the CNN global map is recomputed; and the per-endpoint
+    /// tail cache is emptied. A cold `inc` runs one full pass. On return
+    /// the cache holds `design`'s activations, so a transform sequence
+    /// only ever pays for its latest step's cone.
     ///
     /// Caller contract:
     /// * `dirty_pins` must cover every pin whose *gather topology*
@@ -452,13 +452,12 @@ impl TimingModel {
         }
         // Split the request into cache hits and endpoints that must
         // recompute; scatter both into the caller's order.
-        let pins = design.schedule.flat_row_pins();
         let ep_rows = design.schedule.flat_endpoint_rows();
         let mut out = vec![0.0; indices.len()];
         let mut todo: Vec<u32> = Vec::new();
         let mut todo_pos: Vec<usize> = Vec::new();
         for (k, &i) in indices.iter().enumerate() {
-            match inc.ep_get(pins[ep_rows[i as usize] as usize]) {
+            match inc.ep_get(ep_rows[i as usize]) {
                 Some(v) => out[k] = v,
                 None => {
                     todo.push(i);
@@ -477,7 +476,7 @@ impl TimingModel {
         });
         for ((&v, &k), &i) in fresh.iter().zip(&todo_pos).zip(&todo) {
             out[k] = v;
-            inc.ep_put(pins[ep_rows[i as usize] as usize], v);
+            inc.ep_put(ep_rows[i as usize], v);
         }
         out
     }

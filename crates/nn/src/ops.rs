@@ -240,38 +240,10 @@ pub fn gather_rows_flat(src: &Tensor, idx: &[u32], out: &mut Tensor) {
     }
 }
 
-/// Like [`gather_rows_flat`], but `u32::MAX` entries of `idx` are a
-/// sentinel for "no source row" and produce a zero row instead of a
-/// panic. The incremental GNN path uses it to seed a new design's flat
-/// embedding matrix from a cached base: mapped (clean) rows are byte
-/// copies of the cache, unmapped rows (new pins, about to be recomputed)
-/// come back zeroed. Mapped rows are bit-identical to
-/// [`gather_rows_flat`] on the same indices.
-///
-/// # Panics
-///
-/// Panics if a non-sentinel index is out of range or `src` is not a
-/// matrix.
-// rtt-lint: hot
-pub fn gather_rows_or_zero(src: &Tensor, idx: &[u32], out: &mut Tensor) {
-    let d = src.cols();
-    if idx.is_empty() {
-        out.reset(&[1, d], 0.0);
-        return;
-    }
-    out.reset_for_overwrite(&[idx.len(), d]);
-    for (row, &r) in out.data_mut().chunks_mut(d).zip(idx) {
-        match r {
-            u32::MAX => row.fill(0.0),
-            r => row.copy_from_slice(src.row(r as usize)),
-        }
-    }
-}
-
 /// Copies row `src_row0 + i` of `src` to row `dst_rows[i]` of `dst` for
 /// each `i`. The destination must already be shaped; rows not named in
 /// `dst_rows` keep their contents. Used to write per-group GNN level
-/// results into their level-order positions of the flat embedding matrix.
+/// results into their nodes' rows of the flat embedding matrix.
 ///
 /// # Panics
 ///
@@ -699,20 +671,6 @@ mod tests {
         matmul(&a, &b, &mut dirty);
         assert_eq!(dirty.data(), &[19.0, 22.0, 43.0, 50.0]);
         assert_eq!(dirty.shape(), &[2, 2]);
-    }
-
-    #[test]
-    fn gather_rows_or_zero_matches_plain_gather_and_zeroes_sentinels() {
-        let src = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let mut a = Tensor::default();
-        let mut b = Tensor::full(&[9, 9], 7.0); // dirty buffer
-        gather_rows_flat(&src, &[2, 0, 2], &mut a);
-        gather_rows_or_zero(&src, &[2, 0, 2], &mut b);
-        assert_eq!(a.data(), b.data());
-        gather_rows_or_zero(&src, &[1, u32::MAX, 2], &mut b);
-        assert_eq!(b.data(), &[3.0, 4.0, 0.0, 0.0, 5.0, 6.0]);
-        gather_rows_or_zero(&src, &[], &mut b);
-        assert_eq!((b.shape(), b.data()), (&[1usize, 2][..], &[0.0, 0.0][..]));
     }
 
     #[test]

@@ -256,6 +256,19 @@ impl Tensor {
         }
     }
 
+    /// Resizes a matrix to `rows` rows in place: rows below both the old
+    /// and the new count keep their contents, and added rows are zero.
+    /// The allocation is kept unless it must grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not rank 2.
+    pub fn resize_rows(&mut self, rows: usize) {
+        let cols = self.cols();
+        self.data.resize(rows * cols, 0.0);
+        self.shape[0] = rows;
+    }
+
     /// Makes `self` an exact copy of `src`, reusing the existing
     /// allocation when capacity allows.
     pub fn copy_from(&mut self, src: &Tensor) {
