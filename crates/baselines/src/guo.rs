@@ -51,7 +51,7 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
     let graph = inputs.graph;
     let schedule = GnnSchedule::build(graph);
     let features = NodeFeatures::extract(inputs.netlist, inputs.library, graph, inputs.placement);
-    let feats = LevelFeats::assemble(&schedule, &features);
+    let feats = LevelFeats::assemble(&schedule, graph, &features);
 
     let ep_labels = inputs.endpoint_targets.to_vec();
 
@@ -63,8 +63,9 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
     let mut cell_labels = Vec::new();
     for v in 0..graph.num_nodes() as u32 {
         let pin = graph.pin_of(v);
+        let row = pin.index() as u32;
         if let Some(&a) = inputs.signoff_arrivals.get(&pin) {
-            arr_rows.push(schedule.row_of(v));
+            arr_rows.push(row);
             arr_labels.push(a);
         }
         match graph.node_kind(v) {
@@ -73,7 +74,7 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
                 let Some(e) = graph.fanin(v).next() else { continue };
                 let key = (graph.pin_of(e.from), pin);
                 if let Some(&d) = inputs.signoff_net_delays.get(&key) {
-                    net_rows.push(schedule.row_of(v));
+                    net_rows.push(row);
                     net_labels.push(d);
                 }
             }
@@ -81,7 +82,7 @@ fn prepare(inputs: &BaselineInputs<'_>) -> Prepared {
                 for e in graph.fanin(v) {
                     let key = (graph.pin_of(e.from), pin);
                     if let Some(&d) = inputs.signoff_cell_delays.get(&key) {
-                        cell_rows.push(schedule.row_of(v));
+                        cell_rows.push(row);
                         cell_labels.push(d);
                         break; // one shared delay per cell in our model
                     }

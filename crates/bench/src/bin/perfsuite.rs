@@ -499,8 +499,8 @@ fn main() {
             gnn_model.predict_batch(&ctx, &p, &t_eps)
         },
         || {
-            // The clone stands in for the per-rep context state a real loop
-            // would thread through; its cost is charged to the delta path.
+            // `PrepareCtx` is fieldless, so this clone is free; it goes
+            // with the type (ROADMAP item 1).
             let mut c = base_ctx.clone();
             let p = base_prep.update(
                 &mut c,

@@ -16,17 +16,16 @@ use crate::{Aggregation, ModelConfig};
 /// into an O(1) regime.
 pub const READOUT_SCALE: f32 = 0.05;
 
-/// A static execution plan for one design: which flat row each node
-/// owns, where each node's messages come from, and where each level's
-/// results land. Building it once per design and reusing it across epochs
-/// and requests is what makes CPU training and serving viable.
+/// A static execution plan for one design: where each node's messages
+/// come from, and where each level's results land. Building it once per
+/// design and reusing it across epochs and requests is what makes CPU
+/// training and serving viable.
 ///
-/// A node's flat row is its pin's index: pin ids survive every tombstoning
-/// edit, so a pin keeps its row across a transform.
+/// A node's flat row is its pin's index (`graph.pin_of(v).index()`): pin
+/// ids survive every tombstoning edit, so a pin keeps its row across a
+/// transform.
 #[derive(Clone, Debug)]
 pub struct GnnSchedule {
-    /// Flat row of each graph node (its pin's index).
-    row_of: Vec<u32>,
     /// The batched plan both GNN passes run, shared with the tape nodes
     /// that train through it.
     plan: Arc<GnnPlan>,
@@ -81,8 +80,8 @@ impl GnnSchedule {
         let num_levels = graph.max_level() as usize + 1;
         // A node's row is its pin's index; rows of dead pins are holes.
         let nodes = 0..graph.num_nodes() as u32;
-        let row_of: Vec<u32> = nodes.clone().map(|v| graph.pin_of(v).index() as u32).collect();
-        let total_rows = row_of.iter().map(|&r| r as usize + 1).max().unwrap_or(0);
+        let row_of = |v: u32| graph.pin_of(v).index() as u32;
+        let total_rows = nodes.clone().map(|v| row_of(v) as usize + 1).max().unwrap_or(0);
         // Group lists follow level order, and inside a level the graph's
         // own node order; cell groups' static features come first in the
         // concatenated `f_c2` input, source groups after them.
@@ -100,13 +99,13 @@ impl GnnSchedule {
             };
             // Message gathers reference earlier levels only.
             for &v in graph.nodes_at_level(l) {
-                let row = row_of[v as usize];
+                let row = row_of(v);
                 match graph.node_kind(v) {
                     NodeKind::CellOut => {
                         let before = fl.cell_gather.len();
                         for e in graph.fanin(v) {
                             debug_assert_eq!(e.kind, EdgeKind::Cell);
-                            fl.cell_gather.push(row_of[e.from as usize]);
+                            fl.cell_gather.push(row_of(e.from));
                         }
                         // Fanin counts are tiny (gate arity ≤ 4 plus
                         // buffers); `as f32` is exact far beyond any real
@@ -123,7 +122,7 @@ impl GnnSchedule {
                         // release builds gather row 0 instead of panicking.
                         let driver = graph.fanin(v).next().map(|e| {
                             debug_assert_eq!(e.kind, EdgeKind::Net);
-                            row_of[e.from as usize]
+                            row_of(e.from)
                         });
                         debug_assert!(driver.is_some(), "net node {v} has a driver");
                         fl.net_gather.push(driver.unwrap_or(0));
@@ -160,11 +159,11 @@ impl GnnSchedule {
 
         let plan = Arc::new(GnnPlan {
             levels,
-            endpoint_rows: graph.endpoints().iter().map(|&v| row_of[v as usize]).collect(),
+            endpoint_rows: graph.endpoints().iter().map(|&v| row_of(v)).collect(),
             total_rows,
-            live_rows: row_of.len(),
+            live_rows: graph.num_nodes(),
         });
-        Self { row_of, plan }
+        Self { plan }
     }
 
     /// Number of topological levels.
@@ -175,23 +174,6 @@ impl GnnSchedule {
     /// Number of endpoints the schedule will embed.
     pub fn num_endpoints(&self) -> usize {
         self.plan.endpoint_rows.len()
-    }
-
-    /// Row of graph node `node` in the flat embedding matrix that
-    /// [`NetlistGnn::forward_nodes`] and [`NetlistGnn::forward_flat`]
-    /// fill: the index of the node's pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a node of the scheduled graph.
-    pub fn row_of(&self, node: u32) -> u32 {
-        self.row_of[node as usize]
-    }
-
-    /// Number of graph nodes (live pins). The flat embedding matrix has
-    /// one row per pin index up to the largest live one, so it can have more.
-    pub fn num_nodes(&self) -> usize {
-        self.row_of.len()
     }
 
     /// Row of each endpoint in the flat embedding matrix, aligned with
@@ -207,7 +189,7 @@ impl GnnSchedule {
     /// whose schedules must be indistinguishable from a cold
     /// [`GnnSchedule::build`].
     pub fn bit_eq(&self, other: &Self) -> bool {
-        self.row_of == other.row_of && self.plan == other.plan
+        self.plan == other.plan
     }
 
     /// The flat execution plan (crate-internal: the incremental engine
@@ -258,11 +240,12 @@ pub struct LevelFeats {
 }
 
 impl LevelFeats {
-    /// Assembles the group feature matrices from extracted node features.
-    pub fn assemble(schedule: &GnnSchedule, features: &NodeFeatures) -> Self {
+    /// Assembles the group feature matrices from the node features
+    /// extracted over `graph`, the graph `schedule` was built from.
+    pub fn assemble(schedule: &GnnSchedule, graph: &TimingGraph, features: &NodeFeatures) -> Self {
         let mut node_of_row = vec![0u32; schedule.plan.total_rows];
-        for (v, &r) in schedule.row_of.iter().enumerate() {
-            node_of_row[r as usize] = v as u32;
+        for v in 0..graph.num_nodes() as u32 {
+            node_of_row[graph.pin_of(v).index()] = v;
         }
         let levels = &schedule.plan.levels;
         let cells = levels.iter().flat_map(|fl| &fl.cell_dst);
@@ -345,8 +328,8 @@ impl NetlistGnn {
 
     /// Like [`Self::forward`], but returns the whole flat embedding matrix
     /// (one row per pin index, holes zeroed), so callers can read out any
-    /// node through [`GnnSchedule::row_of`] (the end-to-end baseline
-    /// predicts at all pins, not only endpoints).
+    /// node at its pin's index (the end-to-end baseline predicts at all
+    /// pins, not only endpoints).
     ///
     /// The static `f_c2` / `f_n` products over the whole design are
     /// ordinary tape ops. The level loop is one fused tape node: its
@@ -508,7 +491,7 @@ impl NetlistGnn {
     /// [`GnnSchedule::build`]. Fills `bufs[0]` with the flat embedding
     /// matrix, one row per pin index up to the largest live pin, with the
     /// rows of dead pins zeroed; read node embeddings out of it via
-    /// [`GnnSchedule::flat_endpoint_rows`] or [`GnnSchedule::row_of`].
+    /// [`GnnSchedule::flat_endpoint_rows`] or at a node's pin index.
     ///
     /// The tape's [`Self::forward_nodes`] runs the same level loop, so the
     /// two are bit-identical. The static `f_c2` / `f_n` products are
@@ -831,7 +814,7 @@ mod tests {
     fn world(cells: usize) -> (GnnSchedule, LevelFeats, usize) {
         let (graph, features) = design(cells);
         let schedule = GnnSchedule::build(&graph);
-        let feats = LevelFeats::assemble(&schedule, &features);
+        let feats = LevelFeats::assemble(&schedule, &graph, &features);
         (schedule, feats, graph.endpoints().len())
     }
 
@@ -919,8 +902,7 @@ mod tests {
         assert!(plan.total_rows > old_pins, "the new buffer's pins lie past the old count");
         let mut live = vec![false; plan.total_rows];
         for v in 0..graph.num_nodes() as u32 {
-            assert_eq!(schedule.row_of(v) as usize, graph.pin_of(v).index(), "node {v}");
-            live[schedule.row_of(v) as usize] = true;
+            live[graph.pin_of(v).index()] = true;
         }
         assert!(dead.iter().all(|p| !live[p.index()]), "bypassed pins are holes");
         for fl in &plan.levels {
@@ -928,7 +910,8 @@ mod tests {
             assert!(lists.into_iter().flatten().all(|&r| live[r as usize]), "a list names a hole");
         }
 
-        let feats = LevelFeats::assemble(&schedule, &NodeFeatures::extract(&nl, &lib, &graph, &pl));
+        let features = NodeFeatures::extract(&nl, &lib, &graph, &pl);
+        let feats = LevelFeats::assemble(&schedule, &graph, &features);
         let cfg = ModelConfig::tiny();
         let mut store = ParamStore::new();
         let gnn = NetlistGnn::new(&mut store, &mut rand::rngs::StdRng::seed_from_u64(3), &cfg);
@@ -947,7 +930,7 @@ mod tests {
     fn flat_forward_matches_an_independent_eq3_reference_bitwise() {
         let (graph, features) = design(150);
         let schedule = GnnSchedule::build(&graph);
-        let feats = LevelFeats::assemble(&schedule, &features);
+        let feats = LevelFeats::assemble(&schedule, &graph, &features);
         let relu = |v: Vec<f32>| -> Vec<f32> { v.into_iter().map(|x| x.max(0.0)).collect() };
         let add =
             |a: &[f32], b: &[f32]| -> Vec<f32> { a.iter().zip(b).map(|(x, y)| x + y).collect() };
@@ -1002,7 +985,7 @@ mod tests {
                 let mut bufs = vec![Tensor::default(); NetlistGnn::FLAT_SCRATCH];
                 gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
                 for (v, want) in h.iter().enumerate() {
-                    let got = bufs[0].row(schedule.row_of(v as u32) as usize);
+                    let got = bufs[0].row(graph.pin_of(v as u32).index());
                     let same = got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(
                         same,
@@ -1177,28 +1160,22 @@ mod tests {
 
     #[test]
     fn propagate_dirty_reaches_exactly_the_fanout_cone() {
-        let (schedule, _, _) = world(200);
+        let (graph, _) = design(200);
+        let schedule = GnnSchedule::build(&graph);
         let n = schedule.plan().total_rows;
-        // Closure check: propagating an already-propagated set is a no-op,
-        // and every row gathering from a dirty row is dirty.
+        let seed = schedule.plan().levels[0].src_dst[0];
         let mut dirty = vec![false; n];
-        dirty[schedule.plan().levels[0].src_dst[0] as usize] = true;
+        dirty[seed as usize] = true;
         let count = schedule.propagate_dirty(&mut dirty);
         assert!(count > 1, "a level-0 source must have downstream rows");
         let again = schedule.propagate_dirty(&mut dirty.clone());
         assert_eq!(count, again, "propagation must be idempotent");
-        for fl in &schedule.plan().levels {
-            for j in 0..fl.n_cells {
-                let any_in = (fl.cell_seg_off[j]..fl.cell_seg_off[j + 1])
-                    .any(|k| dirty[fl.cell_gather[k as usize] as usize]);
-                assert!(!any_in || dirty[fl.cell_dst[j] as usize]);
-            }
-            for j in 0..fl.n_nets {
-                assert!(
-                    !dirty[fl.net_gather[j] as usize] || dirty[fl.net_dst[j] as usize],
-                    "net row must follow its driver's dirtiness"
-                );
-            }
+        // The same closure walked over the timing graph's own edges.
+        let node = graph.node_of(rtt_netlist::PinId::from_index(seed as usize)).expect("live row");
+        let mut cone = vec![false; n];
+        for v in rtt_sta::fanout_cone(&graph, &[node]) {
+            cone[graph.pin_of(v).index()] = true;
         }
+        assert!(dirty == cone, "the dirty rows must be the seed's fan-out cone");
     }
 }

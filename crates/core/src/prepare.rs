@@ -21,32 +21,13 @@ static PREP_MASKS_RECOMPUTED: rtt_obs::Counter =
     rtt_obs::Counter::new(PREP_MASKS_RECOMPUTED_COUNTER);
 static PREP_MASKS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(PREP_MASKS_TOTAL_COUNTER);
 
-/// Retained preparation state that lets [`PreparedDesign::update`] carry
-/// clean endpoint masks across a transform: the pin-keyed identity of the
-/// previous graph (nodes and endpoint ordinals are not stable across a
-/// tombstoning edit; [`PinId`]s are).
+/// Fieldless: [`PreparedDesign::update`] reads everything it reuses from
+/// the previous preparation and `before`'s netlist. The type remains only
+/// as [`PreparedDesign::prepare_full`]'s second value and `update`'s first
+/// parameter, which perfbench names; ROADMAP item 1 deletes the type and
+/// that parameter.
 #[derive(Clone, Debug)]
-pub struct PrepareCtx {
-    /// Previous graph: pin index → node (`u32::MAX` = not a node).
-    node_of_pin: Vec<u32>,
-    /// Pin index → endpoint ordinal of the previous prepared design
-    /// (`u32::MAX` = not an endpoint).
-    mask_of_pin: Vec<u32>,
-}
-
-impl PrepareCtx {
-    fn capture(netlist: &Netlist, graph: &TimingGraph) -> Self {
-        let mut node_of_pin = vec![u32::MAX; netlist.pin_capacity()];
-        for v in 0..graph.num_nodes() as u32 {
-            node_of_pin[graph.pin_of(v).index()] = v;
-        }
-        let mut mask_of_pin = vec![u32::MAX; netlist.pin_capacity()];
-        for (i, &ep) in graph.endpoints().iter().enumerate() {
-            mask_of_pin[graph.pin_of(ep).index()] = i as u32;
-        }
-        Self { node_of_pin, mask_of_pin }
-    }
-}
+pub struct PrepareCtx;
 
 /// A design converted into model inputs: GNN schedule and features, stacked
 /// layout maps, endpoint masks, and (optionally meaningful) targets.
@@ -97,11 +78,15 @@ impl PreparedDesign {
         config: &ModelConfig,
         targets: Vec<f32>,
     ) -> Self {
-        Self::prepare_full(netlist, library, placement, graph, config, targets).0
+        rtt_obs::span!("core::prepare");
+        assert_eq!(targets.len(), graph.endpoints().len(), "one target per endpoint");
+        let (schedule, feats, maps) = Self::build_dense(netlist, library, placement, graph, config);
+        let mg = config.pooled_grid();
+        let masks = endpoint_masks(netlist, placement, graph, mg);
+        Self { name: netlist.name.clone(), schedule, feats, maps, masks, mask_grid: mg, targets }
     }
 
-    /// [`Self::prepare`], additionally returning the [`PrepareCtx`] that
-    /// [`Self::update`] needs to carry clean masks across a transform.
+    /// [`Self::prepare`] paired with the fieldless [`PrepareCtx`].
     pub fn prepare_full(
         netlist: &Netlist,
         library: &CellLibrary,
@@ -110,21 +95,7 @@ impl PreparedDesign {
         config: &ModelConfig,
         targets: Vec<f32>,
     ) -> (Self, PrepareCtx) {
-        rtt_obs::span!("core::prepare");
-        assert_eq!(targets.len(), graph.endpoints().len(), "one target per endpoint");
-        let (schedule, feats, maps) = Self::build_dense(netlist, library, placement, graph, config);
-        let mg = config.pooled_grid();
-        let masks = endpoint_masks(netlist, placement, graph, mg);
-        let prep = Self {
-            name: netlist.name.clone(),
-            schedule,
-            feats,
-            maps,
-            masks,
-            mask_grid: mg,
-            targets,
-        };
-        (prep, PrepareCtx::capture(netlist, graph))
+        (Self::prepare(netlist, library, placement, graph, config, targets), PrepareCtx)
     }
 
     /// The schedule, node features, and stacked layout maps: everything
@@ -138,7 +109,7 @@ impl PreparedDesign {
     ) -> (GnnSchedule, LevelFeats, Tensor) {
         let schedule = GnnSchedule::build(graph);
         let features = NodeFeatures::extract(netlist, library, graph, placement);
-        let feats = LevelFeats::assemble(&schedule, &features);
+        let feats = LevelFeats::assemble(&schedule, graph, &features);
         let layout = LayoutMaps::extract(netlist, library, placement, config.grid);
         let maps = Tensor::from_vec(&[3, config.grid, config.grid], layout.stacked());
         (schedule, feats, maps)
@@ -149,12 +120,10 @@ impl PreparedDesign {
     /// masks the transform's dirty cone reaches. Bit-identical to a cold
     /// [`Self::prepare`] of `after`.
     ///
-    /// * `ctx` — the context returned by [`Self::prepare_full`] (or a
-    ///   previous `update`) for `before`; replaced in place so updates
-    ///   chain across a transform sequence.
+    /// * `ctx` — unused; see [`PrepareCtx`].
     /// * `seeds` — `opt::dirty_seed_pins(before, after)`: every pin whose
     ///   gather topology may have changed. `update` adds the pins of
-    ///   moved cells and moved ports.
+    ///   moved cells and moved ports, and every pin new since `before`.
     /// * `graph` — `after`'s freshly built [`TimingGraph`].
     ///
     /// The schedule, node features, and layout maps are rebuilt exactly
@@ -175,7 +144,7 @@ impl PreparedDesign {
     #[allow(clippy::too_many_arguments)]
     pub fn update(
         &self,
-        ctx: &mut PrepareCtx,
+        _ctx: &mut PrepareCtx,
         before: (&Netlist, &Placement),
         after: (&Netlist, &Placement),
         library: &CellLibrary,
@@ -195,22 +164,23 @@ impl PreparedDesign {
             || bpl.floorplan().macros != apl.floorplan().macros
             || self.mask_grid != config.pooled_grid()
         {
-            let (prep, fresh) = Self::prepare_full(anl, library, apl, graph, config, targets);
-            *ctx = fresh;
+            let prep = Self::prepare(anl, library, apl, graph, config, targets);
             PREP_MASKS_RECOMPUTED.add(prep.masks.len() as u64);
             PREP_MASKS_TOTAL.add(prep.masks.len() as u64);
             return prep;
         }
         let (schedule, feats, maps) = Self::build_dense(anl, library, apl, graph, config);
 
-        // Dirty pin mask over `after`'s id space: caller seeds, then pins
-        // of moved cells and moved ports.
-        let mut dirty_pin = vec![false; anl.pin_capacity()];
-        for &p in seeds {
-            if p.index() < dirty_pin.len() {
-                dirty_pin[p.index()] = true;
+        // Dirty set over `after`'s flat rows, where a row is its pin:
+        // caller seeds, pins of moved cells and moved ports, and pins new
+        // since `before` (dead in it, or past its pin slots).
+        let mut dirty = vec![false; schedule.plan().total_rows];
+        let mut mark = |p: PinId| {
+            if let Some(d) = dirty.get_mut(p.index()) {
+                *d = true;
             }
-        }
+        };
+        seeds.iter().for_each(|&p| mark(p));
         for ci in 0..anl.cell_capacity().min(bnl.cell_capacity()) {
             let cid = CellId::from_index(ci);
             if !(anl.cell(cid).is_alive() && bnl.cell(cid).is_alive()) {
@@ -219,48 +189,44 @@ impl PreparedDesign {
             let (a, b) = (apl.cell_pos(cid), bpl.cell_pos(cid));
             if a.x.to_bits() != b.x.to_bits() || a.y.to_bits() != b.y.to_bits() {
                 let cell = anl.cell(cid);
-                for &p in &cell.inputs {
-                    dirty_pin[p.index()] = true;
-                }
-                dirty_pin[cell.output.index()] = true;
+                cell.inputs.iter().for_each(|&p| mark(p));
+                mark(cell.output);
             }
         }
+        let existed = |p: PinId| p.index() < bnl.pin_capacity() && bnl.pin(p).is_alive();
         for &p in anl.input_ports().iter().chain(anl.output_ports()) {
-            let existed = p.index() < bnl.pin_capacity() && bnl.pin(p).is_alive();
-            if existed {
+            if existed(p) {
                 let (a, b) = (apl.pin_position(anl, p), bpl.pin_position(bnl, p));
                 if a.x.to_bits() != b.x.to_bits() || a.y.to_bits() != b.y.to_bits() {
-                    dirty_pin[p.index()] = true;
+                    mark(p);
                 }
+            }
+        }
+        for (p, _) in anl.pins() {
+            if !existed(p) {
+                mark(p);
             }
         }
 
         // Endpoint masks: recompute inside the fan-out cone of the dirty
-        // pins and of nodes new to the graph, carry clean rows over by
-        // endpoint pin.
-        let n = graph.num_nodes();
-        let mg = config.pooled_grid();
-        let cone_seeds: Vec<u32> = (0..n as u32)
-            .filter(|&v| {
-                let p = graph.pin_of(v);
-                dirty_pin[p.index()]
-                    || ctx.node_of_pin.get(p.index()).copied().unwrap_or(u32::MAX) == u32::MAX
-            })
-            .collect();
-        let mut node_dirty = vec![false; n];
-        for &v in &rtt_sta::fanout_cone(graph, &cone_seeds) {
-            node_dirty[v as usize] = true;
+        // rows, carry clean rows over by pin. A surviving endpoint's
+        // previous mask row is its position among `self`'s endpoint rows.
+        schedule.propagate_dirty(&mut dirty);
+        let mut prev_of_row = vec![u32::MAX; self.schedule.plan().total_rows];
+        for (i, &r) in self.schedule.flat_endpoint_rows().iter().enumerate() {
+            prev_of_row[r as usize] = i as u32;
         }
-        let eps = graph.endpoints();
         // Each endpoint's previous mask row, or `u32::MAX` to recompute.
-        let prev: Vec<u32> = (eps.iter())
-            .map(|&ep| match ctx.mask_of_pin.get(graph.pin_of(ep).index()) {
-                Some(&row) if !node_dirty[ep as usize] => row,
+        let prev: Vec<u32> = (schedule.flat_endpoint_rows().iter())
+            .map(|&r| match prev_of_row.get(r as usize) {
+                Some(&i) if !dirty[r as usize] => i,
                 _ => u32::MAX,
             })
             .collect();
+        let eps = graph.endpoints();
         let nodes: Vec<u32> =
             eps.iter().zip(&prev).filter(|&(_, &p)| p == u32::MAX).map(|(&ep, _)| ep).collect();
+        let mg = config.pooled_grid();
         let fresh = endpoint_masks_for(anl, apl, graph, mg, &nodes);
         let mut masks = MaskRuns::default();
         let mut next = 0;
@@ -274,8 +240,6 @@ impl PreparedDesign {
         }
         PREP_MASKS_RECOMPUTED.add(nodes.len() as u64);
         PREP_MASKS_TOTAL.add(eps.len() as u64);
-
-        *ctx = PrepareCtx::capture(anl, graph);
         Self { name: anl.name.clone(), schedule, feats, maps, masks, mask_grid: mg, targets }
     }
 
@@ -364,6 +328,8 @@ impl PreparedDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
     use rtt_circgen::ripple_carry_adder;
     use rtt_place::{place, PlaceConfig};
 
@@ -406,16 +372,27 @@ mod tests {
         rtt_obs::snapshot().counters.get(key).copied().unwrap_or(0)
     }
 
+    /// The prepare counters are process-global, so every test here that
+    /// runs `update` holds this lock: a concurrent update would move a
+    /// count another test reads.
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Chained delta updates (buffer insertion, then a cell move, then a
     /// no-op) each yield a `PreparedDesign` bit-identical to a cold
-    /// prepare, and the no-op step recomputes no mask.
+    /// prepare. The insertion recomputes exactly the endpoints in the
+    /// fan-out cone of its seeds, and the no-op recomputes none.
     #[test]
     fn delta_update_matches_cold_prepare_bitwise() {
+        let _lock = counter_lock();
         let lib = CellLibrary::asap7_like();
         let nl0 = ripple_carry_adder(4, &lib);
         let pl0 = place(&nl0, &lib, 0, &PlaceConfig::default());
         let g0 = TimingGraph::build(&nl0, &lib);
         let cfg = ModelConfig::tiny();
+        let n_ep = |g: &TimingGraph| g.endpoints().len() as u64;
         let zeros = |g: &TimingGraph| vec![0.0f32; g.endpoints().len()];
 
         let (prep0, mut ctx) =
@@ -437,10 +414,18 @@ mod tests {
         pl1.place_cell(buf, pl1.floorplan().die.center());
         let g1 = TimingGraph::build(&nl1, &lib);
         let seeds = [buf_in, buf_out, sink];
+        let recomputed = counter(PREP_MASKS_RECOMPUTED_COUNTER);
         let prep1 =
             prep0.update(&mut ctx, (&nl0, &pl0), (&nl1, &pl1), &lib, &g1, &cfg, &seeds, zeros(&g1));
+        let recomputed = counter(PREP_MASKS_RECOMPUTED_COUNTER) - recomputed;
         let cold1 = PreparedDesign::prepare(&nl1, &lib, &pl1, &g1, &cfg, zeros(&g1));
         prep1.bit_eq(&cold1).expect("delta after buffer insertion matches cold prepare");
+        // The seeds hold the new buffer's pins, and no cell or port moved.
+        let cone_seeds: Vec<u32> = seeds.iter().filter_map(|&p| g1.node_of(p)).collect();
+        let cone = rtt_sta::fanout_cone(&g1, &cone_seeds);
+        let in_cone = g1.endpoints().iter().filter(|ep| cone.contains(ep)).count() as u64;
+        assert!(0 < in_cone && in_cone < n_ep(&g1), "the cone must split the endpoints");
+        assert_eq!(recomputed, in_cone, "the insertion recomputes exactly its cone's masks");
 
         // Step 2: chained update — move a cell; no structural seeds.
         let mut pl2 = pl1.clone();
@@ -465,6 +450,7 @@ mod tests {
     /// still produces a bit-identical result.
     #[test]
     fn delta_update_survives_floorplan_change() {
+        let _lock = counter_lock();
         let lib = CellLibrary::asap7_like();
         let nl = ripple_carry_adder(2, &lib);
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());

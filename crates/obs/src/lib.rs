@@ -90,8 +90,6 @@ struct Registry {
     series: BTreeMap<String, Vec<f64>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
@@ -106,17 +104,6 @@ fn lock() -> MutexGuard<'static, Registry> {
 thread_local! {
     /// The current span path of this thread, `"/"`-joined.
     static PATH: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// Returns whether recording is enabled (it is by default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables recording. Disabling mid-run leaves the
-/// registry partially filled; pair with [`reset`] when re-enabling.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Clears every span and series, and zeroes every registered static
@@ -162,9 +149,6 @@ impl Counter {
 
     /// Adds `delta`. Safe from any thread and any parallel region.
     pub fn add(&'static self, delta: u64) {
-        if !enabled() {
-            return;
-        }
         if !self.registered.load(Ordering::Acquire) {
             let mut statics = static_counters().lock().unwrap_or_else(PoisonError::into_inner);
             // Double-checked under the lock so a racing first add cannot
@@ -187,9 +171,6 @@ impl Counter {
 /// Inside a closure run by a parallel fan-out, open a [`root_span`]
 /// first — see the crate-level determinism contract.
 pub fn span(name: &str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { prev_len: 0, path_end: 0, start: None, _not_send: PhantomData };
-    }
     let (prev_len, path_end) = PATH.with(|p| {
         let mut buf = p.borrow_mut();
         let prev = buf.len();
@@ -200,7 +181,7 @@ pub fn span(name: &str) -> SpanGuard {
         (prev, buf.len())
     });
     // rtt-lint: allow(D002, reason = "span wall time is the measured quantity; excluded from the determinism contract")
-    SpanGuard { prev_len, path_end, start: Some(Instant::now()), _not_send: PhantomData }
+    SpanGuard { prev_len, path_end, start: Instant::now(), _not_send: PhantomData }
 }
 
 /// Opens a span as a new tree root, hiding the calling thread's ambient
@@ -209,11 +190,8 @@ pub fn span(name: &str) -> SpanGuard {
 /// the same whether the closure runs inline, on the caller (chunk 0),
 /// or on a worker thread.
 pub fn root_span(name: &str) -> RootGuard {
-    if !enabled() {
-        return RootGuard { inner: None, saved: None, _not_send: PhantomData };
-    }
     let saved = PATH.with(|p| std::mem::take(&mut *p.borrow_mut()));
-    RootGuard { inner: Some(span(name)), saved: Some(saved), _not_send: PhantomData }
+    RootGuard { inner: Some(span(name)), saved, _not_send: PhantomData }
 }
 
 /// Opens a [`span()`] bound to a hidden local that lives until the end of
@@ -229,7 +207,7 @@ macro_rules! span {
 pub struct SpanGuard {
     prev_len: usize,
     path_end: usize,
-    start: Option<Instant>,
+    start: Instant,
     /// Span guards manipulate a thread-local path stack and must stay
     /// on the thread that opened them.
     _not_send: PhantomData<*const ()>,
@@ -242,9 +220,6 @@ impl SpanGuard {
     /// per-path sums must not depend on thread count, which holds
     /// whenever the spans themselves follow the [`root_span`] rule.
     pub fn add(&self, counter: &str, delta: u64) {
-        if self.start.is_none() {
-            return;
-        }
         let path = PATH.with(|p| p.borrow()[..self.path_end].to_owned());
         let mut reg = lock();
         let slot =
@@ -255,8 +230,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let elapsed_ns = start.elapsed().as_nanos();
+        let elapsed_ns = self.start.elapsed().as_nanos();
         let path = PATH.with(|p| {
             let mut buf = p.borrow_mut();
             let path = buf[..self.path_end].to_owned();
@@ -272,8 +246,9 @@ impl Drop for SpanGuard {
 
 /// RAII guard for a detached root span; see [`root_span`].
 pub struct RootGuard {
+    /// `Some` until drop, which closes it before restoring `saved`.
     inner: Option<SpanGuard>,
-    saved: Option<String>,
+    saved: String,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -290,9 +265,7 @@ impl Drop for RootGuard {
     fn drop(&mut self) {
         // Close the root span first, then restore the ambient stack.
         self.inner = None;
-        if let Some(saved) = self.saved.take() {
-            PATH.with(|p| *p.borrow_mut() = saved);
-        }
+        PATH.with(|p| *p.borrow_mut() = std::mem::take(&mut self.saved));
     }
 }
 
@@ -300,9 +273,6 @@ impl Drop for RootGuard {
 /// orchestration code only: appends from a parallel region would land in
 /// thread order and break the determinism contract.
 pub fn series_push(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
     lock().series.entry(name.to_owned()).or_default().push(value);
 }
 
@@ -628,21 +598,6 @@ mod tests {
             }
         });
         assert_eq!(snapshot().counters["hits"], 400);
-    }
-
-    #[test]
-    fn disabled_recording_is_a_no_op() {
-        let _g = test_lock();
-        reset();
-        static GHOST: Counter = Counter::new("ghost");
-        set_enabled(false);
-        {
-            span!("ghost");
-            GHOST.add(1);
-        }
-        set_enabled(true);
-        let snap = snapshot();
-        assert!(snap.spans.is_empty() && snap.counters.is_empty());
     }
 
     #[test]

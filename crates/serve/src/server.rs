@@ -21,6 +21,11 @@
 //!   Queued requests are answered, not dropped (their deadlines still
 //!   apply).
 //!
+//! Every registered design, whether seeded by [`Server::start`] or added
+//! by `/load`, is one kind of record: its netlist and placement, their
+//! preparation, and its activation cache. So each accepts `/transform`,
+//! whose delta prepare starts from the stored preparation.
+//!
 //! Per-request deadlines are enforced at the two places a slow peer or
 //! an overloaded queue can park work: queue-dequeue (expired requests
 //! get `503` without touching the model) and response-write (a stalled
@@ -36,7 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rtt_core::{IncrementalCtx, PrepareCtx, PreparedDesign, TimingModel};
+use rtt_core::{IncrementalCtx, ModelConfig, PrepareCtx, PreparedDesign, TimingModel};
 use rtt_netlist::{CellId, CellLibrary, NetId, Netlist, PinId, TimingGraph};
 use rtt_nn::InferCtx;
 use rtt_place::{Placement, Point};
@@ -111,22 +116,16 @@ struct Conn {
 
 /// One registered design plus its incremental-inference state.
 ///
-/// `sources` (the live netlist + placement) are retained only for designs
-/// registered through `/load`; designs seeded at boot arrive already
-/// prepared and cannot be transformed. `pending` accumulates the dirty
-/// seed pins of every `/transform` since the last cache refresh; the
-/// union-of-seeds rule makes handing them over in one batch sound.
+/// `sources` (the live netlist + placement) are what `/transform`
+/// mutates, and `prep` is their preparation, which its delta update
+/// starts from. `pending` accumulates the dirty seed pins of every
+/// `/transform` since the last cache refresh; the union-of-seeds rule
+/// makes handing them over in one batch sound.
 /// `model_generation` records which model generation the activation cache
 /// was computed under — a `/reload` between predicts invalidates it.
 struct DesignEntry {
-    sources: Option<(Netlist, Placement)>,
+    sources: (Netlist, Placement),
     prep: Arc<PreparedDesign>,
-    /// Delta-prepare context: lets `/transform` carry clean endpoint
-    /// masks across a transform instead of recomputing them. `None` for
-    /// boot-seeded designs (immutable, never transformed) and after a
-    /// grid change; a missing context falls back to a cold prepare and
-    /// re-arms.
-    pctx: Option<PrepareCtx>,
     inc: IncrementalCtx,
     pending: Vec<PinId>,
     design_generation: u64,
@@ -139,17 +138,29 @@ struct DesignEntry {
 }
 
 impl DesignEntry {
-    fn boot(prep: PreparedDesign) -> Self {
-        Self {
-            sources: None,
+    /// Builds the design's timing graph and prepares it cold, keeping the
+    /// sources for `/transform`. Fails on a netlist without a valid graph.
+    fn load(
+        netlist: Netlist,
+        placement: Placement,
+        library: &CellLibrary,
+        config: &ModelConfig,
+    ) -> Result<Self, String> {
+        let graph =
+            TimingGraph::try_build(&netlist, library).map_err(|e| format!("timing graph: {e}"))?;
+        // Serving only predicts; targets are a training-time concept, but
+        // prepare() wants one per endpoint.
+        let targets = vec![0.0f32; graph.endpoints().len()];
+        let prep = PreparedDesign::prepare(&netlist, library, &placement, &graph, config, targets);
+        Ok(Self {
+            sources: (netlist, placement),
             prep: Arc::new(prep),
-            pctx: None,
             inc: IncrementalCtx::new(),
             pending: Vec::new(),
             design_generation: 1,
             model_generation: 0,
             cached_at: None,
-        }
+        })
     }
 
     /// Predicts `indices` of `prep`, this entry's current preparation,
@@ -173,10 +184,9 @@ impl DesignEntry {
             shared.stats.record_cache_hit();
             return state.model.predict_cached(ctx, &mut self.inc, prep, indices);
         }
-        // The cache is taken out for the refresh, as `/transform` takes
-        // `pctx`: a refresh that unwinds leaves the entry cold and
-        // unstamped, never stamped over a half-refreshed cache whose
-        // seeds were already drained.
+        // The cache is taken out for the refresh: a refresh that unwinds
+        // leaves the entry cold and unstamped, never stamped over a
+        // half-refreshed cache whose seeds were already drained.
         self.cached_at = None;
         let mut inc = std::mem::take(&mut self.inc);
         let seeds = std::mem::take(&mut self.pending);
@@ -214,19 +224,29 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the acceptor and worker pool, and returns a handle.
-    /// `designs` seeds the registry (`/load` can add more at runtime).
+    /// Prepares the seed `designs` (name, netlist, placement), then binds,
+    /// spawns the acceptor and worker pool, and returns a handle. A seeded
+    /// design is registered exactly as `/load` registers one, so it too
+    /// accepts `/transform`; `/load` can add more at runtime.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::InvalidInput`] if a seeded netlist has no valid timing
+    /// graph; otherwise the bind's error.
     pub fn start(
         cfg: ServeConfig,
         model: TimingModel,
-        designs: Vec<(String, PreparedDesign)>,
+        designs: Vec<(String, Netlist, Placement)>,
     ) -> io::Result<Server> {
+        let library = CellLibrary::asap7_like();
+        let mut registry = BTreeMap::new();
+        for (name, netlist, placement) in designs {
+            let entry = DesignEntry::load(netlist, placement, &library, model.config())
+                .map_err(|e| io::Error::new(ErrorKind::InvalidInput, format!("{name}: {e}")))?;
+            registry.insert(name, Arc::new(Mutex::new(entry)));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let registry: BTreeMap<String, Arc<Mutex<DesignEntry>>> = designs
-            .into_iter()
-            .map(|(name, prep)| (name, Arc::new(Mutex::new(DesignEntry::boot(prep)))))
-            .collect();
         let shared = Arc::new(Shared {
             stats: Stats::new(cfg.workers.max(1), cfg.latency_window),
             queue: Queue::new(cfg.queue_capacity),
@@ -667,9 +687,8 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
     Response::text(200, body)
 }
 
-/// `POST /transform` — applies one netlist transform to a design that was
-/// registered through `/load` (boot-seeded designs arrive already
-/// prepared, without sources, and answer `422`).
+/// `POST /transform` — applies one netlist transform to a registered
+/// design, whether it was seeded at start or added by `/load`.
 ///
 /// Body lines: `design=NAME` (optional when exactly one design is
 /// registered), `op=buffer|resize|bypass|prune`, plus the op's operands:
@@ -750,12 +769,8 @@ fn transform(shared: &Shared, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     let mut entry = entry.lock().unwrap_or_else(PoisonError::into_inner);
-    // Disjoint field borrows: the delta-prepare below reads `sources`
-    // while taking `pctx` out of the entry.
-    let DesignEntry { sources, prep, pctx, pending, design_generation, .. } = &mut *entry;
-    let Some((netlist, placement)) = sources.as_ref() else {
-        return Response::text(422, "design has no sources (boot-seeded designs are immutable)\n");
-    };
+    let DesignEntry { sources, prep, pending, design_generation, .. } = &mut *entry;
+    let (netlist, placement) = &*sources;
 
     // Every mutation happens on clones; the stored entry is untouched
     // until the single publish block at the end.
@@ -828,34 +843,25 @@ fn transform(shared: &Shared, req: &Request) -> Response {
     let config = shared.swap.current().model.config().clone();
     let targets = vec![0.0f32; graph.endpoints().len()];
     let seeds = rtt_opt::dirty_seed_pins(netlist, &nl);
-    // Delta path when a prepare context is armed: carry the previous
-    // preparation's clean masks across the transform (bit-identical to a
-    // cold prepare). The context is taken out first, so a panic mid-update
-    // simply drops it and the next transform re-arms cold.
-    let (new_prep, new_ctx) = match pctx.take() {
-        Some(mut ctx) => {
-            let updated = prep.update(
-                &mut ctx,
-                (netlist, placement),
-                (&nl, &pl),
-                &library,
-                &graph,
-                &config,
-                &seeds,
-                targets,
-            );
-            (updated, ctx)
-        }
-        None => PreparedDesign::prepare_full(&nl, &library, &pl, &graph, &config, targets),
-    };
+    // Delta prepare: carries the previous preparation's clean masks across
+    // the transform, bit-identical to a cold prepare.
+    let new_prep = prep.update(
+        &mut PrepareCtx,
+        (netlist, placement),
+        (&nl, &pl),
+        &library,
+        &graph,
+        &config,
+        &seeds,
+        targets,
+    );
     let dirty = seeds.len();
 
     // Publish: everything below is infallible, so partial updates are
     // impossible.
     pending.extend(seeds);
-    *sources = Some((nl, pl));
+    *sources = (nl, pl);
     *prep = Arc::new(new_prep);
-    *pctx = Some(new_ctx);
     *design_generation += 1;
     Response::text(200, format!("generation={design_generation}\ndirty={dirty}\n"))
 }
@@ -925,28 +931,12 @@ fn load_design(shared: &Shared, req: &Request) -> Response {
         Ok(pl) => pl,
         Err(e) => return Response::text(422, format!("placement: {e}\n")),
     };
-    let graph = match TimingGraph::try_build(&netlist, &library) {
-        Ok(g) => g,
-        Err(e) => return Response::text(422, format!("timing graph: {e}\n")),
-    };
-    let endpoints = graph.endpoints().len();
     let config = shared.swap.current().model.config().clone();
-    // Serving only predicts; targets are a training-time concept, but
-    // prepare() wants one per endpoint.
-    let targets = vec![0.0f32; endpoints];
-    let (prep, pctx) =
-        PreparedDesign::prepare_full(&netlist, &library, &placement, &graph, &config, targets);
-    // Keep the parsed sources: they are what /transform mutates.
-    let entry = DesignEntry {
-        sources: Some((netlist, placement)),
-        prep: Arc::new(prep),
-        pctx: Some(pctx),
-        inc: IncrementalCtx::new(),
-        pending: Vec::new(),
-        design_generation: 1,
-        model_generation: 0,
-        cached_at: None,
+    let entry = match DesignEntry::load(netlist, placement, &library, &config) {
+        Ok(entry) => entry,
+        Err(e) => return Response::text(422, format!("{e}\n")),
     };
+    let endpoints = entry.prep.num_endpoints();
     let mut registry = shared.designs.lock().unwrap_or_else(PoisonError::into_inner);
     if full(&registry) {
         return Response::text(422, "design registry full\n");

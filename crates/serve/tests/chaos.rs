@@ -24,13 +24,15 @@ use std::time::{Duration, Instant};
 use rtt_circgen::ripple_carry_adder;
 use rtt_core::model_io::save_model;
 use rtt_core::{ModelConfig, PreparedDesign, TimingModel};
-use rtt_netlist::{CellLibrary, TimingGraph};
+use rtt_netlist::{CellLibrary, Netlist, TimingGraph};
 use rtt_nn::InferCtx;
-use rtt_place::{place, PlaceConfig};
+use rtt_place::{place, PlaceConfig, Placement};
 use rtt_serve::{FaultMode, FaultSpec, ServeConfig, Server};
 
 /// A small but non-trivial design plus a deterministic model.
-fn fixture() -> (TimingModel, PreparedDesign) {
+/// The model, its library-path prediction bits over every endpoint, and
+/// the design's sources, which the daemon prepares itself.
+fn fixture() -> (TimingModel, Vec<u32>, Netlist, Placement) {
     let lib = CellLibrary::asap7_like();
     let nl = ripple_carry_adder(8, &lib);
     let pl = place(&nl, &lib, 0, &PlaceConfig::default());
@@ -38,7 +40,10 @@ fn fixture() -> (TimingModel, PreparedDesign) {
     let cfg = ModelConfig::tiny();
     let targets = vec![0.0f32; graph.endpoints().len()];
     let prep = PreparedDesign::prepare(&nl, &lib, &pl, &graph, &cfg, targets);
-    (TimingModel::new(cfg), prep)
+    let model = TimingModel::new(cfg);
+    let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
+    let expected = model.predict_batch(&InferCtx::new(), &prep, &all);
+    (model, expected.iter().map(|p| p.to_bits()).collect(), nl, pl)
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -158,12 +163,7 @@ fn until_complete(addr: SocketAddr, raw: &[u8], status: u16, tries: usize) -> Ve
 
 #[test]
 fn chaos_storm_never_panics_never_wedges_and_stays_bit_identical() {
-    let (model, prep) = fixture();
-    let expected: Vec<u32> = {
-        let ctx = InferCtx::new();
-        let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
-        model.predict_batch(&ctx, &prep, &all).iter().map(|p| p.to_bits()).collect()
-    };
+    let (model, expected, nl, pl) = fixture();
 
     let dir = tmpdir("storm");
     let weights = dir.join("model.rttm");
@@ -187,7 +187,7 @@ fn chaos_storm_never_panics_never_wedges_and_stays_bit_identical() {
         ..ServeConfig::default()
     };
     let mut server =
-        Server::start(cfg, model, vec![("rca8".to_owned(), prep)]).expect("daemon starts");
+        Server::start(cfg, model, vec![("rca8".to_owned(), nl, pl)]).expect("daemon starts");
     let addr = server.addr();
 
     // Before the storm: HTTP answers must match the library bit-for-bit.
@@ -302,12 +302,7 @@ fn chaos_storm_never_panics_never_wedges_and_stays_bit_identical() {
 
 #[test]
 fn corrupt_hot_reload_keeps_the_old_model_serving() {
-    let (model, prep) = fixture();
-    let expected: Vec<u32> = {
-        let ctx = InferCtx::new();
-        let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
-        model.predict_batch(&ctx, &prep, &all).iter().map(|p| p.to_bits()).collect()
-    };
+    let (model, expected, nl, pl) = fixture();
     let dir = tmpdir("reload");
     let weights = dir.join("model.rttm");
     std::fs::write(&weights, save_model(&model)).expect("write weights");
@@ -319,7 +314,7 @@ fn corrupt_hot_reload_keeps_the_old_model_serving() {
         ..ServeConfig::default()
     };
     let mut server =
-        Server::start(cfg, model, vec![("d".to_owned(), prep)]).expect("daemon starts");
+        Server::start(cfg, model, vec![("d".to_owned(), nl, pl)]).expect("daemon starts");
     let addr = server.addr();
 
     for _ in 0..3 {

@@ -267,7 +267,7 @@ fn opt_incremental_report(
     weights: &str,
 ) -> Result<(), String> {
     use restructure_timing::model::{
-        IncrementalCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
+        IncrementalCtx, PrepareCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
         ROWS_RECOMPUTED_COUNTER, ROWS_TOTAL_COUNTER,
     };
     use restructure_timing::nn::InferCtx;
@@ -278,7 +278,7 @@ fn opt_incremental_report(
         TimingGraph::try_build(nl, lib).map_err(|e| format!("timing graph: {e}"))
     };
     let graph_before = build(before)?;
-    let (prep_before, mut pctx) = PreparedDesign::prepare_full(
+    let prep_before = PreparedDesign::prepare(
         before,
         lib,
         before_placement,
@@ -304,7 +304,7 @@ fn opt_incremental_report(
         (counters_at(PREP_MASKS_RECOMPUTED_COUNTER), counters_at(PREP_MASKS_TOTAL_COUNTER));
     let td = std::time::Instant::now();
     let prep_after = prep_before.update(
-        &mut pctx,
+        &mut PrepareCtx,
         (before, before_placement),
         (after, after_placement),
         lib,
@@ -453,21 +453,15 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let weights_path = required(opts, "weights")?;
     let model = load_model_file(weights_path)?;
-    let cfg = model.config().clone();
 
     let mut designs = Vec::new();
     if opts.contains_key("netlist") {
-        let (lib, netlist, placement) = load_design(opts)?;
-        let graph =
-            TimingGraph::try_build(&netlist, &lib).map_err(|e| format!("timing graph: {e}"))?;
-        let targets = vec![0.0; graph.endpoints().len()];
-        let prep = PreparedDesign::prepare(&netlist, &lib, &placement, &graph, &cfg, targets);
+        let (_, netlist, placement) = load_design(opts)?;
         let name = match opts.get("name") {
             Some(n) if !n.is_empty() => n.clone(),
             _ => netlist.name.clone(),
         };
-        println!("registered design `{name}` ({} endpoints)", graph.endpoints().len());
-        designs.push((name, prep));
+        designs.push((name, netlist, placement));
     }
 
     let mut serve_cfg = ServeConfig {
@@ -487,7 +481,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         eprintln!("fault injection active (RTT_FAULTS)");
     }
 
-    let mut server = Server::start(serve_cfg, model, designs).map_err(|e| format!("bind: {e}"))?;
+    let names: Vec<String> = designs.iter().map(|(name, ..)| name.clone()).collect();
+    let mut server = Server::start(serve_cfg, model, designs).map_err(|e| format!("serve: {e}"))?;
+    for name in names {
+        println!("registered design `{name}`");
+    }
     println!("serving on http://{}/ (POST /shutdown to stop)", server.addr());
     while !server.shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));

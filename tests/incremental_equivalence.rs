@@ -229,11 +229,11 @@ fn run_sequence(
     let mut nl = base_nl.clone();
     let mut pl = base_pl.clone();
     let mut inc = IncrementalCtx::new();
-    // Prime the cache with a full pass over the base design, keeping the
-    // prepare context so every later step goes through the delta path.
+    // Prime the cache with a full pass over the base design; every later
+    // step goes through the delta path.
     let graph = TimingGraph::try_build(&nl, lib).expect("base netlist must be a DAG");
     let targets = vec![0.0f32; graph.endpoints().len()];
-    let (mut prep, mut pctx) = PreparedDesign::prepare_full(&nl, lib, &pl, &graph, cfg, targets);
+    let mut prep = PreparedDesign::prepare(&nl, lib, &pl, &graph, cfg, targets);
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(ctx, &mut inc, &prep, &[], &all);
 
@@ -249,7 +249,7 @@ fn run_sequence(
         let targets = vec![0.0f32; graph.endpoints().len()];
         let cold = PreparedDesign::prepare(&nl, lib, &pl, &graph, cfg, targets.clone());
         let delta = prep.update(
-            &mut pctx,
+            &mut PrepareCtx,
             (&before_nl, &before_pl),
             (&nl, &pl),
             lib,
@@ -304,7 +304,6 @@ fn check_delta_step(
     nl: &mut Netlist,
     pl: &mut Placement,
     prep: &mut PreparedDesign,
-    pctx: &mut PrepareCtx,
     inc: &mut IncrementalCtx,
 ) -> bool {
     let cfg = model.config();
@@ -318,7 +317,7 @@ fn check_delta_step(
     let targets = vec![0.0f32; graph.endpoints().len()];
     let cold = PreparedDesign::prepare(nl, lib, pl, &graph, cfg, targets.clone());
     let delta = prep.update(
-        pctx,
+        &mut PrepareCtx,
         (&before_nl, &before_pl),
         (&*nl, &*pl),
         lib,
@@ -452,8 +451,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
         let mut pl = base_pl.clone();
         let graph = TimingGraph::try_build(&nl, &lib).expect("base netlist must be a DAG");
         let targets = vec![0.0f32; graph.endpoints().len()];
-        let (mut prep, mut pctx) =
-            PreparedDesign::prepare_full(&nl, &lib, &pl, &graph, model.config(), targets);
+        let mut prep = PreparedDesign::prepare(&nl, &lib, &pl, &graph, model.config(), targets);
         let mut inc = IncrementalCtx::new();
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
         let _ = model.predict_incremental(&ctx, &mut inc, &prep, &[], &all);
@@ -467,7 +465,6 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
                 nl,
                 pl,
                 &mut prep,
-                &mut pctx,
                 &mut inc,
             )
         };
@@ -597,8 +594,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
 
         let graph = TimingGraph::try_build(&dnl, &lib).expect("doctored netlist stays a DAG");
         let targets = vec![0.0f32; graph.endpoints().len()];
-        let (mut prep, mut pctx) =
-            PreparedDesign::prepare_full(&dnl, &lib, &dpl, &graph, model.config(), targets);
+        let mut prep = PreparedDesign::prepare(&dnl, &lib, &dpl, &graph, model.config(), targets);
         let mut inc = IncrementalCtx::new();
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
         let _ = model.predict_incremental(&ctx, &mut inc, &prep, &[], &all);
@@ -612,7 +608,6 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
                 nl,
                 pl,
                 &mut prep,
-                &mut pctx,
                 &mut inc,
             )
         };
@@ -661,8 +656,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     let _ = opt::prune_dangling(&mut nl2, &lib);
     let graph = TimingGraph::try_build(&nl2, &lib).expect("pruned base must stay a DAG");
     let targets = vec![0.0f32; graph.endpoints().len()];
-    let (prep, mut pctx) =
-        PreparedDesign::prepare_full(&nl2, &lib, pl, &graph, cfg, targets.clone());
+    let prep = PreparedDesign::prepare(&nl2, &lib, pl, &graph, cfg, targets.clone());
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
 
     let (r0, t0) = (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
@@ -683,8 +677,16 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     let graph2 = TimingGraph::try_build(&nl2, &lib).expect("no-op keeps the DAG");
     let (pm0, pt0) =
         (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
-    let prep2 =
-        prep.update(&mut pctx, (&before, pl), (&nl2, pl), &lib, &graph2, cfg, &seeds, targets);
+    let prep2 = prep.update(
+        &mut PrepareCtx,
+        (&before, pl),
+        (&nl2, pl),
+        &lib,
+        &graph2,
+        cfg,
+        &seeds,
+        targets,
+    );
     let (pm1, pt1) =
         (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
     assert_eq!(pm1 - pm0, 0, "no-op update must recompute zero endpoint masks");
@@ -753,8 +755,11 @@ fn incremental_soak_survives_hundreds_of_transforms() {
     }
     let (recomputed, total) =
         (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
+    let (masks, masks_total) =
+        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
     eprintln!(
-        "soak: {} transforms, {recomputed}/{total} rows recomputed ({:.1}% reused)",
+        "soak: {} transforms, {recomputed}/{total} rows recomputed ({:.1}% reused), \
+         masks {masks}/{masks_total}",
         ops.len(),
         100.0 * (1.0 - recomputed as f64 / total.max(1) as f64)
     );

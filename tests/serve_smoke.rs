@@ -124,9 +124,9 @@ fn daemon_serves_bit_exact_predictions_reloads_and_drains() {
     std::fs::write(&weights, save_model(&boot_model)).expect("write boot weights");
 
     let serve_cfg = ServeConfig { weights_path: Some(weights.clone()), ..ServeConfig::default() };
-    let mut server =
-        Server::start(serve_cfg, boot_model.clone(), vec![("rca".to_owned(), prep.clone())])
-            .expect("daemon starts on an ephemeral port");
+    let boot = vec![("rca".to_owned(), nl.clone(), pl.clone())];
+    let mut server = Server::start(serve_cfg, boot_model.clone(), boot)
+        .expect("daemon starts on an ephemeral port");
     let addr = server.addr();
 
     let (status, body) = http(addr, &get("/healthz"));
@@ -293,10 +293,8 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
     // Cold daemon booted directly on the transformed design: the warm
     // daemon's incremental response must match it byte-for-byte.
     opt::insert_buffer(&mut nl, &mut pl, &lib, net, sink, pos).expect("reference transform");
-    let graph_t = TimingGraph::build(&nl, &lib);
-    let prep_t = prepared(&lib, &nl, &pl, &graph_t, &cfg);
     let cold_server =
-        Server::start(ServeConfig::default(), model.clone(), vec![("rca".to_owned(), prep_t)])
+        Server::start(ServeConfig::default(), model.clone(), vec![("rca".to_owned(), nl, pl)])
             .expect("cold daemon starts");
     let (status, cold) = http(cold_server.addr(), &post("/predict", "", b"design=rca\n"));
     assert_eq!(status, 200);
@@ -345,6 +343,63 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
     assert_eq!(status, 200);
     let text = String::from_utf8(body).expect("utf-8 stats");
     assert!(text.contains("\"transform_abort\":1"), "stats must count the injected abort: {text}");
+}
+
+/// A design seeded at start keeps its sources, as a `/load`ed one does:
+/// it accepts `/transform`, and the next `/predict` is byte-identical to
+/// a daemon started on the transformed design.
+#[test]
+fn boot_seeded_designs_accept_transforms() {
+    let (lib, mut nl, mut pl, _) = fixture(6);
+    let model = TimingModel::new(ModelConfig::tiny());
+    let boot = vec![("rca".to_owned(), nl.clone(), pl.clone())];
+    let server = Server::start(ServeConfig::default(), model.clone(), boot).expect("daemon starts");
+    let addr = server.addr();
+    let (status, _) = http(addr, &post("/predict", "", b"design=rca\n"));
+    assert_eq!(status, 200, "prime the activation cache");
+
+    let (net, sink) = nl
+        .nets()
+        .find_map(|(id, n)| n.sinks.first().map(|&s| (id, s)))
+        .expect("fixture has a net with sinks");
+    let pos = pl.floorplan().die.center();
+    let req = format!(
+        "design=rca\nop=buffer\nnet={}\nsink={}\npos={},{}\n",
+        net.index(),
+        sink.index(),
+        pos.x,
+        pos.y
+    );
+    let (status, body) = http(addr, &post("/transform", "", req.as_bytes()));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    assert!(body.starts_with(b"generation=2\n"), "{}", String::from_utf8_lossy(&body));
+
+    restructure_timing::opt::insert_buffer(&mut nl, &mut pl, &lib, net, sink, pos)
+        .expect("reference transform");
+    let cold =
+        Server::start(ServeConfig::default(), model.clone(), vec![("rca".to_owned(), nl, pl)])
+            .expect("cold daemon starts");
+    let (status, want) = http(cold.addr(), &post("/predict", "", b"design=rca\n"));
+    assert_eq!(status, 200);
+    let (status, got) = http(addr, &post("/predict", "", b"design=rca\n"));
+    assert_eq!(status, 200);
+    assert_eq!(got, want, "a transformed boot design must serve what a cold daemon serves");
+
+    // A seed without a valid timing graph (two inverters in a ring) is
+    // refused before the daemon binds.
+    let mut ring = Netlist::new("ring");
+    let inv = lib.pick(restructure_timing::netlist::GateFn::Inv, 1).expect("an inverter");
+    let (c0, o0) = ring.add_cell("i0", inv, &lib);
+    let (c1, o1) = ring.add_cell("i1", inv, &lib);
+    let (i0, i1) = (ring.cell(c0).inputs[0], ring.cell(c1).inputs[0]);
+    ring.connect_net("f", o0, &[i1]).expect("net f");
+    ring.connect_net("b", o1, &[i0]).expect("net b");
+    let ring_pl = place(&ring, &lib, 0, &PlaceConfig::default());
+    let seeds = vec![("ring".to_owned(), ring, ring_pl)];
+    let Err(err) = Server::start(ServeConfig::default(), model, seeds) else {
+        panic!("a cyclic seed must not start a daemon");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }
 
 /// `(predict_cache_hits, predict_cache_refreshes)` from `/stats`.
