@@ -28,7 +28,7 @@ fn main() {
          Endpoint `{}` at topological level {} of {}.\n\n\
          Longest path (node, level):\n\n```\n",
         cli.scale,
-        design.netlist.pin(graph.pin_of(ep)).name,
+        design.netlist.pin_name(graph.pin_of(ep)),
         graph.level(ep),
         graph.max_level(),
     );
@@ -36,7 +36,7 @@ fn main() {
         report.push_str(&format!(
             "  level {:>3}  {}\n",
             graph.level(v),
-            design.netlist.pin(graph.pin_of(v)).name
+            design.netlist.pin_name(graph.pin_of(v))
         ));
     }
     report.push_str("```\n\nCritical-region mask (█ = inside R_e):\n\n```\n");

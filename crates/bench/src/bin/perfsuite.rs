@@ -47,7 +47,9 @@
 //!
 //! A `prepare` section measures the preparation pipeline: cold
 //! `PreparedDesign::prepare` pins/sec per circgen tier (including the
-//! `huge` preset tier, where preparation dominates the flow), and the
+//! `huge` preset tier, where preparation dominates the flow), the two
+//! `/load` parsers (`parse_verilog`, `parse_placement`) on jpeg's written
+//! text at small and huge scale, and the
 //! transform→predict round trip — delta `PreparedDesign::update` plus
 //! `predict_incremental` against cold prepare plus full `predict_batch`
 //! after a buffer insertion. The delta round trip must clear a 3x
@@ -62,9 +64,9 @@ use rtt_circgen::{GenParams, Scale};
 use rtt_core::{IncrementalCtx, ModelConfig, PreparedDesign, TimingModel, TrainConfig};
 use rtt_features::endpoint_masks;
 use rtt_flow::{Dataset, FlowConfig};
-use rtt_netlist::{CellLibrary, PinId, TimingGraph};
+use rtt_netlist::{parse_verilog, write_verilog, CellLibrary, PinId, TimingGraph};
 use rtt_nn::{parallel, InferCtx};
-use rtt_place::{place, PlaceConfig};
+use rtt_place::{parse_placement, place, write_placement, PlaceConfig};
 use rtt_route::{route, RouteConfig};
 use rtt_sta::{fanout_cone, run_sta};
 
@@ -398,6 +400,9 @@ fn main() {
     // The jpeg tiers' endpoint masks as stored: tier, runs, set bins and
     // heap bytes.
     let mut mask_tiers: Vec<(String, usize, usize, usize)> = Vec::new();
+    // The jpeg tiers' `/load` parsers on their own written text: tier,
+    // pins, parse_verilog and parse_placement seconds.
+    let mut parse_tiers: Vec<(String, usize, f64, f64)> = Vec::new();
     for (pname, scale) in [("jpeg", Scale::Small), ("hwacha", Scale::Small), ("jpeg", Scale::Huge)]
     {
         let params = rtt_circgen::preset(pname, scale).expect("known preset");
@@ -425,6 +430,21 @@ fn main() {
                 masks.heap_bytes()
             );
             mask_tiers.push((format!("{pname}-{scale}"), runs, bins, masks.heap_bytes()));
+            let verilog = write_verilog(&d.netlist, &lib);
+            let placement = write_placement(&d.netlist, &pl);
+            let parsed = parse_verilog(&verilog, &lib).expect("written verilog parses");
+            let (v_s, p_s) = time_pair(
+                5,
+                || parse_verilog(&verilog, &lib).expect("written verilog parses"),
+                || parse_placement(&parsed, &placement).expect("written placement parses"),
+            );
+            println!(
+                "  {pname:<8} {scale:<5} parse: verilog {v_s:>9.4}s ({:>10.0} pins/s), \
+                 placement {p_s:>9.4}s ({:>10.0} pins/s)",
+                tier_pins as f64 / v_s.max(1e-12),
+                tier_pins as f64 / p_s.max(1e-12),
+            );
+            parse_tiers.push((format!("{pname}-{scale}"), tier_pins, v_s, p_s));
         }
     }
 
@@ -642,6 +662,17 @@ fn main() {
             "    {{\"tier\": \"{tier}\", \"pins\": {tp}, \"endpoints\": {te}, \
              \"cold_prepare_s\": {s:.6}, \"pins_per_s\": {pps:.1}}}{}\n",
             if i + 1 < prep_tiers.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ], \"parse\": [\n");
+    for (i, (tier, tp, v_s, p_s)) in parse_tiers.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"tier\": \"{tier}\", \"pins\": {tp}, \"parse_verilog_s\": {v_s:.6}, \
+             \"parse_verilog_pins_per_s\": {:.1}, \"parse_placement_s\": {p_s:.6}, \
+             \"parse_placement_pins_per_s\": {:.1}}}{}\n",
+            *tp as f64 / v_s.max(1e-12),
+            *tp as f64 / p_s.max(1e-12),
+            if i + 1 < parse_tiers.len() { "," } else { "" }
         ));
     }
     json.push_str(&format!(

@@ -743,7 +743,7 @@ mod tests {
         let pl = place(&nl, &lib, 0, &PlaceConfig::default());
         let graph = TimingGraph::build(&nl, &lib);
         let floating = (graph.endpoints().iter())
-            .position(|&ep| nl.pin(graph.pin_of(ep)).name == "floating")
+            .position(|&ep| nl.pin_name(graph.pin_of(ep)) == "floating")
             .expect("the floating port is an endpoint");
         let targets = vec![0.0; graph.endpoints().len()];
         (PreparedDesign::prepare(&nl, &lib, &pl, &graph, cfg, targets), floating as u32)

@@ -625,7 +625,7 @@ mod tests {
         assert!(children.iter().any(|&c| c > 1), "the forest branches");
 
         let rows = endpoint_masks(&nl, &pl, &g, 8);
-        let floating = g.endpoints().iter().position(|&ep| nl.pin(g.pin_of(ep)).name == "floating");
+        let floating = g.endpoints().iter().position(|&ep| nl.pin_name(g.pin_of(ep)) == "floating");
         assert!(
             rows.runs(floating.expect("an endpoint")).is_empty(),
             "the floating port has no mask"

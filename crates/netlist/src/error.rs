@@ -13,6 +13,8 @@ pub enum NetlistError {
     SinkAlreadyConnected(PinId),
     /// A pin was used as the driver of two different nets.
     DriverAlreadyConnected(PinId),
+    /// A pin was listed twice among one net's sinks.
+    DuplicateSink(PinId),
     /// The referenced entity has been removed (tombstoned).
     Dead(&'static str, u32),
     /// Net has no sinks, which is not allowed for connected nets.
@@ -37,6 +39,7 @@ impl fmt::Display for NetlistError {
             Self::DriverAlreadyConnected(p) => {
                 write!(f, "pin {p} already drives another net")
             }
+            Self::DuplicateSink(p) => write!(f, "pin {p} is listed twice as a sink of one net"),
             Self::Dead(kind, id) => write!(f, "{kind} {id} has been removed"),
             Self::EmptyNet(n) => write!(f, "net {n} has no sinks"),
             Self::CombinationalCycle { unresolved } => {
@@ -63,6 +66,7 @@ mod tests {
         let msgs = [
             NetlistError::SinkAlreadyConnected(PinId(1)).to_string(),
             NetlistError::DriverAlreadyConnected(PinId(2)).to_string(),
+            NetlistError::DuplicateSink(PinId(2)).to_string(),
             NetlistError::Dead("cell", 3).to_string(),
             NetlistError::EmptyNet(NetId(4)).to_string(),
             NetlistError::CombinationalCycle { unresolved: 5 }.to_string(),

@@ -7,6 +7,8 @@
 //! resistance (derived from drive strength), intrinsic delay, area, and the
 //! gate function used for the one-hot *gate type* feature.
 
+use std::collections::HashMap;
+
 use crate::CellTypeId;
 
 /// Drive strengths available for every combinational function, mirroring the
@@ -168,6 +170,8 @@ impl CellType {
 #[derive(Clone, Debug)]
 pub struct CellLibrary {
     types: Vec<CellType>,
+    /// Name → id, built once with the library; used only for lookups.
+    by_name: HashMap<String, CellTypeId>,
 }
 
 impl CellLibrary {
@@ -208,7 +212,12 @@ impl CellLibrary {
                 });
             }
         }
-        Self { types }
+        let by_name = types
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.name.clone(), CellTypeId::from_index(i)))
+            .collect();
+        Self { types, by_name }
     }
 
     /// Number of cell types in the library.
@@ -233,6 +242,11 @@ impl CellLibrary {
     /// Iterates over `(id, type)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (CellTypeId, &CellType)> {
         self.types.iter().enumerate().map(|(i, t)| (CellTypeId::from_index(i), t))
+    }
+
+    /// Finds the type named `name` (e.g. `AND3_X4`).
+    pub(crate) fn find(&self, name: &str) -> Option<CellTypeId> {
+        self.by_name.get(name).copied()
     }
 
     /// Finds the type implementing `gate` at exactly drive strength `drive`.
@@ -326,6 +340,16 @@ mod tests {
         let lib = CellLibrary::asap7_like();
         let id = lib.pick(GateFn::Aoi22, 4).unwrap();
         assert_eq!(lib.cell_type(id).name, "AOI22_X4");
+    }
+
+    #[test]
+    fn find_resolves_every_name_and_nothing_else() {
+        let lib = CellLibrary::asap7_like();
+        for (id, t) in lib.iter() {
+            assert_eq!(lib.find(&t.name), Some(id));
+        }
+        assert_eq!(lib.find("AOI22_X3"), None);
+        assert_eq!(lib.find(""), None);
     }
 
     #[test]

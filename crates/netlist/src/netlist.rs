@@ -6,6 +6,8 @@
 //! the pre-optimization input, removals never re-index: entities are
 //! tombstoned and surviving entities keep their ids.
 
+use std::borrow::Cow;
+
 use crate::{CellId, CellLibrary, CellTypeId, NetId, NetlistError, PinId};
 
 /// Signal-flow direction of a pin.
@@ -32,10 +34,12 @@ pub enum PortKind {
 }
 
 /// A pin: a cell terminal or a top-level port.
-#[derive(Clone, Debug)]
+///
+/// A pin stores no name, so creating or cloning one allocates nothing.
+/// [`Netlist::pin_name`] derives a cell pin's name from its cell
+/// (`{cell}/i{k}`, `{cell}/o`) and returns a port's own name.
+#[derive(Clone, Copy, Debug)]
 pub struct Pin {
-    /// Hierarchical-ish name, unique within the netlist.
-    pub name: String,
     /// Signal-flow direction.
     pub dir: PinDir,
     /// Owning cell, or `None` for top-level ports.
@@ -104,8 +108,12 @@ pub struct Netlist {
     pins: Vec<Pin>,
     cells: Vec<Cell>,
     nets: Vec<Net>,
+    // Pin ids grow as pins are pushed, so both port lists are sorted, and
+    // each name sits at its port's index.
     input_ports: Vec<PinId>,
+    input_names: Vec<String>,
     output_ports: Vec<PinId>,
+    output_names: Vec<String>,
 }
 
 impl Netlist {
@@ -141,6 +149,31 @@ impl Netlist {
     /// Panics if `id` is out of range.
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
+    }
+
+    /// The name of pin `id`: a port's own name, or `{cell}/i{k}` for a
+    /// cell's `k`-th input and `{cell}/o` for its output.
+    ///
+    /// Only port names are stored; a cell pin's name is formatted on each
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn pin_name(&self, id: PinId) -> Cow<'_, str> {
+        let pin = &self.pins[id.index()];
+        if let Some(cell) = pin.cell {
+            let cell = &self.cells[cell.index()];
+            return match cell.inputs.iter().position(|&p| p == id) {
+                Some(k) => Cow::Owned(format!("{}/i{k}", cell.name)),
+                None => Cow::Owned(format!("{}/o", cell.name)),
+            };
+        }
+        let (ports, names) = match pin.port {
+            Some(PortKind::Input) => (&self.input_ports, &self.input_names),
+            _ => (&self.output_ports, &self.output_names),
+        };
+        Cow::Borrowed(ports.binary_search(&id).map_or("", |i| names[i].as_str()))
     }
 
     /// Total pin slots, including tombstoned pins.
@@ -221,7 +254,6 @@ impl Netlist {
     /// Adds a primary input port and returns its pin id.
     pub fn add_input_port(&mut self, name: impl Into<String>) -> PinId {
         let id = self.push_pin(Pin {
-            name: name.into(),
             dir: PinDir::Drive,
             cell: None,
             net: None,
@@ -229,13 +261,13 @@ impl Netlist {
             alive: true,
         });
         self.input_ports.push(id);
+        self.input_names.push(name.into());
         id
     }
 
     /// Adds a primary output port and returns its pin id.
     pub fn add_output_port(&mut self, name: impl Into<String>) -> PinId {
         let id = self.push_pin(Pin {
-            name: name.into(),
             dir: PinDir::Sink,
             cell: None,
             net: None,
@@ -243,6 +275,7 @@ impl Netlist {
             alive: true,
         });
         self.output_ports.push(id);
+        self.output_names.push(name.into());
         id
     }
 
@@ -256,29 +289,12 @@ impl Netlist {
         type_id: CellTypeId,
         library: &CellLibrary,
     ) -> (CellId, PinId) {
-        let name = name.into();
         let cell_id = CellId::from_index(self.cells.len());
-        let ty = library.cell_type(type_id);
-        let mut inputs = Vec::with_capacity(ty.num_inputs());
-        for i in 0..ty.num_inputs() {
-            inputs.push(self.push_pin(Pin {
-                name: format!("{name}/i{i}"),
-                dir: PinDir::Sink,
-                cell: Some(cell_id),
-                net: None,
-                port: None,
-                alive: true,
-            }));
-        }
-        let output = self.push_pin(Pin {
-            name: format!("{name}/o"),
-            dir: PinDir::Drive,
-            cell: Some(cell_id),
-            net: None,
-            port: None,
-            alive: true,
-        });
-        self.cells.push(Cell { name, type_id, inputs, output, alive: true });
+        let pin = |dir| Pin { dir, cell: Some(cell_id), net: None, port: None, alive: true };
+        let num_inputs = library.cell_type(type_id).num_inputs();
+        let inputs = (0..num_inputs).map(|_| self.push_pin(pin(PinDir::Sink))).collect();
+        let output = self.push_pin(pin(PinDir::Drive));
+        self.cells.push(Cell { name: name.into(), type_id, inputs, output, alive: true });
         (cell_id, output)
     }
 
@@ -287,12 +303,23 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns an error if the driver already drives a net, a sink is already
-    /// connected, a pin direction is wrong, or `sinks` is empty.
+    /// connected or listed twice, a pin direction is wrong, or `sinks` is
+    /// empty. On error the netlist is unchanged.
     pub fn connect_net(
         &mut self,
         name: impl Into<String>,
         driver: PinId,
         sinks: &[PinId],
+    ) -> Result<NetId, NetlistError> {
+        self.connect(name.into(), driver, sinks.to_vec())
+    }
+
+    /// [`Netlist::connect_net`], taking ownership of the sink list.
+    pub(crate) fn connect(
+        &mut self,
+        name: String,
+        driver: PinId,
+        sinks: Vec<PinId>,
     ) -> Result<NetId, NetlistError> {
         let net_id = NetId::from_index(self.nets.len());
         if sinks.is_empty() {
@@ -307,7 +334,7 @@ impl Netlist {
                 return Err(NetlistError::DriverAlreadyConnected(driver));
             }
         }
-        for &s in sinks {
+        for &s in &sinks {
             let p = self.pin(s);
             if p.dir != PinDir::Sink {
                 return Err(NetlistError::DirectionMismatch(s));
@@ -316,11 +343,19 @@ impl Netlist {
                 return Err(NetlistError::SinkAlreadyConnected(s));
             }
         }
-        self.pins[driver.index()].net = Some(net_id);
-        for &s in sinks {
+        // Every sink was unconnected, so one found connected here is listed
+        // twice: undo this loop's connections and reject the net.
+        for (k, &s) in sinks.iter().enumerate() {
+            if self.pins[s.index()].net.is_some() {
+                for &done in &sinks[..k] {
+                    self.pins[done.index()].net = None;
+                }
+                return Err(NetlistError::DuplicateSink(s));
+            }
             self.pins[s.index()].net = Some(net_id);
         }
-        self.nets.push(Net { name: name.into(), driver, sinks: sinks.to_vec(), alive: true });
+        self.pins[driver.index()].net = Some(net_id);
+        self.nets.push(Net { name, driver, sinks, alive: true });
         Ok(net_id)
     }
 
@@ -530,6 +565,36 @@ mod tests {
         let t = lib.pick(GateFn::Inv, 1).unwrap();
         let (_, o2) = nl.add_cell("u1", t, &lib);
         assert_eq!(nl.connect_net("dup2", o2, &[i0]), Err(NetlistError::SinkAlreadyConnected(i0)));
+    }
+
+    #[test]
+    fn a_sink_listed_twice_is_rejected_and_nothing_connects() {
+        let (lib, mut nl, ..) = tiny();
+        let t = lib.pick(GateFn::And2, 1).unwrap();
+        let (c, o) = nl.add_cell("u1", t, &lib);
+        let (i0, i1) = (nl.cell(c).inputs[0], nl.cell(c).inputs[1]);
+        let y2 = nl.add_output_port("y2");
+        let x = nl.add_input_port("x");
+        assert_eq!(nl.connect_net("nx", x, &[i0, i1, i0]), Err(NetlistError::DuplicateSink(i0)));
+        assert_eq!((nl.pin(x).net, nl.pin(i0).net, nl.pin(i1).net), (None, None, None));
+        assert_eq!(nl.num_nets(), 3);
+        nl.connect_net("nx", x, &[i0, i1]).unwrap();
+        nl.connect_net("ny2", o, &[y2]).unwrap();
+        nl.validate().unwrap();
+    }
+
+    #[test]
+    fn pin_names_derive_from_cells_and_ports() {
+        let (lib, mut nl, c, co, _) = tiny();
+        assert_eq!(nl.pin_name(nl.cell(c).inputs[1]), "u0/i1");
+        assert_eq!(nl.pin_name(co), "u0/o");
+        assert_eq!(nl.pin_name(nl.input_ports()[1]), "b");
+        assert_eq!(nl.pin_name(nl.output_ports()[0]), "y");
+        // A port added after cells keeps its name.
+        let t = lib.pick(GateFn::Inv, 1).unwrap();
+        let (_, o) = nl.add_cell("u9", t, &lib);
+        let late = nl.add_input_port("late");
+        assert_eq!((nl.pin_name(o).as_ref(), nl.pin_name(late).as_ref()), ("u9/o", "late"));
     }
 
     #[test]

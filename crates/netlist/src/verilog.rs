@@ -11,7 +11,7 @@
 //! (`AND2_X1 u0 (.i0(a), .i1(b), .o(w1));`). No buses, behavioural code,
 //! parameters, or escaped identifiers.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -34,7 +34,15 @@ pub enum VerilogError {
     UnknownCellType(String),
     /// An instance referenced a pin the cell type does not have.
     UnknownPin(String, String),
-    /// A net connected illegally (two drivers, etc.).
+    /// A port name was declared twice.
+    DuplicatePort(String),
+    /// Two instances share a name.
+    DuplicateInstance(String),
+    /// An instance named one of its pins twice.
+    DuplicatePin(String, String),
+    /// A net had two drivers.
+    MultipleDrivers(String),
+    /// A net connected illegally.
     Netlist(NetlistError),
 }
 
@@ -45,6 +53,10 @@ impl fmt::Display for VerilogError {
             Self::Syntax { line, message } => write!(f, "syntax error on line {line}: {message}"),
             Self::UnknownCellType(t) => write!(f, "unknown cell type `{t}`"),
             Self::UnknownPin(cell, pin) => write!(f, "cell `{cell}` has no pin `{pin}`"),
+            Self::DuplicatePort(p) => write!(f, "port `{p}` is declared twice"),
+            Self::DuplicateInstance(c) => write!(f, "instance name `{c}` is used twice"),
+            Self::DuplicatePin(cell, pin) => write!(f, "cell `{cell}` connects pin `{pin}` twice"),
+            Self::MultipleDrivers(n) => write!(f, "net `{n}` has more than one driver"),
             Self::Netlist(e) => write!(f, "illegal connectivity: {e}"),
         }
     }
@@ -67,8 +79,11 @@ impl From<NetlistError> for VerilogError {
 
 /// Emits `netlist` as a flat structural-Verilog module.
 ///
-/// Nets keep their names; cell input pins are named `i0..iN-1` and the
-/// output pin `o`, matching the data model.
+/// Nets keep their names, except that a net on a port takes the port's;
+/// cell input pins are named `i0..iN-1` and the output pin `o`, matching
+/// the data model. Wires and assigns follow net names, the order
+/// [`parse_verilog`] numbers nets in, so parsing a written text and
+/// writing it again reproduces it byte for byte.
 pub fn write_verilog(netlist: &Netlist, library: &CellLibrary) -> String {
     let mut out = String::new();
     let sanitized = |s: &str| s.replace(['/', ' '], "_");
@@ -79,29 +94,34 @@ pub fn write_verilog(netlist: &Netlist, library: &CellLibrary) -> String {
         .iter()
         .chain(netlist.output_ports())
         .filter(|&&p| netlist.pin(p).is_alive())
-        .map(|&p| sanitized(&netlist.pin(p).name))
+        .map(|&p| sanitized(&netlist.pin_name(p)))
         .collect();
     out.push_str(&ports.join(", "));
     out.push_str(");\n");
 
     for &p in netlist.input_ports() {
         if netlist.pin(p).is_alive() {
-            out.push_str(&format!("  input {};\n", sanitized(&netlist.pin(p).name)));
+            out.push_str(&format!("  input {};\n", sanitized(&netlist.pin_name(p))));
         }
     }
     for &p in netlist.output_ports() {
         if netlist.pin(p).is_alive() {
-            out.push_str(&format!("  output {};\n", sanitized(&netlist.pin(p).name)));
+            out.push_str(&format!("  output {};\n", sanitized(&netlist.pin_name(p))));
         }
     }
 
-    // Wires: every net not directly a port connection still gets declared;
-    // redundant declarations of port names are avoided.
+    // Each net under the name the text gives it (see `net_text`), in name
+    // order, the order a parse numbers nets in: a parsed design writes
+    // back byte for byte. Wires declare the nets not named after a port.
     let port_names: std::collections::HashSet<String> = ports.iter().cloned().collect();
-    for (_, net) in netlist.nets() {
-        let n = sanitized(&net.name);
-        if !port_names.contains(&n) {
-            out.push_str(&format!("  wire {n};\n"));
+    let mut named: Vec<_> = netlist
+        .nets()
+        .map(|(nid, _)| (net_text(netlist, nid, &port_names, &sanitized), nid))
+        .collect();
+    named.sort_unstable();
+    for (text, _) in &named {
+        if !port_names.contains(text) {
+            out.push_str(&format!("  wire {text};\n"));
         }
     }
 
@@ -115,13 +135,11 @@ pub fn write_verilog(netlist: &Netlist, library: &CellLibrary) -> String {
 
     // A net can feed several output ports, but only one name can appear in
     // instance connections; the remaining port aliases become assigns.
-    for (nid, net) in netlist.nets() {
-        let canonical = net_text(netlist, nid, &port_names, &sanitized);
-        for &s in &net.sinks {
-            let pin = netlist.pin(s);
-            if pin.cell.is_none() {
-                let name = sanitized(&pin.name);
-                if name != canonical {
+    for (canonical, nid) in &named {
+        for &s in &netlist.net(*nid).sinks {
+            if netlist.pin(s).cell.is_none() {
+                let name = sanitized(&netlist.pin_name(s));
+                if name != *canonical {
                     out.push_str(&format!("  assign {name} = {canonical};\n"));
                 }
             }
@@ -156,14 +174,12 @@ fn net_text(
     }
     // A net whose driver is an input port, or with an output-port sink,
     // is aliased to that port name in the netlist text.
-    let driver = netlist.pin(net.driver);
-    if driver.cell.is_none() {
-        return sanitized(&driver.name);
+    if netlist.pin(net.driver).cell.is_none() {
+        return sanitized(&netlist.pin_name(net.driver));
     }
     for &s in &net.sinks {
-        let p = netlist.pin(s);
-        if p.cell.is_none() {
-            return sanitized(&p.name);
+        if netlist.pin(s).cell.is_none() {
+            return sanitized(&netlist.pin_name(s));
         }
     }
     n
@@ -171,180 +187,218 @@ fn net_text(
 
 /// Parses the structural subset produced by [`write_verilog`].
 ///
+/// One pass over `text`: tokens are slices of it, and `//` comments are
+/// skipped where they stand. Nets get their ids in name order, whatever
+/// order the text declares them in.
+///
 /// # Errors
 ///
-/// Returns a [`VerilogError`] describing the first problem found.
+/// Returns a [`VerilogError`] describing the first problem found,
+/// including a port declared twice, a repeated instance name, an instance
+/// pin connected twice and a net with two drivers.
 pub fn parse_verilog(text: &str, library: &CellLibrary) -> Result<Netlist, VerilogError> {
-    // Strip comments, join into a token-friendly form.
-    let mut cleaned = String::with_capacity(text.len());
-    for line in text.lines() {
-        let line = match line.find("//") {
-            Some(i) => &line[..i],
-            None => line,
-        };
-        cleaned.push_str(line);
-        cleaned.push('\n');
-    }
-
-    let mut parser = Parser { text: &cleaned, pos: 0 };
-    parser.expect_word("module")?;
-    let module_name = parser.identifier()?;
-    parser.expect_char('(')?;
+    let mut lex = Lexer { text, pos: 0 };
+    lex.expect_word("module")?;
+    let mut nl = Netlist::new(lex.identifier()?);
+    lex.expect_byte(b'(')?;
     // Port list (names repeated in the body; just skip).
-    while parser.peek_char()? != ')' {
-        let _ = parser.identifier()?;
-        if parser.peek_char()? == ',' {
-            parser.expect_char(',')?;
-        }
+    while !lex.eat(b')') {
+        lex.identifier()?;
+        lex.eat(b',');
     }
-    parser.expect_char(')')?;
-    parser.expect_char(';')?;
+    lex.expect_byte(b';')?;
 
-    let mut nl = Netlist::new(module_name);
-    // Map from net name -> (driver pin, sink pins).
-    #[derive(Default)]
-    struct NetAcc {
-        driver: Option<PinId>,
-        sinks: Vec<PinId>,
-    }
-    // BTreeMap: nets materialize in name order, so NetIds are stable across
-    // runs regardless of declaration interleaving.
-    let mut nets: BTreeMap<String, NetAcc> = BTreeMap::new();
+    let mut nets = Nets::default();
+    let mut declared_ports: HashSet<&str> = HashSet::new();
+    let mut instances: HashSet<&str> = HashSet::new();
     // `assign lhs = rhs;` — lhs (an output port) becomes a sink of rhs.
-    let mut aliases: Vec<(String, String)> = Vec::new();
-    let mut cell_count = 0usize;
+    let mut aliases: Vec<(&str, &str)> = Vec::new();
 
     loop {
-        let word = parser.identifier()?;
-        match word.as_str() {
+        let word = lex.identifier()?;
+        match word {
             "endmodule" => break,
-            "input" => {
-                let name = parser.identifier()?;
-                parser.expect_char(';')?;
-                let p = nl.add_input_port(&name);
-                nets.entry(name).or_default().driver = Some(p);
-            }
-            "output" => {
-                let name = parser.identifier()?;
-                parser.expect_char(';')?;
-                let p = nl.add_output_port(&name);
-                nets.entry(name).or_default().sinks.push(p);
+            "input" | "output" => {
+                let name = lex.identifier()?;
+                lex.expect_byte(b';')?;
+                if !declared_ports.insert(name) {
+                    return Err(VerilogError::DuplicatePort(name.to_owned()));
+                }
+                if word == "input" {
+                    let p = nl.add_input_port(name);
+                    nets.drive(name, p)?;
+                } else {
+                    let p = nl.add_output_port(name);
+                    nets.get(name).sinks.push(p);
+                }
             }
             "wire" => {
-                let name = parser.identifier()?;
-                parser.expect_char(';')?;
-                nets.entry(name).or_default();
+                let name = lex.identifier()?;
+                lex.expect_byte(b';')?;
+                nets.get(name);
             }
             "assign" => {
-                let lhs = parser.identifier()?;
-                parser.expect_char('=')?;
-                let rhs = parser.identifier()?;
-                parser.expect_char(';')?;
+                let lhs = lex.identifier()?;
+                lex.expect_byte(b'=')?;
+                let rhs = lex.identifier()?;
+                lex.expect_byte(b';')?;
                 aliases.push((lhs, rhs));
             }
             type_name => {
                 // Instance: TYPE name ( .pin(net), ... );
                 let type_id = library
-                    .iter()
-                    .find(|(_, t)| t.name == type_name)
-                    .map(|(id, _)| id)
+                    .find(type_name)
                     .ok_or_else(|| VerilogError::UnknownCellType(type_name.to_owned()))?;
-                let inst_name = parser.identifier()?;
-                parser.expect_char('(')?;
-                let (cell, out_pin) = nl.add_cell(&inst_name, type_id, library);
-                let _ = cell_count;
-                cell_count += 1;
+                let inst = lex.identifier()?;
+                lex.expect_byte(b'(')?;
+                if !instances.insert(inst) {
+                    return Err(VerilogError::DuplicateInstance(inst.to_owned()));
+                }
+                let (cell, out_pin) = nl.add_cell(inst, type_id, library);
+                let num_inputs = nl.cell(cell).inputs.len();
+                // Bit `k` set once input `k` is named, bit `num_inputs` for `o`.
+                let mut named = 0u32;
                 loop {
-                    parser.expect_char('.')?;
-                    let pin_name = parser.identifier()?;
-                    parser.expect_char('(')?;
-                    let net_name =
-                        if parser.peek_char()? == ')' { None } else { Some(parser.identifier()?) };
-                    parser.expect_char(')')?;
-                    let pin = resolve_pin(&nl, cell, out_pin, &inst_name, &pin_name)?;
-                    if let Some(net_name) = net_name {
-                        let acc = nets.entry(net_name).or_default();
-                        if pin_name == "o" {
-                            acc.driver = Some(pin);
+                    lex.expect_byte(b'.')?;
+                    let pin_name = lex.identifier()?;
+                    lex.expect_byte(b'(')?;
+                    let net = if lex.eat(b')') {
+                        None
+                    } else {
+                        let net = lex.identifier()?;
+                        lex.expect_byte(b')')?;
+                        Some(net)
+                    };
+                    let unknown = || VerilogError::UnknownPin(inst.to_owned(), pin_name.to_owned());
+                    let slot = pin_slot(pin_name, num_inputs).ok_or_else(unknown)?;
+                    if named & (1 << slot) != 0 {
+                        return Err(VerilogError::DuplicatePin(
+                            inst.to_owned(),
+                            pin_name.to_owned(),
+                        ));
+                    }
+                    named |= 1 << slot;
+                    if let Some(net) = net {
+                        if slot == num_inputs {
+                            nets.drive(net, out_pin)?;
                         } else {
-                            acc.sinks.push(pin);
+                            nets.get(net).sinks.push(nl.cell(cell).inputs[slot]);
                         }
                     }
-                    match parser.peek_char()? {
-                        ',' => parser.expect_char(',')?,
-                        ')' => {
-                            parser.expect_char(')')?;
-                            break;
-                        }
-                        c => return Err(parser.syntax(format!("expected `,` or `)`, got `{c}`"))),
+                    if lex.eat(b')') {
+                        break;
+                    }
+                    if !lex.eat(b',') {
+                        let c = lex.peek_char()?;
+                        return Err(lex.syntax(format!("expected `,` or `)`, got `{c}`")));
                     }
                 }
-                parser.expect_char(';')?;
+                lex.expect_byte(b';')?;
             }
         }
     }
 
     // Resolve assigns: move the lhs port's sink onto the rhs net.
     for (lhs, rhs) in aliases {
-        let Some(lhs_acc) = nets.get_mut(&lhs) else {
+        let Some(&l) = nets.index.get(lhs) else {
             return Err(VerilogError::Syntax {
                 line: 0,
                 message: format!("assign target `{lhs}` is not a declared port"),
             });
         };
-        let sinks = std::mem::take(&mut lhs_acc.sinks);
-        nets.entry(rhs).or_default().sinks.extend(sinks);
+        let sinks = std::mem::take(&mut nets.accs[l].sinks);
+        nets.get(rhs).sinks.extend(sinks);
     }
 
-    // Materialize nets (ports may be drivers or sinks).
-    for (name, acc) in nets {
-        let (Some(driver), sinks) = (acc.driver, acc.sinks) else {
-            continue; // undriven wire: ignore, like synthesis tools do
-        };
-        if sinks.is_empty() {
-            continue;
+    // Materialize nets in name order (ports may be drivers or sinks); each
+    // sink list moves into the netlist.
+    let mut accs = nets.accs;
+    accs.sort_unstable_by_key(|acc| acc.name);
+    for acc in accs {
+        // An undriven or unloaded wire is ignored, like synthesis tools do.
+        if let (Some(driver), false) = (acc.driver, acc.sinks.is_empty()) {
+            nl.connect(acc.name.to_owned(), driver, acc.sinks)?;
         }
-        nl.connect_net(name, driver, &sinks)?;
     }
     Ok(nl)
 }
 
-fn resolve_pin(
-    nl: &Netlist,
-    cell: crate::CellId,
-    out_pin: PinId,
-    inst: &str,
-    pin_name: &str,
-) -> Result<PinId, VerilogError> {
-    if pin_name == "o" {
-        return Ok(out_pin);
-    }
-    let idx: usize = pin_name
-        .strip_prefix('i')
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| VerilogError::UnknownPin(inst.to_owned(), pin_name.to_owned()))?;
-    nl.cell(cell)
-        .inputs
-        .get(idx)
-        .copied()
-        .ok_or_else(|| VerilogError::UnknownPin(inst.to_owned(), pin_name.to_owned()))
+/// A net as the text builds it up.
+struct NetAcc<'a> {
+    name: &'a str,
+    driver: Option<PinId>,
+    sinks: Vec<PinId>,
 }
 
-/// Minimal recursive-descent tokenizer over the cleaned text.
-struct Parser<'a> {
+/// The nets named so far, in first-mention order, with a name → position
+/// map that is used only for lookups.
+#[derive(Default)]
+struct Nets<'a> {
+    accs: Vec<NetAcc<'a>>,
+    index: HashMap<&'a str, usize>,
+}
+
+impl<'a> Nets<'a> {
+    /// The net named `name`, created empty on first mention.
+    fn get(&mut self, name: &'a str) -> &mut NetAcc<'a> {
+        let accs = &mut self.accs;
+        let i = *self.index.entry(name).or_insert_with(|| {
+            accs.push(NetAcc { name, driver: None, sinks: Vec::new() });
+            accs.len() - 1
+        });
+        &mut accs[i]
+    }
+
+    /// Makes `pin` the driver of net `name`, which must have none yet.
+    fn drive(&mut self, name: &'a str, pin: PinId) -> Result<(), VerilogError> {
+        let acc = self.get(name);
+        if acc.driver.replace(pin).is_some() {
+            return Err(VerilogError::MultipleDrivers(name.to_owned()));
+        }
+        Ok(())
+    }
+}
+
+/// The slot of pin `name` on a cell with `num_inputs` inputs: `k` for
+/// `i{k}`, `num_inputs` for the output `o`.
+fn pin_slot(name: &str, num_inputs: usize) -> Option<usize> {
+    if name == "o" {
+        return Some(num_inputs);
+    }
+    name.strip_prefix('i')?.parse().ok().filter(|&k| k < num_inputs)
+}
+
+/// Tokenizer over the caller's text: identifiers are borrowed slices, and
+/// whitespace and `//` comments are skipped in place.
+struct Lexer<'a> {
     text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Lexer<'a> {
+    /// The non-ASCII character at byte `pos`, if `keep` accepts it.
+    fn wide(&self, pos: usize, keep: fn(char) -> bool) -> Option<usize> {
+        self.text[pos..].chars().next().filter(|&c| keep(c)).map(char::len_utf8)
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(c) = self.text[self.pos..].chars().next() {
-            if c.is_whitespace() {
-                self.pos += c.len_utf8();
-            } else {
-                break;
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        loop {
+            match bytes.get(pos) {
+                Some(b' ' | b'\t'..=b'\r') => pos += 1,
+                Some(b'/') if bytes.get(pos + 1) == Some(&b'/') => {
+                    pos +=
+                        bytes[pos..].iter().position(|&b| b == b'\n').unwrap_or(bytes.len() - pos);
+                }
+                Some(b) if !b.is_ascii() => match self.wide(pos, char::is_whitespace) {
+                    Some(len) => pos += len,
+                    None => break,
+                },
+                _ => break,
             }
         }
+        self.pos = pos;
     }
 
     fn line(&self) -> usize {
@@ -360,30 +414,41 @@ impl Parser<'_> {
         self.text[self.pos..].chars().next().ok_or(VerilogError::UnexpectedEof)
     }
 
-    fn expect_char(&mut self, want: char) -> Result<(), VerilogError> {
-        let got = self.peek_char()?;
-        if got != want {
-            return Err(self.syntax(format!("expected `{want}`, got `{got}`")));
-        }
-        self.pos += got.len_utf8();
-        Ok(())
+    /// Consumes the ASCII character `want` if it comes next.
+    fn eat(&mut self, want: u8) -> bool {
+        self.skip_ws();
+        let hit = self.text.as_bytes().get(self.pos) == Some(&want);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn identifier(&mut self) -> Result<String, VerilogError> {
+    fn expect_byte(&mut self, want: u8) -> Result<(), VerilogError> {
+        if self.eat(want) {
+            return Ok(());
+        }
+        let got = self.peek_char()?;
+        Err(self.syntax(format!("expected `{}`, got `{got}`", char::from(want))))
+    }
+
+    fn identifier(&mut self) -> Result<&'a str, VerilogError> {
         self.skip_ws();
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        for c in self.text[self.pos..].chars() {
-            if c.is_alphanumeric() || c == '_' || c == '$' {
-                self.pos += c.len_utf8();
-            } else {
-                break;
+        loop {
+            match bytes.get(self.pos) {
+                Some(&b) if b.is_ascii_alphanumeric() || b == b'_' || b == b'$' => self.pos += 1,
+                Some(b) if !b.is_ascii() => match self.wide(self.pos, char::is_alphanumeric) {
+                    Some(len) => self.pos += len,
+                    None => break,
+                },
+                _ => break,
             }
         }
         if self.pos == start {
             let got = self.peek_char()?;
             return Err(self.syntax(format!("expected identifier, got `{got}`")));
         }
-        Ok(self.text[start..self.pos].to_owned())
+        Ok(&self.text[start..self.pos])
     }
 
     fn expect_word(&mut self, want: &str) -> Result<(), VerilogError> {
@@ -553,5 +618,105 @@ mod tests {
         let nl = parse_verilog(text, &lib).unwrap();
         let (_, cell) = nl.cells().next().unwrap();
         assert!(nl.pin(cell.inputs[1]).net.is_none());
+    }
+
+    /// `body` between a two-input, one-output module header and `endmodule`.
+    fn module(body: &str) -> String {
+        format!("module m (a, b, y);\n input a;\n input b;\n output y;\n{body}endmodule\n")
+    }
+
+    #[test]
+    fn net_ids_follow_name_order_not_text_order() {
+        let lib = CellLibrary::asap7_like();
+        let text = module(
+            " wire zz;\n wire m1;\n INV_X1 u0 (.i0(a), .o(zz));\n \
+             INV_X1 u1 (.i0(zz), .o(m1));\n AND2_X1 u2 (.i0(m1), .i1(b), .o(y));\n",
+        );
+        let nl = parse_verilog(&text, &lib).unwrap();
+        let names: Vec<&str> = nl.nets().map(|(_, n)| n.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "m1", "y", "zz"]);
+        // Sinks keep text order, and pin names derive from their cells.
+        let (_, a) = nl.nets().next().unwrap();
+        assert_eq!(nl.pin_name(a.sinks[0]), "u0/i0");
+        assert_eq!(nl.pin_name(a.driver), "a");
+    }
+
+    #[test]
+    fn a_net_with_two_drivers_is_rejected() {
+        let lib = CellLibrary::asap7_like();
+        let two_cells = module(" INV_X1 u0 (.i0(a), .o(y));\n INV_X1 u1 (.i0(b), .o(y));\n");
+        assert_eq!(
+            parse_verilog(&two_cells, &lib).unwrap_err(),
+            VerilogError::MultipleDrivers("y".into())
+        );
+        // An input port already drives its net.
+        let port_and_cell = module(" INV_X1 u0 (.i0(b), .o(a));\n BUF_X1 u1 (.i0(a), .o(y));\n");
+        assert_eq!(
+            parse_verilog(&port_and_cell, &lib).unwrap_err(),
+            VerilogError::MultipleDrivers("a".into())
+        );
+    }
+
+    #[test]
+    fn a_pin_connected_twice_is_rejected() {
+        let lib = CellLibrary::asap7_like();
+        for body in [
+            " AND2_X1 u0 (.i0(a), .i0(a), .o(y));\n",
+            " AND2_X1 u0 (.i0(a), .i1(b), .o(y), .o(y));\n",
+            " AND2_X1 u0 (.i1(), .i1(b), .i0(a), .o(y));\n",
+        ] {
+            let err = parse_verilog(&module(body), &lib).unwrap_err();
+            assert!(matches!(&err, VerilogError::DuplicatePin(c, _) if c == "u0"), "{body}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_port_declared_twice_is_rejected() {
+        let lib = CellLibrary::asap7_like();
+        for body in [" input a;\n", " output y;\n", " output a;\n"] {
+            let text = module(&format!("{body} AND2_X1 u0 (.i0(a), .i1(b), .o(y));\n"));
+            let err = parse_verilog(&text, &lib).unwrap_err();
+            assert!(matches!(err, VerilogError::DuplicatePort(_)), "{body}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_run_of_semicolons_is_a_syntax_error_on_the_first() {
+        let lib = CellLibrary::asap7_like();
+        let text = format!("module m();{}", ";".repeat(1 << 20));
+        match parse_verilog(&text, &lib) {
+            Err(VerilogError::Syntax { line: 1, message }) => {
+                assert_eq!(message, "expected identifier, got `;`")
+            }
+            other => panic!("expected a syntax error on line 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_instance_name_is_rejected() {
+        let lib = CellLibrary::asap7_like();
+        let text =
+            module(" wire w;\n INV_X1 u0 (.i0(a), .o(w));\n AND2_X1 u0 (.i0(w), .i1(b), .o(y));\n");
+        assert_eq!(
+            parse_verilog(&text, &lib).unwrap_err(),
+            VerilogError::DuplicateInstance("u0".into())
+        );
+    }
+
+    #[test]
+    fn non_ascii_text_lexes_like_ascii() {
+        let lib = CellLibrary::asap7_like();
+        // Unicode whitespace separates tokens, and identifiers may hold
+        // Unicode letters.
+        let text = "module m (é, y);\u{2003}input é;\n output y; // ünïcode\n \
+                    INV_X1 u0 (.i0(é),\u{a0}.o(y));\nendmodule";
+        let nl = parse_verilog(text, &lib).unwrap();
+        assert_eq!(nl.pin_name(nl.input_ports()[0]), "é");
+        match parse_verilog("module m (a);\n input a; §\n", &lib) {
+            Err(VerilogError::Syntax { line: 2, message }) => {
+                assert!(message.contains('§'), "{message}")
+            }
+            other => panic!("expected a syntax error on line 2, got {other:?}"),
+        }
     }
 }

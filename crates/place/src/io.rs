@@ -14,11 +14,12 @@
 //! `rtt-netlist`, this lets a placed design leave and re-enter the flow as
 //! text.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use rtt_netlist::Netlist;
+use rtt_netlist::{CellId, Netlist, PinId};
 
 use crate::{Floorplan, Placement, Point, Rect};
 
@@ -74,7 +75,7 @@ pub fn write_placement(netlist: &Netlist, placement: &Placement) -> String {
     for &pid in netlist.input_ports().iter().chain(netlist.output_ports()) {
         if netlist.pin(pid).is_alive() {
             let p = placement.pin_position(netlist, pid);
-            out.push_str(&format!("PORT {} {} {}\n", netlist.pin(pid).name, p.x, p.y));
+            out.push_str(&format!("PORT {} {} {}\n", netlist.pin_name(pid), p.x, p.y));
         }
     }
     out
@@ -106,7 +107,15 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
         // always exists; stay fallible anyway — this runs on the serving
         // path (R003).
         let Some(kind) = fields.next() else { continue };
-        let rest: Vec<&str> = fields.collect();
+        // The first four fields after the keyword, and how many there were.
+        let mut rest = [""; 4];
+        let mut n = 0;
+        for f in fields {
+            if let Some(slot) = rest.get_mut(n) {
+                *slot = f;
+            }
+            n += 1;
+        }
         let malformed = |message: String| PlacementIoError::Malformed { line: line_no, message };
         let num = |s: &str| -> Result<f32, PlacementIoError> {
             match s.parse::<f32>() {
@@ -116,7 +125,7 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
         };
         match kind {
             "DIE" | "MACRO" => {
-                if rest.len() != 4 {
+                if n != 4 {
                     return Err(malformed(format!("{kind} needs 4 coordinates")));
                 }
                 let r = Rect::new(num(rest[0])?, num(rest[1])?, num(rest[2])?, num(rest[3])?);
@@ -130,7 +139,7 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
                 }
             }
             "CELL" | "PORT" => {
-                if rest.len() != 3 {
+                if n != 3 {
                     return Err(malformed(format!("{kind} needs a name and 2 coordinates")));
                 }
                 let p = Point::new(num(rest[1])?, num(rest[2])?);
@@ -148,9 +157,16 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
     let mut placement = Placement::empty(Floorplan { die, macros }, netlist);
     // Reject names that match nothing in the netlist, in file order so the
     // first unknown name is the one reported. A repeated record places its
-    // entity again: the last one wins.
-    let known_cells: HashMap<&str, rtt_netlist::CellId> =
-        netlist.cells().map(|(id, c)| (c.name.as_str(), id)).collect();
+    // entity again: the last one wins. Both name maps are used only for
+    // lookups; of two ports with one name, the first (inputs first) is
+    // placed. The cell map is sized once from the netlist: `cells()`
+    // filters, so `collect` would grow and rehash it repeatedly.
+    let mut known_cells: HashMap<&str, CellId> = HashMap::with_capacity(netlist.num_cells());
+    known_cells.extend(netlist.cells().map(|(id, c)| (c.name.as_str(), id)));
+    let mut known_ports: HashMap<Cow<'_, str>, PinId> = HashMap::new();
+    for &pid in netlist.input_ports().iter().chain(netlist.output_ports()) {
+        known_ports.entry(netlist.pin_name(pid)).or_insert(pid);
+    }
     let mut placed = vec![false; netlist.cell_capacity()];
     for &(_, is_cell, name, p) in &records {
         if is_cell {
@@ -161,12 +177,9 @@ pub fn parse_placement(netlist: &Netlist, text: &str) -> Result<Placement, Place
             placement.place_cell(id, p);
             placed[id.index()] = true;
         } else {
-            let pid = netlist
-                .input_ports()
-                .iter()
-                .chain(netlist.output_ports())
+            let pid = known_ports
+                .get(name)
                 .copied()
-                .find(|&pid| netlist.pin(pid).name == name)
                 .ok_or_else(|| PlacementIoError::UnknownPort(name.to_owned()))?;
             placement.place_port(pid, p);
         }
@@ -208,6 +221,20 @@ mod tests {
             assert!((a.x - b.x).abs() < 1e-4 && (a.y - b.y).abs() < 1e-4);
         }
         assert_eq!(back.floorplan().die, pl.floorplan().die);
+    }
+
+    #[test]
+    fn records_in_reverse_order_place_the_same_entities() {
+        let (_, nl, pl) = world();
+        let text = write_placement(&nl, &pl);
+        let reversed: Vec<&str> = text.lines().rev().collect();
+        let back = parse_placement(&nl, &reversed.join("\n")).unwrap();
+        for (cid, _) in nl.cells() {
+            assert_eq!(back.cell_pos(cid), pl.cell_pos(cid));
+        }
+        for &pid in nl.input_ports().iter().chain(nl.output_ports()) {
+            assert_eq!(back.pin_position(&nl, pid), pl.pin_position(&nl, pid));
+        }
     }
 
     #[test]

@@ -348,14 +348,19 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
     }
 }
 
+/// Bytes asked of the socket per read: a 3 MB `/load` body arrives in
+/// about 50 reads, each followed by one incremental parse of the buffer.
+const READ_CHUNK: usize = 64 * 1024;
+
 fn worker_loop(shared: &Shared, worker: usize) {
     let ctx = InferCtx::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
     while let Some(conn) = shared.queue.pop() {
         // A panic anywhere in the handler (a bug, not a policy) must not
         // take the worker down mid-chaos; it is counted and visible on
         // /stats, and the chaos suite asserts the count stays zero.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(shared, worker, &ctx, conn);
+            handle_connection(shared, worker, &ctx, &mut chunk, conn);
         }));
         if outcome.is_err() {
             shared.stats.record_worker_panic();
@@ -365,11 +370,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
 }
 
 /// Serves one connection: reads requests (incrementally, through the
-/// fault layer), routes them, and writes responses until the peer
-/// closes, an error ends the exchange, or the keep-alive budget runs
-/// out.
+/// fault layer, into the worker's `chunk`), routes them, and writes
+/// responses until the peer closes, an error ends the exchange, or the
+/// keep-alive budget runs out.
 // rtt-lint: entry
-fn handle_connection(shared: &Shared, worker: usize, ctx: &InferCtx, conn: Conn) {
+fn handle_connection(shared: &Shared, worker: usize, ctx: &InferCtx, chunk: &mut [u8], conn: Conn) {
     let mut stream = conn.stream;
     let mut deadline = conn.deadline;
     let io_timeout = Duration::from_millis(shared.cfg.io_timeout_ms.max(1));
@@ -398,7 +403,7 @@ fn handle_connection(shared: &Shared, worker: usize, ctx: &InferCtx, conn: Conn)
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut served: u32 = 0;
     loop {
-        let request = match read_one_request(shared, &mut stream, &mut buf, deadline) {
+        let request = match read_one_request(shared, &mut stream, &mut buf, chunk, deadline) {
             ReadOutcome::Request(request) => request,
             ReadOutcome::PeerClosed => return,
             ReadOutcome::IoError => {
@@ -468,6 +473,7 @@ fn read_one_request(
     shared: &Shared,
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
+    chunk: &mut [u8],
     deadline: Instant,
 ) -> ReadOutcome {
     loop {
@@ -482,8 +488,7 @@ fn read_one_request(
         if now() > deadline {
             return ReadOutcome::Timeout;
         }
-        let mut chunk = [0u8; 4096];
-        match shared.cfg.faults.read(stream, &mut chunk) {
+        match shared.cfg.faults.read(stream, chunk) {
             Ok(0) => {
                 // Clean EOF between requests is a normal close; EOF with
                 // a half-request buffered is the peer giving up.

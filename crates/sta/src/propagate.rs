@@ -241,7 +241,7 @@ mod tests {
         let rep = run_sta(&w.nl, &w.lib, &w.graph, &w.rt, 500.0);
         // cout (end of the carry chain) must be the slowest endpoint.
         let cout =
-            w.nl.output_ports().iter().copied().find(|&p| w.nl.pin(p).name == "cout").unwrap();
+            w.nl.output_ports().iter().copied().find(|&p| w.nl.pin_name(p) == "cout").unwrap();
         let cout_arr = rep.arrival(cout).unwrap();
         assert!((rep.max_arrival() - cout_arr).abs() < 1e-3);
     }

@@ -207,7 +207,7 @@ fn cmd_sta(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut worst: Vec<(String, f32)> = report
         .endpoint_arrivals()
         .iter()
-        .map(|&(pin, a)| (netlist.pin(pin).name.clone(), a))
+        .map(|&(pin, a)| (netlist.pin_name(pin).into_owned(), a))
         .collect();
     worst.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
     println!("worst endpoints:");
@@ -434,7 +434,7 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), String> {
     let secs = t0.elapsed().as_secs_f64();
     println!("endpoint\tpredicted_arrival_ps");
     for (&v, p) in graph.endpoints().iter().zip(&pred) {
-        println!("{}\t{p:.2}", netlist.pin(graph.pin_of(v)).name);
+        println!("{}\t{p:.2}", netlist.pin_name(graph.pin_of(v)));
     }
     eprintln!(
         "predicted {} endpoints in {secs:.3} s ({:.0} endpoints/s, tape-free)",
