@@ -7,11 +7,11 @@
 //! current directory (and prints them). The kernels underneath are
 //! serial, and both workloads are bit-identical across thread counts, so
 //! this suite measures speed only. Each side of a ratio (serial against
-//! parallel, taped against tape-free, full against incremental, cold
-//! against delta, batched against one endpoint per call) is timed in
-//! alternating reps and reported as its own median, so both sides see
-//! the same host state. A `lint` section records the wall time of the
-//! full rtt-lint workspace pass (parse + call graph + reachability).
+//! parallel, taped against tape-free, full against incremental, batched
+//! against one endpoint per call) is timed in alternating reps and
+//! reported as its own median, so both sides see the same host state. A
+//! `lint` section records the wall time of the full rtt-lint workspace
+//! pass (parse + call graph + reachability).
 //!
 //! The training row times several epochs per rep, so that each design's
 //! tape arena is reused, and reports seconds per epoch. A `training`
@@ -50,11 +50,10 @@
 //! `huge` preset tier, where preparation dominates the flow), the two
 //! `/load` parsers (`parse_verilog`, `parse_placement`) on jpeg's written
 //! text at small and huge scale, and the
-//! transform→predict round trip — delta `PreparedDesign::update` plus
-//! `predict_incremental` against cold prepare plus full `predict_batch`
-//! after a buffer insertion. The delta round trip must clear a 3x
-//! speedup, and the delta-updated preparation is asserted bit-identical
-//! to the cold one first.
+//! transform→predict round trip after a buffer insertion: a cold prepare
+//! plus `predict_incremental` over an activation cache primed on the
+//! design before the transform, against a cold prepare plus a full
+//! `predict_batch`. The incremental round trip must clear a 3x speedup.
 
 #![allow(clippy::print_stdout)] // reports/tables go to stdout by design
 
@@ -393,8 +392,8 @@ fn main() {
     // Preparation: cold `prepare` throughput per circgen tier — the
     // `huge` tier is where preparation cost dominates the whole flow —
     // then the transform→predict round trip both ways on the 2000-cell
-    // incremental design: delta `update` + `predict_incremental` versus
-    // cold prepare + full `predict_batch`, after one buffer insertion.
+    // incremental design: prepare + `predict_incremental` versus prepare
+    // + full `predict_batch`, after one buffer insertion.
     println!("\ncold prepare throughput:");
     let mut prep_tiers: Vec<(String, usize, usize, f64, f64)> = Vec::new();
     // The jpeg tiers' endpoint masks as stored: tier, runs, set bins and
@@ -448,21 +447,20 @@ fn main() {
         }
     }
 
-    let rep_targets = vec![0.0f32; inc_graph.endpoints().len()];
-    let (base_prep, base_ctx) = PreparedDesign::prepare_full(
+    let base_prep = PreparedDesign::prepare(
         &inc_d.netlist,
         &lib,
         &inc_pl,
         &inc_graph,
         &cfg,
-        rep_targets.clone(),
+        vec![0.0f32; inc_graph.endpoints().len()],
     );
     let mut tnl = inc_d.netlist.clone();
     let mut tpl = inc_pl.clone();
     // A local transform site: the net with the smallest (non-trivial)
     // driver fan-out cone, the shape of a real optimizer fix — a
-    // PI-adjacent site would dirty most of the design and measure the
-    // full-rebuild path instead of the delta path.
+    // PI-adjacent site would dirty most of the design and measure a
+    // full GNN pass instead of a dirty cone.
     let (tr_net, tr_sink) = inc_candidates
         .iter()
         .filter(|&&(cone, _)| cone >= 2)
@@ -480,72 +478,32 @@ fn main() {
     let seeds = rtt_opt::dirty_seed_pins(&inc_d.netlist, &tnl);
     let t_targets = vec![0.0f32; tgraph.endpoints().len()];
     let t_eps: Vec<u32> = (0..tgraph.endpoints().len() as u32).collect();
-    // Correctness gate before timing anything: the delta-updated
-    // preparation must be bit-identical to the cold one.
-    let (rt_masks, rt_masks_total) = {
-        let counters0 = rtt_obs::snapshot().counters;
-        let at0 = |k: &str| counters0.get(k).copied().unwrap_or(0);
-        let (m0, t0) =
-            (at0(rtt_core::PREP_MASKS_RECOMPUTED_COUNTER), at0(rtt_core::PREP_MASKS_TOTAL_COUNTER));
-        let mut c = base_ctx.clone();
-        let delta = base_prep.update(
-            &mut c,
-            (&inc_d.netlist, &inc_pl),
-            (&tnl, &tpl),
-            &lib,
-            &tgraph,
-            &cfg,
-            &seeds,
-            t_targets.clone(),
-        );
-        let cold = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
-        delta.bit_eq(&cold).expect("delta prepare matches cold prepare bit-for-bit");
-        let counters1 = rtt_obs::snapshot().counters;
-        let at1 = |k: &str| counters1.get(k).copied().unwrap_or(0);
-        (
-            at1(rtt_core::PREP_MASKS_RECOMPUTED_COUNTER) - m0,
-            at1(rtt_core::PREP_MASKS_TOTAL_COUNTER) - t0,
-        )
-    };
     let mut rt_inc = IncrementalCtx::new();
     let base_eps: Vec<u32> = (0..base_prep.num_endpoints() as u32).collect();
     // Prime the activation cache on the pre-transform design, as a serving
     // loop would have.
     let _ = gnn_model.predict_incremental(&ctx, &mut rt_inc, &base_prep, &[], &base_eps);
-    let (cold_rt_s, delta_rt_s) = time_pair(
+    let (cold_rt_s, inc_rt_s) = time_pair(
         infer_reps,
         || {
             let p = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
             gnn_model.predict_batch(&ctx, &p, &t_eps)
         },
         || {
-            // `PrepareCtx` is fieldless, so this clone is free; it goes
-            // with the type (ROADMAP item 1).
-            let mut c = base_ctx.clone();
-            let p = base_prep.update(
-                &mut c,
-                (&inc_d.netlist, &inc_pl),
-                (&tnl, &tpl),
-                &lib,
-                &tgraph,
-                &cfg,
-                &seeds,
-                t_targets.clone(),
-            );
+            let p = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
             gnn_model.predict_incremental(&ctx, &mut rt_inc, &p, &seeds, &t_eps)
         },
     );
-    let rt_speedup = cold_rt_s / delta_rt_s.max(1e-12);
+    let rt_speedup = cold_rt_s / inc_rt_s.max(1e-12);
     println!(
-        "\ntransform→predict round trip ({} pins, {} dirty seeds, \
-         {rt_masks}/{rt_masks_total} masks recomputed):\n\
-         {:<22} {cold_rt_s:>9.4}s  (cold prepare + predict_batch)\n\
-         {:<22} {delta_rt_s:>9.4}s  (delta update + predict_incremental)\n\
+        "\ntransform→predict round trip ({} pins, {} dirty seeds):\n\
+         {:<22} {cold_rt_s:>9.4}s  (prepare + predict_batch)\n\
+         {:<22} {inc_rt_s:>9.4}s  (prepare + predict_incremental)\n\
          {:<22} {rt_speedup:>8.2}x",
         inc_pins,
         seeds.len(),
-        "cold",
-        "delta",
+        "full",
+        "incremental",
         "speedup"
     );
     gates.push(Gate::at_least("transform_round_trip_speedup", rt_speedup, 3.0));
@@ -677,8 +635,7 @@ fn main() {
     }
     json.push_str(&format!(
         "  ], \"transform_replay\": {{\"pins\": {inc_pins}, \"dirty_seeds\": {}, \
-         \"masks_recomputed\": {rt_masks}, \"masks_total\": {rt_masks_total}, \
-         \"cold_round_trip_s\": {cold_rt_s:.6}, \"delta_round_trip_s\": {delta_rt_s:.6}, \
+         \"cold_round_trip_s\": {cold_rt_s:.6}, \"incremental_round_trip_s\": {inc_rt_s:.6}, \
          \"speedup\": {rt_speedup:.3}}}}},\n",
         seeds.len(),
     ));

@@ -13,8 +13,8 @@ pub enum Scale {
     /// Default experiment scale: single-core minutes per table.
     #[default]
     Small,
-    /// 8× `Small`: the perfsuite's cold-vs-delta preparation tier —
-    /// large enough that preparation cost dominates, still CPU-minutes.
+    /// 8× `Small`: the perfsuite's large preparation tier — large
+    /// enough that preparation cost dominates, still CPU-minutes.
     Huge,
     /// Full paper-scale pin counts (hours of CPU time).
     Paper,

@@ -37,7 +37,7 @@ pub struct GnnSchedule {
 /// and scattered back to the group's rows. All of it is index arithmetic
 /// done once per design, so the per-pass inner loops are straight-line
 /// gathers, contiguous reductions, and row memcpys.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct GnnPlan {
     pub(crate) levels: Vec<FlatLevel>,
     /// Flat row of each endpoint, aligned with `TimingGraph::endpoints()`.
@@ -180,16 +180,6 @@ impl GnnSchedule {
     /// `TimingGraph::endpoints()` order.
     pub fn flat_endpoint_rows(&self) -> &[u32] {
         &self.plan.endpoint_rows
-    }
-
-    /// Structural equality down to the bit: every index vector and every
-    /// derived float compared (fanin means are built from small integer
-    /// counts, so `==` coincides with bit equality — no NaN or negative
-    /// zero can occur). Verification support for the delta-prepare path,
-    /// whose schedules must be indistinguishable from a cold
-    /// [`GnnSchedule::build`].
-    pub fn bit_eq(&self, other: &Self) -> bool {
-        self.plan == other.plan
     }
 
     /// The flat execution plan (crate-internal: the incremental engine

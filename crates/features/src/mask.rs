@@ -206,38 +206,23 @@ impl MaskRuns {
 /// [`longest_path`]: the shared geometry grid carries the same die
 /// rectangle and bin pitch, so `bin_of` lands every rectangle corner in
 /// the same bins. No dense `endpoints × grid²` buffer is ever built.
+///
+/// Every node has one critical predecessor, so the endpoints' longest
+/// paths merge into a forest no larger than the graph, and one
+/// depth-first walk over it yields every mask. The work is the forest
+/// size times the bins of one box plus the bins of each endpoint's
+/// bounding box, independent of path depth.
 pub fn endpoint_masks(
     netlist: &Netlist,
     placement: &Placement,
     graph: &TimingGraph,
     grid: usize,
 ) -> MaskRuns {
-    endpoint_masks_for(netlist, placement, graph, grid, graph.endpoints())
-}
-
-/// [`endpoint_masks`] for an arbitrary list of endpoint nodes `eps`, in
-/// that order; an endpoint listed twice gets two rows. This is the
-/// cone-scoped recompute behind the delta-prepare path: only endpoints
-/// whose fan-in cone a transform invalidated are listed, and every other
-/// endpoint's row is carried over from the previous preparation.
-///
-/// Every node has one critical predecessor, so the listed endpoints'
-/// longest paths merge into a forest no larger than the graph, and
-/// one depth-first walk over it yields every mask. The work is the forest
-/// size times the bins of one box plus the bins of each endpoint's
-/// bounding box, independent of path depth.
-pub fn endpoint_masks_for(
-    netlist: &Netlist,
-    placement: &Placement,
-    graph: &TimingGraph,
-    grid: usize,
-    eps: &[u32],
-) -> MaskRuns {
     let obs = rtt_obs::span("features::endpoint_masks");
-    obs.add("endpoints", eps.len() as u64);
+    obs.add("endpoints", graph.endpoints().len() as u64);
     // Geometry only: read by `bin_of`, never written.
     let geom = Grid::new(grid, grid, placement.floorplan().die);
-    Forest::resolve(netlist, placement, graph, &geom, eps).masks(grid)
+    Forest::resolve(netlist, placement, graph, &geom).masks(grid, graph.endpoints().len())
 }
 
 /// "No node" and "no row" in [`Forest`]'s index arrays.
@@ -249,11 +234,11 @@ type BinBox = [usize; 4];
 
 const EMPTY_BOX: BinBox = [usize::MAX, usize::MAX, 0, 0];
 
-/// The union of the listed endpoints' longest paths. A path meeting an
-/// earlier one shares every node from there back to the source, so each
-/// graph node appears at most once and the paths form a forest whose
-/// roots are sources (or, on a graph violating the level invariant,
-/// nodes with no fanin one level down).
+/// The union of the endpoints' longest paths. A path meeting an earlier
+/// one shares every node from there back to the source, so each graph
+/// node appears at most once and the paths form a forest whose roots are
+/// sources (or, on a graph violating the level invariant, nodes with no
+/// fanin one level down).
 struct Forest {
     /// Graph node of each forest node.
     node: Vec<u32>,
@@ -263,10 +248,9 @@ struct Forest {
     /// Bins of the net edge from the predecessor; `None` for a cell edge
     /// and at a root.
     bins: Vec<Option<BinBox>>,
-    /// First output row listed at each graph node, or [`NONE`]; the rows
-    /// of an endpoint listed more than once chain through `next_row`.
-    first_row: Vec<u32>,
-    next_row: Vec<u32>,
+    /// Output row of each graph node (its position in
+    /// `graph.endpoints()`, which lists a node once), or [`NONE`].
+    row: Vec<u32>,
 }
 
 /// One step of the depth-first walk in [`Forest::masks`].
@@ -278,26 +262,15 @@ enum Step {
 }
 
 impl Forest {
-    /// Walks from each endpoint of `eps` down its longest path until a
-    /// node already resolved, recording each new node's predecessor and
-    /// net-edge box once.
-    fn resolve(
-        netlist: &Netlist,
-        placement: &Placement,
-        graph: &TimingGraph,
-        geom: &Grid,
-        eps: &[u32],
-    ) -> Self {
+    /// Walks from each endpoint down its longest path until a node already
+    /// resolved, recording each new node's predecessor and net-edge box
+    /// once.
+    fn resolve(netlist: &Netlist, placement: &Placement, graph: &TimingGraph, geom: &Grid) -> Self {
         let n = graph.num_nodes();
         let mut index = vec![NONE; n];
-        let mut f = Self {
-            node: Vec::new(),
-            parent: Vec::new(),
-            bins: Vec::new(),
-            first_row: vec![NONE; n],
-            next_row: vec![NONE; eps.len()],
-        };
-        for (row, &ep) in eps.iter().enumerate() {
+        let mut f =
+            Self { node: Vec::new(), parent: Vec::new(), bins: Vec::new(), row: vec![NONE; n] };
+        for (row, &ep) in graph.endpoints().iter().enumerate() {
             let mut v = ep;
             while index[v as usize] == NONE {
                 index[v as usize] = f.node.len() as u32;
@@ -316,8 +289,7 @@ impl Forest {
                 let Some(pred) = pred else { break };
                 v = pred;
             }
-            f.next_row[row] = f.first_row[ep as usize];
-            f.first_row[ep as usize] = row as u32;
+            f.row[ep as usize] = row as u32;
         }
         for p in &mut f.parent {
             if *p != NONE {
@@ -328,11 +300,11 @@ impl Forest {
     }
 
     /// One depth-first walk from every root, keeping a per-bin count of
-    /// the boxes on the current root path. At a listed endpoint the
+    /// the boxes on the current root path. At an endpoint the
     /// counted bins are exactly its mask, and they all lie inside the
     /// bounding box of its path's boxes, which is scanned row-major so
-    /// bins come out ascending.
-    fn masks(&self, grid: usize) -> MaskRuns {
+    /// bins come out ascending. `rows` is the endpoint count.
+    fn masks(&self, grid: usize, rows: usize) -> MaskRuns {
         let k = self.node.len();
         // Children in CSR form: those of node `c` are
         // `child[off[c]..off[c + 1]]`.
@@ -351,9 +323,9 @@ impl Forest {
         }
 
         // Masks in the order the walk reaches them; `slot[row]` is where
-        // listed row `row`'s mask sits, shared by an endpoint's rows.
+        // output row `row`'s mask sits.
         let mut walked = MaskRuns::default();
-        let mut slot = vec![NONE; self.next_row.len()];
+        let mut slot = vec![NONE; rows];
         let mut cover = vec![0i32; grid * grid];
         let roots = (0..k).filter(|&c| self.parent[c] == NONE);
         let mut todo: Vec<Step> = roots.map(|c| Step::Enter(c, EMPTY_BOX)).collect();
@@ -366,7 +338,7 @@ impl Forest {
                         let [x0, y0, x1, y1] = bbox;
                         bbox = [x0.min(b[0]), y0.min(b[1]), x1.max(b[2]), y1.max(b[3])];
                     }
-                    let mut row = self.first_row[self.node[c] as usize];
+                    let row = self.row[self.node[c] as usize];
                     if row != NONE {
                         let [x0, y0, x1, y1] = bbox;
                         for y in y0..=y1 {
@@ -378,10 +350,7 @@ impl Forest {
                             }
                         }
                         walked.end_row();
-                        while row != NONE {
-                            slot[row as usize] = walked.len() as u32 - 1;
-                            row = self.next_row[row as usize];
-                        }
+                        slot[row as usize] = walked.len() as u32 - 1;
                     }
                     todo.push(Step::Leave(c));
                     todo.extend(child[off[c]..off[c + 1]].iter().map(|&ch| Step::Enter(ch, bbox)));
@@ -394,8 +363,8 @@ impl Forest {
             }
         }
 
-        // Every listed endpoint is a forest node, and the walk reaches every
-        // node; a row it missed on a malformed graph stays empty.
+        // Every endpoint is a forest node, and the walk reaches every node;
+        // a row it missed on a malformed graph stays empty.
         let mut out = MaskRuns::default();
         out.off.reserve(slot.len());
         out.runs.reserve(walked.runs.len());
@@ -558,20 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_masks_follow_the_requested_order() {
-        for (_, nl, pl, g) in [world(), buffer_chain()] {
-            let grid = 8;
-            let mut eps: Vec<u32> = g.endpoints().iter().rev().step_by(2).copied().collect();
-            eps.push(eps[eps.len() / 2]);
-            let rows = endpoint_masks_for(&nl, &pl, &g, grid, &eps);
-            assert_eq!(rows.len(), eps.len(), "a repeated endpoint gets its own row");
-            for (e, &ep) in eps.iter().enumerate() {
-                assert_eq!(expanded(&rows, e), reference_bins(&nl, &pl, &g, ep, grid));
-            }
-        }
-    }
-
-    #[test]
     fn runs_merge_select_and_cover_full_rows() {
         let mut m = MaskRuns::default();
         // Bins 6 and 7 end the second row of a 4-wide grid and 8 starts the
@@ -601,7 +556,7 @@ mod tests {
     fn forest_is_the_union_of_longest_paths() {
         let (_, nl, pl, g) = buffer_chain();
         let geom = Grid::new(8, 8, pl.floorplan().die);
-        let forest = Forest::resolve(&nl, &pl, &g, &geom, g.endpoints());
+        let forest = Forest::resolve(&nl, &pl, &g, &geom);
         let paths: Vec<Vec<u32>> = g.endpoints().iter().map(|&ep| longest_path(&g, ep)).collect();
         let steps: usize = paths.iter().map(Vec::len).sum();
         assert!(steps > 10 * g.num_nodes(), "{steps} path steps over {} pins", g.num_nodes());

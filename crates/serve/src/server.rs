@@ -24,7 +24,8 @@
 //! Every registered design, whether seeded by [`Server::start`] or added
 //! by `/load`, is one kind of record: its netlist and placement, their
 //! preparation, and its activation cache. So each accepts `/transform`,
-//! whose delta prepare starts from the stored preparation.
+//! which prepares the transformed design cold and refreshes the cache
+//! from the transform's dirty seeds on the next read.
 //!
 //! Per-request deadlines are enforced at the two places a slow peer or
 //! an overloaded queue can park work: queue-dequeue (expired requests
@@ -41,7 +42,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rtt_core::{IncrementalCtx, ModelConfig, PrepareCtx, PreparedDesign, TimingModel};
+use rtt_core::{IncrementalCtx, ModelConfig, PreparedDesign, TimingModel};
 use rtt_netlist::{CellId, CellLibrary, NetId, Netlist, PinId, TimingGraph};
 use rtt_nn::InferCtx;
 use rtt_place::{Placement, Point};
@@ -117,8 +118,8 @@ struct Conn {
 /// One registered design plus its incremental-inference state.
 ///
 /// `sources` (the live netlist + placement) are what `/transform`
-/// mutates, and `prep` is their preparation, which its delta update
-/// starts from. `pending` accumulates the dirty seed pins of every
+/// mutates, and `prep` is their cold preparation, which `/transform`
+/// replaces. `pending` accumulates the dirty seed pins of every
 /// `/transform` since the last cache refresh; the union-of-seeds rule
 /// makes handing them over in one batch sound.
 /// `model_generation` records which model generation the activation cache
@@ -848,18 +849,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
     let config = shared.swap.current().model.config().clone();
     let targets = vec![0.0f32; graph.endpoints().len()];
     let seeds = rtt_opt::dirty_seed_pins(netlist, &nl);
-    // Delta prepare: carries the previous preparation's clean masks across
-    // the transform, bit-identical to a cold prepare.
-    let new_prep = prep.update(
-        &mut PrepareCtx,
-        (netlist, placement),
-        (&nl, &pl),
-        &library,
-        &graph,
-        &config,
-        &seeds,
-        targets,
-    );
+    let new_prep = PreparedDesign::prepare(&nl, &library, &pl, &graph, &config, targets);
     let dirty = seeds.len();
 
     // Publish: everything below is infallible, so partial updates are

@@ -256,76 +256,32 @@ fn cmd_opt(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Predicts the optimized design's endpoint arrivals twice — incrementally
-/// (delta-updated preparation plus cached activations, dirty cones seeded
-/// by [`restructure_timing::opt::dirty_seed_pins`]) and with a cold full
-/// prepare + forward — reporting the reuse ratios and verifying both the
-/// preparation and the predictions agree bit-for-bit.
+/// (cached activations of the input design, dirty cones seeded by
+/// [`restructure_timing::opt::dirty_seed_pins`]) and with a full forward
+/// pass — over one cold preparation of it, reporting the reuse ratio and
+/// verifying that the predictions agree bit-for-bit.
 fn opt_incremental_report(
     lib: &CellLibrary,
     (before, before_placement): (&Netlist, &Placement),
     (after, after_placement): (&Netlist, &Placement),
     weights: &str,
 ) -> Result<(), String> {
-    use restructure_timing::model::{
-        IncrementalCtx, PrepareCtx, PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER,
-        ROWS_RECOMPUTED_COUNTER, ROWS_TOTAL_COUNTER,
-    };
+    use restructure_timing::model::{IncrementalCtx, ROWS_RECOMPUTED_COUNTER, ROWS_TOTAL_COUNTER};
     use restructure_timing::nn::InferCtx;
 
     let model = load_model_file(weights)?;
     let cfg = model.config().clone();
-    let build = |nl: &Netlist| -> Result<TimingGraph, String> {
-        TimingGraph::try_build(nl, lib).map_err(|e| format!("timing graph: {e}"))
+    let prepare = |nl: &Netlist, pl: &Placement| -> Result<PreparedDesign, String> {
+        let graph = TimingGraph::try_build(nl, lib).map_err(|e| format!("timing graph: {e}"))?;
+        let targets = vec![0.0; graph.endpoints().len()];
+        Ok(PreparedDesign::prepare(nl, lib, pl, &graph, &cfg, targets))
     };
-    let graph_before = build(before)?;
-    let prep_before = PreparedDesign::prepare(
-        before,
-        lib,
-        before_placement,
-        &graph_before,
-        &cfg,
-        vec![0.0; graph_before.endpoints().len()],
-    );
+    let prep_before = prepare(before, before_placement)?;
+    let prep_after = prepare(after, after_placement)?;
 
     let counters_at =
         |key: &str| restructure_timing::obs::snapshot().counters.get(key).copied().unwrap_or(0);
     let seeds = restructure_timing::opt::dirty_seed_pins(before, after);
-
-    // Preparation, both ways: a cold prepare of the optimized design, and
-    // a delta update of the input design's preparation. They must agree
-    // field-by-field to the bit.
-    let graph_after = build(after)?;
-    let targets = vec![0.0; graph_after.endpoints().len()];
-    let tc = std::time::Instant::now();
-    let prep_cold =
-        PreparedDesign::prepare(after, lib, after_placement, &graph_after, &cfg, targets.clone());
-    let cold_prep_s = tc.elapsed().as_secs_f64();
-    let (masks0, masks_total0) =
-        (counters_at(PREP_MASKS_RECOMPUTED_COUNTER), counters_at(PREP_MASKS_TOTAL_COUNTER));
-    let td = std::time::Instant::now();
-    let prep_after = prep_before.update(
-        &mut PrepareCtx,
-        (before, before_placement),
-        (after, after_placement),
-        lib,
-        &graph_after,
-        &cfg,
-        &seeds,
-        targets,
-    );
-    let delta_prep_s = td.elapsed().as_secs_f64();
-    let masks = counters_at(PREP_MASKS_RECOMPUTED_COUNTER) - masks0;
-    let masks_total = counters_at(PREP_MASKS_TOTAL_COUNTER) - masks_total0;
-    prep_after
-        .bit_eq(&prep_cold)
-        .map_err(|field| format!("delta-prepared design diverged from cold prepare at {field}"))?;
-    println!(
-        "delta prepare: {masks}/{masks_total} masks recomputed, {:.1} ms vs {:.1} ms cold \
-         ({:.1}x)",
-        delta_prep_s * 1e3,
-        cold_prep_s * 1e3,
-        cold_prep_s / delta_prep_s.max(1e-9),
-    );
 
     let ctx = InferCtx::new();
     let mut inc = IncrementalCtx::new();

@@ -69,6 +69,43 @@ fn gen_sta_opt_pipeline_roundtrips_through_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `opt --weights` predicts the optimized design through an activation
+/// cache primed on the input design and checks it against a full pass.
+#[test]
+fn opt_with_weights_reports_bit_identical_incremental_prediction() {
+    use restructure_timing::model::{model_io::save_model, ModelConfig, TimingModel};
+
+    let dir = tmpdir("opt_weights");
+    let out = bin()
+        .args(["gen", "--design", "xgate", "--scale", "tiny", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("run gen");
+    assert!(out.status.success(), "gen failed: {}", String::from_utf8_lossy(&out.stderr));
+    let weights = dir.join("model.rttm");
+    std::fs::write(&weights, save_model(&TimingModel::new(ModelConfig::tiny())))
+        .expect("write weights");
+
+    let out = bin()
+        .args(["opt", "--netlist"])
+        .arg(dir.join("xgate.v"))
+        .arg("--placement")
+        .arg(dir.join("xgate.place"))
+        .args(["--period", "120", "--out"])
+        .arg(&dir)
+        .arg("--weights")
+        .arg(&weights)
+        .output()
+        .expect("run opt --weights");
+    assert!(out.status.success(), "opt failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("incremental prediction is bit-identical to the full forward pass"),
+        "missing the bit-identity line: {text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_command_and_missing_args_fail_cleanly() {
     let out = bin().arg("frobnicate").output().expect("run");

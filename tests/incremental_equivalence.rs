@@ -1,14 +1,10 @@
 //! Differential transform-fuzz harness for dirty-cone incremental
-//! prediction *and* delta-aware preparation.
+//! prediction.
 //!
-//! The property: after *any* sequence of optimizer transforms, (a)
-//! `PreparedDesign::update` — reusing the previous design's schedule,
-//! node features, layout maps, and endpoint masks outside the
-//! transform's dirty cone — is bit-identical, field by field, to a cold
-//! `prepare` of the transformed design, and (b)
-//! `TimingModel::predict_incremental` — fed that delta-updated
-//! preparation and reusing activations cached for the previous design
-//! state, recomputing only the dirtied fan-out cones seeded by
+//! The property: after *any* sequence of optimizer transforms,
+//! `TimingModel::predict_incremental` — fed a cold `prepare` of the
+//! transformed design and reusing activations cached for the previous
+//! design state, recomputing only the dirtied fan-out cones seeded by
 //! `rtt_opt::dirty_seed_pins` — produces bit-identical predictions to a
 //! cold `predict_batch` over the same design, at 1 and at 4 threads,
 //! and the same bits across the two thread counts.
@@ -29,8 +25,7 @@ use std::sync::{Mutex, PoisonError};
 
 use proptest::TestRunner;
 use restructure_timing::model::{
-    IncrementalCtx, PrepareCtx, EPS_REUSED_COUNTER, EPS_TOTAL_COUNTER,
-    PREP_MASKS_RECOMPUTED_COUNTER, PREP_MASKS_TOTAL_COUNTER, ROWS_RECOMPUTED_COUNTER,
+    IncrementalCtx, EPS_REUSED_COUNTER, EPS_TOTAL_COUNTER, ROWS_RECOMPUTED_COUNTER,
     ROWS_TOTAL_COUNTER,
 };
 use restructure_timing::netlist::{CellId, NetId, PinId, DRIVE_STRENGTHS};
@@ -212,11 +207,9 @@ fn prepare_design(
 }
 
 /// Replays `ops` from the base design, checking after every applied op
-/// that (a) the delta-updated `PreparedDesign` is bit-identical,
-/// field-by-field, to a cold `prepare` of the transformed design, and
-/// (b) the incremental prediction — fed the delta-updated preparation —
-/// bit-matches a cold full forward. Returns the per-step predictions, or
-/// `(failing op index, message)`.
+/// that the incremental prediction over a cold `prepare` of the
+/// transformed design bit-matches a full forward. Returns the per-step
+/// predictions, or `(failing op index, message)`.
 fn run_sequence(
     model: &TimingModel,
     ctx: &InferCtx,
@@ -230,44 +223,19 @@ fn run_sequence(
     let mut pl = base_pl.clone();
     let mut inc = IncrementalCtx::new();
     // Prime the cache with a full pass over the base design; every later
-    // step goes through the delta path.
-    let graph = TimingGraph::try_build(&nl, lib).expect("base netlist must be a DAG");
-    let targets = vec![0.0f32; graph.endpoints().len()];
-    let mut prep = PreparedDesign::prepare(&nl, lib, &pl, &graph, cfg, targets);
+    // step refreshes it from the step's dirty seeds.
+    let prep = prepare_design(&nl, &pl, lib, cfg);
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(ctx, &mut inc, &prep, &[], &all);
 
     let mut steps = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        let before_nl = nl.clone();
-        let before_pl = pl.clone();
+        let before = nl.clone();
         if !apply(op, &mut nl, &mut pl, lib) {
             continue;
         }
-        let seeds = dirty_seed_pins(&before_nl, &nl);
-        let graph = TimingGraph::try_build(&nl, lib).expect("transformed netlist must stay a DAG");
-        let targets = vec![0.0f32; graph.endpoints().len()];
-        let cold = PreparedDesign::prepare(&nl, lib, &pl, &graph, cfg, targets.clone());
-        let delta = prep.update(
-            &mut PrepareCtx,
-            (&before_nl, &before_pl),
-            (&nl, &pl),
-            lib,
-            &graph,
-            cfg,
-            &seeds,
-            targets,
-        );
-        if let Err(field) = delta.bit_eq(&cold) {
-            return Err((
-                i,
-                format!(
-                    "step {i} ({op:?}): delta-updated preparation diverged from cold \
-                     prepare at field `{field}`"
-                ),
-            ));
-        }
-        prep = delta;
+        let seeds = dirty_seed_pins(&before, &nl);
+        let prep = prepare_design(&nl, &pl, lib, cfg);
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
         let inc_pred = model.predict_incremental(ctx, &mut inc, &prep, &seeds, &all);
         let full = model.predict_batch(ctx, &prep, &all);
@@ -289,13 +257,12 @@ fn run_sequence(
     Ok(steps)
 }
 
-/// Applies one engineered transform and asserts both halves of the delta
-/// contract: the delta-updated `PreparedDesign` is bit-identical to a
-/// cold prepare, and the incremental prediction on top of it bit-matches
-/// a full forward. Returns `false` when the op was inapplicable (its
-/// site never materialized on this design), leaving all state untouched.
+/// Applies one engineered transform, prepares the result cold, and
+/// asserts that the incremental prediction bit-matches a full forward.
+/// Returns `false` when the op was inapplicable (its site never
+/// materialized on this design), leaving all state untouched.
 #[allow(clippy::too_many_arguments)]
-fn check_delta_step(
+fn check_step(
     label: &str,
     op: &Op,
     model: &TimingModel,
@@ -303,36 +270,17 @@ fn check_delta_step(
     lib: &CellLibrary,
     nl: &mut Netlist,
     pl: &mut Placement,
-    prep: &mut PreparedDesign,
     inc: &mut IncrementalCtx,
 ) -> bool {
-    let cfg = model.config();
-    let before_nl = nl.clone();
-    let before_pl = pl.clone();
+    let before = nl.clone();
     if !apply(op, nl, pl, lib) {
         return false;
     }
-    let seeds = dirty_seed_pins(&before_nl, nl);
-    let graph = TimingGraph::try_build(nl, lib).expect("transformed netlist must stay a DAG");
-    let targets = vec![0.0f32; graph.endpoints().len()];
-    let cold = PreparedDesign::prepare(nl, lib, pl, &graph, cfg, targets.clone());
-    let delta = prep.update(
-        &mut PrepareCtx,
-        (&before_nl, &before_pl),
-        (&*nl, &*pl),
-        lib,
-        &graph,
-        cfg,
-        &seeds,
-        targets,
-    );
-    if let Err(field) = delta.bit_eq(&cold) {
-        panic!("{label}: delta-updated preparation diverged from cold prepare at field `{field}`");
-    }
-    *prep = delta;
+    let seeds = dirty_seed_pins(&before, nl);
+    let prep = prepare_design(nl, pl, lib, model.config());
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
-    let inc_pred = model.predict_incremental(ctx, inc, prep, &seeds, &all);
-    assert_bits_eq(label, &inc_pred, &model.predict_batch(ctx, prep, &all));
+    let inc_pred = model.predict_incremental(ctx, inc, &prep, &seeds, &all);
+    assert_bits_eq(label, &inc_pred, &model.predict_batch(ctx, &prep, &all));
     true
 }
 
@@ -440,7 +388,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     // --- Deterministic per-transform coverage ------------------------------
     // The fuzz loop draws op kinds at random, so any single run may skip a
     // kind. This chain pins one engineered instance of each transform so
-    // every kind's delta-prepare equivalence is exercised on every run.
+    // every kind's incremental equivalence is exercised on every run.
     // Sites are discovered against the live netlist; kinds whose site
     // exists by construction are asserted applied, the rest are counted.
     for threads in [1usize, 4] {
@@ -449,24 +397,13 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
         let (name, base_nl, base_pl) = &designs[1];
         let mut nl = base_nl.clone();
         let mut pl = base_pl.clone();
-        let graph = TimingGraph::try_build(&nl, &lib).expect("base netlist must be a DAG");
-        let targets = vec![0.0f32; graph.endpoints().len()];
-        let mut prep = PreparedDesign::prepare(&nl, &lib, &pl, &graph, model.config(), targets);
+        let prep = prepare_design(&nl, &pl, &lib, model.config());
         let mut inc = IncrementalCtx::new();
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
         let _ = model.predict_incremental(&ctx, &mut inc, &prep, &[], &all);
         let mut step = |label: &str, op: &Op, nl: &mut Netlist, pl: &mut Placement| {
-            check_delta_step(
-                &format!("{name} @ {threads} threads: {label}"),
-                op,
-                &model,
-                &ctx,
-                &lib,
-                nl,
-                pl,
-                &mut prep,
-                &mut inc,
-            )
+            let label = format!("{name} @ {threads} threads: {label}");
+            check_step(&label, op, &model, &ctx, &lib, nl, pl, &mut inc)
         };
 
         // A net with a sink always exists; buffer its first sink.
@@ -567,7 +504,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
         // have no natural site; engineer both on a doctored copy — a
         // hand-built back-to-back inverter pair spliced in front of a
         // sink, plus a gate whose output drives nothing — and run a
-        // fresh delta chain over it.
+        // fresh chain over it.
         let mut dnl = nl.clone();
         let mut dpl = pl.clone();
         let (net, sink) = dnl
@@ -592,24 +529,13 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
             dpl.place_cell(cell, center);
         }
 
-        let graph = TimingGraph::try_build(&dnl, &lib).expect("doctored netlist stays a DAG");
-        let targets = vec![0.0f32; graph.endpoints().len()];
-        let mut prep = PreparedDesign::prepare(&dnl, &lib, &dpl, &graph, model.config(), targets);
+        let prep = prepare_design(&dnl, &dpl, &lib, model.config());
         let mut inc = IncrementalCtx::new();
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
         let _ = model.predict_incremental(&ctx, &mut inc, &prep, &[], &all);
         let mut step2 = |label: &str, op: &Op, nl: &mut Netlist, pl: &mut Placement| {
-            check_delta_step(
-                &format!("{name} (doctored) @ {threads} threads: {label}"),
-                op,
-                &model,
-                &ctx,
-                &lib,
-                nl,
-                pl,
-                &mut prep,
-                &mut inc,
-            )
+            let label = format!("{name} (doctored) @ {threads} threads: {label}");
+            check_step(&label, op, &model, &ctx, &lib, nl, pl, &mut inc)
         };
         assert!(
             step2(
@@ -636,7 +562,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
             kinds.len() >= 6,
             "deterministic chains must exercise at least six transform kinds, got {applied:?}"
         );
-        eprintln!("deterministic delta-prepare chain @ {threads} threads: {applied:?}");
+        eprintln!("deterministic transform chain @ {threads} threads: {applied:?}");
     }
     parallel::set_num_threads(1);
 
@@ -654,9 +580,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     let mut nl2 = nl.clone();
     // Clear any dangling logic first so the prune below is a true no-op.
     let _ = opt::prune_dangling(&mut nl2, &lib);
-    let graph = TimingGraph::try_build(&nl2, &lib).expect("pruned base must stay a DAG");
-    let targets = vec![0.0f32; graph.endpoints().len()];
-    let prep = PreparedDesign::prepare(&nl2, &lib, pl, &graph, cfg, targets.clone());
+    let prep = prepare_design(&nl2, pl, &lib, cfg);
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
 
     let (r0, t0) = (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
@@ -671,29 +595,7 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     let seeds = dirty_seed_pins(&before, &nl2);
     assert!(seeds.is_empty(), "no-op transform must seed no dirty pins, got {seeds:?}");
 
-    // Delta-prepare the no-op: every endpoint mask must be reused (the
-    // `core::prepare_masks_recomputed` counter does not move) while the
-    // total confirms the update actually ran.
-    let graph2 = TimingGraph::try_build(&nl2, &lib).expect("no-op keeps the DAG");
-    let (pm0, pt0) =
-        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
-    let prep2 = prep.update(
-        &mut PrepareCtx,
-        (&before, pl),
-        (&nl2, pl),
-        &lib,
-        &graph2,
-        cfg,
-        &seeds,
-        targets,
-    );
-    let (pm1, pt1) =
-        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
-    assert_eq!(pm1 - pm0, 0, "no-op update must recompute zero endpoint masks");
-    assert!(pt1 > pt0, "no-op update still counts total masks");
-    prep2
-        .bit_eq(&prepare_design(&nl2, pl, &lib, cfg))
-        .unwrap_or_else(|field| panic!("no-op delta prepare diverged at field `{field}`"));
+    let prep2 = prepare_design(&nl2, pl, &lib, cfg);
 
     let eps = || (obs_counter(EPS_REUSED_COUNTER), obs_counter(EPS_TOTAL_COUNTER));
     let n = all.len() as u64;
@@ -755,11 +657,8 @@ fn incremental_soak_survives_hundreds_of_transforms() {
     }
     let (recomputed, total) =
         (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
-    let (masks, masks_total) =
-        (obs_counter(PREP_MASKS_RECOMPUTED_COUNTER), obs_counter(PREP_MASKS_TOTAL_COUNTER));
     eprintln!(
-        "soak: {} transforms, {recomputed}/{total} rows recomputed ({:.1}% reused), \
-         masks {masks}/{masks_total}",
+        "soak: {} transforms, {recomputed}/{total} rows recomputed ({:.1}% reused)",
         ops.len(),
         100.0 * (1.0 - recomputed as f64 / total.max(1) as f64)
     );
