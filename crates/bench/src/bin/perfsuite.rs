@@ -51,9 +51,10 @@
 //! `/load` parsers (`parse_verilog`, `parse_placement`) on jpeg's written
 //! text at small and huge scale, and the
 //! transform→predict round trip after a buffer insertion: a cold prepare
-//! plus `predict_incremental` over an activation cache primed on the
-//! design before the transform, against a cold prepare plus a full
-//! `predict_batch`. The incremental round trip must clear a 3x speedup.
+//! plus `predict_incremental` over an activation cache that holds the
+//! design on the other side of the transform (the reps cross it in both
+//! directions), against a cold prepare plus a full `predict_batch`. The
+//! incremental round trip must clear a 3x speedup.
 
 #![allow(clippy::print_stdout)] // reports/tables go to stdout by design
 
@@ -298,8 +299,10 @@ fn main() {
 
     // Incremental inference: dirty-cone `predict_incremental` against the
     // full `predict_batch` pass on the same design, in alternating reps.
-    // Seed pins are chosen so their fan-out cone (per rtt-sta's
-    // `fanout_cone`) covers ~5% / ~20% / ~50% of pins; every rep re-dirties
+    // The design never changes, so the refresh's row compare finds
+    // nothing; the seed pins passed as `dirty_pins` force the cones
+    // instead. They are chosen so their fan-out cone (per rtt-sta's
+    // `fanout_cone`) covers ~5% / ~20% / ~50% of pins; every rep forces
     // the same cone, so each timed call pays that cone's GNN recompute,
     // the CNN global map (which every refresh recomputes), and the
     // readout tail of every requested endpoint.
@@ -475,14 +478,17 @@ fn main() {
     rtt_opt::insert_buffer(&mut tnl, &mut tpl, &lib, tr_net, tr_sink, buf_pos)
         .expect("buffer insertion succeeds");
     let tgraph = TimingGraph::build(&tnl, &lib);
-    let seeds = rtt_opt::dirty_seed_pins(&inc_d.netlist, &tnl);
+    // A buffer adds no endpoint, so both designs share these.
     let t_targets = vec![0.0f32; tgraph.endpoints().len()];
     let t_eps: Vec<u32> = (0..tgraph.endpoints().len() as u32).collect();
     let mut rt_inc = IncrementalCtx::new();
-    let base_eps: Vec<u32> = (0..base_prep.num_endpoints() as u32).collect();
     // Prime the activation cache on the pre-transform design, as a serving
-    // loop would have.
-    let _ = gnn_model.predict_incremental(&ctx, &mut rt_inc, &base_prep, &[], &base_eps);
+    // loop would have. The incremental reps then refresh it onto the
+    // transformed design and back in turn, so each one re-scores a design
+    // one buffer insertion away from the cached one.
+    let _ = gnn_model.predict_incremental(&ctx, &mut rt_inc, &base_prep, &[], &t_eps);
+    let rt_sides = [(&tnl, &tpl, &tgraph), (&inc_d.netlist, &inc_pl, &inc_graph)];
+    let mut rt_rep = 0;
     let (cold_rt_s, inc_rt_s) = time_pair(
         infer_reps,
         || {
@@ -490,21 +496,19 @@ fn main() {
             gnn_model.predict_batch(&ctx, &p, &t_eps)
         },
         || {
-            let p = PreparedDesign::prepare(&tnl, &lib, &tpl, &tgraph, &cfg, t_targets.clone());
-            gnn_model.predict_incremental(&ctx, &mut rt_inc, &p, &seeds, &t_eps)
+            let (nl, pl, graph) = rt_sides[rt_rep % 2];
+            rt_rep += 1;
+            let p = PreparedDesign::prepare(nl, &lib, pl, graph, &cfg, t_targets.clone());
+            gnn_model.predict_incremental(&ctx, &mut rt_inc, &p, &[], &t_eps)
         },
     );
     let rt_speedup = cold_rt_s / inc_rt_s.max(1e-12);
     println!(
-        "\ntransform→predict round trip ({} pins, {} dirty seeds):\n\
+        "\ntransform→predict round trip ({} pins):\n\
          {:<22} {cold_rt_s:>9.4}s  (prepare + predict_batch)\n\
          {:<22} {inc_rt_s:>9.4}s  (prepare + predict_incremental)\n\
          {:<22} {rt_speedup:>8.2}x",
-        inc_pins,
-        seeds.len(),
-        "full",
-        "incremental",
-        "speedup"
+        inc_pins, "full", "incremental", "speedup"
     );
     gates.push(Gate::at_least("transform_round_trip_speedup", rt_speedup, 3.0));
 
@@ -634,10 +638,9 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ], \"transform_replay\": {{\"pins\": {inc_pins}, \"dirty_seeds\": {}, \
+        "  ], \"transform_replay\": {{\"pins\": {inc_pins}, \
          \"cold_round_trip_s\": {cold_rt_s:.6}, \"incremental_round_trip_s\": {inc_rt_s:.6}, \
          \"speedup\": {rt_speedup:.3}}}}},\n",
-        seeds.len(),
     ));
     json.push_str(&format!(
         "  \"lint\": {{\"wall_s\": {lint_s:.6}, \"files_checked\": {}, \"call_edges\": {}, \

@@ -2,25 +2,25 @@
 //!
 //! [`IncrementalCtx`] caches the flat GNN activation matrix and the CNN
 //! global map of a *base* design. When the caller re-predicts after a
-//! netlist transform, [`crate::TimingModel::predict_incremental`] seeds a
-//! dirty set from the transform's touched pins, closes it over the
-//! level-ordered fan-out cones, and recomputes only the dirty rows, in
-//! place in the cached matrix; every clean row keeps its cached value —
-//! bit-identical to a full pass, at cone-proportional cost. The cache
-//! then holds the just-predicted design, so an optimizer inner loop only
-//! ever pays for the cone of its latest transform. A caller that knows
-//! the design has not changed since the last refresh reads through
+//! netlist transform, [`crate::TimingModel::predict_incremental`]
+//! compares every live row of the new design with the cached base row of
+//! the same number, closes the rows that differ over the level-ordered
+//! fan-out cones, and recomputes only those dirty rows, in place in the
+//! cached matrix; every clean row keeps its cached value — bit-identical
+//! to a full pass, at cone-proportional cost. The cache then holds the
+//! just-predicted design, so an optimizer inner loop only ever pays for
+//! the cone of its latest transform. A caller that knows the design has
+//! not changed since the last refresh reads through
 //! [`crate::TimingModel::predict_cached`] instead, which skips the
 //! refresh and runs only the per-endpoint readout tail.
 //!
 //! A flat row is its pin's index, and [`PinId`]s are stable under the
 //! tombstoning edits of `rtt_netlist`, so a surviving pin keeps its row
-//! across a transform and rows match by number. The caller's dirty seeds
-//! must cover **topology** changes (a pin whose gather sources changed —
-//! `rtt_opt::dirty_seed_pins` derives exactly that from a netlist diff);
-//! the context itself detects the rest: new pins, node-kind changes, and
-//! any bit-level static feature change (which also covers placement moves
-//! of surviving cells).
+//! across a transform and rows match by number. The row compare finds
+//! every change by itself: new pins, node-kind changes, a net row's new
+//! driver, and any bit-level static feature change (which also covers
+//! placement moves of surviving cells). It needs no hint from the caller
+//! and holds for any pair of designs.
 //!
 //! Every refresh follows one rule: it reuses the GNN rows outside the
 //! dirty cone, recomputes the CNN global map, and empties the
@@ -64,17 +64,16 @@ enum RowKind {
 pub(crate) struct BaseCache {
     /// `[total_rows, embed_dim]` flat activations of the base design.
     pub(crate) flat: Tensor,
-    /// Node kind and static-feature row (into the matching feature
-    /// matrix) per base flat row.
-    meta: Vec<(RowKind, u32)>,
+    /// Node kind, static-feature row (into the matching feature matrix)
+    /// and, for a net row, its driver's flat row, per base flat row.
+    meta: Vec<(RowKind, u32, u32)>,
     /// A copy of the base design's static features, kept for the
     /// bit-level compare against the next design.
     feats: LevelFeats,
 }
 
-/// Reusable incremental-inference context. One per (model, design
-/// lineage): reset it whenever the model weights change or prediction
-/// moves to an unrelated design.
+/// Reusable incremental-inference context, one per model: it refreshes
+/// onto any design, and must be reset whenever the model weights change.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalCtx {
     cache: Option<BaseCache>,
@@ -90,17 +89,18 @@ pub struct IncrementalCtx {
     compact: IncCompact,
 }
 
-fn row_meta(plan: &GnnPlan) -> Vec<(RowKind, u32)> {
-    let mut meta = vec![(RowKind::Hole, 0); plan.total_rows];
+fn row_meta(plan: &GnnPlan) -> Vec<(RowKind, u32, u32)> {
+    let mut meta = vec![(RowKind::Hole, 0, 0); plan.total_rows];
     for fl in &plan.levels {
         for j in 0..fl.n_cells {
-            meta[fl.cell_dst[j] as usize] = (RowKind::Cell, (fl.cell_feat_off + j) as u32);
+            meta[fl.cell_dst[j] as usize] = (RowKind::Cell, (fl.cell_feat_off + j) as u32, 0);
         }
         for j in 0..fl.n_nets {
-            meta[fl.net_dst[j] as usize] = (RowKind::Net, (fl.net_feat_off + j) as u32);
+            let feat = (fl.net_feat_off + j) as u32;
+            meta[fl.net_dst[j] as usize] = (RowKind::Net, feat, fl.net_gather[j]);
         }
         for j in 0..fl.n_srcs {
-            meta[fl.src_dst[j] as usize] = (RowKind::Src, (fl.src_feat_off + j) as u32);
+            meta[fl.src_dst[j] as usize] = (RowKind::Src, (fl.src_feat_off + j) as u32, 0);
         }
     }
     meta
@@ -135,8 +135,7 @@ impl IncrementalCtx {
     }
 
     /// Drops all cached activations; the next prediction runs a full
-    /// pass. Call after a weight reload or when switching to an
-    /// unrelated design.
+    /// pass. Call after a weight reload.
     pub fn reset(&mut self) {
         self.cache = None;
         self.gmap = None;
@@ -156,9 +155,10 @@ impl IncrementalCtx {
     }
 
     /// Refreshes the cached flat GNN matrix for `design`, recomputing
-    /// only the cones dirtied by `dirty_pins` (cold caches run one full
-    /// pass). The cache then holds `design`'s activations; returns the
-    /// number of rows recomputed.
+    /// only the fan-out cones of the rows that differ from the cached
+    /// base, plus those of `dirty_pins` (cold caches run one full pass).
+    /// The cache then holds `design`'s activations; returns the number
+    /// of rows recomputed.
     pub(crate) fn refresh_gnn(
         &mut self,
         gnn: &NetlistGnn,
@@ -191,22 +191,29 @@ impl IncrementalCtx {
             Some(cache) => {
                 self.dirty.clear();
                 self.dirty.resize(n, false);
-                // A surviving pin keeps its row, so each live row compares
-                // with the base row of the same number and is seeded when
-                // it is new (a hole or past the end in the base), changed
-                // kind, or changed features at the bit level. An unchanged
+                // A live row's value is a function of its node kind, its
+                // static features and the rows it gathers, so each live
+                // row is seeded when it is new (a hole or past the end in
+                // the base) or one of the three differs from the base row
+                // of the same number. The only gather that can differ is a
+                // net row's driver, which the meta holds: a cell-output
+                // row gathers its cell's input pins, which
+                // `Netlist::add_cell` allocates right before the output,
+                // so the row and the gate one-hot in its features fix
+                // them, and pins are tombstoned, never reassigned. So the
+                // compare is complete for any two designs. An unchanged
                 // design has no dirty row.
-                for (r, &(kind, feat)) in
+                for (r, &(kind, feat, driver)) in
                     meta.iter().enumerate().filter(|(_, m)| m.0 != RowKind::Hole)
                 {
                     let new = feat_row(&design.feats, kind, feat);
-                    let clean = cache.meta.get(r).is_some_and(|&(k, f)| {
-                        k == kind && rows_bit_eq(new, feat_row(&cache.feats, k, f))
+                    let clean = cache.meta.get(r).is_some_and(|&(k, f, d)| {
+                        k == kind && d == driver && rows_bit_eq(new, feat_row(&cache.feats, k, f))
                     });
                     self.dirty[r] = !clean;
                 }
-                // Caller-provided seeds: live pins whose gather topology
-                // changed (the part a row-local compare cannot see).
+                // Extra cones the caller asked for; no answer depends on
+                // them.
                 for p in dirty_pins {
                     if meta.get(p.index()).is_some_and(|m| m.0 != RowKind::Hole) {
                         self.dirty[p.index()] = true;
@@ -272,9 +279,9 @@ mod tests {
     use super::*;
     use crate::{ModelConfig, TimingModel};
     use rtt_circgen::GenParams;
-    use rtt_netlist::{CellLibrary, TimingGraph};
+    use rtt_netlist::{CellLibrary, Netlist, TimingGraph};
     use rtt_nn::InferCtx;
-    use rtt_place::{place, PlaceConfig};
+    use rtt_place::{place, PlaceConfig, Placement};
 
     /// A warm refresh at an unchanged row count runs in place: the cached
     /// matrix keeps its allocation, so the context holds one whole-design
@@ -301,5 +308,72 @@ mod tests {
             model.predict_incremental(&ctx, &mut inc, design, &[], &all);
             assert_eq!(inc.flat().map(|t| t.data().as_ptr()), Some(ptr), "the matrix moved");
         }
+    }
+
+    /// Refreshes warm `inc` onto `design` with no dirty pins and requires
+    /// the bits of a full pass.
+    fn assert_refresh_is_exact(
+        model: &TimingModel,
+        inc: &mut IncrementalCtx,
+        design: &PreparedDesign,
+    ) {
+        let (ctx, all) = (InferCtx::new(), (0..design.num_endpoints() as u32).collect::<Vec<_>>());
+        let bits = |p: Vec<f32>| p.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let got = model.predict_incremental(&ctx, inc, design, &[], &all);
+        assert_eq!(bits(got), bits(model.predict_batch(&ctx, design, &all)));
+    }
+
+    /// A sink moved onto a driver placed where its old driver sits keeps
+    /// its node kind and its distance feature: only the driver in the row
+    /// meta tells the refresh that the row changed.
+    #[test]
+    fn refresh_sees_a_sink_redriven_at_equal_distance() {
+        let lib = CellLibrary::asap7_like();
+        let cfg = ModelConfig::tiny();
+        let prepare = |nl: &Netlist, pl: &Placement| {
+            let graph = TimingGraph::try_build(nl, &lib).expect("the re-drive makes no loop");
+            let zeros = vec![0.0; graph.endpoints().len()];
+            PreparedDesign::prepare(nl, &lib, pl, &graph, &cfg, zeros)
+        };
+        let mut nl = GenParams::new("g", 150, 3).generate(&lib).netlist;
+        let mut pl = place(&nl, &lib, 0, &PlaceConfig::default());
+        let graph = TimingGraph::build(&nl, &lib);
+        let level = |pin: PinId| graph.level(graph.node_of(pin).expect("live pin"));
+        let comb = |ty| !lib.cell_type(ty).is_sequential();
+        // Cell `a` drives input `s` of combinational cell `c` on a net
+        // that keeps another sink; cell `b`'s output sits below `c`'s.
+        let (a, net_a, s, c_out) = nl
+            .cells()
+            .filter(|(_, cell)| comb(cell.type_id))
+            .find_map(|(a, cell)| {
+                let net = nl.pin(cell.output).net.filter(|&n| nl.net(n).sinks.len() > 1)?;
+                nl.net(net).sinks.iter().find_map(|&s| {
+                    let c = nl.cell(nl.pin(s).cell?);
+                    comb(c.type_id).then_some((a, net, s, c.output))
+                })
+            })
+            .expect("a combinational sink on a shared net");
+        let (b, net_b) = nl
+            .cells()
+            .filter(|&(b, cell)| b != a && comb(cell.type_id) && level(cell.output) < level(c_out))
+            .find_map(|(b, cell)| Some((b, nl.pin(cell.output).net?)))
+            .expect("a driver below the sink's cell");
+        pl.place_cell(b, pl.cell_pos(a));
+        let before = prepare(&nl, &pl);
+        nl.disconnect_sink(net_a, s).expect("s is on a's net");
+        nl.add_sink(net_b, s).expect("s is free");
+        let after = prepare(&nl, &pl);
+
+        let model = TimingModel::new(cfg.clone());
+        let mut inc = IncrementalCtx::new();
+        assert_refresh_is_exact(&model, &mut inc, &before);
+        assert_refresh_is_exact(&model, &mut inc, &after);
+        // The compare holds between unrelated designs too.
+        let other = GenParams::new("h", 120, 5).generate(&lib).netlist;
+        assert_refresh_is_exact(
+            &model,
+            &mut inc,
+            &prepare(&other, &place(&other, &lib, 0, &PlaceConfig::default())),
+        );
     }
 }

@@ -347,23 +347,18 @@ impl TimingModel {
     /// to [`Self::predict_batch`] on the same design and indices.
     ///
     /// Every refresh follows one rule, for every model variant: the GNN
-    /// recomputes only the fan-out cones of `dirty_pins` (plus any rows
-    /// whose static features, node kind, or existence changed — those
-    /// are detected internally), in place in the cached matrix, and keeps
-    /// the rest; the CNN global map is recomputed; and the per-endpoint
-    /// tail cache is emptied. A cold `inc` runs one full pass. On return
-    /// the cache holds `design`'s activations, so a transform sequence
-    /// only ever pays for its latest step's cone.
+    /// recomputes only the fan-out cones of the rows that differ from the
+    /// design `inc` last saw (new pins, node kinds, net drivers and
+    /// static features, all detected internally), in place in the cached
+    /// matrix, and keeps the rest; the CNN global map is recomputed; and
+    /// the per-endpoint tail cache is emptied. A cold `inc` runs one full
+    /// pass. On return the cache holds `design`'s activations, so a
+    /// transform sequence only ever pays for its latest step's cone.
     ///
-    /// Caller contract:
-    /// * `dirty_pins` must cover every pin whose *gather topology*
-    ///   changed versus the design `inc` last saw —
-    ///   `rtt_opt::dirty_seed_pins` derives exactly that set from a
-    ///   before/after netlist pair (pin ids must be shared with the
-    ///   cached base, i.e. `design` descends from it by tombstoning
-    ///   edits);
-    /// * call [`IncrementalCtx::reset`] whenever the model weights
-    ///   change (e.g. a hot-reload) or the design lineage breaks.
+    /// `dirty_pins` names extra cones to recompute; no output depends on
+    /// it. The refresh is sound for any design, so the only caller
+    /// contract is to call [`IncrementalCtx::reset`] whenever the model
+    /// weights change (e.g. a hot-reload).
     // rtt-lint: entry
     pub fn predict_incremental(
         &self,
@@ -378,9 +373,8 @@ impl TimingModel {
         inc.clear_tail();
         ctx.with_scratch(NetlistGnn::FLAT_SCRATCH + 3, |bufs, argmax, col| {
             let (gbufs, cnn_bufs) = bufs.split_at_mut(NetlistGnn::FLAT_SCRATCH);
-            // The cache refreshes even for an empty index set, so a
-            // caller draining queued transforms can always hand the
-            // seeds over exactly once.
+            // The cache refreshes even for an empty index set, so on
+            // return it holds `design`, which `predict_cached` relies on.
             if let Some(gnn) = &self.gnn {
                 inc.refresh_gnn(
                     gnn,

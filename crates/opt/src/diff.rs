@@ -44,9 +44,9 @@ impl NetlistDiff {
     /// Ordering is **deterministic and documented**: edges appear in the
     /// `before` netlist's net-id order, and within a net in its
     /// `sinks` order — the same order [`diff_netlists`] scanned them.
-    /// Dirty-set seeding iterates this slice, so the order is pinned by
-    /// test (`surviving_edge_order_is_deterministic`); changing it would
-    /// reintroduce a D001-class nondeterminism into downstream consumers.
+    /// Table I's net delay churn (`rtt_flow::tables`) sums over this
+    /// slice in order, so its bits depend on the order, which is pinned
+    /// by test (`surviving_edge_order_is_deterministic`).
     pub fn surviving_net_edges(&self) -> &[(PinId, PinId)] {
         &self.surviving_net
     }
@@ -119,14 +119,12 @@ fn drives(nl: &Netlist, driver: PinId, sink: PinId) -> bool {
         && nl.pin(sink).net.is_some_and(|n| nl.net(n).is_alive() && nl.net(n).driver == driver)
 }
 
-/// Seeds an incremental-inference dirty set: every pin of `after` whose
-/// *gather topology* — the set or order of graph edges feeding its node —
-/// may differ from `before`'s. This is the caller-side half of the
-/// `rtt_core::IncrementalCtx` contract (the context itself detects
-/// feature-level and node-kind changes); the union of per-step seeds
-/// stays sound across a chain of transforms because any edge whose
-/// composed state changed was changed by *some* step, and that step
-/// seeds its sink.
+/// Every pin of `after` whose *gather topology* — the set or order of
+/// graph edges feeding its node — may differ from `before`'s. Nothing in
+/// the program calls it: `rtt_core::IncrementalCtx` finds every changed
+/// row by itself. It stays because perfbench's traced `restructure_small`
+/// replay times it as its `opt.dirty_seeds` layer; ROADMAP item 1 deletes
+/// both.
 ///
 /// Three rules, each over a documented deterministic scan order:
 /// 1. every pin (inputs and output) of an `after` cell that is new or
@@ -261,8 +259,8 @@ mod tests {
     fn surviving_edge_order_is_deterministic() {
         // Pins the documented ordering contract of `surviving_net_edges`
         // / `surviving_cell_edges`: before-id scan order, exactly as a
-        // manual rescan reproduces it. Dirty-seed iteration depends on
-        // this staying stable (D001-class nondeterminism guard).
+        // manual rescan reproduces it. Table I's delay churn sums over
+        // both slices in order, so its bits depend on this staying stable.
         let lib = CellLibrary::asap7_like();
         let before = ripple_carry_adder(4, &lib);
         let mut after = before.clone();

@@ -24,8 +24,8 @@
 //! Every registered design, whether seeded by [`Server::start`] or added
 //! by `/load`, is one kind of record: its netlist and placement, their
 //! preparation, and its activation cache. So each accepts `/transform`,
-//! which prepares the transformed design cold and refreshes the cache
-//! from the transform's dirty seeds on the next read.
+//! which prepares the transformed design cold; the next read refreshes
+//! the cache, which finds what the transform changed by itself.
 //!
 //! Per-request deadlines are enforced at the two places a slow peer or
 //! an overloaded queue can park work: queue-dequeue (expired requests
@@ -119,16 +119,13 @@ struct Conn {
 ///
 /// `sources` (the live netlist + placement) are what `/transform`
 /// mutates, and `prep` is their cold preparation, which `/transform`
-/// replaces. `pending` accumulates the dirty seed pins of every
-/// `/transform` since the last cache refresh; the union-of-seeds rule
-/// makes handing them over in one batch sound.
-/// `model_generation` records which model generation the activation cache
-/// was computed under — a `/reload` between predicts invalidates it.
+/// replaces. `model_generation` records which model generation the
+/// activation cache was computed under — a `/reload` between predicts
+/// invalidates it.
 struct DesignEntry {
     sources: (Netlist, Placement),
     prep: Arc<PreparedDesign>,
     inc: IncrementalCtx,
-    pending: Vec<PinId>,
     design_generation: u64,
     model_generation: u64,
     /// The design generation `inc` was last refreshed at; `None` while
@@ -157,7 +154,6 @@ impl DesignEntry {
             sources: (netlist, placement),
             prep: Arc::new(prep),
             inc: IncrementalCtx::new(),
-            pending: Vec::new(),
             design_generation: 1,
             model_generation: 0,
             cached_at: None,
@@ -166,8 +162,8 @@ impl DesignEntry {
 
     /// Predicts `indices` of `prep`, this entry's current preparation,
     /// through the activation cache: tail-only when the cache is current
-    /// (same model generation, stamped at the current design generation,
-    /// no pending seeds), otherwise after a refresh.
+    /// (same model generation, stamped at the current design generation),
+    /// otherwise after a refresh.
     fn predict(
         &mut self,
         shared: &Shared,
@@ -181,23 +177,20 @@ impl DesignEntry {
             self.cached_at = None;
             self.model_generation = state.generation;
         }
-        if self.cached_at == Some(self.design_generation) && self.pending.is_empty() {
+        if self.cached_at == Some(self.design_generation) {
             shared.stats.record_cache_hit();
             return state.model.predict_cached(ctx, &mut self.inc, prep, indices);
         }
         // The cache is taken out for the refresh: a refresh that unwinds
         // leaves the entry cold and unstamped, never stamped over a
-        // half-refreshed cache whose seeds were already drained.
+        // half-refreshed cache.
         self.cached_at = None;
         let mut inc = std::mem::take(&mut self.inc);
-        let seeds = std::mem::take(&mut self.pending);
         // A cold refresh is a whole-design pass; its scratch goes with a
         // short-lived arena, so no worker arena stays sized to one.
-        let preds = if inc.is_warm() {
-            state.model.predict_incremental(ctx, &mut inc, prep, &seeds, indices)
-        } else {
-            state.model.predict_incremental(&InferCtx::new(), &mut inc, prep, &seeds, indices)
-        };
+        let cold = (!inc.is_warm()).then(InferCtx::new);
+        let ctx = cold.as_ref().unwrap_or(ctx);
+        let preds = state.model.predict_incremental(ctx, &mut inc, prep, &[], indices);
         self.inc = inc;
         self.cached_at = Some(self.design_generation);
         shared.stats.record_cache_refresh();
@@ -616,12 +609,11 @@ fn resolve_design(
 /// cache with the design generation it was last refreshed at. A read of
 /// a design unchanged since then runs only the readout tail
 /// ([`TimingModel::predict_cached`]); any other read refreshes first
-/// ([`TimingModel::predict_incremental`]), handing over the pending
-/// `/transform` dirty seeds — a cold full pass after `/load` or a
-/// `/reload` (the cache is keyed to the model generation), a dirty-cone
-/// pass after a `/transform`. Either way the answer is bit-identical to
-/// [`TimingModel::predict_batch`]. `/stats` counts both kinds of read
-/// (`predict_cache_hits`, `predict_cache_refreshes`).
+/// ([`TimingModel::predict_incremental`]) — a cold full pass after
+/// `/load` or a `/reload` (the cache is keyed to the model generation),
+/// a dirty-cone pass after a `/transform`. Either way the answer is
+/// bit-identical to [`TimingModel::predict_batch`]. `/stats` counts both
+/// kinds of read (`predict_cache_hits`, `predict_cache_refreshes`).
 fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body must be utf-8\n");
@@ -711,12 +703,11 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
 /// is published atomically only after everything — the mutation itself,
 /// the timing-graph rebuild, and feature preparation — has succeeded.
 /// Any failure (including an injected [`FaultMode::TransformAbort`])
-/// leaves the design, its generation, its pending dirty seeds, and its
-/// activation cache and stamp exactly as they were: a client that
-/// retries observes no torn state, and a current cache stays current. On
-/// success the response is `generation=G` (the bumped design generation,
-/// which makes the next `/predict` refresh the cache even when no seeds
-/// are queued) and `dirty=N` (dirty seed pins queued for that refresh).
+/// leaves the design, its generation, and its activation cache and stamp
+/// exactly as they were: a client that retries observes no torn state,
+/// and a current cache stays current. On success the response is
+/// `generation=G`, the bumped design generation, which makes the next
+/// `/predict` refresh the cache.
 fn transform(shared: &Shared, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body must be utf-8\n");
@@ -775,14 +766,12 @@ fn transform(shared: &Shared, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     let mut entry = entry.lock().unwrap_or_else(PoisonError::into_inner);
-    let DesignEntry { sources, prep, pending, design_generation, .. } = &mut *entry;
-    let (netlist, placement) = &*sources;
+    let DesignEntry { sources, prep, design_generation, .. } = &mut *entry;
 
     // Every mutation happens on clones; the stored entry is untouched
     // until the single publish block at the end.
     let library = CellLibrary::asap7_like();
-    let mut nl = netlist.clone();
-    let mut pl = placement.clone();
+    let (mut nl, mut pl) = sources.clone();
     let need = |param: Option<u32>, what: &str| {
         param.ok_or_else(|| Response::text(400, format!("{what}= is required for op={op}\n")))
     };
@@ -848,17 +837,14 @@ fn transform(shared: &Shared, req: &Request) -> Response {
     };
     let config = shared.swap.current().model.config().clone();
     let targets = vec![0.0f32; graph.endpoints().len()];
-    let seeds = rtt_opt::dirty_seed_pins(netlist, &nl);
     let new_prep = PreparedDesign::prepare(&nl, &library, &pl, &graph, &config, targets);
-    let dirty = seeds.len();
 
     // Publish: everything below is infallible, so partial updates are
     // impossible.
-    pending.extend(seeds);
     *sources = (nl, pl);
     *prep = Arc::new(new_prep);
     *design_generation += 1;
-    Response::text(200, format!("generation={design_generation}\ndirty={dirty}\n"))
+    Response::text(200, format!("generation={design_generation}\n"))
 }
 
 /// `POST /reload` — re-reads the configured weights file (through the

@@ -256,10 +256,9 @@ fn cmd_opt(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Predicts the optimized design's endpoint arrivals twice — incrementally
-/// (cached activations of the input design, dirty cones seeded by
-/// [`restructure_timing::opt::dirty_seed_pins`]) and with a full forward
-/// pass — over one cold preparation of it, reporting the reuse ratio and
-/// verifying that the predictions agree bit-for-bit.
+/// (refreshing activations cached for the input design) and with a full
+/// forward pass — over one cold preparation of it, reporting the reuse
+/// ratio and verifying that the predictions agree bit-for-bit.
 fn opt_incremental_report(
     lib: &CellLibrary,
     (before, before_placement): (&Netlist, &Placement),
@@ -281,19 +280,18 @@ fn opt_incremental_report(
 
     let counters_at =
         |key: &str| restructure_timing::obs::snapshot().counters.get(key).copied().unwrap_or(0);
-    let seeds = restructure_timing::opt::dirty_seed_pins(before, after);
 
     let ctx = InferCtx::new();
     let mut inc = IncrementalCtx::new();
-    // Prime the cache with a full pass over the input design (no seeds,
-    // cold cache: this is an ordinary forward).
+    // Prime the cache with a full pass over the input design (cold cache:
+    // this is an ordinary forward).
     let all_before: Vec<u32> = (0..prep_before.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(&ctx, &mut inc, &prep_before, &[], &all_before);
 
     let all_after: Vec<u32> = (0..prep_after.num_endpoints() as u32).collect();
     let (rows0, total0) = (counters_at(ROWS_RECOMPUTED_COUNTER), counters_at(ROWS_TOTAL_COUNTER));
     let t0 = std::time::Instant::now();
-    let inc_pred = model.predict_incremental(&ctx, &mut inc, &prep_after, &seeds, &all_after);
+    let inc_pred = model.predict_incremental(&ctx, &mut inc, &prep_after, &[], &all_after);
     let inc_s = t0.elapsed().as_secs_f64();
     let rows = counters_at(ROWS_RECOMPUTED_COUNTER) - rows0;
     let total = counters_at(ROWS_TOTAL_COUNTER) - total0;
@@ -304,9 +302,7 @@ fn opt_incremental_report(
     let identical = inc_pred.len() == full_pred.len()
         && inc_pred.iter().zip(&full_pred).all(|(a, b)| a.to_bits() == b.to_bits());
     println!(
-        "incremental predict: {} dirty seed pins, {rows}/{total} rows recomputed, \
-         {:.1} ms vs {:.1} ms full",
-        seeds.len(),
+        "incremental predict: {rows}/{total} rows recomputed, {:.1} ms vs {:.1} ms full",
         inc_s * 1e3,
         full_s * 1e3,
     );

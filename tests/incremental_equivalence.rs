@@ -4,10 +4,11 @@
 //! The property: after *any* sequence of optimizer transforms,
 //! `TimingModel::predict_incremental` — fed a cold `prepare` of the
 //! transformed design and reusing activations cached for the previous
-//! design state, recomputing only the dirtied fan-out cones seeded by
-//! `rtt_opt::dirty_seed_pins` — produces bit-identical predictions to a
-//! cold `predict_batch` over the same design, at 1 and at 4 threads,
-//! and the same bits across the two thread counts.
+//! design state, recomputing only the fan-out cones of the rows its own
+//! compare finds changed, with no dirty pins from the caller — produces
+//! bit-identical predictions to a cold `predict_batch` over the same
+//! design, at 1 and at 4 threads, and the same bits across the two
+//! thread counts.
 //!
 //! The offline `proptest` shim has no shrinking, so shrinking is
 //! replay-based and manual: every applied transform is recorded as a
@@ -30,7 +31,7 @@ use restructure_timing::model::{
 };
 use restructure_timing::netlist::{CellId, NetId, PinId, DRIVE_STRENGTHS};
 use restructure_timing::nn::{parallel, InferCtx};
-use restructure_timing::opt::{self, dirty_seed_pins};
+use restructure_timing::opt;
 use restructure_timing::place::{place as place_design, PlaceConfig, Point};
 use restructure_timing::prelude::*;
 
@@ -223,21 +224,19 @@ fn run_sequence(
     let mut pl = base_pl.clone();
     let mut inc = IncrementalCtx::new();
     // Prime the cache with a full pass over the base design; every later
-    // step refreshes it from the step's dirty seeds.
+    // step refreshes it onto the step's design.
     let prep = prepare_design(&nl, &pl, lib, cfg);
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(ctx, &mut inc, &prep, &[], &all);
 
     let mut steps = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        let before = nl.clone();
         if !apply(op, &mut nl, &mut pl, lib) {
             continue;
         }
-        let seeds = dirty_seed_pins(&before, &nl);
         let prep = prepare_design(&nl, &pl, lib, cfg);
         let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
-        let inc_pred = model.predict_incremental(ctx, &mut inc, &prep, &seeds, &all);
+        let inc_pred = model.predict_incremental(ctx, &mut inc, &prep, &[], &all);
         let full = model.predict_batch(ctx, &prep, &all);
         for (j, (a, b)) in inc_pred.iter().zip(&full).enumerate() {
             if a.to_bits() != b.to_bits() {
@@ -272,14 +271,12 @@ fn check_step(
     pl: &mut Placement,
     inc: &mut IncrementalCtx,
 ) -> bool {
-    let before = nl.clone();
     if !apply(op, nl, pl, lib) {
         return false;
     }
-    let seeds = dirty_seed_pins(&before, nl);
     let prep = prepare_design(nl, pl, lib, model.config());
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
-    let inc_pred = model.predict_incremental(ctx, inc, &prep, &seeds, &all);
+    let inc_pred = model.predict_incremental(ctx, inc, &prep, &[], &all);
     assert_bits_eq(label, &inc_pred, &model.predict_batch(ctx, &prep, &all));
     true
 }
@@ -568,8 +565,8 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
 
     // --- Zero-dirty fixture ------------------------------------------------
     // A transform run that touches no timing-relevant pins (prune with
-    // nothing to prune) must produce an empty dirty set and reuse the
-    // activation cache in full: the `core::incremental_rows_recomputed`
+    // nothing to prune) must leave the row compare nothing dirty and reuse
+    // the activation cache in full: the `core::incremental_rows_recomputed`
     // counter does not move while `core::incremental_rows_total` does.
     // The refresh still empties the per-endpoint tail cache, which the
     // next cached read of the same indices refills in full.
@@ -589,18 +586,15 @@ fn incremental_predict_is_bit_identical_across_random_transform_sequences() {
     assert_eq!(r1 - r0, t1 - t0, "cold prime must recompute every row");
     assert!(t1 - t0 > 0, "cold prime must count total rows");
 
-    let before = nl2.clone();
     let removed = opt::prune_dangling(&mut nl2, &lib);
     assert_eq!(removed, 0, "second prune must be a no-op");
-    let seeds = dirty_seed_pins(&before, &nl2);
-    assert!(seeds.is_empty(), "no-op transform must seed no dirty pins, got {seeds:?}");
 
     let prep2 = prepare_design(&nl2, pl, &lib, cfg);
 
     let eps = || (obs_counter(EPS_REUSED_COUNTER), obs_counter(EPS_TOTAL_COUNTER));
     let n = all.len() as u64;
     let (e0, et0) = eps();
-    let inc_pred = model.predict_incremental(&ctx, &mut inc, &prep2, &seeds, &all);
+    let inc_pred = model.predict_incremental(&ctx, &mut inc, &prep2, &[], &all);
     let (r2, t2) = (obs_counter(ROWS_RECOMPUTED_COUNTER), obs_counter(ROWS_TOTAL_COUNTER));
     assert_eq!(r2 - r1, 0, "empty dirty set must reuse the cached activations in full");
     assert_eq!(t2 - t1, t1 - t0, "warm pass covers the same row count");

@@ -281,14 +281,7 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
     );
     let (status, body) = http(addr, &post("/transform", "", req.as_bytes()));
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    let text = String::from_utf8(body).expect("utf-8 transform body");
-    assert!(text.starts_with("generation=2\n"), "design generation must bump: {text:?}");
-    let dirty: usize = text
-        .lines()
-        .find_map(|l| l.strip_prefix("dirty="))
-        .and_then(|v| v.parse().ok())
-        .expect("dirty= line");
-    assert!(dirty >= 1, "buffer insertion must seed dirty pins");
+    assert_eq!(body, b"generation=2\n", "design generation must bump");
 
     // Cold daemon booted directly on the transformed design: the warm
     // daemon's incremental response must match it byte-for-byte.
@@ -313,7 +306,7 @@ fn daemon_transforms_designs_and_serves_incremental_predictions() {
 
     // Chaos: with TransformAbort firing on every decision, /transform
     // mutates its working copies, then aborts before publishing. Nothing
-    // — generation, pending seeds, activation cache — may change.
+    // — generation, activation cache — may change.
     let chaos_cfg = ServeConfig {
         faults: FaultSpec::new(11).mode(FaultMode::TransformAbort, 1.0).build(),
         ..ServeConfig::default()
@@ -495,7 +488,7 @@ fn daemon_serves_unchanged_designs_from_the_activation_cache() {
 
     let (status, body) = http(addr, &post("/transform", "", b"design=rca\nop=prune\n"));
     assert_eq!(status, 200);
-    assert_eq!(body, b"generation=2\ndirty=0\n", "the fixture has nothing to prune");
+    assert_eq!(body, b"generation=2\n", "the fixture has nothing to prune");
     assert_eq!(read(), expect, "pruning nothing leaves the predictions as they were");
     assert_eq!(cache_counts(addr), (READS + 1, 2), "a published transform forces a refresh");
 
