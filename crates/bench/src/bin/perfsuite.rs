@@ -39,11 +39,14 @@
 //! shares one GNN+CNN pass, so its endpoints/sec must be at least the
 //! single-endpoint rate.
 //!
-//! An `incremental` section sweeps `TimingModel::predict_incremental` over
-//! dirty-cone sizes (~5%, ~20%, ~50% of pins, seeds chosen via rtt-sta's
-//! `fanout_cone`): wall time and speedup versus the full `predict_batch`
-//! pass, plus the rows-recomputed counters that prove how much of the GNN
-//! each cone actually redid. The ≤10%-dirty row must clear a 4x speedup.
+//! An `incremental` section times `TimingModel::predict_incremental`
+//! against the full `predict_batch` pass on copies of one design with seed
+//! cells resized, the seeds chosen so that their static fan-out cones
+//! (rtt-sta's `fanout_cone`) cover ~5%, ~20% and ~50% of pins. The
+//! incremental reps refresh onto the copy and back in turn. It records
+//! each static cone beside the rows-recomputed counters, which show how
+//! much of the GNN each refresh actually redid. The ~5% row must clear a
+//! 4x speedup.
 //!
 //! A `prepare` section measures the preparation pipeline: cold
 //! `PreparedDesign::prepare` pins/sec per circgen tier (including the
@@ -64,7 +67,7 @@ use rtt_circgen::{GenParams, Scale};
 use rtt_core::{IncrementalCtx, ModelConfig, PreparedDesign, TimingModel, TrainConfig};
 use rtt_features::endpoint_masks;
 use rtt_flow::{Dataset, FlowConfig};
-use rtt_netlist::{parse_verilog, write_verilog, CellLibrary, PinId, TimingGraph};
+use rtt_netlist::{parse_verilog, write_verilog, CellLibrary, TimingGraph};
 use rtt_nn::{parallel, InferCtx};
 use rtt_place::{parse_placement, place, write_placement, PlaceConfig};
 use rtt_route::{route, RouteConfig};
@@ -297,15 +300,18 @@ fn main() {
         1.0,
     ));
 
-    // Incremental inference: dirty-cone `predict_incremental` against the
-    // full `predict_batch` pass on the same design, in alternating reps.
-    // The design never changes, so the refresh's row compare finds
-    // nothing; the seed pins passed as `dirty_pins` force the cones
-    // instead. They are chosen so their fan-out cone (per rtt-sta's
-    // `fanout_cone`) covers ~5% / ~20% / ~50% of pins; every rep forces
-    // the same cone, so each timed call pays that cone's GNN recompute,
-    // the CNN global map (which every refresh recomputes), and the
-    // readout tail of every requested endpoint.
+    // Incremental inference: `predict_incremental` against the full
+    // `predict_batch` pass, in alternating reps. Per target, seed pins are
+    // chosen so that the union of their static fan-out cones (per rtt-sta's
+    // `fanout_cone`) covers ~5% / ~20% / ~50% of pins, and a copy of the
+    // design has every seed's cell resized: a real change at each seed,
+    // which changes the features of the cell's output row. The incremental
+    // reps refresh onto that copy and back in turn and pass no seeds: the
+    // row compare finds the resized cells, and the refresh recomputes only
+    // rows whose inputs changed bits, inside the static cone of the
+    // resized cells' outputs. Each timed call also pays the CNN global map
+    // and the readout tail of every requested endpoint, which every
+    // refresh recomputes.
     let inc_d = GenParams::new("perfinc".to_owned(), 2000, 55).generate(&lib);
     let inc_pl = place(&inc_d.netlist, &lib, 0, &PlaceConfig::default());
     let inc_rt = route(&inc_d.netlist, &lib, &inc_pl, &RouteConfig::default());
@@ -317,7 +323,6 @@ fn main() {
     let inc_pins = inc_graph.num_nodes();
     let inc_eps: Vec<u32> = (0..inc_prep.num_endpoints() as u32).collect();
     let mut inc = IncrementalCtx::new();
-    let _ = gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &[], &inc_eps); // prime cache
     println!("\nincremental inference ({} endpoints, {inc_pins} pins):", inc_eps.len());
     // Score candidate seeds by their individual cone size and union
     // smallest-first: one high-fanout root (a PI or clock buffer) would
@@ -326,9 +331,18 @@ fn main() {
     let mut inc_candidates: Vec<(usize, u32)> =
         (0..inc_pins as u32).step_by(3).map(|v| (fanout_cone(&inc_graph, &[v]).len(), v)).collect();
     inc_candidates.sort_unstable();
+    // A seed pin's cell and the type it is resized to. The cell is
+    // combinational, so its output lies in the seed's fan-out cone (a
+    // flop's output launches another stage); ports have no cell.
+    let resize_of = |v: u32| {
+        let cell = inc_d.netlist.pin(inc_graph.pin_of(v)).cell?;
+        let ty = inc_d.netlist.cell(cell).type_id;
+        let to = lib.upsize(ty).or_else(|| lib.downsize(ty))?;
+        (!lib.cell_type(ty).is_sequential()).then_some((cell, to))
+    };
     #[allow(clippy::type_complexity)]
-    let mut inc_rows: Vec<(f64, usize, u64, u64, u64, u64, f64, f64, f64)> = Vec::new();
-    for &target in &[0.05f64, 0.20, 0.50] {
+    let mut inc_rows: Vec<(f64, usize, usize, u64, u64, f64, f64, f64)> = Vec::new();
+    for &(target, gated) in &[(0.05f64, true), (0.20, false), (0.50, false)] {
         // Grow the seed set until the union fan-out cone covers the
         // target fraction of pins. Mid-sized cones (at most half the
         // target, largest first) model a real transform site; the
@@ -337,59 +351,68 @@ fn main() {
         let want = (target * inc_pins as f64).ceil() as usize;
         let cone_cap = (want / 2).max(4);
         let mut seed_nodes: Vec<u32> = Vec::new();
-        for &(_, v) in inc_candidates.iter().filter(|&&(c, _)| c <= cone_cap).rev() {
+        for &(_, v) in
+            inc_candidates.iter().filter(|&&(c, v)| c <= cone_cap && resize_of(v).is_some()).rev()
+        {
             seed_nodes.push(v);
             if fanout_cone(&inc_graph, &seed_nodes).len() >= want {
                 break;
             }
         }
-        let seed_pins: Vec<PinId> = seed_nodes.iter().map(|&v| inc_graph.pin_of(v)).collect();
+        let mut seed_nl = inc_d.netlist.clone();
+        let mut outputs = Vec::new();
+        for &v in &seed_nodes {
+            let (cell, to) = resize_of(v).expect("seeds have a resizable cell");
+            seed_nl.resize_cell(cell, to, &lib).expect("a same-function resize applies");
+            outputs.extend(inc_graph.node_of(inc_d.netlist.cell(cell).output));
+        }
+        let cone = fanout_cone(&inc_graph, &outputs).len();
+        let seed_graph = TimingGraph::build(&seed_nl, &lib);
+        let zeros = vec![0.0; inc_eps.len()];
+        let seed_prep = PreparedDesign::prepare(&seed_nl, &lib, &inc_pl, &seed_graph, &cfg, zeros);
+        // Put the cache on the unchanged design, so the probe refreshes
+        // across the resizes.
+        let _ = gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &[], &inc_eps);
         rtt_obs::reset();
-        let probe = gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &seed_pins, &inc_eps);
+        let probe = gnn_model.predict_incremental(&ctx, &mut inc, &seed_prep, &[], &inc_eps);
         let counters = rtt_obs::snapshot().counters;
         let recomputed = counters.get(rtt_core::ROWS_RECOMPUTED_COUNTER).copied().unwrap_or(0);
         let total = counters.get(rtt_core::ROWS_TOTAL_COUNTER).copied().unwrap_or(0);
-        let eps_reused = counters.get(rtt_core::EPS_REUSED_COUNTER).copied().unwrap_or(0);
-        let eps_total = counters.get(rtt_core::EPS_TOTAL_COUNTER).copied().unwrap_or(0);
-        let full_ref = gnn_model.predict_batch(&ctx, &inc_prep, &inc_eps);
+        let full_ref = gnn_model.predict_batch(&ctx, &seed_prep, &inc_eps);
         assert!(
             probe.len() == full_ref.len()
                 && probe.iter().zip(&full_ref).all(|(a, b)| a.to_bits() == b.to_bits()),
             "incremental diverged from full predict_batch at cone fraction {target}"
         );
+        let sides = [&inc_prep, &seed_prep];
+        let mut rep = 0;
         let (full_s, inc_s) = time_pair(
             infer_reps,
-            || gnn_model.predict_batch(&ctx, &inc_prep, &inc_eps),
-            || gnn_model.predict_incremental(&ctx, &mut inc, &inc_prep, &seed_pins, &inc_eps),
+            || gnn_model.predict_batch(&ctx, &seed_prep, &inc_eps),
+            || {
+                rep += 1;
+                gnn_model.predict_incremental(&ctx, &mut inc, sides[rep % 2], &[], &inc_eps)
+            },
         );
         let speedup = full_s / inc_s.max(1e-12);
+        let cone_frac = cone as f64 / inc_pins as f64;
         let dirty_frac = recomputed as f64 / total.max(1) as f64;
         println!(
-            "  cone ~{:>2.0}%  {:>4} seeds  {recomputed:>6}/{total} rows recomputed \
-             ({:>5.1}% dirty)  {eps_reused}/{eps_total} eps reused  full {full_s:>7.4}s  \
+            "  target ~{:>2.0}%  {:>4} seeds  static cone {cone:>5} ({:>5.1}%)  \
+             {recomputed:>5}/{total} rows recomputed ({:>5.1}%)  full {full_s:>7.4}s  \
              incremental {inc_s:>7.4}s  speedup {speedup:>5.2}x",
             target * 100.0,
             seed_nodes.len(),
+            cone_frac * 100.0,
             dirty_frac * 100.0
         );
-        if dirty_frac <= 0.10 {
-            // The bound is a target the suite does not reach yet: six
-            // runs on a 2-vCPU host read 2.65-2.77, because the refresh
-            // also pays the CNN global map and every endpoint's tail
-            // (ROADMAP item 3).
+        if gated {
+            // The bound is a target the suite does not reach yet: the
+            // refresh also pays the CNN global map and every endpoint's
+            // tail (ROADMAP item 3).
             gates.push(Gate::at_least("incremental_speedup_at_most_10pct_dirty", speedup, 4.0));
         }
-        inc_rows.push((
-            target,
-            seed_nodes.len(),
-            recomputed,
-            total,
-            eps_reused,
-            eps_total,
-            full_s,
-            inc_s,
-            speedup,
-        ));
+        inc_rows.push((target, seed_nodes.len(), cone, recomputed, total, full_s, inc_s, speedup));
     }
 
     // Preparation: cold `prepare` throughput per circgen tier — the
@@ -603,16 +626,17 @@ fn main() {
          \"rows\": [\n",
         inc_eps.len(),
     ));
-    for (i, (target, seeds, recomputed, total, eps_reused, eps_total, full_s, inc_s, speedup)) in
+    for (i, (target, seeds, cone, recomputed, total, full_s, inc_s, speedup)) in
         inc_rows.iter().enumerate()
     {
         json.push_str(&format!(
             "    {{\"target_fraction\": {target:.2}, \"seed_pins\": {seeds}, \
+             \"static_cone_rows\": {cone}, \"static_cone_fraction\": {:.4}, \
              \"rows_recomputed\": {recomputed}, \"rows_total\": {total}, \
-             \"dirty_fraction\": {:.4}, \"endpoints_reused\": {eps_reused}, \
-             \"endpoints_requested\": {eps_total}, \"full_batch_s\": {full_s:.6}, \
+             \"dirty_fraction\": {:.4}, \"full_batch_s\": {full_s:.6}, \
              \"incremental_s\": {inc_s:.6}, \
              \"speedup\": {speedup:.3}}}{}\n",
+            *cone as f64 / inc_pins as f64,
             *recomputed as f64 / (*total).max(1) as f64,
             if i + 1 < inc_rows.len() { "," } else { "" }
         ));

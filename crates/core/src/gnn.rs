@@ -49,7 +49,7 @@ pub(crate) struct GnnPlan {
     pub(crate) live_rows: usize,
 }
 
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct FlatLevel {
     pub(crate) n_cells: usize,
     pub(crate) n_nets: usize,
@@ -182,35 +182,10 @@ impl GnnSchedule {
         &self.plan.endpoint_rows
     }
 
-    /// The flat execution plan (crate-internal: the incremental engine
-    /// walks its CSR cones directly).
+    /// The flat execution plan (crate-internal: the activation cache walks
+    /// its levels directly).
     pub(crate) fn plan(&self) -> &GnnPlan {
         &self.plan
-    }
-
-    /// Propagates a seeded dirty set through the level-ordered fan-out
-    /// cones: a row becomes dirty as soon as any row it gathers from is
-    /// dirty. Gathers only reference earlier levels, so one in-order
-    /// sweep reaches the whole transitive cone. Returns the dirty count.
-    pub(crate) fn propagate_dirty(&self, dirty: &mut [bool]) -> usize {
-        assert_eq!(dirty.len(), self.plan.total_rows, "dirty set must cover every flat row");
-        for fl in &self.plan.levels {
-            for j in 0..fl.n_cells {
-                let dst = fl.cell_dst[j] as usize;
-                if !dirty[dst] {
-                    let (lo, hi) = (fl.cell_seg_off[j] as usize, fl.cell_seg_off[j + 1] as usize);
-                    dirty[dst] = fl.cell_gather[lo..hi].iter().any(|&g| dirty[g as usize]);
-                }
-            }
-            for j in 0..fl.n_nets {
-                let dst = fl.net_dst[j] as usize;
-                if !dirty[dst] {
-                    dirty[dst] = dirty[fl.net_gather[j] as usize];
-                }
-            }
-            // Source rows have no fanin; they are dirty only if seeded.
-        }
-        dirty.iter().filter(|&&d| d).count()
     }
 }
 
@@ -472,9 +447,8 @@ impl NetlistGnn {
         }
     }
 
-    /// Number of scratch tensors [`Self::forward_flat`] consumes (the
-    /// dirty-cone pass shares its layout, so one arena region serves
-    /// both).
+    /// Number of scratch tensors [`Self::forward_flat`] consumes (a cache
+    /// refresh shares its layout, so one arena region serves both).
     pub const FLAT_SCRATCH: usize = 8;
 
     /// Batched, tape-free levelized forward over the flat plan built by
@@ -518,80 +492,93 @@ impl NetlistGnn {
         rtt_nn::sanitize::check_finite("gnn_forward_flat", flat);
     }
 
-    /// Dirty-cone twin of [`Self::forward_flat`]: runs the same level
-    /// loop over the dirty-row sub-plan in `compact` (built by
-    /// [`IncCompact::build`] from the dirty set), in place over `flat`,
-    /// a `[total_rows, embed_dim]` matrix whose clean rows already hold
-    /// what a full pass over this design writes there (the incremental
-    /// cache: a base design's matrix, whose rows are its pins, resized to
-    /// this schedule's row count). `bufs` has the [`Self::FLAT_SCRATCH`]
-    /// layout; `bufs[0]` gathers the dirty feature rows.
+    /// Refreshes `flat` in place onto the design of `plan` and `feats`.
+    /// `flat` is a `[total_rows, embed_dim]` matrix holding the bits a
+    /// full pass wrote for the design the cache last saw (its rows are that
+    /// design's pins, resized to this plan's row count). `bufs` has the
+    /// [`Self::FLAT_SCRATCH`] layout; `bufs[0]` holds a level's gathered
+    /// feature rows, then the saved values of its rows.
     ///
-    /// Caller contract — the dirty set behind `compact` (indexed by flat
-    /// row) must satisfy:
-    /// * the dirty set is closed under fan-out:
-    ///   [`GnnSchedule::propagate_dirty`] has been run after seeding
-    ///   every row whose static features, node kind, or gather sources
-    ///   changed versus the base design, and every row new to it;
-    /// * `compact` was built by [`IncCompact::build`] from that closed
-    ///   dirty set over this schedule's plan.
+    /// On entry `dirty` (one flag per flat row) marks the seeds: the rows
+    /// the cache's row compare found new or changed, and any the caller
+    /// forces. The loop walks the plan's levels in order and recomputes a
+    /// row only when it is a seed or when a row it gathers changed bits
+    /// earlier in this refresh. Per level it gathers the selected rows'
+    /// static features and embeds only those through `f_c2` / `f_n` (which
+    /// is row-wise exact, like the hoisted products of a full pass), saves
+    /// the rows' cached values, runs [`Self::run_levels`] over the
+    /// one-level sub-plan in place, and marks a written row changed when
+    /// its bits differ from the saved value. On return `dirty[r]` says
+    /// whether row `r` changed bits. Returns the number of rows recomputed.
     ///
-    /// Bit-identity argument (induction over levels): a clean row's
-    /// inputs are all clean (closure), and its static features are
-    /// bit-identical to the base (seeding), so its cached value equals a
-    /// recompute. A dirty row is recomputed by the same loop as the full
-    /// pass over the same rows in the same order: the compacted `f_c2` /
-    /// `f_n` products are row-wise exact, and the sub-plan's CSR runs
-    /// scan the same message rows ascending. Nothing reads a dirty row's
-    /// stale value, because its level overwrites it before any later
-    /// level gathers it, and gathers only reference earlier levels.
+    /// Bit-identity argument (induction over levels): once every level
+    /// below `l` holds a full pass's bits, a row of level `l` that is not
+    /// a seed has the node kind, static features and gathered rows it had
+    /// in the cached design, and every row it gathers holds the bits it
+    /// held there (it was not recomputed, or it was and its bits did not
+    /// change). So its cached value is what a full pass computes. A
+    /// recomputed row runs the same kernels over the same message rows in
+    /// the same ascending order as a full pass. Gathers reference only
+    /// earlier levels, so no row reads a row of its own level.
     ///
     /// # Panics
     ///
-    /// Panics if `bufs.len() != FLAT_SCRATCH` or the inputs disagree with
-    /// `schedule` (row-count mismatch).
-    // rtt-lint: hot
+    /// Panics if `bufs.len() != FLAT_SCRATCH`, or `flat` or `dirty` does
+    /// not cover every flat row of `plan`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_flat_incremental(
+    pub(crate) fn refresh_flat(
         &self,
         store: &ParamStore,
-        schedule: &GnnSchedule,
+        plan: &GnnPlan,
         feats: &LevelFeats,
         aggregation: Aggregation,
-        compact: &IncCompact,
+        dirty: &mut [bool],
+        sub: &mut RefreshLevel,
         flat: &mut Tensor,
         bufs: &mut [Tensor],
-    ) {
-        rtt_obs::span!("core::gnn_forward_incremental");
-        let [feat_in, sc, sn, scratch @ ..] = bufs else {
-            unreachable!("forward_flat_incremental needs {} scratch buffers", Self::FLAT_SCRATCH)
+    ) -> usize {
+        rtt_obs::span!("core::gnn_refresh");
+        let [held, sc, sn, scratch @ ..] = bufs else {
+            unreachable!("refresh_flat needs {} scratch buffers", Self::FLAT_SCRATCH)
         };
-        let plan = &schedule.plan;
         assert_eq!(flat.rows(), plan.total_rows, "cached matrix must cover every flat row");
-        assert_eq!(compact.levels.len(), plan.levels.len(), "sub-plan must match schedule");
-        if !compact.cell_src_rows.is_empty() {
-            let Some(cs) = feats.cell_src_flat.as_ref() else {
-                unreachable!("cell/source feats present whenever cell or source rows exist")
-            };
-            ops::gather_rows_flat(cs, &compact.cell_src_rows, feat_in);
-            self.embed(&self.f_c2, false, store, feat_in, sc, scratch);
+        assert_eq!(dirty.len(), plan.total_rows, "dirty flags must cover every flat row");
+        let mut recomputed = 0;
+        for fl in &plan.levels {
+            if !sub.select(fl, dirty) {
+                continue;
+            }
+            recomputed += sub.rows.len();
+            if !sub.cs_feat.is_empty() {
+                let Some(cs) = feats.cell_src_flat.as_ref() else {
+                    unreachable!("cell/source feats present whenever cell or source rows exist")
+                };
+                ops::gather_rows_flat(cs, &sub.cs_feat, held);
+                self.embed(&self.f_c2, false, store, held, sc, scratch);
+            }
+            if !sub.net_feat.is_empty() {
+                let Some(nf) = feats.net_flat.as_ref() else {
+                    unreachable!("net feats present whenever net rows exist")
+                };
+                ops::gather_rows_flat(nf, &sub.net_feat, held);
+                self.embed(&self.f_n, self.residual, store, held, sn, scratch);
+            }
+            ops::gather_rows_flat(flat, &sub.rows, held);
+            let level = std::slice::from_ref(&sub.level);
+            self.run_levels(store, level, aggregation, sc, sn, flat, scratch);
+            for (k, &r) in sub.rows.iter().enumerate() {
+                dirty[r as usize] = !rows_bit_eq(flat.row(r as usize), held.row(k));
+            }
         }
-        if !compact.net_rows.is_empty() {
-            let Some(nf) = feats.net_flat.as_ref() else {
-                unreachable!("net feats present whenever net rows exist")
-            };
-            ops::gather_rows_flat(nf, &compact.net_rows, feat_in);
-            self.embed(&self.f_n, self.residual, store, feat_in, sn, scratch);
-        }
-        self.run_levels(store, &compact.levels, aggregation, sc, sn, flat, scratch);
-        rtt_nn::sanitize::check_finite("gnn_forward_flat_incremental", flat);
+        rtt_nn::sanitize::check_finite("gnn_refresh_flat", flat);
+        recomputed
     }
 
-    /// The static-embedding prologue of both passes: `mlp` over feature
-    /// rows `x` into `out`, through ReLU if `relu`. Cells' `f_c2` rows stay
-    /// raw, since they join the pre-activation sum with `f_c1`; residual
-    /// nets add `relu(f_n(feat))` as their increment. The level loop's
-    /// last two scratch slots serve as the MLP's temporaries.
+    /// The static-embedding prologue of a full pass and a refresh: `mlp`
+    /// over feature rows `x` into `out`, through ReLU if `relu`. Cells'
+    /// `f_c2` rows stay raw, since they join the pre-activation sum with
+    /// `f_c1`; residual nets add `relu(f_n(feat))` as their increment. The
+    /// level loop's last two scratch slots serve as the MLP's temporaries.
     fn embed(
         &self,
         mlp: &Mlp,
@@ -609,8 +596,9 @@ impl NetlistGnn {
     }
 
     /// The one in-place level loop, over the whole plan
-    /// ([`Self::forward_flat`] and the tape's [`Self::forward_nodes`]) or a
-    /// dirty-row sub-plan ([`Self::forward_flat_incremental`]). Per level:
+    /// ([`Self::forward_flat`] and the tape's [`Self::forward_nodes`]) or
+    /// the one-level sub-plan of the rows a cache refresh recomputes
+    /// ([`Self::refresh_flat`]). Per level:
     /// cells gather their fanin rows from `flat`, reduce each CSR run, add
     /// the `sc` rows at the level's feature offset and scatter back; nets
     /// add their `sn` rows to the driver's row; sources copy their `sc`
@@ -718,77 +706,75 @@ fn add_to_rows(dst: &mut Tensor, row0: usize, src: &Tensor) {
     }
 }
 
-/// The dirty-row sub-plan [`NetlistGnn::forward_flat_incremental`] runs:
-/// the plan's levels restricted to dirty rows, in the exact row order of
-/// the full pass, with feature offsets into the compacted `f_c2` / `f_n`
-/// products instead of the whole-design ones. All per-element plan
-/// walking (and every allocation) lives in [`IncCompact::build`], outside
-/// the hot kernel. Owned by `IncrementalCtx` and recycled across
-/// refreshes, so steady-state rebuilds allocate nothing once the vectors
-/// have grown to cone size.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct IncCompact {
-    /// Static-feature rows the compacted `f_c2` product embeds: dirty
-    /// cell rows (level-major) followed by dirty source rows.
-    cell_src_rows: Vec<u32>,
-    /// Static-feature rows the compacted `f_n` product embeds.
-    net_rows: Vec<u32>,
-    /// The sub-plan, aligned with `GnnPlan::levels`.
-    levels: Vec<FlatLevel>,
+/// Bit-level row compare (`==` on f32 would call NaNs unequal even when
+/// the recomputed value is byte-identical).
+pub(crate) fn rows_bit_eq(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
-impl IncCompact {
-    /// Rebuilds the sub-plan for `dirty` (indexed by flat row, closed
-    /// under fan-out by the caller) over `plan`, reusing this instance's
-    /// allocations. An all-dirty set rebuilds `plan.levels` exactly.
-    pub(crate) fn build(&mut self, plan: &GnnPlan, dirty: &[bool]) {
-        assert_eq!(dirty.len(), plan.total_rows, "dirty set must cover every flat row");
-        self.cell_src_rows.clear();
-        self.net_rows.clear();
-        self.levels.resize_with(plan.levels.len(), FlatLevel::default);
-        for (fl, sl) in plan.levels.iter().zip(&mut self.levels) {
-            sl.cell_feat_off = self.cell_src_rows.len();
-            sl.cell_gather.clear();
-            sl.cell_seg_off.clear();
-            sl.cell_seg_off.push(0);
-            sl.cell_inv_fanin.clear();
-            sl.cell_dst.clear();
-            for j in 0..fl.n_cells {
-                if dirty[fl.cell_dst[j] as usize] {
-                    let (lo, hi) = (fl.cell_seg_off[j] as usize, fl.cell_seg_off[j + 1] as usize);
-                    sl.cell_gather.extend_from_slice(&fl.cell_gather[lo..hi]);
-                    sl.cell_seg_off.push(sl.cell_gather.len() as u32);
-                    sl.cell_inv_fanin.push(fl.cell_inv_fanin[j]);
-                    sl.cell_dst.push(fl.cell_dst[j]);
-                    self.cell_src_rows.push((fl.cell_feat_off + j) as u32);
-                }
+/// The rows of one level that [`NetlistGnn::refresh_flat`] recomputes: a
+/// one-level plan in the full pass's row order, whose feature offsets
+/// index the level's own `f_c2` / `f_n` products, and the static-feature
+/// rows those products embed. Owned by `IncrementalCtx` and recycled
+/// across levels and refreshes, so a warm refresh allocates nothing once
+/// the vectors have grown to the widest selection.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RefreshLevel {
+    level: FlatLevel,
+    /// Feature rows of the selected cells, then sources, in `cell_src_flat`.
+    cs_feat: Vec<u32>,
+    /// Feature rows of the selected nets, in `net_flat`.
+    net_feat: Vec<u32>,
+    /// The selected rows: cells, nets, then sources.
+    rows: Vec<u32>,
+}
+
+impl RefreshLevel {
+    /// Selects the rows of `fl` to recompute: those flagged in `dirty`
+    /// (seeds) and those that gather a flagged row (one of an earlier
+    /// level whose bits changed). Returns `false` when there are none.
+    fn select(&mut self, fl: &FlatLevel, dirty: &[bool]) -> bool {
+        let sl = &mut self.level;
+        sl.cell_gather.clear();
+        sl.cell_seg_off.clear();
+        sl.cell_seg_off.push(0);
+        sl.cell_inv_fanin.clear();
+        sl.cell_dst.clear();
+        sl.net_gather.clear();
+        sl.net_dst.clear();
+        sl.src_dst.clear();
+        self.cs_feat.clear();
+        self.net_feat.clear();
+        for (j, run) in fl.cell_seg_off.windows(2).enumerate() {
+            let (dst, gather) = (fl.cell_dst[j], &fl.cell_gather[run[0] as usize..run[1] as usize]);
+            if dirty[dst as usize] || gather.iter().any(|&g| dirty[g as usize]) {
+                sl.cell_gather.extend_from_slice(gather);
+                sl.cell_seg_off.push(sl.cell_gather.len() as u32);
+                sl.cell_inv_fanin.push(fl.cell_inv_fanin[j]);
+                sl.cell_dst.push(dst);
+                self.cs_feat.push((fl.cell_feat_off + j) as u32);
             }
-            sl.n_cells = sl.cell_dst.len();
-            sl.net_feat_off = self.net_rows.len();
-            sl.net_gather.clear();
-            sl.net_dst.clear();
-            for j in 0..fl.n_nets {
-                if dirty[fl.net_dst[j] as usize] {
-                    sl.net_gather.push(fl.net_gather[j]);
-                    sl.net_dst.push(fl.net_dst[j]);
-                    self.net_rows.push((fl.net_feat_off + j) as u32);
-                }
-            }
-            sl.n_nets = sl.net_dst.len();
         }
-        // Source rows follow every cell row in the `f_c2` input, as in
-        // the full plan.
-        for (fl, sl) in plan.levels.iter().zip(&mut self.levels) {
-            sl.src_feat_off = self.cell_src_rows.len();
-            sl.src_dst.clear();
-            for j in 0..fl.n_srcs {
-                if dirty[fl.src_dst[j] as usize] {
-                    sl.src_dst.push(fl.src_dst[j]);
-                    self.cell_src_rows.push((fl.src_feat_off + j) as u32);
-                }
+        for (j, (&dst, &g)) in fl.net_dst.iter().zip(&fl.net_gather).enumerate() {
+            if dirty[dst as usize] || dirty[g as usize] {
+                sl.net_gather.push(g);
+                sl.net_dst.push(dst);
+                self.net_feat.push((fl.net_feat_off + j) as u32);
             }
-            sl.n_srcs = sl.src_dst.len();
         }
+        // Sources have no fanin, and their `f_c2` rows follow the cells'.
+        for (j, &dst) in fl.src_dst.iter().enumerate() {
+            if dirty[dst as usize] {
+                sl.src_dst.push(dst);
+                self.cs_feat.push((fl.src_feat_off + j) as u32);
+            }
+        }
+        (sl.n_cells, sl.n_nets, sl.n_srcs) =
+            (sl.cell_dst.len(), sl.net_dst.len(), sl.src_dst.len());
+        (sl.cell_feat_off, sl.net_feat_off, sl.src_feat_off) = (0, 0, sl.n_cells);
+        self.rows.clear();
+        self.rows.extend(sl.cell_dst.iter().chain(&sl.net_dst).chain(&sl.src_dst));
+        !self.rows.is_empty()
     }
 }
 
@@ -1083,89 +1069,5 @@ mod tests {
             outputs.push(t);
         }
         assert_ne!(bits(&outputs[0]), bits(&outputs[1]), "max and mean aggregation must differ");
-    }
-
-    #[test]
-    fn incremental_forward_matches_full_pass() {
-        let (schedule, feats, _) = world(150);
-        let plan = schedule.plan();
-        let n = plan.total_rows;
-
-        let mut compact = IncCompact::default();
-        compact.build(plan, &vec![true; n]);
-        assert_eq!(compact.levels, plan.levels, "an all-dirty sub-plan must be the plan");
-
-        // A propagated partial cone: one level-0 source and its fan-out.
-        let mut cone = vec![false; n];
-        cone[plan.levels[0].src_dst[0] as usize] = true;
-        let cone_rows = schedule.propagate_dirty(&mut cone);
-        assert!(1 < cone_rows && cone_rows < n, "cone of {cone_rows}/{n} rows is not partial");
-
-        for residual in [false, true] {
-            let cfg = ModelConfig { residual, ..ModelConfig::tiny() };
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            let mut store = ParamStore::new();
-            let gnn = NetlistGnn::new(&mut store, &mut rng, &cfg);
-            for aggregation in [Aggregation::Max, Aggregation::Mean] {
-                let mut bufs: Vec<Tensor> =
-                    (0..NetlistGnn::FLAT_SCRATCH).map(|_| Tensor::default()).collect();
-                gnn.forward_flat(&store, &schedule, &feats, aggregation, &mut bufs);
-                let full = bufs[0].clone();
-                let mut incremental = |dirty: &[bool], mut cached: Tensor| {
-                    compact.build(plan, dirty);
-                    gnn.forward_flat_incremental(
-                        &store,
-                        &schedule,
-                        &feats,
-                        aggregation,
-                        &compact,
-                        &mut cached,
-                        &mut bufs,
-                    );
-                    bits(&cached)
-                };
-                let tag = format!("residual={residual} {aggregation:?}");
-
-                // Everything dirty: no cached row may be read.
-                let poison = Tensor::full(&[n, cfg.embed_dim], f32::NAN);
-                let all = incremental(&vec![true; n], poison);
-                assert_eq!(all, bits(&full), "{tag}: all-dirty pass must equal the full pass");
-
-                // A partial cone over the full pass: clean rows are kept,
-                // the cone is recomputed. Its cached rows are poisoned, so
-                // reading one instead of recomputing it shows.
-                let mut cached = full.clone();
-                for r in (0..n).filter(|&r| cone[r]) {
-                    cached.data_mut()[r * cfg.embed_dim..(r + 1) * cfg.embed_dim].fill(f32::NAN);
-                }
-                let part = incremental(&cone, cached);
-                assert_eq!(part, bits(&full), "{tag}: partial-cone pass must equal the full pass");
-
-                // Nothing dirty: the cached matrix stays as it is.
-                let none = incremental(&vec![false; n], full.clone());
-                assert_eq!(none, bits(&full), "{tag}: zero-dirty pass must keep the cache");
-            }
-        }
-    }
-
-    #[test]
-    fn propagate_dirty_reaches_exactly_the_fanout_cone() {
-        let (graph, _) = design(200);
-        let schedule = GnnSchedule::build(&graph);
-        let n = schedule.plan().total_rows;
-        let seed = schedule.plan().levels[0].src_dst[0];
-        let mut dirty = vec![false; n];
-        dirty[seed as usize] = true;
-        let count = schedule.propagate_dirty(&mut dirty);
-        assert!(count > 1, "a level-0 source must have downstream rows");
-        let again = schedule.propagate_dirty(&mut dirty.clone());
-        assert_eq!(count, again, "propagation must be idempotent");
-        // The same closure walked over the timing graph's own edges.
-        let node = graph.node_of(rtt_netlist::PinId::from_index(seed as usize)).expect("live row");
-        let mut cone = vec![false; n];
-        for v in rtt_sta::fanout_cone(&graph, &[node]) {
-            cone[graph.pin_of(v).index()] = true;
-        }
-        assert!(dirty == cone, "the dirty rows must be the seed's fan-out cone");
     }
 }

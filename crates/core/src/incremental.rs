@@ -1,18 +1,21 @@
-//! Dirty-cone incremental inference state.
+//! Activation cache for re-scoring a design after each transform.
 //!
 //! [`IncrementalCtx`] caches the flat GNN activation matrix and the CNN
 //! global map of a *base* design. When the caller re-predicts after a
 //! netlist transform, [`crate::TimingModel::predict_incremental`]
 //! compares every live row of the new design with the cached base row of
-//! the same number, closes the rows that differ over the level-ordered
-//! fan-out cones, and recomputes only those dirty rows, in place in the
-//! cached matrix; every clean row keeps its cached value — bit-identical
-//! to a full pass, at cone-proportional cost. The cache then holds the
-//! just-predicted design, so an optimizer inner loop only ever pays for
-//! the cone of its latest transform. A caller that knows the design has
-//! not changed since the last refresh reads through
-//! [`crate::TimingModel::predict_cached`] instead, which skips the
-//! refresh and runs only the per-endpoint readout tail.
+//! the same number and seeds the rows that differ. It then walks the
+//! levels in order, in place in the cached matrix, and recomputes a row
+//! only when it is a seed or when a row it gathers changed bits earlier
+//! in the same refresh; every other row keeps its cached value. The
+//! refresh stops where bits stop changing, usually well inside the
+//! transform's static fan-out cone, and its output is bit-identical to a
+//! full pass. The cache then holds the just-predicted design, so an
+//! optimizer inner loop only ever pays for what its latest transform
+//! changed. A caller that knows the design has not changed since the
+//! last refresh reads through [`crate::TimingModel::predict_cached`]
+//! instead, which skips the refresh and runs only the per-endpoint
+//! readout tail.
 //!
 //! A flat row is its pin's index, and [`PinId`]s are stable under the
 //! tombstoning edits of `rtt_netlist`, so a surviving pin keeps its row
@@ -22,8 +25,8 @@
 //! placement moves of surviving cells). It needs no hint from the caller
 //! and holds for any pair of designs.
 //!
-//! Every refresh follows one rule: it reuses the GNN rows outside the
-//! dirty cone, recomputes the CNN global map, and empties the
+//! Every refresh follows one rule: it reuses the GNN rows whose inputs
+//! kept their bits, recomputes the CNN global map, and empties the
 //! per-endpoint tail cache. A cached tail output depends on its
 //! endpoint's flat row, its mask runs and the global map; all three
 //! change only with the design, and every design change goes through a
@@ -32,7 +35,7 @@
 use rtt_netlist::PinId;
 use rtt_nn::{ParamStore, Tensor};
 
-use crate::gnn::{GnnPlan, IncCompact, LevelFeats, NetlistGnn};
+use crate::gnn::{rows_bit_eq, GnnPlan, LevelFeats, NetlistGnn, RefreshLevel};
 use crate::{Aggregation, PreparedDesign};
 
 /// Observability counter: flat GNN rows recomputed by the last
@@ -74,6 +77,9 @@ pub(crate) struct BaseCache {
 
 /// Reusable incremental-inference context, one per model: it refreshes
 /// onto any design, and must be reset whenever the model weights change.
+/// A refresh recomputes, level by level, the rows its row compare seeds
+/// and the rows that gather a row whose bits changed in the same refresh;
+/// every other row keeps its cached bits.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalCtx {
     cache: Option<BaseCache>,
@@ -82,11 +88,11 @@ pub struct IncrementalCtx {
     /// Tail outputs read since the last refresh, indexed by the
     /// endpoint's flat row.
     ep: Vec<Option<f32>>,
-    /// Recycled dirty-set scratch.
+    /// Per flat row: a seed of the refresh, then whether its bits
+    /// changed (recycled).
     dirty: Vec<bool>,
-    /// Recycled dirty-row sub-plan (built here, outside the hot kernel,
-    /// so the kernel itself never allocates).
-    compact: IncCompact,
+    /// The refresh's recycled one-level sub-plan.
+    level: RefreshLevel,
 }
 
 fn row_meta(plan: &GnnPlan) -> Vec<(RowKind, u32, u32)> {
@@ -113,18 +119,40 @@ fn feat_row(feats: &LevelFeats, kind: RowKind, row: u32) -> &[f32] {
     t.as_ref().map_or(&[], |t| t.row(row as usize))
 }
 
-/// Bit-level row compare (`==` on f32 would call NaNs unequal even when
-/// the recomputed value would be byte-identical).
-fn rows_bit_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
-}
-
 /// Clones `src` into `dst`, reusing `dst`'s allocation when possible.
 fn clone_feat(dst: &mut Option<Tensor>, src: Option<&Tensor>) {
     match (dst.as_mut(), src) {
         (Some(d), Some(s)) => d.copy_from(s),
         (_, None) => *dst = None,
         (None, Some(s)) => *dst = Some(s.clone()),
+    }
+}
+
+impl BaseCache {
+    /// Sets `dirty` to one flag per row of `meta`, the row meta of the
+    /// design whose static features are `feats`, and flags the seeds: the
+    /// live rows that differ from the cached base. A live row's value is a
+    /// function of its node kind, its static features and the rows it
+    /// gathers, so a row is seeded when it is new (a hole or past the end
+    /// in the base) or one of the three differs from the base row of the
+    /// same number. The only gather that can differ is a net row's
+    /// driver, which the meta holds: a cell-output row gathers its cell's
+    /// input pins, which `Netlist::add_cell` allocates right before the
+    /// output, so the row and the gate one-hot in its features fix them,
+    /// and pins are tombstoned, never reassigned. So the compare is
+    /// complete for any two designs. An unchanged design has no seed.
+    fn seed(&self, meta: &[(RowKind, u32, u32)], feats: &LevelFeats, dirty: &mut Vec<bool>) {
+        dirty.clear();
+        dirty.resize(meta.len(), false);
+        for (r, &(kind, feat, driver)) in
+            meta.iter().enumerate().filter(|(_, m)| m.0 != RowKind::Hole)
+        {
+            let new = feat_row(feats, kind, feat);
+            let clean = self.meta.get(r).is_some_and(|&(k, f, d)| {
+                k == kind && d == driver && rows_bit_eq(new, feat_row(&self.feats, k, f))
+            });
+            dirty[r] = !clean;
+        }
     }
 }
 
@@ -154,11 +182,12 @@ impl IncrementalCtx {
         self.ep.clear();
     }
 
-    /// Refreshes the cached flat GNN matrix for `design`, recomputing
-    /// only the fan-out cones of the rows that differ from the cached
-    /// base, plus those of `dirty_pins` (cold caches run one full pass).
-    /// The cache then holds `design`'s activations; returns the number
-    /// of rows recomputed.
+    /// Refreshes the cached flat GNN matrix for `design`: seeds the rows
+    /// that differ from the cached base, and the live rows of
+    /// `dirty_pins`, then recomputes the seeds and every row that gathers
+    /// a row whose bits changed (cold caches run one full pass). The cache
+    /// then holds `design`'s activations; returns the number of rows
+    /// recomputed.
     pub(crate) fn refresh_gnn(
         &mut self,
         gnn: &NetlistGnn,
@@ -172,7 +201,6 @@ impl IncrementalCtx {
         static ROWS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(ROWS_TOTAL_COUNTER);
         let schedule = &design.schedule;
         let plan = schedule.plan();
-        let n = plan.total_rows;
         let meta = row_meta(plan);
 
         let recomputed = match &mut self.cache {
@@ -189,45 +217,21 @@ impl IncrementalCtx {
                 plan.live_rows
             }
             Some(cache) => {
-                self.dirty.clear();
-                self.dirty.resize(n, false);
-                // A live row's value is a function of its node kind, its
-                // static features and the rows it gathers, so each live
-                // row is seeded when it is new (a hole or past the end in
-                // the base) or one of the three differs from the base row
-                // of the same number. The only gather that can differ is a
-                // net row's driver, which the meta holds: a cell-output
-                // row gathers its cell's input pins, which
-                // `Netlist::add_cell` allocates right before the output,
-                // so the row and the gate one-hot in its features fix
-                // them, and pins are tombstoned, never reassigned. So the
-                // compare is complete for any two designs. An unchanged
-                // design has no dirty row.
-                for (r, &(kind, feat, driver)) in
-                    meta.iter().enumerate().filter(|(_, m)| m.0 != RowKind::Hole)
-                {
-                    let new = feat_row(&design.feats, kind, feat);
-                    let clean = cache.meta.get(r).is_some_and(|&(k, f, d)| {
-                        k == kind && d == driver && rows_bit_eq(new, feat_row(&cache.feats, k, f))
-                    });
-                    self.dirty[r] = !clean;
-                }
-                // Extra cones the caller asked for; no answer depends on
-                // them.
+                cache.seed(&meta, &design.feats, &mut self.dirty);
+                // Rows the caller forces; no answer depends on them.
                 for p in dirty_pins {
                     if meta.get(p.index()).is_some_and(|m| m.0 != RowKind::Hole) {
                         self.dirty[p.index()] = true;
                     }
                 }
-                let recomputed = schedule.propagate_dirty(&mut self.dirty);
-                self.compact.build(plan, &self.dirty);
-                cache.flat.resize_rows(n);
-                gnn.forward_flat_incremental(
+                cache.flat.resize_rows(plan.total_rows);
+                let recomputed = gnn.refresh_flat(
                     store,
-                    schedule,
+                    plan,
                     &design.feats,
                     aggregation,
-                    &self.compact,
+                    &mut self.dirty,
+                    &mut self.level,
                     &mut cache.flat,
                     bufs,
                 );
@@ -278,6 +282,7 @@ impl IncrementalCtx {
 mod tests {
     use super::*;
     use crate::{ModelConfig, TimingModel};
+    use rand::SeedableRng;
     use rtt_circgen::GenParams;
     use rtt_netlist::{CellLibrary, Netlist, TimingGraph};
     use rtt_nn::InferCtx;
@@ -375,5 +380,122 @@ mod tests {
             &mut inc,
             &prepare(&other, &place(&other, &lib, 0, &PlaceConfig::default())),
         );
+    }
+
+    /// Design A, and B: A after one buffer insertion and one resize, both
+    /// prepared under `cfg`, with B's timing graph.
+    fn buffered_and_resized(cfg: &ModelConfig) -> (PreparedDesign, PreparedDesign, TimingGraph) {
+        let lib = CellLibrary::asap7_like();
+        let prepare = |nl: &Netlist, pl: &Placement| {
+            let graph = TimingGraph::build(nl, &lib);
+            let zeros = vec![0.0; graph.endpoints().len()];
+            (PreparedDesign::prepare(nl, &lib, pl, &graph, cfg, zeros), graph)
+        };
+        let mut nl = GenParams::new("g", 200, 3).generate(&lib).netlist;
+        let mut pl = place(&nl, &lib, 0, &PlaceConfig::default());
+        let (a, _) = prepare(&nl, &pl);
+        let (net, sink) = nl
+            .nets()
+            .find_map(|(id, net)| Some((id, *net.sinks.first()?)))
+            .expect("a net with a sink");
+        let pos = pl.floorplan().die.center();
+        rtt_opt::insert_buffer(&mut nl, &mut pl, &lib, net, sink, pos).expect("buffer inserts");
+        let (cell, ty) = nl
+            .cells()
+            .find_map(|(c, cell)| Some((c, lib.upsize(cell.type_id)?)))
+            .expect("an upsizable cell");
+        nl.resize_cell(cell, ty, &lib).expect("resize applies");
+        let (b, graph) = prepare(&nl, &pl);
+        (a, b, graph)
+    }
+
+    /// A GNN under `cfg`, a warm context refreshed cold onto `base`, and
+    /// scratch for further refreshes.
+    fn warm_on(
+        cfg: &ModelConfig,
+        base: &PreparedDesign,
+    ) -> (NetlistGnn, ParamStore, IncrementalCtx, Vec<Tensor>) {
+        let mut store = ParamStore::new();
+        let gnn = NetlistGnn::new(&mut store, &mut rand::rngs::StdRng::seed_from_u64(7), cfg);
+        let (mut inc, mut bufs) =
+            (IncrementalCtx::new(), vec![Tensor::default(); NetlistGnn::FLAT_SCRATCH]);
+        inc.refresh_gnn(&gnn, &store, base, cfg.aggregation, &[], &mut bufs);
+        (gnn, store, inc, bufs)
+    }
+
+    /// The row compare's seeds of `design` against the design warm `inc`
+    /// holds.
+    fn seeds_of(inc: &IncrementalCtx, design: &PreparedDesign) -> Vec<bool> {
+        let mut seeds = Vec::new();
+        let cache = inc.cache.as_ref().expect("a warm context");
+        cache.seed(&row_meta(design.schedule.plan()), &design.feats, &mut seeds);
+        seeds
+    }
+
+    fn bits(t: Option<&Tensor>) -> Vec<u32> {
+        t.expect("a refreshed matrix").data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A refresh from A's full-pass matrix onto B writes B's full-pass
+    /// bits, for residual on and off and max and mean aggregation. The
+    /// seeds' cached values are NaN, so a seed that is read instead of
+    /// recomputed shows.
+    #[test]
+    fn refresh_onto_a_transformed_design_equals_its_full_pass() {
+        for residual in [false, true] {
+            for aggregation in [Aggregation::Max, Aggregation::Mean] {
+                let cfg = ModelConfig { residual, aggregation, ..ModelConfig::tiny() };
+                let (a, b, _) = buffered_and_resized(&cfg);
+                let (gnn, store, mut inc, mut bufs) = warm_on(&cfg, &a);
+                let seeds = seeds_of(&inc, &b);
+                let flat = &mut inc.cache.as_mut().expect("warm").flat;
+                let d = flat.cols();
+                flat.resize_rows(seeds.len());
+                for r in (0..seeds.len()).filter(|&r| seeds[r]) {
+                    flat.data_mut()[r * d..(r + 1) * d].fill(f32::NAN);
+                }
+                let recomputed = inc.refresh_gnn(&gnn, &store, &b, aggregation, &[], &mut bufs);
+                gnn.forward_flat(&store, &b.schedule, &b.feats, aggregation, &mut bufs);
+                let tag = format!("residual={residual} {aggregation:?}");
+                assert_eq!(bits(inc.flat()), bits(Some(&bufs[0])), "{tag}");
+                let n_seeds = seeds.iter().filter(|&&s| s).count();
+                assert!(0 < n_seeds && n_seeds <= recomputed, "{tag}: {n_seeds} seeds");
+            }
+        }
+    }
+
+    /// Seeds forced on an unchanged design each recompute to their cached
+    /// bits, so nothing past them runs and no bit moves.
+    #[test]
+    fn forced_seeds_on_an_unchanged_design_recompute_only_themselves() {
+        let cfg = ModelConfig::tiny();
+        let (a, _, _) = buffered_and_resized(&cfg);
+        let (gnn, store, mut inc, mut bufs) = warm_on(&cfg, &a);
+        let before = bits(inc.flat());
+        let levels = &a.schedule.plan().levels;
+        let live =
+            levels.iter().flat_map(|fl| fl.cell_dst.iter().chain(&fl.net_dst).chain(&fl.src_dst));
+        let pins: Vec<PinId> = live.step_by(5).map(|&r| PinId::from_index(r as usize)).collect();
+        assert!(pins.len() > 20, "only {} seeds", pins.len());
+        let recomputed = inc.refresh_gnn(&gnn, &store, &a, cfg.aggregation, &pins, &mut bufs);
+        assert_eq!(recomputed, pins.len());
+        assert_eq!(bits(inc.flat()), before);
+    }
+
+    /// On A → B, the refresh stops inside the static fan-out cone of the
+    /// row compare's seeds.
+    #[test]
+    fn refresh_recomputes_fewer_rows_than_the_seeds_fanout_cone() {
+        let cfg = ModelConfig::tiny();
+        let (a, b, graph) = buffered_and_resized(&cfg);
+        let (gnn, store, mut inc, mut bufs) = warm_on(&cfg, &a);
+        let seeds = seeds_of(&inc, &b);
+        let nodes: Vec<u32> = (0..seeds.len())
+            .filter(|&r| seeds[r])
+            .map(|r| graph.node_of(PinId::from_index(r)).expect("a seed is live"))
+            .collect();
+        let cone = rtt_sta::fanout_cone(&graph, &nodes).len();
+        let recomputed = inc.refresh_gnn(&gnn, &store, &b, cfg.aggregation, &[], &mut bufs);
+        assert!(recomputed < cone, "{recomputed} rows recomputed, static cone {cone}");
     }
 }

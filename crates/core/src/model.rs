@@ -347,18 +347,21 @@ impl TimingModel {
     /// to [`Self::predict_batch`] on the same design and indices.
     ///
     /// Every refresh follows one rule, for every model variant: the GNN
-    /// recomputes only the fan-out cones of the rows that differ from the
-    /// design `inc` last saw (new pins, node kinds, net drivers and
-    /// static features, all detected internally), in place in the cached
-    /// matrix, and keeps the rest; the CNN global map is recomputed; and
-    /// the per-endpoint tail cache is emptied. A cold `inc` runs one full
+    /// seeds the rows that differ from the design `inc` last saw (new
+    /// pins, node kinds, net drivers and static features, all detected
+    /// internally), then walks the levels in order, in place in the cached
+    /// matrix, and recomputes a row only when it is a seed or gathers a
+    /// row whose bits changed earlier in the same refresh; the rest keep
+    /// their cached bits. The CNN global map is recomputed, and the
+    /// per-endpoint tail cache is emptied. A cold `inc` runs one full
     /// pass. On return the cache holds `design`'s activations, so a
-    /// transform sequence only ever pays for its latest step's cone.
+    /// transform sequence only ever pays for what its latest step changed.
     ///
-    /// `dirty_pins` names extra cones to recompute; no output depends on
-    /// it. The refresh is sound for any design, so the only caller
-    /// contract is to call [`IncrementalCtx::reset`] whenever the model
-    /// weights change (e.g. a hot-reload).
+    /// `dirty_pins` forces their rows to recompute as seeds; a forced row
+    /// whose bits do not change recomputes nothing past itself, and no
+    /// output depends on it. The refresh is sound for any design, so the
+    /// only caller contract is to call [`IncrementalCtx::reset`] whenever
+    /// the model weights change (e.g. a hot-reload).
     // rtt-lint: entry
     pub fn predict_incremental(
         &self,

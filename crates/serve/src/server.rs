@@ -202,6 +202,9 @@ impl DesignEntry {
 struct Shared {
     cfg: ServeConfig,
     swap: ModelSwap,
+    /// The cell library every design is parsed, transformed and prepared
+    /// against, built once at start.
+    library: CellLibrary,
     designs: Mutex<BTreeMap<String, Arc<Mutex<DesignEntry>>>>,
     stats: Stats,
     queue: Queue<Conn>,
@@ -245,6 +248,7 @@ impl Server {
             stats: Stats::new(cfg.workers.max(1), cfg.latency_window),
             queue: Queue::new(cfg.queue_capacity),
             swap: ModelSwap::new(model),
+            library,
             designs: Mutex::new(registry),
             stop: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -611,9 +615,9 @@ fn resolve_design(
 /// ([`TimingModel::predict_cached`]); any other read refreshes first
 /// ([`TimingModel::predict_incremental`]) — a cold full pass after
 /// `/load` or a `/reload` (the cache is keyed to the model generation),
-/// a dirty-cone pass after a `/transform`. Either way the answer is
-/// bit-identical to [`TimingModel::predict_batch`]. `/stats` counts both
-/// kinds of read (`predict_cache_hits`, `predict_cache_refreshes`).
+/// a refresh of what changed after a `/transform`. Either way the answer
+/// is bit-identical to [`TimingModel::predict_batch`]. `/stats` counts
+/// both kinds of read (`predict_cache_hits`, `predict_cache_refreshes`).
 fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body must be utf-8\n");
@@ -770,7 +774,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
 
     // Every mutation happens on clones; the stored entry is untouched
     // until the single publish block at the end.
-    let library = CellLibrary::asap7_like();
+    let library = &shared.library;
     let (mut nl, mut pl) = sources.clone();
     let need = |param: Option<u32>, what: &str| {
         param.ok_or_else(|| Response::text(400, format!("{what}= is required for op={op}\n")))
@@ -788,7 +792,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
             if net.index() >= nl.net_capacity() || sink.index() >= nl.pin_capacity() {
                 return Err(Response::text(422, "net/sink id out of range\n"));
             }
-            rtt_opt::insert_buffer(&mut nl, &mut pl, &library, net, sink, pos)
+            rtt_opt::insert_buffer(&mut nl, &mut pl, library, net, sink, pos)
                 .map(drop)
                 .map_err(|e| Response::text(422, format!("{e}\n")))
         }
@@ -803,7 +807,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
             let new_type = library.pick(gate, drive).ok_or_else(|| {
                 Response::text(422, format!("no drive-{drive} variant for this gate\n"))
             })?;
-            nl.resize_cell(cell, new_type, &library)
+            nl.resize_cell(cell, new_type, library)
                 .map_err(|e| Response::text(422, format!("{e}\n")))
         }
         "bypass" => {
@@ -811,11 +815,11 @@ fn transform(shared: &Shared, req: &Request) -> Response {
             if cell.index() >= nl.cell_capacity() {
                 return Err(Response::text(422, "cell id out of range\n"));
             }
-            rtt_opt::bypass_repeater(&mut nl, &library, cell)
+            rtt_opt::bypass_repeater(&mut nl, library, cell)
                 .map_err(|e| Response::text(422, format!("{e}\n")))
         }
         "prune" => {
-            rtt_opt::prune_dangling(&mut nl, &library);
+            rtt_opt::prune_dangling(&mut nl, library);
             Ok(())
         }
         _ => Err(Response::text(400, format!("unknown op: {op}\n"))),
@@ -831,13 +835,13 @@ fn transform(shared: &Shared, req: &Request) -> Response {
         return Response::text(500, "injected transform abort\n");
     }
 
-    let graph = match TimingGraph::try_build(&nl, &library) {
+    let graph = match TimingGraph::try_build(&nl, library) {
         Ok(g) => g,
         Err(e) => return Response::text(422, format!("timing graph: {e}\n")),
     };
     let config = shared.swap.current().model.config().clone();
     let targets = vec![0.0f32; graph.endpoints().len()];
-    let new_prep = PreparedDesign::prepare(&nl, &library, &pl, &graph, &config, targets);
+    let new_prep = PreparedDesign::prepare(&nl, library, &pl, &graph, &config, targets);
 
     // Publish: everything below is infallible, so partial updates are
     // impossible.
@@ -903,8 +907,8 @@ fn load_design(shared: &Shared, req: &Request) -> Response {
         return Response::text(400, "body must be utf-8\n");
     };
 
-    let library = CellLibrary::asap7_like();
-    let netlist = match rtt_netlist::parse_verilog(verilog, &library) {
+    let library = &shared.library;
+    let netlist = match rtt_netlist::parse_verilog(verilog, library) {
         Ok(nl) => nl,
         Err(e) => return Response::text(422, format!("verilog: {e}\n")),
     };
@@ -913,7 +917,7 @@ fn load_design(shared: &Shared, req: &Request) -> Response {
         Err(e) => return Response::text(422, format!("placement: {e}\n")),
     };
     let config = shared.swap.current().model.config().clone();
-    let entry = match DesignEntry::load(netlist, placement, &library, &config) {
+    let entry = match DesignEntry::load(netlist, placement, library, &config) {
         Ok(entry) => entry,
         Err(e) => return Response::text(422, format!("{e}\n")),
     };

@@ -130,7 +130,7 @@ impl Stats {
     }
 
     /// A `/predict` that refreshed its design's activation cache first
-    /// (cold after a load or reload, dirty-cone after a transform).
+    /// (cold after a load or reload, incremental after a transform).
     pub fn record_cache_refresh(&self) {
         self.predict_cache_refreshes.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,11 +1,11 @@
-//! Differential transform-fuzz harness for dirty-cone incremental
-//! prediction.
+//! Differential transform-fuzz harness for incremental prediction.
 //!
 //! The property: after *any* sequence of optimizer transforms,
 //! `TimingModel::predict_incremental` — fed a cold `prepare` of the
 //! transformed design and reusing activations cached for the previous
-//! design state, recomputing only the fan-out cones of the rows its own
-//! compare finds changed, with no dirty pins from the caller — produces
+//! design state, recomputing only the rows its own compare finds changed
+//! and the rows whose gathered inputs changed bits, with no dirty pins
+//! from the caller — produces
 //! bit-identical predictions to a cold `predict_batch` over the same
 //! design, at 1 and at 4 threads, and the same bits across the two
 //! thread counts.
