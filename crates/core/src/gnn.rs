@@ -51,13 +51,10 @@ pub(crate) struct GnnPlan {
 
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FlatLevel {
-    pub(crate) n_cells: usize,
-    pub(crate) n_nets: usize,
-    pub(crate) n_srcs: usize,
     /// Flat source row of each gathered cell fanin message.
     pub(crate) cell_gather: Vec<u32>,
     /// CSR offsets into `cell_gather`: cell `i` reduces messages
-    /// `cell_seg_off[i]..cell_seg_off[i + 1]` (`len = n_cells + 1`).
+    /// `cell_seg_off[i]..cell_seg_off[i + 1]` (`len = cell_dst.len() + 1`).
     pub(crate) cell_seg_off: Vec<u32>,
     /// `1 / max(fanin, 1)` per cell (mean aggregation).
     pub(crate) cell_inv_fanin: Vec<f32>,
@@ -131,12 +128,9 @@ impl GnnSchedule {
                     NodeKind::Source => fl.src_dst.push(row),
                 }
             }
-            fl.n_cells = fl.cell_dst.len();
-            fl.n_nets = fl.net_dst.len();
-            fl.n_srcs = fl.src_dst.len();
-            cell_off += fl.n_cells;
-            net_off += fl.n_nets;
-            src_off += fl.n_srcs;
+            cell_off += fl.cell_dst.len();
+            net_off += fl.net_dst.len();
+            src_off += fl.src_dst.len();
             levels.push(fl);
         }
         // Debug-build plan validation (rtt_nn::sanitize): every gather
@@ -377,13 +371,13 @@ impl NetlistGnn {
             Default::default();
         let mut mlp = MlpScratch::new(c1);
         for fl in levels.iter().rev() {
-            if fl.n_srcs > 0 {
+            if !fl.src_dst.is_empty() {
                 ops::gather_rows_flat(g_flat, &fl.src_dst, &mut g_h);
                 ops::gather_rows_flat(flat, &fl.src_dst, &mut h);
                 ops::relu_backward(&mut g_h, &h);
                 add_to_rows(g_sc, fl.src_feat_off, &g_h);
             }
-            if fl.n_nets > 0 {
+            if !fl.net_dst.is_empty() {
                 ops::gather_rows_flat(g_flat, &fl.net_dst, &mut g_h);
                 if !self.residual {
                     ops::gather_rows_flat(flat, &fl.net_dst, &mut h);
@@ -392,7 +386,7 @@ impl NetlistGnn {
                 add_to_rows(g_sn, fl.net_feat_off, &g_h);
                 ops::scatter_add_rows(&g_h, &fl.net_gather, g_flat);
             }
-            if fl.n_cells == 0 {
+            if fl.cell_dst.is_empty() {
                 continue;
             }
             fl.aggregate(flat, aggregation, &mut msgs, &mut agg);
@@ -493,11 +487,12 @@ impl NetlistGnn {
     }
 
     /// Refreshes `flat` in place onto the design of `plan` and `feats`.
-    /// `flat` is a `[total_rows, embed_dim]` matrix holding the bits a
-    /// full pass wrote for the design the cache last saw (its rows are that
-    /// design's pins, resized to this plan's row count). `bufs` has the
-    /// [`Self::FLAT_SCRATCH`] layout; `bufs[0]` holds a level's gathered
-    /// feature rows, then the saved values of its rows.
+    /// `flat` holds, in rows of `embed_dim`, the bits a full pass writes
+    /// for the design the cache last saw, one row per pin of it (no rows
+    /// for an empty cache). It is resized to this plan's row count: rows
+    /// below both counts keep their values, and added rows start at zero.
+    /// `bufs` has the [`Self::FLAT_SCRATCH`] layout; `bufs[0]` holds a
+    /// level's gathered feature rows, then the saved values of its rows.
     ///
     /// On entry `dirty` (one flag per flat row) marks the seeds: the rows
     /// the cache's row compare found new or changed, and any the caller
@@ -519,12 +514,14 @@ impl NetlistGnn {
     /// change). So its cached value is what a full pass computes. A
     /// recomputed row runs the same kernels over the same message rows in
     /// the same ascending order as a full pass. Gathers reference only
-    /// earlier levels, so no row reads a row of its own level.
+    /// earlier levels, so no row reads a row of its own level. Against an
+    /// empty cache every live row is a seed, so every row is recomputed, and
+    /// the hole rows stay zero, as a full pass leaves them.
     ///
     /// # Panics
     ///
-    /// Panics if `bufs.len() != FLAT_SCRATCH`, or `flat` or `dirty` does
-    /// not cover every flat row of `plan`.
+    /// Panics if `bufs.len() != FLAT_SCRATCH`, `flat` is not whole rows of
+    /// `embed_dim`, or `dirty` does not cover every flat row of `plan`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn refresh_flat(
         &self,
@@ -541,7 +538,9 @@ impl NetlistGnn {
         let [held, sc, sn, scratch @ ..] = bufs else {
             unreachable!("refresh_flat needs {} scratch buffers", Self::FLAT_SCRATCH)
         };
-        assert_eq!(flat.rows(), plan.total_rows, "cached matrix must cover every flat row");
+        let d = self.f_c1.out_dim();
+        flat.reshape_in_place(&[flat.len() / d, d]);
+        flat.resize_rows(plan.total_rows);
         assert_eq!(dirty.len(), plan.total_rows, "dirty flags must cover every flat row");
         let mut recomputed = 0;
         for fl in &plan.levels {
@@ -619,7 +618,7 @@ impl NetlistGnn {
             unreachable!("level-loop scratch layout mismatch")
         };
         for fl in levels {
-            if fl.n_cells > 0 {
+            if !fl.cell_dst.is_empty() {
                 fl.aggregate(flat, aggregation, msgs, agg);
                 if self.residual {
                     // Residual: accumulate a *bounded* non-negative
@@ -642,7 +641,7 @@ impl NetlistGnn {
                     ops::scatter_rows(msgs, 0, &fl.cell_dst, flat);
                 }
             }
-            if fl.n_nets > 0 {
+            if !fl.net_dst.is_empty() {
                 ops::gather_rows_flat(flat, &fl.net_gather, msgs);
                 ops::add_rows_range(msgs, sn, fl.net_feat_off);
                 if !self.residual {
@@ -650,7 +649,7 @@ impl NetlistGnn {
                 }
                 ops::scatter_rows(msgs, 0, &fl.net_dst, flat);
             }
-            if fl.n_srcs > 0 {
+            if !fl.src_dst.is_empty() {
                 ops::scatter_rows(sc, fl.src_feat_off, &fl.src_dst, flat);
                 let d = flat.cols();
                 for &r in &fl.src_dst {
@@ -769,9 +768,7 @@ impl RefreshLevel {
                 self.cs_feat.push((fl.src_feat_off + j) as u32);
             }
         }
-        (sl.n_cells, sl.n_nets, sl.n_srcs) =
-            (sl.cell_dst.len(), sl.net_dst.len(), sl.src_dst.len());
-        (sl.cell_feat_off, sl.net_feat_off, sl.src_feat_off) = (0, 0, sl.n_cells);
+        (sl.cell_feat_off, sl.net_feat_off, sl.src_feat_off) = (0, 0, sl.cell_dst.len());
         self.rows.clear();
         self.rows.extend(sl.cell_dst.iter().chain(&sl.net_dst).chain(&sl.src_dst));
         !self.rows.is_empty()
@@ -823,8 +820,8 @@ mod tests {
         let (schedule, _, _) = world(200);
         let levels = &schedule.plan().levels;
         for fl in &levels[1..] {
-            assert_eq!(fl.n_srcs, 0, "source above level 0");
-            assert_eq!(fl.cell_gather.is_empty(), fl.n_cells == 0);
+            assert!(fl.src_dst.is_empty(), "source above level 0");
+            assert_eq!(fl.cell_gather.is_empty(), fl.cell_dst.is_empty());
         }
         // A node is a cell output only through a cell fanin edge, so every
         // cell's CSR run is non-empty: the level loop never reduces a
@@ -834,8 +831,8 @@ mod tests {
                 assert!(run[0] < run[1], "cell {j} of level {l} has an empty fanin run");
             }
         }
-        assert!(levels[0].n_srcs > 0);
-        assert_eq!(levels[0].n_cells, 0);
+        assert!(!levels[0].src_dst.is_empty());
+        assert!(levels[0].cell_dst.is_empty());
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! in the same refresh; every other row keeps its cached value. The
 //! refresh stops where bits stop changing, usually well inside the
 //! transform's static fan-out cone, and its output is bit-identical to a
-//! full pass. The cache then holds the just-predicted design, so an
-//! optimizer inner loop only ever pays for what its latest transform
-//! changed. A caller that knows the design has not changed since the
-//! last refresh reads through [`crate::TimingModel::predict_cached`]
-//! instead, which skips the refresh and runs only the per-endpoint
-//! readout tail.
+//! full pass. A new or reset context holds an empty base, against which
+//! every live row is a seed, so its first refresh computes every row in
+//! the same level loop. The cache then holds the just-predicted design,
+//! so an optimizer inner loop only ever pays for what its latest
+//! transform changed. A caller that knows the design has not changed
+//! since the last refresh reads through
+//! [`crate::TimingModel::predict_cached`] instead, which skips the
+//! refresh and runs only the per-endpoint readout tail.
 //!
 //! A flat row is its pin's index, and [`PinId`]s are stable under the
 //! tombstoning edits of `rtt_netlist`, so a surviving pin keeps its row
@@ -62,8 +64,8 @@ enum RowKind {
     Hole,
 }
 
-/// Cached state for one base design.
-#[derive(Clone, Debug)]
+/// Cached state for one base design (empty, with no rows, when cold).
+#[derive(Clone, Debug, Default)]
 pub(crate) struct BaseCache {
     /// `[total_rows, embed_dim]` flat activations of the base design.
     pub(crate) flat: Tensor,
@@ -82,7 +84,7 @@ pub(crate) struct BaseCache {
 /// every other row keeps its cached bits.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalCtx {
-    cache: Option<BaseCache>,
+    cache: BaseCache,
     /// CNN global map of the design the last refresh saw.
     gmap: Option<Tensor>,
     /// Tail outputs read since the last refresh, indexed by the
@@ -98,15 +100,14 @@ pub struct IncrementalCtx {
 fn row_meta(plan: &GnnPlan) -> Vec<(RowKind, u32, u32)> {
     let mut meta = vec![(RowKind::Hole, 0, 0); plan.total_rows];
     for fl in &plan.levels {
-        for j in 0..fl.n_cells {
-            meta[fl.cell_dst[j] as usize] = (RowKind::Cell, (fl.cell_feat_off + j) as u32, 0);
+        for (j, &r) in fl.cell_dst.iter().enumerate() {
+            meta[r as usize] = (RowKind::Cell, (fl.cell_feat_off + j) as u32, 0);
         }
-        for j in 0..fl.n_nets {
-            let feat = (fl.net_feat_off + j) as u32;
-            meta[fl.net_dst[j] as usize] = (RowKind::Net, feat, fl.net_gather[j]);
+        for (j, (&r, &driver)) in fl.net_dst.iter().zip(&fl.net_gather).enumerate() {
+            meta[r as usize] = (RowKind::Net, (fl.net_feat_off + j) as u32, driver);
         }
-        for j in 0..fl.n_srcs {
-            meta[fl.src_dst[j] as usize] = (RowKind::Src, (fl.src_feat_off + j) as u32, 0);
+        for (j, &r) in fl.src_dst.iter().enumerate() {
+            meta[r as usize] = (RowKind::Src, (fl.src_feat_off + j) as u32, 0);
         }
     }
     meta
@@ -123,8 +124,7 @@ fn feat_row(feats: &LevelFeats, kind: RowKind, row: u32) -> &[f32] {
 fn clone_feat(dst: &mut Option<Tensor>, src: Option<&Tensor>) {
     match (dst.as_mut(), src) {
         (Some(d), Some(s)) => d.copy_from(s),
-        (_, None) => *dst = None,
-        (None, Some(s)) => *dst = Some(s.clone()),
+        _ => *dst = src.cloned(),
     }
 }
 
@@ -140,7 +140,8 @@ impl BaseCache {
     /// input pins, which `Netlist::add_cell` allocates right before the
     /// output, so the row and the gate one-hot in its features fix them,
     /// and pins are tombstoned, never reassigned. So the compare is
-    /// complete for any two designs. An unchanged design has no seed.
+    /// complete for any two designs. An unchanged design has no seed, and
+    /// against the empty base every live row is one.
     fn seed(&self, meta: &[(RowKind, u32, u32)], feats: &LevelFeats, dirty: &mut Vec<bool>) {
         dirty.clear();
         dirty.resize(meta.len(), false);
@@ -157,23 +158,21 @@ impl BaseCache {
 }
 
 impl IncrementalCtx {
-    /// A fresh (cold) context.
+    /// A fresh (cold) context: its base is empty.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drops all cached activations; the next prediction runs a full
-    /// pass. Call after a weight reload.
+    /// Drops all cached activations: the next refresh computes every
+    /// live row. Call after a weight reload.
     pub fn reset(&mut self) {
-        self.cache = None;
-        self.gmap = None;
-        self.ep.clear();
+        *self = Self::default();
     }
 
     /// `true` once a refresh has run: the context holds the activations
     /// of the design it last saw.
     pub fn is_warm(&self) -> bool {
-        self.cache.is_some() || self.gmap.is_some()
+        !self.cache.meta.is_empty() || self.gmap.is_some()
     }
 
     /// Starts a refresh: empties the tail cache, whose entries read the
@@ -185,9 +184,9 @@ impl IncrementalCtx {
     /// Refreshes the cached flat GNN matrix for `design`: seeds the rows
     /// that differ from the cached base, and the live rows of
     /// `dirty_pins`, then recomputes the seeds and every row that gathers
-    /// a row whose bits changed (cold caches run one full pass). The cache
-    /// then holds `design`'s activations; returns the number of rows
-    /// recomputed.
+    /// a row whose bits changed (every live row is a seed against a cold
+    /// context's empty base). The cache then holds `design`'s activations;
+    /// returns the number of rows recomputed.
     pub(crate) fn refresh_gnn(
         &mut self,
         gnn: &NetlistGnn,
@@ -199,57 +198,38 @@ impl IncrementalCtx {
     ) -> usize {
         static ROWS_RECOMPUTED: rtt_obs::Counter = rtt_obs::Counter::new(ROWS_RECOMPUTED_COUNTER);
         static ROWS_TOTAL: rtt_obs::Counter = rtt_obs::Counter::new(ROWS_TOTAL_COUNTER);
-        let schedule = &design.schedule;
-        let plan = schedule.plan();
+        let plan = design.schedule.plan();
         let meta = row_meta(plan);
-
-        let recomputed = match &mut self.cache {
-            None => {
-                gnn.forward_flat(store, schedule, &design.feats, aggregation, bufs);
-                // Move the output out of the scratch slot rather than copy
-                // it: the cache owns the one whole-design matrix, and the
-                // caller's arena does not stay sized to it.
-                self.cache = Some(BaseCache {
-                    flat: std::mem::take(&mut bufs[0]),
-                    meta,
-                    feats: design.feats.clone(),
-                });
-                plan.live_rows
+        let cache = &mut self.cache;
+        cache.seed(&meta, &design.feats, &mut self.dirty);
+        // Rows the caller forces; no answer depends on them.
+        for p in dirty_pins {
+            if meta.get(p.index()).is_some_and(|m| m.0 != RowKind::Hole) {
+                self.dirty[p.index()] = true;
             }
-            Some(cache) => {
-                cache.seed(&meta, &design.feats, &mut self.dirty);
-                // Rows the caller forces; no answer depends on them.
-                for p in dirty_pins {
-                    if meta.get(p.index()).is_some_and(|m| m.0 != RowKind::Hole) {
-                        self.dirty[p.index()] = true;
-                    }
-                }
-                cache.flat.resize_rows(plan.total_rows);
-                let recomputed = gnn.refresh_flat(
-                    store,
-                    plan,
-                    &design.feats,
-                    aggregation,
-                    &mut self.dirty,
-                    &mut self.level,
-                    &mut cache.flat,
-                    bufs,
-                );
-                cache.meta = meta;
-                clone_feat(&mut cache.feats.cell_src_flat, design.feats.cell_src_flat.as_ref());
-                clone_feat(&mut cache.feats.net_flat, design.feats.net_flat.as_ref());
-                recomputed
-            }
-        };
+        }
+        let recomputed = gnn.refresh_flat(
+            store,
+            plan,
+            &design.feats,
+            aggregation,
+            &mut self.dirty,
+            &mut self.level,
+            &mut cache.flat,
+            bufs,
+        );
+        cache.meta = meta;
+        clone_feat(&mut cache.feats.cell_src_flat, design.feats.cell_src_flat.as_ref());
+        clone_feat(&mut cache.feats.net_flat, design.feats.net_flat.as_ref());
         ROWS_RECOMPUTED.add(recomputed as u64);
         ROWS_TOTAL.add(plan.live_rows as u64);
         recomputed
     }
 
-    /// The cached flat activation matrix (once a model with a GNN branch
-    /// has refreshed).
-    pub(crate) fn flat(&self) -> Option<&Tensor> {
-        self.cache.as_ref().map(|c| &c.flat)
+    /// The cached flat activation matrix (meaningful once a model with a
+    /// GNN branch has refreshed).
+    pub(crate) fn flat(&self) -> &Tensor {
+        &self.cache.flat
     }
 
     /// Stores the CNN global map of the design being refreshed.
@@ -281,7 +261,7 @@ impl IncrementalCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelConfig, TimingModel};
+    use crate::{ModelConfig, ModelVariant, TimingModel};
     use rand::SeedableRng;
     use rtt_circgen::GenParams;
     use rtt_netlist::{CellLibrary, Netlist, TimingGraph};
@@ -308,11 +288,31 @@ mod tests {
         let (ctx, mut inc) = (InferCtx::new(), IncrementalCtx::new());
         let all: Vec<u32> = (0..base.num_endpoints() as u32).collect();
         model.predict_incremental(&ctx, &mut inc, &base, &[], &all);
-        let ptr = inc.flat().expect("a cold refresh fills the cache").data().as_ptr();
+        assert!(!inc.flat().is_empty(), "a cold refresh fills the cache");
+        let ptr = inc.flat().data().as_ptr();
         for design in [&moved, &base, &base] {
             model.predict_incremental(&ctx, &mut inc, design, &[], &all);
-            assert_eq!(inc.flat().map(|t| t.data().as_ptr()), Some(ptr), "the matrix moved");
+            assert_eq!(inc.flat().data().as_ptr(), ptr, "the matrix moved");
         }
+    }
+
+    /// A cold refresh runs the level loop a warm one runs, so the caller's
+    /// arena keeps one level's scratch and the readout tail's, never a
+    /// whole-design matrix.
+    #[test]
+    fn a_cold_refresh_leaves_no_whole_design_scratch() {
+        let lib = CellLibrary::asap7_like();
+        let nl = GenParams::new("g", 2_000, 55).generate(&lib).netlist;
+        let graph = TimingGraph::build(&nl, &lib);
+        let cfg = ModelConfig::small().with_variant(ModelVariant::GnnOnly);
+        let pl = place(&nl, &lib, 0, &PlaceConfig::default());
+        let zeros = vec![0.0; graph.endpoints().len()];
+        let design = PreparedDesign::prepare(&nl, &lib, &pl, &graph, &cfg, zeros);
+        let (ctx, all) = (InferCtx::new(), (0..design.num_endpoints() as u32).collect::<Vec<_>>());
+        let model = TimingModel::new(cfg.clone());
+        model.predict_incremental(&ctx, &mut IncrementalCtx::new(), &design, &[], &all);
+        let (scratch, matrix) = (ctx.arena_bytes(), graph.num_nodes() * cfg.embed_dim * 4);
+        assert!((scratch as usize) < matrix, "{scratch} bytes of scratch, a {matrix}-byte matrix");
     }
 
     /// Refreshes warm `inc` onto `design` with no dirty pins and requires
@@ -427,28 +427,30 @@ mod tests {
     /// holds.
     fn seeds_of(inc: &IncrementalCtx, design: &PreparedDesign) -> Vec<bool> {
         let mut seeds = Vec::new();
-        let cache = inc.cache.as_ref().expect("a warm context");
-        cache.seed(&row_meta(design.schedule.plan()), &design.feats, &mut seeds);
+        inc.cache.seed(&row_meta(design.schedule.plan()), &design.feats, &mut seeds);
         seeds
     }
 
-    fn bits(t: Option<&Tensor>) -> Vec<u32> {
-        t.expect("a refreshed matrix").data().iter().map(|v| v.to_bits()).collect()
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// A refresh from A's full-pass matrix onto B writes B's full-pass
-    /// bits, for residual on and off and max and mean aggregation. The
-    /// seeds' cached values are NaN, so a seed that is read instead of
-    /// recomputed shows.
+    /// A cold refresh onto A writes A's full-pass bits, and a refresh from
+    /// there onto B writes B's, for residual on and off and max and mean
+    /// aggregation. The seeds' cached values are NaN, so a seed that is
+    /// read instead of recomputed shows.
     #[test]
     fn refresh_onto_a_transformed_design_equals_its_full_pass() {
         for residual in [false, true] {
             for aggregation in [Aggregation::Max, Aggregation::Mean] {
                 let cfg = ModelConfig { residual, aggregation, ..ModelConfig::tiny() };
+                let tag = format!("residual={residual} {aggregation:?}");
                 let (a, b, _) = buffered_and_resized(&cfg);
                 let (gnn, store, mut inc, mut bufs) = warm_on(&cfg, &a);
+                gnn.forward_flat(&store, &a.schedule, &a.feats, aggregation, &mut bufs);
+                assert_eq!(bits(inc.flat()), bits(&bufs[0]), "{tag}: cold refresh onto A");
                 let seeds = seeds_of(&inc, &b);
-                let flat = &mut inc.cache.as_mut().expect("warm").flat;
+                let flat = &mut inc.cache.flat;
                 let d = flat.cols();
                 flat.resize_rows(seeds.len());
                 for r in (0..seeds.len()).filter(|&r| seeds[r]) {
@@ -456,8 +458,7 @@ mod tests {
                 }
                 let recomputed = inc.refresh_gnn(&gnn, &store, &b, aggregation, &[], &mut bufs);
                 gnn.forward_flat(&store, &b.schedule, &b.feats, aggregation, &mut bufs);
-                let tag = format!("residual={residual} {aggregation:?}");
-                assert_eq!(bits(inc.flat()), bits(Some(&bufs[0])), "{tag}");
+                assert_eq!(bits(inc.flat()), bits(&bufs[0]), "{tag}");
                 let n_seeds = seeds.iter().filter(|&&s| s).count();
                 assert!(0 < n_seeds && n_seeds <= recomputed, "{tag}: {n_seeds} seeds");
             }

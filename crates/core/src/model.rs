@@ -353,9 +353,10 @@ impl TimingModel {
     /// matrix, and recomputes a row only when it is a seed or gathers a
     /// row whose bits changed earlier in the same refresh; the rest keep
     /// their cached bits. The CNN global map is recomputed, and the
-    /// per-endpoint tail cache is emptied. A cold `inc` runs one full
-    /// pass. On return the cache holds `design`'s activations, so a
-    /// transform sequence only ever pays for what its latest step changed.
+    /// per-endpoint tail cache is emptied. Against a cold `inc`'s empty
+    /// base every live row is a seed. On return the cache holds `design`'s
+    /// activations, so a transform sequence only ever pays for what its
+    /// latest step changed.
     ///
     /// `dirty_pins` forces their rows to recompute as seeds; a forced row
     /// whose bits do not change recomputes nothing past itself, and no
@@ -402,10 +403,10 @@ impl TimingModel {
     /// Tail-only read over the activations cached in `inc`: the GNN and
     /// the CNN global map do not run, only the per-endpoint readout
     /// (endpoint-row gather, masked layout embedding, fusion, regressor)
-    /// for endpoints the tail cache does not already hold. A cold `inc`
-    /// first runs one full pass, exactly as [`Self::predict_incremental`]
-    /// would. Outputs are bit-identical to [`Self::predict_batch`] on the
-    /// same design and indices.
+    /// for endpoints the tail cache does not already hold. A cold `inc` is
+    /// first refreshed onto `design`, exactly as by
+    /// [`Self::predict_incremental`]. Outputs are bit-identical to
+    /// [`Self::predict_batch`] on the same design and indices.
     ///
     /// Caller contract: a warm `inc` must have been last refreshed (by
     /// [`Self::predict_incremental`] or this method) on `design` itself,
@@ -469,7 +470,8 @@ impl TimingModel {
         }
         let mut fresh = Vec::with_capacity(todo.len());
         ctx.with_scratch(Self::TAIL_SCRATCH, |bufs, _, _| {
-            self.predict_tail(design, &todo, inc.flat(), inc.gmap(), bufs, &mut fresh);
+            let flat = self.gnn.is_some().then(|| inc.flat());
+            self.predict_tail(design, &todo, flat, inc.gmap(), bufs, &mut fresh);
         });
         for ((&v, &k), &i) in fresh.iter().zip(&todo_pos).zip(&todo) {
             out[k] = v;

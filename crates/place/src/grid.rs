@@ -47,11 +47,6 @@ impl Grid {
         &self.data
     }
 
-    /// Mutable raw values.
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Value at bin `(x, y)`.
     ///
     /// # Panics

@@ -12,10 +12,11 @@
 //!   lifetime, so steady-state `/predict` traffic allocates nothing in
 //!   the model. A read of an unchanged design runs only the readout tail
 //!   over the design's activation cache, so that arena stays tail-sized;
-//!   a cold cache refresh (one whole-design pass) runs on a short-lived
-//!   arena instead. Worker bodies run under `catch_unwind`: a panic is
-//!   counted on `/stats` and the worker keeps serving (`/stats` reading
-//!   zero `worker_panics` after a chaos run is the real assertion).
+//!   a cold cache refresh, whose scratch reaches the design's widest
+//!   level, runs on a short-lived arena instead. Worker bodies run under
+//!   `catch_unwind`: a panic is counted on `/stats` and the worker keeps
+//!   serving (`/stats` reading zero `worker_panics` after a chaos run is
+//!   the real assertion).
 //! * **Shutdown** is: stop flag → self-connect to unblock `accept` →
 //!   join acceptor → close queue → workers drain what's queued → join.
 //!   Queued requests are answered, not dropped (their deadlines still
@@ -69,16 +70,12 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Socket read/write timeout (bounds each blocking IO call).
     pub io_timeout_ms: u64,
-    /// Requests served per connection before it is closed.
-    pub keep_alive_requests: u32,
     /// HTTP parse budgets.
     pub limits: Limits,
     /// File `/reload` re-reads; `None` disables `/reload`.
     pub weights_path: Option<std::path::PathBuf>,
     /// Cap on designs the `/load` registry will hold.
     pub max_designs: usize,
-    /// Latency samples kept for `/stats` quantiles.
-    pub latency_window: usize,
     /// Fault-injection plan (disabled unless tests or `RTT_FAULTS` say
     /// otherwise).
     pub faults: FaultPlan,
@@ -92,15 +89,19 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             deadline_ms: 2_000,
             io_timeout_ms: 1_000,
-            keep_alive_requests: 32,
             limits: Limits::default(),
             weights_path: None,
             max_designs: 16,
-            latency_window: 1024,
             faults: FaultPlan::disabled(),
         }
     }
 }
+
+/// Requests served per connection before it is closed.
+const KEEP_ALIVE_REQUESTS: u32 = 32;
+
+/// Latency samples kept for `/stats` quantiles.
+const LATENCY_WINDOW: usize = 1024;
 
 /// Final counters handed back by [`Server::shutdown`].
 #[derive(Clone, Debug)]
@@ -124,7 +125,7 @@ struct Conn {
 /// invalidates it.
 struct DesignEntry {
     sources: (Netlist, Placement),
-    prep: Arc<PreparedDesign>,
+    prep: PreparedDesign,
     inc: IncrementalCtx,
     design_generation: u64,
     model_generation: u64,
@@ -152,7 +153,7 @@ impl DesignEntry {
         let prep = PreparedDesign::prepare(&netlist, library, &placement, &graph, config, targets);
         Ok(Self {
             sources: (netlist, placement),
-            prep: Arc::new(prep),
+            prep,
             inc: IncrementalCtx::new(),
             design_generation: 1,
             model_generation: 0,
@@ -169,7 +170,6 @@ impl DesignEntry {
         shared: &Shared,
         state: &ModelState,
         ctx: &InferCtx,
-        prep: &PreparedDesign,
         indices: &[u32],
     ) -> Vec<f32> {
         if self.model_generation != state.generation {
@@ -179,18 +179,19 @@ impl DesignEntry {
         }
         if self.cached_at == Some(self.design_generation) {
             shared.stats.record_cache_hit();
-            return state.model.predict_cached(ctx, &mut self.inc, prep, indices);
+            return state.model.predict_cached(ctx, &mut self.inc, &self.prep, indices);
         }
         // The cache is taken out for the refresh: a refresh that unwinds
         // leaves the entry cold and unstamped, never stamped over a
         // half-refreshed cache.
         self.cached_at = None;
         let mut inc = std::mem::take(&mut self.inc);
-        // A cold refresh is a whole-design pass; its scratch goes with a
-        // short-lived arena, so no worker arena stays sized to one.
+        // A cold refresh recomputes every row, so its scratch reaches the
+        // design's widest level; it goes with a short-lived arena, so no
+        // worker arena stays sized to one.
         let cold = (!inc.is_warm()).then(InferCtx::new);
         let ctx = cold.as_ref().unwrap_or(ctx);
-        let preds = state.model.predict_incremental(ctx, &mut inc, prep, &[], indices);
+        let preds = state.model.predict_incremental(ctx, &mut inc, &self.prep, &[], indices);
         self.inc = inc;
         self.cached_at = Some(self.design_generation);
         shared.stats.record_cache_refresh();
@@ -245,7 +246,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            stats: Stats::new(cfg.workers.max(1), cfg.latency_window),
+            stats: Stats::new(cfg.workers.max(1), LATENCY_WINDOW),
             queue: Queue::new(cfg.queue_capacity),
             swap: ModelSwap::new(model),
             library,
@@ -436,7 +437,7 @@ fn handle_connection(shared: &Shared, worker: usize, ctx: &InferCtx, chunk: &mut
         let response = route(shared, worker, ctx, &request);
         served += 1;
         let keep_alive = !request.wants_close()
-            && served < shared.cfg.keep_alive_requests.max(1)
+            && served < KEEP_ALIVE_REQUESTS
             && !shared.stop.load(Ordering::SeqCst);
         let status = response.status;
         // The write gets a fresh budget: the handler's effect (a /load, a
@@ -613,9 +614,9 @@ fn resolve_design(
 /// cache with the design generation it was last refreshed at. A read of
 /// a design unchanged since then runs only the readout tail
 /// ([`TimingModel::predict_cached`]); any other read refreshes first
-/// ([`TimingModel::predict_incremental`]) — a cold full pass after
-/// `/load` or a `/reload` (the cache is keyed to the model generation),
-/// a refresh of what changed after a `/transform`. Either way the answer
+/// ([`TimingModel::predict_incremental`]) — of every row after `/load`
+/// or a `/reload` (the cache is keyed to the model generation), of what
+/// changed after a `/transform`. Either way the answer
 /// is bit-identical to [`TimingModel::predict_batch`]. `/stats` counts
 /// both kinds of read (`predict_cache_hits`, `predict_cache_refreshes`).
 fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Response {
@@ -661,14 +662,13 @@ fn predict(shared: &Shared, worker: usize, ctx: &InferCtx, req: &Request) -> Res
     let preds = {
         let mut entry = entry.lock().unwrap_or_else(PoisonError::into_inner);
         // Indices are checked against the preparation this read serves,
-        // taken under the same lock as the cache stamp.
-        let prep = Arc::clone(&entry.prep);
-        let n = prep.num_endpoints() as u32;
+        // under the same lock as the cache stamp.
+        let n = entry.prep.num_endpoints() as u32;
         let indices = requested.unwrap_or_else(|| (0..n).collect());
         if let Some(&i) = indices.iter().find(|&&i| i >= n) {
             return Response::text(422, format!("index {i} out of range (n={n})\n"));
         }
-        entry.predict(shared, &state, ctx, &prep, &indices)
+        entry.predict(shared, &state, ctx, &indices)
     };
     let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
     shared.stats.record_predict(latency_ms, preds.len());
@@ -846,7 +846,7 @@ fn transform(shared: &Shared, req: &Request) -> Response {
     // Publish: everything below is infallible, so partial updates are
     // impossible.
     *sources = (nl, pl);
-    *prep = Arc::new(new_prep);
+    *prep = new_prep;
     *design_generation += 1;
     Response::text(200, format!("generation={design_generation}\n"))
 }

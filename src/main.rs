@@ -283,8 +283,8 @@ fn opt_incremental_report(
 
     let ctx = InferCtx::new();
     let mut inc = IncrementalCtx::new();
-    // Prime the cache with a full pass over the input design (cold cache:
-    // this is an ordinary forward).
+    // Prime the cache on the input design: a new context's base is empty,
+    // so this refresh computes every row.
     let all_before: Vec<u32> = (0..prep_before.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(&ctx, &mut inc, &prep_before, &[], &all_before);
 

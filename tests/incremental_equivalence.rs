@@ -223,8 +223,9 @@ fn run_sequence(
     let mut nl = base_nl.clone();
     let mut pl = base_pl.clone();
     let mut inc = IncrementalCtx::new();
-    // Prime the cache with a full pass over the base design; every later
-    // step refreshes it onto the step's design.
+    // Prime the cache on the base design (an empty cache's refresh
+    // computes every row); every later step refreshes it onto the step's
+    // design.
     let prep = prepare_design(&nl, &pl, lib, cfg);
     let all: Vec<u32> = (0..prep.num_endpoints() as u32).collect();
     let _ = model.predict_incremental(ctx, &mut inc, &prep, &[], &all);

@@ -162,7 +162,7 @@ fn tape_free_predict_is_bit_identical_to_taped() {
                     &want,
                 );
             }
-            // A cold cache runs the full pass first.
+            // A cold cache is refreshed first, every row of it a seed.
             assert_bits_eq(
                 &format!("{name} predict_cached(cold) @ {threads} threads"),
                 &model.predict_cached(&ctx, &mut IncrementalCtx::new(), prep, &all),
